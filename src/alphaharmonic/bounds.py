@@ -129,14 +129,22 @@ def lc_schwarz_pick_bound(r: float, alpha) -> float:
 
 
 def m_bound(r: float, alpha, settings: SeriesSettings | None = None) -> float:
-    """Hypergeometric center-value Schwarz bound (stays bounded as r -> 1)."""
+    """Hypergeometric center-value Schwarz bound (stays bounded as r -> 1).
+
+    At alpha = 0 it collapses to (4/pi) arctan r, returned in the float
+    expression of m2_bound's leading term, so that M == M2 bit for bit.
+    """
     r = _validate_r(r)
     a = alpha_value(alpha)
+    if a == 0.0:
+        return 2.0 ** (a + 2.0) / math.pi * math.atan(r)
     one_plus_r2 = 1.0 + r * r
     first = ((1.0 - r * r) ** (a + 1.0)
              * abs((1.0 - r) ** (-a) - 1.0) / one_plus_r2)
     x = 4.0 * r * r / (one_plus_r2 * one_plus_r2)
-    f = hyp2f1((0.5, 0.5 - a / 2.0, 1.5), x, settings)
+    # 1 - x = ((1 - r^2) / (1 + r^2))^2, free of the cancellation in 1.0 - x
+    d = (1.0 - r) * (1.0 + r) / one_plus_r2
+    f = hyp2f1((0.5, 0.5 - a / 2.0, 1.5), x, settings, one_minus_x=d * d)
     if a >= 0.0:
         second = 2.0 ** (2.0 + a / 2.0) * r * one_plus_r2 ** (a / 2.0 - 1.0) / math.pi * f
     else:

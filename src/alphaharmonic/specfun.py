@@ -5,15 +5,21 @@ evaluator sums the defining power series
 
     F(a, b; c; x) = sum_n (a)_n (b)_n / ((c)_n n!) x^n,    0 <= x < 1,
 
-in float64 with a rigorous geometric tail bound for stopping, and applies
-the Euler transform automatically when the transformed series decays
-faster.  No analytic continuation beyond [0, 1) is attempted.
+in float64 with a rigorous geometric tail bound for stopping.  For
+0.5 < x < 1 it continues F to x -> 1 with the connection formula in
+y = 1 - x (DLMF 15.8.4), whose two series converge like y^n; otherwise it
+applies the Euler transform when the transformed series decays faster.
+The connection formula is skipped, and the Euler/raw series summed
+instead, for terminating series, integer c - a - b (the logarithmic case,
+DLMF 15.8.10) and calls where cancellation between its two terms would
+cost more than the relative tolerance.  No continuation beyond [0, 1) is
+attempted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +47,13 @@ __all__ = [
 _BAD_C_TOL = 1e-12
 
 _CHUNK = 4096
+
+_EPS = 2.0 ** -52
+# Rounding of one connection-formula term (gamma factors, y**s, series
+# sum), in units of _EPS; cancellation between the two terms multiplies it.
+_CONNECTION_ULPS = 16.0
+# How far a caller's one_minus_x may sit from the computed 1 - x.
+_ONE_MINUS_X_TOL = 64.0 * _EPS
 
 
 def _validate_c(c: float) -> None:
@@ -87,9 +100,12 @@ def alpha_value(alpha) -> float:
 class SeriesSettings:
     """Evaluation knobs for the hypergeometric power series.
 
-    The cap covers the slowest supported case (exponent c - a - b down to
-    about 0.2 evaluated at x = 1 - 1e-5 under the tail-bound stopping
-    rule) with headroom; chunked summation keeps even capped runs cheap.
+    The connection route near x = 1 needs a few hundred terms at most.
+    The cap serves the raw and Euler series that remain for x -> 1 when
+    the connection formula is skipped (integer or badly cancelling
+    c - a - b): it covers exponent c - a - b down to about 0.2 at
+    x = 1 - 1e-5 under the tail-bound stopping rule, with headroom;
+    chunked summation keeps even capped runs cheap.
     """
 
     term_cap: int = 4_000_000
@@ -107,7 +123,7 @@ DEFAULT_SERIES_SETTINGS = SeriesSettings()
 class Hyp2F1Result:
     value: float
     terms_used: int
-    transform: str  # "none" or "euler"
+    transform: str  # "none", "euler" or "connection"
 
 
 def gamma(x: float) -> float:
@@ -221,8 +237,69 @@ def _terminates(a: float, b: float) -> bool:
     return any(v <= 0.0 and v == int(v) for v in (a, b))
 
 
-def hyp2f1_detailed(params, x: float, settings: SeriesSettings | None = None) -> Hyp2F1Result:
+def _one_minus(x: float, one_minus_x) -> float:
+    if one_minus_x is None:
+        return 1.0 - x
+    y = float(one_minus_x)
+    if not (y > 0.0 and abs(y - (1.0 - x)) <= _ONE_MINUS_X_TOL):
+        raise DomainError(f"one_minus_x={y!r} does not match 1 - x for x={x!r}")
+    return y
+
+
+def _rgamma(z: float) -> float:
+    """1/Gamma(z), exactly 0 at the poles z = 0, -1, -2, ..."""
+    if z <= 0.0 and z == int(z):
+        return 0.0
+    return 1.0 / math.gamma(z)
+
+
+def _connection(a: float, b: float, c: float, y: float, settings: SeriesSettings):
+    """F(a, b; c; 1 - y) by DLMF 15.8.4; None where it does not apply.
+
+    With s = c - a - b not an integer (integer s is the logarithmic case),
+
+        F = G(c)G(s)/(G(c-a)G(c-b)) F(a, b; 1-s; y)
+            + y^s G(c)G(-s)/(G(a)G(b)) F(c-a, c-b; 1+s; y).
+
+    c - a and c - b are rebuilt from s, so that the poles of the two
+    terms at integer s cancel for the rounded s as they do for the exact
+    one.  Both series are summed to machine precision; the result is
+    returned only if _CONNECTION_ULPS rounding per term, multiplied by the
+    cancellation (|t1| + |t2|) / |t1 + t2|, stays within rel_tol.
+    """
+    s = c - a - b
+    if s == round(s):
+        return None
+    ca, cb = b + s, a + s
+    try:
+        gc = math.gamma(c)
+        g1 = gc * math.gamma(s) * _rgamma(ca) * _rgamma(cb)
+        g2 = gc * math.gamma(-s) * _rgamma(a) * _rgamma(b) * y ** s
+    except (OverflowError, ZeroDivisionError):
+        return None
+    inner = replace(settings, rel_tol=min(settings.rel_tol, _EPS))
+    f1, n1 = _series_sum(a, b, 1.0 - s, y, inner)
+    f2, n2 = _series_sum(ca, cb, 1.0 + s, y, inner)
+    t1, t2 = g1 * f1, g2 * f2
+    value = t1 + t2
+    spread = abs(t1) + abs(t2)
+    if not (math.isfinite(spread) and value != 0.0):
+        return None
+    if spread / abs(value) * _CONNECTION_ULPS * _EPS > settings.rel_tol:
+        return None
+    return Hyp2F1Result(value, n1 + n2, "connection")
+
+
+def hyp2f1_detailed(params, x: float, settings: SeriesSettings | None = None, *,
+                    one_minus_x: float | None = None) -> Hyp2F1Result:
     """Evaluate F(a, b; c; x) on [0, 1), reporting terms used and transform.
+
+    For 0.5 < x < 1 the connection formula in y = 1 - x (DLMF 15.8.4) is
+    used, transform "connection": two series in y that need tens to a few
+    hundred terms even at x = 1 - 1e-8.  It is skipped for a terminating
+    series, for integer c - a - b (the logarithmic case) and whenever
+    cancellation between its two terms would exceed rel_tol; those calls,
+    and all x <= 0.5, take the series route below.
 
     The Euler transform F(a,b;c;x) = (1-x)^(c-a-b) F(c-a, c-b; c; x) is
     applied whenever (c-a) + (c-b) < a + b, i.e. whenever the transformed
@@ -230,20 +307,35 @@ def hyp2f1_detailed(params, x: float, settings: SeriesSettings | None = None) ->
     (a or b a non-positive integer) is always summed raw: it is a finite
     polynomial, and rewriting it through the transform trades an exact sum
     for a cancellation-prone one.
+
+    one_minus_x, if given, is the caller's exact value of 1 - x, used in
+    place of the rounded 1.0 - x (which loses digits as x -> 1).  It must
+    agree with 1.0 - x to within 64 * 2**-52, else DomainError.
     """
     a, b, c = _unpack_params(params)
+    a, b = min(a, b), max(a, b)
     x = _validate_x(x)
+    y = _one_minus(x, one_minus_x)
     st = settings or DEFAULT_SERIES_SETTINGS
-    if not _terminates(a, b) and (c - a) + (c - b) < a + b:
+    terminates = _terminates(a, b)
+    if x > 0.5 and not terminates:
+        res = _connection(a, b, c, y, st)
+        if res is not None:
+            return res
+    if not terminates and (c - a) + (c - b) < a + b:
         value, terms = _series_sum(c - a, c - b, c, x, st)
-        return Hyp2F1Result((1.0 - x) ** (c - a - b) * value, terms, "euler")
+        return Hyp2F1Result(y ** (c - a - b) * value, terms, "euler")
     value, terms = _series_sum(a, b, c, x, st)
     return Hyp2F1Result(value, terms, "none")
 
 
-def hyp2f1(params, x: float, settings: SeriesSettings | None = None) -> float:
-    """Gauss hypergeometric function F(a, b; c; x) for 0 <= x < 1."""
-    return hyp2f1_detailed(params, x, settings).value
+def hyp2f1(params, x: float, settings: SeriesSettings | None = None, *,
+           one_minus_x: float | None = None) -> float:
+    """Gauss hypergeometric function F(a, b; c; x) for 0 <= x < 1.
+
+    See hyp2f1_detailed for the evaluation routes and one_minus_x.
+    """
+    return hyp2f1_detailed(params, x, settings, one_minus_x=one_minus_x).value
 
 
 def euler_transform_eval(params, x: float, settings: SeriesSettings | None = None) -> float:

@@ -86,6 +86,11 @@ class TestM:
         for a in [(5 * i - 95) / 100.0 for i in range(80)]:
             assert m_bound(0.99, a) <= m2_bound(0.99, a)
 
+    def test_equals_m2_at_alpha_zero(self):
+        # both collapse to (4/pi) arctan r; equal bit for bit, not just close
+        for r in (0.0, 0.3, 0.9, 0.99, 0.999999):
+            assert m_bound(r, 0.0) == m2_bound(r, 0.0)
+
     def test_value_at_one_alpha_one(self):
         # frozen: second hypergeometric parameter vanishes so F = 1 exactly
         assert rel_err(m_bound(0.99, 1.0), 1.2866248613285742585) < 1e-12

@@ -14,7 +14,7 @@ from alphaharmonic import (Alpha, ConvergenceError, DomainError,
                            HypergeomParams, SeriesSettings, beta,
                            binom_general, c_alpha, euler_transform_eval,
                            gamma, hyp2f1, hyp2f1_at_one, hyp2f1_detailed,
-                           pochhammer, quadratic_transform_eval)
+                           m_bound, pochhammer, quadratic_transform_eval)
 
 mp.mp.dps = 30
 
@@ -232,6 +232,157 @@ class TestTransforms:
         res = hyp2f1_detailed((2.0, 2.5, 1.2), 0.5)
         assert res.transform == "euler"
         assert rel_err(res.value, float(mp.hyp2f1(2.0, 2.5, 1.2, 0.5))) < 1e-11
+
+
+def _draw_triple(rng, family):
+    """(a, b, c) as used by the bounds, modulus_power_integral and the
+    GAUSS_SUMMATION identity."""
+    if family == "m_bound":
+        alpha = rng.uniform(-0.99, 10.0)
+        return 0.5, 0.5 - alpha / 2.0, 1.5
+    if family == "schwarz":
+        alpha = rng.uniform(-0.99, 10.0)
+        return -alpha / 2.0, -alpha / 2.0, 1.0
+    if family == "modulus_power":
+        beta_ = rng.uniform(0.0, 3.0)
+        return 1.0 - beta_, 1.0 - beta_, 1.0
+    while True:
+        a, b = rng.uniform(-1.0, 1.5, size=2)
+        c = a + b + rng.uniform(0.25, 2.0)
+        if c - a > 0.05 and c - b > 0.05 and c > 0.3:
+            return a, b, c
+
+
+def _near_one(rng):
+    """x in [0.5, 1 - 1e-8], log-uniform in 1 - x."""
+    return 1.0 - 10.0 ** rng.uniform(-8.0, math.log10(0.5))
+
+
+FAMILIES = ("m_bound", "schwarz", "modulus_power", "gauss_summation")
+# a fallback to the raw series at x near 1 raises instead of summing millions
+SHORT = SeriesSettings(term_cap=100_000)
+
+
+class TestConnection:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_against_mpmath_near_one(self, family):
+        rng = np.random.default_rng(FAMILIES.index(family) + 101)
+        connection = 0
+        for _ in range(60):
+            a, b, c = _draw_triple(rng, family)
+            x = _near_one(rng)
+            try:
+                res = hyp2f1_detailed((a, b, c), x, SHORT)
+            except ConvergenceError:
+                continue
+            want = float(mp.hyp2f1(a, b, c, mp.mpf(x)))
+            if res.transform == "connection":
+                connection += 1
+                assert rel_err(res.value, want) < 1e-13, (a, b, c, x)
+            else:
+                assert rel_err(res.value, want) < 1e-11, (a, b, c, x)
+        assert connection >= 50
+
+    def test_near_integer_s_meets_tolerance_or_falls_back(self):
+        rng = np.random.default_rng(103)
+        connection = fallback = 0
+        for _ in range(300):
+            a, b = rng.uniform(-2.0, 2.0, size=2)
+            n = int(rng.integers(-2, 4))
+            dist = 10.0 ** rng.uniform(-9.0, math.log10(0.2))
+            c = a + b + n + dist * rng.choice((-1.0, 1.0))
+            if c < 0.1:
+                continue
+            x = _near_one(rng)
+            try:
+                res = hyp2f1_detailed((a, b, c), x, SHORT)
+            except ConvergenceError:
+                fallback += 1
+                continue
+            if res.transform != "connection":
+                fallback += 1
+                continue
+            connection += 1
+            want = float(mp.hyp2f1(a, b, c, mp.mpf(x)))
+            assert rel_err(res.value, want) < 1e-13, (a, b, c, x)
+        assert connection > 100 and fallback > 50
+
+    def test_integer_s_falls_back(self):
+        rng = np.random.default_rng(107)
+        for _ in range(60):
+            # multiples of 2^-10, so that c - a - b is exact in either order
+            a, b = np.round(rng.uniform(-2.0, 2.0, size=2) * 1024.0) / 1024.0
+            c = a + b + int(rng.integers(0, 4))
+            if c < 0.1 or a == round(a) or b == round(b):
+                continue
+            x = 1.0 - 10.0 ** rng.uniform(-3.0, math.log10(0.5))
+            try:
+                res = hyp2f1_detailed((a, b, c), x, SHORT)
+            except ConvergenceError:
+                continue
+            assert res.transform != "connection"
+
+    def test_symmetry_bit_for_bit_near_one(self):
+        rng = np.random.default_rng(109)
+        for _ in range(200):
+            a, b = rng.uniform(-2.0, 2.0, size=2)
+            c = rng.uniform(0.3, 3.0)
+            x = _near_one(rng)
+            try:
+                got = hyp2f1((a, b, c), x, SHORT)
+            except ConvergenceError:
+                continue
+            assert got == hyp2f1((b, a, c), x, SHORT)
+
+    def test_terms_bounded_at_gauss_summation_argument(self):
+        rng = np.random.default_rng(113)
+        for _ in range(100):
+            a, b, c = _draw_triple(rng, "gauss_summation")
+            res = hyp2f1_detailed((a, b, c), 1.0 - 1e-5)
+            assert res.transform == "connection"
+            assert res.terms_used <= 256
+
+    def test_engages_above_one_half_only(self):
+        assert hyp2f1_detailed((0.25, 0.75, 1.5), 0.9).transform == "connection"
+        assert hyp2f1_detailed((0.25, 0.75, 1.5), 0.5).transform == "none"
+        # terminating series stay raw: a finite polynomial is summed exactly
+        assert hyp2f1_detailed((-2.0, 0.5, 1.7), 0.9).transform == "none"
+
+    def test_one_minus_x_keeps_digits(self):
+        # m_bound's argument at r = 0.999: 1.0 - x alone carries an
+        # absolute rounding error comparable to 1 - x's last digits
+        r = 0.999
+        d = (1.0 - r) * (1.0 + r) / (1.0 + r * r)
+        x = 4.0 * r * r / (1.0 + r * r) ** 2
+        params = (0.5, 0.5 - (-0.95) / 2.0, 1.5)
+        got = hyp2f1(params, x, one_minus_x=d * d)
+        rm = mp.mpf(r)
+        want = mp.hyp2f1(0.5, params[1], 1.5, 4 * rm * rm / (1 + rm * rm) ** 2)
+        assert rel_err(got, float(want)) < 1e-13
+
+    def test_one_minus_x_must_match(self):
+        with pytest.raises(DomainError):
+            hyp2f1((0.5, 0.5, 1.5), 0.9, one_minus_x=0.2)
+        with pytest.raises(DomainError):
+            hyp2f1((0.5, 0.5, 1.5), 0.9, one_minus_x=0.0)
+
+
+class TestMBoundNearBoundary:
+    # the grid alphas at which the raw series at r = 0.999 used to exceed
+    # term_cap: [-0.95, 1.9] in steps of 0.15, except 1.0
+    ALPHAS = [a for a in ((15 * k - 95) / 100.0 for k in range(20)) if a != 1.0]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_against_mpmath(self, alpha):
+        r = mp.mpf(0.999)
+        al = mp.mpf(alpha)
+        s = 1 + r * r
+        first = (1 - r * r) ** (al + 1) * abs((1 - r) ** (-al) - 1) / s
+        f = mp.hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2 - al / 2, mp.mpf(3) / 2,
+                      4 * r * r / s ** 2)
+        lead = (2 ** (2 + al / 2) * r * s ** (al / 2 - 1) / mp.pi if alpha >= 0
+                else 4 * r / mp.pi * s ** (al / 2 - 1))
+        assert rel_err(m_bound(0.999, alpha), float(first + lead * f)) < 1e-13
 
 
 class TestGaussSummation:

@@ -12,10 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ConvergenceError, DomainError
-from .quadrature import QuadratureConfig, integrate_periodic
+from .errors import DomainError
 from .specfun import SeriesSettings, alpha_value, c_alpha, hyp2f1
 
 __all__ = [
@@ -190,34 +187,19 @@ def schwarz_pick_limit_bound(r: float, alpha) -> float:
     return lead / c_alpha(a) / (1.0 - r * r)
 
 
-def l1_mean_kernel(alpha, r: float, config: QuadratureConfig | None = None) -> float:
-    """Circle mean of the kernel modulus at radius r, by quadrature.
+def l1_mean_kernel(alpha, r: float) -> float:
+    """Circle mean of (1-r^2)^(alpha+1) / |1 - r e^{i theta}|^(alpha+2).
 
-    Bounded by 1/c_alpha and increasing toward it as r -> 1.
+    By the modulus-power identity with beta = (alpha+2)/2 it equals
+    F(-alpha/2, -alpha/2; 1; r^2), so it is evaluated as schwarz_bound and
+    the two agree bit for bit.  Bounded by 1/c_alpha and increasing toward
+    it as r -> 1.
     """
-    r = _validate_r(r)
-    a = alpha_value(alpha)
-    pref = (1.0 - r * r) ** (a + 1.0)
-
-    def integrand(theta):
-        mod2 = 1.0 - 2.0 * r * np.cos(theta) + r * r
-        return pref * mod2 ** (-(a + 2.0) / 2.0)
-
-    res = integrate_periodic(integrand, config)
-    if not res.converged:
-        raise ConvergenceError(
-            f"kernel mean quadrature did not converge at r={r!r} "
-            f"(nodes={res.nodes_used}, err={res.error_estimate:.3e})",
-            partial=res.value,
-            error_estimate=res.error_estimate,
-            iterations=res.nodes_used,
-        )
-    return float(res.value)
+    return schwarz_bound(r, alpha)
 
 
-def evaluate_bound(bound_id: str, r: float, alpha, c: float | None = None,
-                   config: QuadratureConfig | None = None) -> BoundReport:
-    """Evaluate one named bound into a BoundReport."""
+def evaluate_bound(bound_id: str, r: float, alpha, c: float | None = None) -> BoundReport:
+    """Evaluate one named bound into a BoundReport; all are closed forms."""
     a = alpha_value(alpha)
     if bound_id == "M1":
         if c is None:
@@ -233,7 +215,7 @@ def evaluate_bound(bound_id: str, r: float, alpha, c: float | None = None,
         "SCHWARZ_2F1": lambda: schwarz_bound(r, a),
         "SP_2F1": lambda: schwarz_pick_bound(r, a),
         "SP_LIMIT": lambda: schwarz_pick_limit_bound(r, a),
-        "L1_MEAN": lambda: l1_mean_kernel(a, r, config),
+        "L1_MEAN": lambda: l1_mean_kernel(a, r),
     }
     if bound_id not in dispatch:
         raise DomainError(f"unknown bound id {bound_id!r}")

@@ -70,14 +70,6 @@ def _emit(rows: list[dict], fmt: str, out: str) -> None:
             fh.write(text)
 
 
-def _quad_config(args) -> QuadratureConfig | None:
-    n_max = getattr(args, "quad_n_max", None)
-    if n_max is None:
-        return None
-    default = QuadratureConfig()
-    return QuadratureConfig(n_initial=min(default.n_initial, n_max), n_max=n_max)
-
-
 def _cmd_eval2f1(args) -> int:
     res = hyp2f1_detailed((args.a, args.b, args.c), args.x)
     _emit([{"value": res.value, "terms_used": res.terms_used,
@@ -94,15 +86,15 @@ def _load_boundary(path: str) -> BoundaryData:
 def _cmd_solve(args) -> int:
     fstar = _load_boundary(args.boundary)
     z = complex(args.z_re, args.z_im)
-    cfg = _quad_config(args)
+    n_max = args.quad_n_max
+    cfg = None if n_max is None else QuadratureConfig(
+        n_initial=min(QuadratureConfig.n_initial, n_max), n_max=n_max)
     diag = dirichlet_quadrature(args.alpha, fstar, z, cfg)
-    if not diag.converged:
-        raise ConvergenceError(
-            f"Dirichlet quadrature did not converge (nodes={diag.nodes_used}, "
-            f"err={diag.error_estimate:.3e}); raise --quad-n-max",
-            partial=diag.value, error_estimate=diag.error_estimate,
-            iterations=diag.nodes_used)
-    value = complex(diag.value)
+    try:
+        value = complex(diag.unwrap("Dirichlet quadrature"))
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{exc}; raise --quad-n-max", exc.partial,
+                               exc.error_estimate, exc.iterations) from None
     pair = derivative_pair(args.alpha, fstar, z, cfg)
     _emit([{
         "f_re": value.real, "f_im": value.imag,
@@ -120,13 +112,12 @@ def _cmd_bounds(args) -> int:
     ids = list(BOUND_IDS) if args.id == "all" else [args.id]
     if "M1" in ids and args.c is None:
         raise DomainError("bound M1 requires --c")
-    cfg = _quad_config(args)
     rows = []
     for bound_id in ids:
         if bound_id == "M_PRIME" and args.id == "all" and args.alpha < 0:
             continue  # stated for alpha >= 0 only
         rep = evaluate_bound(bound_id, args.r, args.alpha,
-                             c=args.c if bound_id == "M1" else None, config=cfg)
+                             c=args.c if bound_id == "M1" else None)
         rows.append({"bound_id": rep.bound_id, "r": rep.r, "alpha": rep.alpha,
                      "aux": rep.aux, "value": rep.value})
     _emit(rows, args.format, args.out)
@@ -214,7 +205,6 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--c", type=float, default=None,
                    help="mean-to-sup ratio for the M1 bound")
-    p.add_argument("--quad-n-max", type=int, default=None)
     add_io(p)
     p.set_defaults(func=_cmd_bounds)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_periodic
 from .specfun import alpha_value, c_alpha
 
@@ -50,8 +50,7 @@ class DiskPoint:
     im: float = 0.0
 
     def __post_init__(self):
-        if not self.re * self.re + self.im * self.im < 1.0:
-            raise DomainError(f"point ({self.re}, {self.im}) is not inside the unit disk")
+        disk_point_value(self.as_complex)
 
     @classmethod
     def from_complex(cls, z: complex) -> "DiskPoint":
@@ -188,20 +187,33 @@ def real_kernel(alpha, z) -> float:
     return c_alpha(a) * one_minus_r2 ** (a + 1.0) / abs(1.0 - zc) ** (a + 2.0)
 
 
-def _kernel_on_grid(a: float, zc: complex, theta: np.ndarray) -> np.ndarray:
+def _kernel_on_grid(a: float, zc: complex, theta: np.ndarray):
+    """Kernel P(xi) at xi = z e^{-i theta}, returned with e^{-i theta}, xi
+    and 1 - |z|^2 for the derivative kernels."""
     one_minus_r2 = 1.0 - (zc.real * zc.real + zc.imag * zc.imag)
-    xi = zc * np.exp(-1j * theta)
-    return one_minus_r2 ** (a + 1.0) / ((1.0 - xi) * (1.0 - np.conj(xi)) ** (a + 1.0))
+    emith = np.exp(-1j * theta)
+    xi = zc * emith
+    kern = one_minus_r2 ** (a + 1.0) / ((1.0 - xi) * (1.0 - np.conj(xi)) ** (a + 1.0))
+    return kern, emith, xi, one_minus_r2
 
 
-def _with_roundoff_floor(config: QuadratureConfig | None, scale: float) -> QuadratureConfig:
-    """Raise abs_tol to the summation roundoff of an integrand of the given
-    sup bound, so near-zero means (cancelling integrands) still converge."""
+def _kernel_integral(kern, fstar: BoundaryData, sup: float,
+                     config: QuadratureConfig | None):
+    """Raw quadrature result for the circle mean of kern(theta) * fstar.
+
+    ``sup`` bounds |kern|; abs_tol is raised to the summation roundoff of
+    the integrand's sup bound, so near-zero means (cancelling integrands)
+    still converge instead of chasing noise.
+    """
     cfg = config or DEFAULT_CONFIG
-    floor = 32.0 * _EPS * scale
-    if floor <= cfg.abs_tol:
-        return cfg
-    return replace(cfg, abs_tol=floor)
+    floor = 32.0 * _EPS * (sup * fstar.sup_norm)
+    if floor > cfg.abs_tol:
+        cfg = replace(cfg, abs_tol=floor)
+
+    def integrand(theta):
+        return kern(theta) * fstar.evaluate(theta)
+
+    return integrate_periodic(integrand, cfg)
 
 
 def dirichlet_quadrature(alpha, fstar: BoundaryData, z,
@@ -211,43 +223,25 @@ def dirichlet_quadrature(alpha, fstar: BoundaryData, z,
     zc = disk_point_value(z)
     r = abs(zc)
     one_minus_r2 = 1.0 - r * r
-    sup = one_minus_r2 ** (a + 1.0) / (1.0 - r) ** (a + 2.0) * fstar.sup_norm
-    cfg = _with_roundoff_floor(config, sup)
-
-    def integrand(theta):
-        return _kernel_on_grid(a, zc, theta) * fstar.evaluate(theta)
-
-    return integrate_periodic(integrand, cfg)
+    sup = one_minus_r2 ** (a + 1.0) / (1.0 - r) ** (a + 2.0)
+    return _kernel_integral(lambda theta: _kernel_on_grid(a, zc, theta)[0],
+                            fstar, sup, config)
 
 
 def solve_dirichlet(alpha, fstar: BoundaryData, z, config: QuadratureConfig | None = None) -> complex:
     """Weighted-harmonic extension of fstar evaluated at z."""
     res = dirichlet_quadrature(alpha, fstar, z, config)
-    if not res.converged:
-        raise ConvergenceError(
-            f"Dirichlet quadrature did not converge at z={z!r} "
-            f"(nodes={res.nodes_used}, err={res.error_estimate:.3e})",
-            partial=res.value,
-            error_estimate=res.error_estimate,
-            iterations=res.nodes_used,
-        )
-    return complex(res.value)
+    return complex(res.unwrap(f"Dirichlet quadrature at z={z!r}"))
 
 
 def _dz_kernel(a: float, zc: complex, theta: np.ndarray) -> np.ndarray:
-    one_minus_r2 = 1.0 - (zc.real * zc.real + zc.imag * zc.imag)
-    eith = np.exp(1j * theta)
-    xi = zc * np.conj(eith)
-    kern = one_minus_r2 ** (a + 1.0) / ((1.0 - xi) * (1.0 - np.conj(xi)) ** (a + 1.0))
-    return kern * (np.conj(eith) / (1.0 - xi) - (a + 1.0) * zc.conjugate() / one_minus_r2)
+    kern, emith, xi, one_minus_r2 = _kernel_on_grid(a, zc, theta)
+    return kern * (emith / (1.0 - xi) - (a + 1.0) * zc.conjugate() / one_minus_r2)
 
 
 def _dzbar_kernel(a: float, zc: complex, theta: np.ndarray) -> np.ndarray:
-    one_minus_r2 = 1.0 - (zc.real * zc.real + zc.imag * zc.imag)
-    eith = np.exp(1j * theta)
-    xi = zc * np.conj(eith)
-    kern = one_minus_r2 ** (a + 1.0) / ((1.0 - xi) * (1.0 - np.conj(xi)) ** (a + 1.0))
-    return (a + 1.0) * kern * (eith / (1.0 - np.conj(xi)) - zc / one_minus_r2)
+    kern, emith, xi, one_minus_r2 = _kernel_on_grid(a, zc, theta)
+    return (a + 1.0) * kern * (np.conj(emith) / (1.0 - np.conj(xi)) - zc / one_minus_r2)
 
 
 def kernel_derivatives(alpha, z, theta):
@@ -269,19 +263,6 @@ def kernel_derivatives(alpha, z, theta):
     if scalar:
         return complex(d_z[0]), complex(d_zbar[0])
     return d_z, d_zbar
-
-
-def _integrate_or_raise(integrand, config, what: str) -> complex:
-    res = integrate_periodic(integrand, config)
-    if not res.converged:
-        raise ConvergenceError(
-            f"{what} quadrature did not converge "
-            f"(nodes={res.nodes_used}, err={res.error_estimate:.3e})",
-            partial=res.value,
-            error_estimate=res.error_estimate,
-            iterations=res.nodes_used,
-        )
-    return complex(res.value)
 
 
 def _derivative_kernel_sups(a: float, zc: complex) -> tuple[float, float]:
@@ -306,19 +287,11 @@ def derivative_pair(alpha, fstar: BoundaryData, z,
     a = alpha_value(alpha)
     zc = disk_point_value(z)
     sup_dz, sup_dzbar = _derivative_kernel_sups(a, zc)
-
-    def dz_integrand(theta):
-        return _dz_kernel(a, zc, theta) * fstar.evaluate(theta)
-
-    def dzbar_integrand(theta):
-        return _dzbar_kernel(a, zc, theta) * fstar.evaluate(theta)
-
-    d_z = _integrate_or_raise(
-        dz_integrand, _with_roundoff_floor(config, sup_dz * fstar.sup_norm), "d/dz")
-    d_zbar = _integrate_or_raise(
-        dzbar_integrand, _with_roundoff_floor(config, sup_dzbar * fstar.sup_norm),
-        "d/dzbar")
-    return DerivativePair(d_z=d_z, d_zbar=d_zbar)
+    d_z = _kernel_integral(lambda theta: _dz_kernel(a, zc, theta),
+                           fstar, sup_dz, config).unwrap("d/dz quadrature")
+    d_zbar = _kernel_integral(lambda theta: _dzbar_kernel(a, zc, theta),
+                              fstar, sup_dzbar, config).unwrap("d/dzbar quadrature")
+    return DerivativePair(d_z=complex(d_z), d_zbar=complex(d_zbar))
 
 
 def _weighted_dzbar(a: float, fstar: BoundaryData, w: complex,
@@ -326,14 +299,10 @@ def _weighted_dzbar(a: float, fstar: BoundaryData, w: complex,
     """(1-|w|^2)^(-alpha) * f_zbar(w), the inner factor of the weighted Laplacian."""
     wz = disk_point_value(w)
     _, sup_dzbar = _derivative_kernel_sups(a, wz)
-
-    def integrand(theta):
-        return _dzbar_kernel(a, wz, theta) * fstar.evaluate(theta)
-
-    val = _integrate_or_raise(
-        integrand, _with_roundoff_floor(config, sup_dzbar * fstar.sup_norm), "d/dzbar")
+    val = _kernel_integral(lambda theta: _dzbar_kernel(a, wz, theta),
+                           fstar, sup_dzbar, config).unwrap("d/dzbar quadrature")
     one_minus_r2 = 1.0 - (wz.real * wz.real + wz.imag * wz.imag)
-    return one_minus_r2 ** (-a) * val
+    return one_minus_r2 ** (-a) * complex(val)
 
 
 def alpha_laplacian_residual(alpha, fstar: BoundaryData, z, h: float,

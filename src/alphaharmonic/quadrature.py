@@ -57,6 +57,18 @@ class QuadratureResult:
     nodes_used: int
     converged: bool
 
+    def unwrap(self, what: str):
+        """The value if converged, else ConvergenceError naming ``what``."""
+        if not self.converged:
+            raise ConvergenceError(
+                f"{what} did not converge "
+                f"(nodes={self.nodes_used}, err={self.error_estimate:.3e})",
+                partial=self.value,
+                error_estimate=self.error_estimate,
+                iterations=self.nodes_used,
+            )
+        return self.value
+
 
 def _eval_checked(f: Callable, theta: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(theta))
@@ -118,15 +130,14 @@ def cos_power_integral(n: int) -> float:
 
 def _binom_times_power(alpha: float, t: float, m_max: int) -> np.ndarray:
     """Array of (alpha choose m) * t^m for m = 0..m_max, by cumulative product."""
-    if m_max == 0:
-        return np.ones(1)
     m = np.arange(m_max, dtype=float)
     factors = t * (alpha - m) / (m + 1.0)
     return np.concatenate(([1.0], np.cumprod(factors)))
 
 
-def _ratio_series_truncated(a: float, b: float, alpha: float, beta: float, n_outer: int) -> float:
-    """Partial sum of the double series with outer index 0..n_outer."""
+def _ratio_outer_terms(a: float, b: float, alpha: float, beta: float,
+                       n_outer: int) -> np.ndarray:
+    """Outer terms 0..n_outer of the double series."""
     m_max = 2 * n_outer
     u = _binom_times_power(alpha, a, m_max)
     v = _binom_times_power(-beta, b, m_max)
@@ -134,7 +145,7 @@ def _ratio_series_truncated(a: float, b: float, alpha: float, beta: float, n_out
     even = conv[0::2]
     n = np.arange(1, n_outer + 1, dtype=float)
     weights = np.concatenate(([1.0], np.cumprod((2.0 * n - 1.0) / (2.0 * n))))
-    return float(np.sum(even * weights))
+    return even * weights
 
 
 def ratio_integral_series(a: float, b: float, alpha: float, beta: float,
@@ -155,19 +166,12 @@ def ratio_integral_series(a: float, b: float, alpha: float, beta: float,
     if n_terms is not None:
         if n_terms < 1:
             raise DomainError("n_terms must be a positive integer")
-        return _ratio_series_truncated(a, b, alpha, beta, n_terms)
+        return float(np.sum(_ratio_outer_terms(a, b, alpha, beta, n_terms)))
 
     cap = 50_000
     n_outer = 64
     while True:
-        m_max = 2 * n_outer
-        u = _binom_times_power(alpha, a, m_max)
-        v = _binom_times_power(-beta, b, m_max)
-        conv = np.convolve(u, v)[: m_max + 1]
-        even = conv[0::2]
-        n = np.arange(1, n_outer + 1, dtype=float)
-        weights = np.concatenate(([1.0], np.cumprod((2.0 * n - 1.0) / (2.0 * n))))
-        outer_terms = even * weights
+        outer_terms = _ratio_outer_terms(a, b, alpha, beta, n_outer)
         total = float(np.sum(outer_terms))
         last = float(np.max(np.abs(outer_terms[-3:])))
         if last <= 1e-14 * max(abs(total), 1e-12):

@@ -84,8 +84,7 @@ class Alpha:
     value: float
 
     def __post_init__(self):
-        if not self.value > -1.0:
-            raise DomainError(f"alpha must be > -1, got {self.value!r}")
+        alpha_value(self.value)
 
 
 def alpha_value(alpha) -> float:
@@ -189,10 +188,16 @@ def _series_sum(a: float, b: float, c: float, x: float, settings: SeriesSettings
     since (m+a)(m+b) <= (m+u)^2 and (m+c)(m+1) >= (m+v)^2.  The bound
     decreases to x, so the geometric tail test always terminates for
     x < 1.
+
+    A terminating series is a polynomial whose terms can cancel (5e14-fold
+    for F(13.4, -15; 3.18; 0.974)); its roundoff, up to 2**-52 * sum|terms|,
+    must stay within rel_tol * |sum| or ConvergenceError is raised.
     """
     if x == 0.0:
         return 1.0, 1
     total = 1.0
+    ends = _terminates(a, b)
+    size = 1.0  # sum of |terms|, tracked for terminating series
     term = 1.0
     n = 0
     chunk = 64
@@ -209,10 +214,17 @@ def _series_sum(a: float, b: float, c: float, x: float, settings: SeriesSettings
         ratios = (idx + a) * (idx + b) / ((idx + c) * (idx + 1.0)) * x
         terms = term * np.cumprod(ratios)
         total += float(terms.sum())
+        if ends:
+            size += float(np.abs(terms).sum())
         term = float(terms[-1])
         n += k
         if term == 0.0:
             # a Pochhammer factor hit zero: the series terminates here
+            if ends and size * _EPS > settings.rel_tol * abs(total):
+                raise ConvergenceError(
+                    f"terminating hypergeometric series cancels (a={a}, b={b}, "
+                    f"c={c}, x={x})", partial=total, error_estimate=size * _EPS,
+                    iterations=n)
             return total, n
         if n < n_burn:
             continue
@@ -263,9 +275,11 @@ def _connection(a: float, b: float, c: float, y: float, settings: SeriesSettings
 
     c - a and c - b are rebuilt from s, so that the poles of the two
     terms at integer s cancel for the rounded s as they do for the exact
-    one.  Both series are summed to machine precision; the result is
-    returned only if _CONNECTION_ULPS rounding per term, multiplied by the
-    cancellation (|t1| + |t2|) / |t1 + t2|, stays within rel_tol.
+    one.  Both series are summed to machine precision, except that a
+    terminating F(c-a, c-b; ..) (t1 is then 0) is held to rel_tol; the
+    result is returned only if _CONNECTION_ULPS rounding per term,
+    multiplied by the cancellation (|t1| + |t2|) / |t1 + t2|, stays within
+    rel_tol.
     """
     s = c - a - b
     if s == round(s):
@@ -279,7 +293,9 @@ def _connection(a: float, b: float, c: float, y: float, settings: SeriesSettings
         return None
     inner = replace(settings, rel_tol=min(settings.rel_tol, _EPS))
     f1, n1 = _series_sum(a, b, 1.0 - s, y, inner)
-    f2, n2 = _series_sum(ca, cb, 1.0 + s, y, inner)
+    # a terminating series ends before its tail test: rel_tol then only sets
+    # its cancellation check, which must run at the caller's tolerance
+    f2, n2 = _series_sum(ca, cb, 1.0 + s, y, settings if _terminates(ca, cb) else inner)
     t1, t2 = g1 * f1, g2 * f2
     value = t1 + t2
     spread = abs(t1) + abs(t2)

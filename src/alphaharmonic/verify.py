@@ -154,12 +154,8 @@ def thm_a_constant(alpha, fstar: BoundaryData,
     def integrand(theta):
         return np.abs(fstar.evaluate(theta))
 
-    res = integrate_periodic(integrand, config)
-    if not res.converged:
-        raise ConvergenceError("boundary-mean quadrature did not converge",
-                               partial=res.value, error_estimate=res.error_estimate,
-                               iterations=res.nodes_used)
-    return min(float(res.value) / fstar.sup_norm, 1.0)
+    mean = integrate_periodic(integrand, config).unwrap("boundary-mean quadrature")
+    return min(float(mean) / fstar.sup_norm, 1.0)
 
 
 def _draw_boundary_trial(rng: np.random.Generator, spec: TrialSpec):
@@ -313,10 +309,8 @@ def check_identities(spec: TrialSpec) -> list[TrialReport]:
                 return ((1.0 - a * np.cos(theta)) ** al
                         / (1.0 - b * np.cos(theta)) ** be)
 
-            quad = integrate_periodic(integrand)
-            if not quad.converged:
-                raise ConvergenceError("mean quadrature did not converge")
-            rel = abs(series - quad.value) / max(abs(quad.value), 1e-12)
+            quad = integrate_periodic(integrand).unwrap("mean quadrature")
+            rel = abs(series - quad) / max(abs(quad), 1e-12)
             t_cos.add(1e-8 - rel, trial, ctx)
         except ConvergenceError:
             t_cos.add_inconclusive()
@@ -333,10 +327,8 @@ def check_identities(spec: TrialSpec) -> list[TrialReport]:
             def integrand(theta, z=z, be=be):
                 return np.abs(1.0 - z * np.exp(1j * theta)) ** (-2.0 * be)
 
-            quad = integrate_periodic(integrand)
-            if not quad.converged:
-                raise ConvergenceError("mean quadrature did not converge")
-            rel = abs(closed - quad.value) / max(abs(quad.value), 1e-12)
+            quad = integrate_periodic(integrand).unwrap("mean quadrature")
+            rel = abs(closed - quad) / max(abs(quad), 1e-12)
             t_mod.add(1e-9 - rel, trial, ctx)
         except ConvergenceError:
             t_mod.add_inconclusive()

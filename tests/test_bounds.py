@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from alphaharmonic import (BoundReport, DomainError, c_alpha, colonna_bound,
-                           evaluate_bound, hyp2f1, l1_mean_kernel,
+                           evaluate_bound, integrate_periodic, l1_mean_kernel,
                            lc_schwarz_pick_bound, m1_bound, m2_bound, m_bound,
                            m_prime_bound, schwarz_bound, schwarz_pick_bound,
                            schwarz_pick_limit_bound)
@@ -182,10 +182,23 @@ class TestL1Mean:
             assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
 
     def test_matches_hypergeometric_closed_form(self):
-        # independent closed-form route through the modulus-power identity
+        # independent route: the kernel modulus integrated by quadrature
         for a, r in ((-0.5, 0.3), (1.5, 0.6), (4.0, 0.8)):
-            want = hyp2f1((-a / 2.0, -a / 2.0, 1.0), r * r)
+            pref = (1.0 - r * r) ** (a + 1.0)
+
+            def integrand(theta, a=a, r=r, pref=pref):
+                mod2 = 1.0 - 2.0 * r * np.cos(theta) + r * r
+                return pref * mod2 ** (-(a + 2.0) / 2.0)
+
+            want = integrate_periodic(integrand).unwrap("kernel mean quadrature")
             assert rel_err(l1_mean_kernel(a, r), want) < 1e-10
+
+    def test_equals_schwarz_bound_bit_for_bit(self):
+        for a in (-0.95, -0.5, 0.0, 1.0, 2.35, 4.9):
+            for r in (0.0, 0.3, 0.9, 0.99, 0.999):
+                assert (evaluate_bound("L1_MEAN", r, a).value
+                        == evaluate_bound("SCHWARZ_2F1", r, a).value
+                        == schwarz_bound(r, a))
 
 
 class TestBoundReport:

@@ -109,6 +109,7 @@ class TestSolve:
                                     "--quad-n-max", "8"])
         assert code == 3
         assert "non-convergence" in err
+        assert "raise --quad-n-max" in err
 
     def test_escape_hatch_allows_near_boundary(self, capsys, boundary_file):
         path = boundary_file("one.json", 0, [[1.0, 0.0]])
@@ -150,6 +151,12 @@ class TestBounds:
         code, _, _ = run(capsys, ["bounds", "--id", "M2", "--r", "1.5",
                                   "--alpha", "1"])
         assert code == 2
+
+    def test_quad_n_max_is_not_a_bounds_option(self, capsys):
+        # every bound is a closed form: no quadrature to escalate
+        code, _, _ = run(capsys, ["bounds", "--id", "L1_MEAN", "--r", "0.5",
+                                  "--quad-n-max", "1024"])
+        assert code == 1
 
 
 class TestVerify:

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from alphaharmonic import (DomainError, IntegrandError, QuadratureConfig,
-                           cos_power_integral, integrate_periodic,
+from alphaharmonic import (ConvergenceError, DomainError, IntegrandError,
+                           QuadratureConfig, cos_power_integral, integrate_periodic,
                            modulus_power_integral, ratio_integral_series)
 
 
@@ -81,6 +81,26 @@ class TestIntegratePeriodic:
             if e1 < 1e-13:
                 break
             assert e2 <= e1 / 4.0
+
+
+class TestUnwrap:
+    def test_converged_returns_value_unchanged(self):
+        res = integrate_periodic(lambda th: np.cos(th) ** 2 + 1j * np.sin(th) ** 2)
+        assert res.converged
+        assert res.unwrap("test mean") is res.value
+
+    def test_starved_raises_with_diagnostics(self):
+        def f(th):
+            return 1.0 / np.abs(1.0 - 0.9 * np.exp(1j * th)) ** 2
+
+        res = integrate_periodic(f, QuadratureConfig(n_initial=4, n_max=8))
+        assert not res.converged
+        with pytest.raises(ConvergenceError, match="peaked mean did not converge") as info:
+            res.unwrap("peaked mean")
+        exc = info.value
+        assert exc.partial == res.value
+        assert exc.error_estimate == res.error_estimate > 0
+        assert exc.iterations == res.nodes_used == 8
 
 
 class TestCosPower:

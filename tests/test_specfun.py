@@ -385,6 +385,59 @@ class TestMBoundNearBoundary:
         assert rel_err(m_bound(0.999, alpha), float(first + lead * f)) < 1e-13
 
 
+class TestTerminatingCancellation:
+    def test_cancelling_polynomial_raises(self):
+        # sum of |terms| is 5e14 times |F|; summed raw it was off by 4.5e-3
+        with pytest.raises(ConvergenceError, match="cancels") as info:
+            hyp2f1((13.4, -15.0, 3.18), 0.974)
+        want = float(mp.hyp2f1(13.4, -15, 3.18, 0.974))
+        assert info.value.error_estimate > 1e-13 * abs(want)
+        assert info.value.partial is not None
+
+    def test_mild_cancellation_still_returns(self):
+        want = float(mp.hyp2f1(-2, 0.7, 1.9, 0.8))
+        assert rel_err(hyp2f1((-2.0, 0.7, 1.9), 0.8), want) < 1e-13
+
+    @pytest.mark.parametrize("alpha", [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21])
+    def test_m_bound_odd_alpha_meets_tolerance(self, alpha):
+        # b = 1/2 - alpha/2 is a non-positive integer: the series terminates
+        for r in (0.5, 0.9, 0.99, 0.999):
+            rm = mp.mpf(r)
+            s = 1 + rm * rm
+            first = (1 - rm * rm) ** (alpha + 1) * abs((1 - rm) ** (-alpha) - 1) / s
+            f = mp.hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2 - mp.mpf(alpha) / 2,
+                          mp.mpf(3) / 2, 4 * rm * rm / s ** 2)
+            want = first + 2 ** (2 + mp.mpf(alpha) / 2) * rm * s ** (mp.mpf(alpha) / 2 - 1) / mp.pi * f
+            assert rel_err(m_bound(r, alpha), float(want)) < 1e-13
+
+    @pytest.mark.parametrize("a, b, c, y", [(-0.4, 1.5, 0.5, 0.4),
+                                            (3.0, -2.5, 2.0, 1e-5),
+                                            (3.0, -2.5, 2.0, 1e-8)])
+    def test_connection_keeps_terminating_series(self, a, b, c, y):
+        # c - a or c - b = -1: the connection formula's second series is a
+        # polynomial with alternating terms, summed to the caller's rel_tol
+        res = hyp2f1_detailed((a, b, c), 1.0 - y, one_minus_x=y)
+        assert res.transform == "connection"
+        assert res.terms_used <= 256
+        want = mp.hyp2f1(a, b, c, 1 - mp.mpf(y))
+        assert rel_err(res.value, float(want)) < 1e-13
+
+    def test_exact_zero_cannot_be_told_from_roundoff(self):
+        # 1 - 2 * 0.5 sums to 0.0 exactly, but so does 1 - 3 * fl(1/3),
+        # whose true value is 5.6e-17: neither meets a relative tolerance
+        assert float(mp.hyp2f1(-1, 3, 1, 1.0 / 3.0)) == pytest.approx(5.55e-17, rel=1e-2)
+        for b, x in ((2.0, 0.5), (3.0, 1.0 / 3.0)):
+            with pytest.raises(ConvergenceError, match="cancels") as info:
+                hyp2f1((-1.0, b, 1.0), x)
+            assert info.value.partial == 0.0
+
+    def test_m_bound_alpha_41_raises(self):
+        # its terminating series loses ~1e-11 to cancellation near r = 1
+        for r in (0.9, 0.999):
+            with pytest.raises(ConvergenceError):
+                m_bound(r, 41)
+
+
 class TestGaussSummation:
     def test_terminating_limit(self):
         assert hyp2f1_at_one((-1.0, -1.0, 1.0)) == pytest.approx(2.0, rel=1e-13)

@@ -15,8 +15,9 @@ from .quadrature import (QuadratureConfig, QuadratureResult,
                          modulus_power_integral, ratio_integral_series)
 from .kernel import (BoundaryData, DerivativePair, DiskPoint,
                      alpha_laplacian_residual, derivative_pair,
-                     dirichlet_quadrature, kernel_derivatives,
-                     poisson_kernel, real_kernel, solve_dirichlet)
+                     derivative_quadrature, dirichlet_quadrature,
+                     kernel_derivatives, poisson_kernel, real_kernel,
+                     solve_dirichlet)
 from .bounds import (BOUND_IDS, BoundReport, colonna_bound, evaluate_bound,
                      l1_mean_kernel, lc_schwarz_pick_bound, m1_bound,
                      m2_bound, m_bound, m_prime_bound, schwarz_bound,

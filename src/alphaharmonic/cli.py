@@ -20,7 +20,8 @@ import sys
 
 from .bounds import BOUND_IDS, evaluate_bound
 from .errors import ConvergenceError, DomainError
-from .kernel import BoundaryData, derivative_pair, dirichlet_quadrature
+from .kernel import (BoundaryData, derivative_pair, dirichlet_quadrature,
+                     solve_dirichlet)
 from .quadrature import QuadratureConfig
 from .specfun import hyp2f1_detailed
 from .verify import (TrialSpec, default_figure_alphas, figure1_data,
@@ -91,11 +92,12 @@ def _cmd_solve(args) -> int:
         n_initial=min(QuadratureConfig.n_initial, n_max), n_max=n_max)
     diag = dirichlet_quadrature(args.alpha, fstar, z, cfg)
     try:
-        value = complex(diag.unwrap("Dirichlet quadrature"))
+        diag.unwrap("Dirichlet quadrature")
     except ConvergenceError as exc:
         raise ConvergenceError(f"{exc}; raise --quad-n-max", exc.partial,
                                exc.error_estimate, exc.iterations) from None
-    pair = derivative_pair(args.alpha, fstar, z, cfg)
+    value = solve_dirichlet(args.alpha, fstar, z)
+    pair = derivative_pair(args.alpha, fstar, z)
     _emit([{
         "f_re": value.real, "f_im": value.imag,
         "fz_re": pair.d_z.real, "fz_im": pair.d_z.imag,

@@ -1,7 +1,7 @@
 """Weighted Poisson kernel on the unit disk and its Dirichlet solver.
 
-The solver recovers the weighted-harmonic extension of boundary data on
-the unit circle through the convolution integral
+The weighted-harmonic extension of boundary data on the unit circle is
+the convolution integral
 
     f(z) = (1/2pi) * integral of P(z e^{-i theta}) fstar(e^{i theta}) d theta,
 
@@ -10,22 +10,48 @@ The real-exponent power of (1-wbar) uses the principal logarithm, which
 is well defined on the disk because Re(1-wbar) > 0 there.
 
 Boundary data is a finite Fourier series (trig polynomial) stored with a
-dense sample grid; that keeps sup-norms computable and makes exact
-reference solutions available term by term.
+dense sample grid; that keeps sup-norms computable.  For such data the
+integral has a closed form mode by mode, and that is the production
+route of `solve_dirichlet`, `derivative_pair` and
+`alpha_laplacian_residual`: with x = |z|^2,
+
+    e^{ik theta}  ->  z^k                                   (k >= 0),
+    e^{-ik theta} ->  A_k(x) zbar^k,
+    A_k(x) = ((alpha+1)_k / k!) F(-alpha, k; k+1; x)        (k >= 1).
+
+All A_k come from one seed A_{d+1} and the downward recurrence
+A_k = x A_{k+1} + ((alpha+1)_k / k!) (1-x)^(alpha+1), whose two terms are
+positive, so no F is ever summed as a cancelling series (at integer alpha
+F(-alpha, k; k+1; x) is an alternating polynomial).  Their derivatives
+need no second family: x F_k' = k((1-x)^alpha - F_k), and by the same
+recurrence A_k' = k(((alpha+1)_k / k!) (1-x)^alpha - A_{k+1}).
+
+The quadrature route (`dirichlet_quadrature`, `derivative_quadrature`)
+integrates the kernel and its Wirtinger derivatives by node doubling; it
+is kept as the independent cross-check that `verify` compares against.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_periodic
-from .specfun import alpha_value, c_alpha
+from .specfun import SeriesSettings, _series_sum, alpha_value, c_alpha
 
 _EPS = float(np.finfo(float).eps)
+
+# The seed's series are summed to machine precision.
+_SEED_SERIES = SeriesSettings(rel_tol=_EPS)
+# Seeds A_K with K (1 - x) at most this use the series in 1 - x, whose
+# leading term x^(-K) is then cancelled by at most a factor e^0.5; larger
+# K (1 - x) use the series in x, which needs O(1 / (1 - x)) terms.
+_SEED_SWITCH = 0.5
 
 __all__ = [
     "DiskPoint",
@@ -37,6 +63,7 @@ __all__ = [
     "dirichlet_quadrature",
     "solve_dirichlet",
     "kernel_derivatives",
+    "derivative_quadrature",
     "derivative_pair",
     "alpha_laplacian_residual",
 ]
@@ -218,7 +245,11 @@ def _kernel_integral(kern, fstar: BoundaryData, sup: float,
 
 def dirichlet_quadrature(alpha, fstar: BoundaryData, z,
                          config: QuadratureConfig | None = None):
-    """Raw quadrature result for the extension at z, with diagnostics."""
+    """Raw quadrature result for the extension at z, with diagnostics.
+
+    The independent route beside `solve_dirichlet`: the kernel integral
+    itself, by node doubling.
+    """
     a = alpha_value(alpha)
     zc = disk_point_value(z)
     r = abs(zc)
@@ -226,12 +257,6 @@ def dirichlet_quadrature(alpha, fstar: BoundaryData, z,
     sup = one_minus_r2 ** (a + 1.0) / (1.0 - r) ** (a + 2.0)
     return _kernel_integral(lambda theta: _kernel_on_grid(a, zc, theta)[0],
                             fstar, sup, config)
-
-
-def solve_dirichlet(alpha, fstar: BoundaryData, z, config: QuadratureConfig | None = None) -> complex:
-    """Weighted-harmonic extension of fstar evaluated at z."""
-    res = dirichlet_quadrature(alpha, fstar, z, config)
-    return complex(res.unwrap(f"Dirichlet quadrature at z={z!r}"))
 
 
 def _dz_kernel(a: float, zc: complex, theta: np.ndarray) -> np.ndarray:
@@ -275,43 +300,136 @@ def _derivative_kernel_sups(a: float, zc: complex) -> tuple[float, float]:
     return sup_dz, sup_dzbar
 
 
-def derivative_pair(alpha, fstar: BoundaryData, z,
-                    config: QuadratureConfig | None = None) -> DerivativePair:
-    """Wirtinger derivatives of the extension at z, by differentiating
-    under the integral sign.
+def derivative_quadrature(alpha, fstar: BoundaryData, z,
+                          config: QuadratureConfig | None = None):
+    """Raw quadrature results (d/dz, d/dzbar) for the Wirtinger derivatives
+    of the extension at z, by differentiating under the integral sign.
 
-    The quadrature's absolute tolerance is floored at the roundoff level
-    of the integrand's sup bound, so exactly-vanishing derivatives (for
-    example constant boundary data) converge instead of chasing noise.
+    The independent route beside `derivative_pair`.  Each absolute
+    tolerance is floored at the roundoff level of its integrand's sup
+    bound, so exactly-vanishing derivatives (for example constant boundary
+    data) converge instead of chasing noise.
     """
     a = alpha_value(alpha)
     zc = disk_point_value(z)
     sup_dz, sup_dzbar = _derivative_kernel_sups(a, zc)
     d_z = _kernel_integral(lambda theta: _dz_kernel(a, zc, theta),
-                           fstar, sup_dz, config).unwrap("d/dz quadrature")
+                           fstar, sup_dz, config)
     d_zbar = _kernel_integral(lambda theta: _dzbar_kernel(a, zc, theta),
-                              fstar, sup_dzbar, config).unwrap("d/dzbar quadrature")
-    return DerivativePair(d_z=complex(d_z), d_zbar=complex(d_zbar))
+                              fstar, sup_dzbar, config)
+    return d_z, d_zbar
 
 
-def _weighted_dzbar(a: float, fstar: BoundaryData, w: complex,
-                    config: QuadratureConfig | None) -> complex:
-    """(1-|w|^2)^(-alpha) * f_zbar(w), the inner factor of the weighted Laplacian."""
-    wz = disk_point_value(w)
-    _, sup_dzbar = _derivative_kernel_sups(a, wz)
-    val = _kernel_integral(lambda theta: _dzbar_kernel(a, wz, theta),
-                           fstar, sup_dzbar, config).unwrap("d/dzbar quadrature")
-    one_minus_r2 = 1.0 - (wz.real * wz.real + wz.imag * wz.imag)
-    return one_minus_r2 ** (-a) * complex(val)
+def _one_minus_abs2(zc: complex) -> float:
+    """1 - |z|^2 correctly rounded.
+
+    Each square is split exactly (Veltkamp: hi has 26 bits, so hi*hi,
+    2*hi*lo and lo*lo are exact) and the pieces are summed by fsum, so the
+    difference keeps its digits as |z| -> 1, where 1.0 - |z|^2 would not.
+    """
+    parts = [1.0]
+    for v in (zc.real, zc.imag):
+        t = v * 134217729.0  # 2**27 + 1
+        hi = t - (t - v)
+        lo = v - hi
+        parts += (-hi * hi, -2.0 * hi * lo, -lo * lo)
+    return math.fsum(parts)
 
 
-def alpha_laplacian_residual(alpha, fstar: BoundaryData, z, h: float,
-                             config: QuadratureConfig | None = None) -> float:
+def _mode_seed(a: float, k: int, x: float, y: float, scale_k: float) -> float:
+    """A_k = scale_k F(-a, k; k+1; x), scale_k = (a+1)_k / k!, y = 1 - x.
+
+    Summed from series with positive terms only, never from the alternating
+    one.  Far from x = 1 the Euler transform
+        F(-a, k; k+1; x) = y^(a+1) F(k+1+a, 1; k+1; x);
+    near it the connection formula (DLMF 15.8.4), whose first series here
+    is F(-a, k; -a; y) = x^(-k) and whose gamma ratios reduce to scale_k
+    and -k/(a+1):
+        A_k = x^(-k) - scale_k k/(a+1) y^(a+1) F(k+1+a, 1; 2+a; y).
+    """
+    ya1 = y ** (a + 1.0)
+    if k * y > _SEED_SWITCH:
+        if ya1 < sys.float_info.min:
+            raise ConvergenceError(
+                f"spectral seed (1-|z|^2)^(alpha+1) = {y!r}^{a + 1.0!r} underflows")
+        s, _ = _series_sum(k + 1.0 + a, 1.0, k + 1.0, x, _SEED_SERIES)
+        return scale_k * ya1 * s
+    s, _ = _series_sum(k + 1.0 + a, 1.0, 2.0 + a, y, _SEED_SERIES)
+    return x ** -k - scale_k * k / (1.0 + a) * ya1 * s
+
+
+def _spectral(a: float, fstar: BoundaryData, zc: complex):
+    """(f, f_z, f_zbar) of the extension at z, mode by mode.
+
+    With A_k and its x-derivative A_k' as in the module docstring, and
+    dx/dz = zbar, dx/dzbar = z:
+        f      = sum_k c_k z^k + sum_k c_{-k} A_k zbar^k,
+        f_z    = sum_k k c_k z^(k-1) + zbar sum_k c_{-k} A_k' zbar^k,
+        f_zbar = z sum_k c_{-k} A_k' zbar^k + sum_k c_{-k} k A_k zbar^(k-1).
+    """
+    c = fstar.coefficients.tolist()
+    d = fstar.degree
+    f = f_z = 0j
+    for ck in reversed(c[d:]):
+        f_z = f_z * zc + f
+        f = f * zc + ck
+    if d == 0:
+        return f, f_z, 0j
+    zb = zc.conjugate()
+    x = zc.real * zc.real + zc.imag * zc.imag
+    y = _one_minus_abs2(zc)
+    ya = y ** a
+    ya1 = ya * y
+    scale = [1.0]  # (a+1)_k / k!
+    for k in range(1, d + 2):
+        scale.append(scale[-1] * (a + k) / k)
+    big_a = _mode_seed(a, d + 1, x, y, scale[d + 1])
+    g = h = 0j
+    zbk = zb ** d
+    for k in range(d, 0, -1):
+        ck = c[d - k]
+        d_big_a = k * (scale[k] * ya - big_a)
+        big_a = x * big_a + scale[k] * ya1
+        zbk1 = zb ** (k - 1)
+        f += ck * big_a * zbk
+        g += ck * d_big_a * zbk
+        h += ck * k * big_a * zbk1
+        zbk = zbk1
+    out = (f, f_z + g * zb, g * zc + h)
+    if not all(map(cmath.isfinite, out)):
+        raise ConvergenceError(f"spectral evaluation at z={zc!r} overflows for alpha={a!r}")
+    return out
+
+
+def solve_dirichlet(alpha, fstar: BoundaryData, z) -> complex:
+    """Weighted-harmonic extension of fstar evaluated at z.
+
+    Summed mode by mode (see the module docstring): one positive seed
+    series for A_{d+1}, then the downward recurrence to A_1.  Raises
+    ConvergenceError if the seed does not converge or the result leaves
+    the float range (only for very large alpha).
+    """
+    return _spectral(alpha_value(alpha), fstar, disk_point_value(z))[0]
+
+
+def derivative_pair(alpha, fstar: BoundaryData, z) -> DerivativePair:
+    """Wirtinger derivatives of the extension at z.
+
+    Differentiates the mode sum of `solve_dirichlet` term by term, with
+    A_k' = k(((alpha+1)_k / k!) (1-x)^alpha - A_{k+1}) from the same
+    recurrence, so no further hypergeometric family is summed.
+    """
+    _, d_z, d_zbar = _spectral(alpha_value(alpha), fstar, disk_point_value(z))
+    return DerivativePair(d_z=d_z, d_zbar=d_zbar)
+
+
+def alpha_laplacian_residual(alpha, fstar: BoundaryData, z, h: float) -> float:
     """Finite-difference magnitude of the weighted Laplacian at z.
 
-    The inner factor (1-|w|^2)^(-alpha) f_zbar(w) is quadrature-evaluated;
-    the outer d/dz is a central difference with step h, so the residual of
-    an exact solution decays like h^2.  Requires |z| + 2h < 1.
+    The inner factor (1-|w|^2)^(-alpha) f_zbar(w) comes from
+    `derivative_pair`'s mode sum; the outer d/dz is a central difference
+    with step h, so the residual of an exact solution decays like h^2.
+    Requires |z| + 2h < 1.
     """
     a = alpha_value(alpha)
     zc = disk_point_value(z)
@@ -321,7 +439,7 @@ def alpha_laplacian_residual(alpha, fstar: BoundaryData, z, h: float,
         raise DomainError(f"stencil around {zc!r} with step {h!r} leaves the unit disk")
 
     def g(w: complex) -> complex:
-        return _weighted_dzbar(a, fstar, w, config)
+        return _one_minus_abs2(w) ** (-a) * _spectral(a, fstar, w)[2]
 
     gx = (g(zc + h) - g(zc - h)) / (2.0 * h)
     gy = (g(zc + 1j * h) - g(zc - 1j * h)) / (2.0 * h)

@@ -10,8 +10,8 @@ import pytest
 
 from alphaharmonic import (QuadratureConfig, TrialSpec, c_alpha,
                            alpha_laplacian_residual, derivative_pair,
-                           euler_transform_eval, gamma, hyp2f1,
-                           integrate_periodic, l1_mean_kernel,
+                           dirichlet_quadrature, euler_transform_eval, gamma,
+                           hyp2f1, integrate_periodic, l1_mean_kernel,
                            modulus_power_integral, quadratic_transform_eval,
                            random_boundary, ratio_integral_series,
                            run_suite, solve_dirichlet)
@@ -164,7 +164,7 @@ def test_criterion_06_derivative_correctness():
             pair = derivative_pair(alpha, fstar, z)
 
             def f(w):
-                return solve_dirichlet(alpha, fstar, w, TIGHT)
+                return dirichlet_quadrature(alpha, fstar, w, TIGHT).unwrap("Dirichlet quadrature")
 
             fx = (f(z + h) - f(z - h)) / (2.0 * h)
             fy = (f(z + 1j * h) - f(z - 1j * h)) / (2.0 * h)

@@ -3,12 +3,16 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import alphaharmonic.kernel as kernel_module
+import alphaharmonic.quadrature as quadrature_module
 from alphaharmonic import (BoundaryData, ConvergenceError, DerivativePair,
                            DiskPoint, DomainError, QuadratureConfig,
                            alpha_laplacian_residual, c_alpha, derivative_pair,
+                           derivative_quadrature, dirichlet_quadrature,
                            kernel_derivatives, poisson_kernel, random_boundary,
                            real_kernel, solve_dirichlet)
 
@@ -154,7 +158,115 @@ class TestSolver:
         cfg = QuadratureConfig(n_initial=4, n_max=8, rel_tol=1e-15, abs_tol=1e-16)
         fstar = random_boundary(3, 8, 1.0)
         with pytest.raises(ConvergenceError):
-            solve_dirichlet(2.0, fstar, 0.9, cfg)
+            dirichlet_quadrature(2.0, fstar, 0.9, cfg).unwrap("Dirichlet quadrature")
+
+
+def _mp_extension(alpha, coefficients, z):
+    """(f, f_z, f_zbar) of the extension at the float z, by mpmath.
+
+    e^{ik theta} extends to z^k and e^{-ik theta} to
+    ((alpha+1)_k / k!) F(-alpha, k; k+1; |z|^2) zbar^k, with
+    d/dx F(-alpha, k; k+1; x) = -alpha k/(k+1) F(1-alpha, k+1; k+2; x).
+    """
+    with mpmath.workdps(40):
+        d = len(coefficients) // 2
+        a = mpmath.mpf(alpha)
+        z = mpmath.mpc(z.real, z.imag)
+        zb = mpmath.conj(z)
+        x = z.real ** 2 + z.imag ** 2
+        f = fz = fzb = mpmath.mpc(0)
+        for k in range(d + 1):
+            c = mpmath.mpc(coefficients[d + k])
+            f += c * z ** k
+            fz += c * k * z ** (k - 1) if k else 0
+        for k in range(1, d + 1):
+            c = mpmath.mpc(coefficients[d - k])
+            scale = mpmath.rf(a + 1, k) / mpmath.factorial(k)
+            hyp = scale * mpmath.hyp2f1(-a, k, k + 1, x)
+            dhyp = scale * (-a) * k / (k + 1) * mpmath.hyp2f1(1 - a, k + 1, k + 2, x)
+            f += c * hyp * zb ** k
+            fz += c * dhyp * zb ** (k + 1)
+            fzb += c * (dhyp * z * zb ** k + k * hyp * zb ** (k - 1))
+        return complex(f), complex(fz), complex(fzb)
+
+
+def _spectral_triple(alpha, fstar, z):
+    pair = derivative_pair(alpha, fstar, z)
+    return solve_dirichlet(alpha, fstar, z), pair.d_z, pair.d_zbar
+
+
+class TestSpectralRoute:
+    @pytest.mark.parametrize("alpha", [-0.95, -0.5, 0.0, 0.5, 1.0, 2.0, 2.5, 5.0, 10.0, 20.5])
+    def test_matches_mpmath(self, alpha):
+        rng = np.random.default_rng(int(alpha * 100) + 400)
+        for r in (0.0, 0.3, 0.7, 0.9, 0.97, 0.99, 0.999):
+            for degree in (int(rng.integers(0, 9)), int(rng.integers(9, 33)), 32):
+                fstar = random_boundary(int(rng.integers(0, 2 ** 62)), degree,
+                                        float(rng.uniform(0.2, 1.0)))
+                z = r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                got = _spectral_triple(alpha, fstar, z)
+                want = _mp_extension(alpha, fstar.coefficients, z)
+                for label, g, w in zip(("f", "f_z", "f_zbar"), got, want):
+                    assert abs(g - w) <= 1e-12 * (1.0 + abs(w)), \
+                        f"r={r} degree={degree} {label}: {g!r} vs {w!r}"
+
+    def test_integer_alpha_does_not_raise(self):
+        # F(-5, k; k+1; 0.7225) is an alternating polynomial that hyp2f1
+        # refuses for k = 5..8 (its terms cancel beyond rel_tol)
+        fstar = random_boundary(11, 8, 1.0)
+        for phi in (0.0, 1.0, 2.5):
+            z = 0.85 * cmath.exp(1j * phi)
+            got = _spectral_triple(5.0, fstar, z)
+            want = _mp_extension(5.0, fstar.coefficients, z)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
+
+    @pytest.mark.parametrize("alpha", [-0.95, 0.5, 1.0, 5.0, 20.5])
+    def test_near_boundary_meets_tolerance_or_raises(self, alpha):
+        rng = np.random.default_rng(77)
+        for degree in (1, 8, 32):
+            fstar = random_boundary(int(rng.integers(0, 2 ** 62)), degree, 1.0)
+            z = 0.99999 * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            try:
+                got = _spectral_triple(alpha, fstar, z)
+            except ConvergenceError:
+                continue
+            want = _mp_extension(alpha, fstar.coefficients, z)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-10 * (1.0 + abs(w))
+
+    def test_out_of_range_alpha_raises(self):
+        # (1 - |z|^2)^(alpha+1) underflows: raise rather than return 0
+        with pytest.raises(ConvergenceError):
+            solve_dirichlet(1000.0, random_boundary(3, 20, 1.0), 0.8)
+
+    def test_runs_no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the production route must not integrate")
+
+        monkeypatch.setattr(kernel_module, "integrate_periodic", refuse)
+        monkeypatch.setattr(quadrature_module, "integrate_periodic", refuse)
+        fstar = random_boundary(8, 6, 1.0)
+        z = 0.6 - 0.5j
+        assert isinstance(solve_dirichlet(1.5, fstar, z), complex)
+        assert isinstance(derivative_pair(1.5, fstar, z), DerivativePair)
+        assert alpha_laplacian_residual(1.5, fstar, z, 1e-3) >= 0.0
+        with pytest.raises(AssertionError):
+            dirichlet_quadrature(1.5, fstar, z)
+
+
+class TestDerivativeQuadrature:
+    def test_matches_derivative_pair(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            fstar = random_boundary(int(rng.integers(0, 2 ** 62)),
+                                    int(rng.integers(0, 9)), 1.0)
+            a = float(rng.choice([-0.9, 0.0, 1.0, 3.5]))
+            z = float(rng.uniform(0.0, 0.85)) * cmath.exp(1j * rng.uniform(0.0, 6.0))
+            q_dz, q_dzbar = derivative_quadrature(a, fstar, z, TIGHT)
+            pair = derivative_pair(a, fstar, z)
+            assert abs(q_dz.unwrap("d/dz") - pair.d_z) < 1e-10
+            assert abs(q_dzbar.unwrap("d/dzbar") - pair.d_zbar) < 1e-10
 
 
 class TestKernelDerivatives:
@@ -239,7 +351,7 @@ class TestDerivativePair:
             pair = derivative_pair(a, fstar, z)
 
             def f(w):
-                return solve_dirichlet(a, fstar, w, TIGHT)
+                return dirichlet_quadrature(a, fstar, w, TIGHT).unwrap("Dirichlet quadrature")
 
             fx = (f(z + h) - f(z - h)) / (2.0 * h)
             fy = (f(z + 1j * h) - f(z - 1j * h)) / (2.0 * h)

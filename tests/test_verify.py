@@ -79,6 +79,17 @@ class TestSuiteReports:
         assert ids == {"CENTER_M", "CENTER_M2", "CENTER_M_PRIME", "SUP_2F1",
                        "CENTER_M1"}
 
+    def test_boundary_mean_failure_leaves_only_m1_open(self):
+        # suite seed 656857602 draws alpha = -0.1, degree 6 data whose |f*|
+        # boundary-mean quadrature fails at 2**20 nodes in one trial
+        reports = {r.theorem_id: r
+                   for r in check_schwarz(TrialSpec(seed=656857602, n_trials=4))}
+        for tid in ("CENTER_M", "CENTER_M2", "SUP_2F1"):
+            assert (reports[tid].n_checked, reports[tid].n_inconclusive) == (4, 0)
+        assert reports["CENTER_M_PRIME"].n_inconclusive == 0
+        m1 = reports["CENTER_M1"]
+        assert (m1.n_checked, m1.n_inconclusive) == (3, 1)
+
     def test_schwarz_pick_no_violations(self):
         reports = check_schwarz_pick(TrialSpec(seed=1, n_trials=60))
         assert total_violations(reports) == 0
@@ -89,6 +100,9 @@ class TestSuiteReports:
         reports = check_identities(TrialSpec(seed=2, n_trials=40))
         assert total_violations(reports) == 0
         assert inconclusive_rate(reports) < 0.01
+        spectral = reports[-1]
+        assert spectral.theorem_id == "DIRICHLET_SPECTRAL"
+        assert (spectral.n_checked, spectral.n_inconclusive) == (40, 0)
 
     def test_machinery_no_violations(self):
         reports = check_proof_machinery(TrialSpec(seed=0, n_trials=10))
@@ -108,7 +122,7 @@ class TestSuiteReports:
 
     def test_run_suite_all(self):
         reports = run_suite("all", TrialSpec(seed=0, n_trials=5))
-        assert len(reports) == 5 + 4 + 7 + 3
+        assert len(reports) == 5 + 4 + 8 + 3
 
     def test_run_suite_unknown(self):
         with pytest.raises(DomainError):

@@ -6,10 +6,10 @@ Schwarz-Pick-type bounds, and an empirical verification harness.
 """
 
 from .errors import ConvergenceError, DomainError, IntegrandError
-from .specfun import (Alpha, HypergeomParams, Hyp2F1Result, SeriesSettings,
-                      beta, binom_general, c_alpha, euler_transform_eval,
-                      gamma, hyp2f1, hyp2f1_at_one, hyp2f1_detailed,
-                      pochhammer, quadratic_transform_eval)
+from .specfun import (Alpha, HypergeomParams, Hyp2F1Result, beta,
+                      binom_general, c_alpha, euler_transform_eval, gamma,
+                      hyp2f1, hyp2f1_at_one, hyp2f1_detailed, pochhammer,
+                      quadratic_transform_eval)
 from .quadrature import (QuadratureConfig, QuadratureResult,
                          cos_power_integral, integrate_periodic,
                          modulus_power_integral, ratio_integral_series)

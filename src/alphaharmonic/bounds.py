@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .specfun import SeriesSettings, alpha_value, c_alpha, hyp2f1
+from .specfun import alpha_value, c_alpha, hyp2f1
 
 __all__ = [
     "BOUND_IDS",
@@ -125,7 +125,7 @@ def lc_schwarz_pick_bound(r: float, alpha) -> float:
     return 2.0 ** (1.0 - a) / (1.0 - r * r) ** (1.0 - a)
 
 
-def m_bound(r: float, alpha, settings: SeriesSettings | None = None) -> float:
+def m_bound(r: float, alpha) -> float:
     """Hypergeometric center-value Schwarz bound (stays bounded as r -> 1).
 
     At alpha = 0 it collapses to (4/pi) arctan r, returned in the float
@@ -141,7 +141,7 @@ def m_bound(r: float, alpha, settings: SeriesSettings | None = None) -> float:
     x = 4.0 * r * r / (one_plus_r2 * one_plus_r2)
     # 1 - x = ((1 - r^2) / (1 + r^2))^2, free of the cancellation in 1.0 - x
     d = (1.0 - r) * (1.0 + r) / one_plus_r2
-    f = hyp2f1((0.5, 0.5 - a / 2.0, 1.5), x, settings, one_minus_x=d * d)
+    f = hyp2f1((0.5, 0.5 - a / 2.0, 1.5), x, one_minus_x=d * d)
     if a >= 0.0:
         second = 2.0 ** (2.0 + a / 2.0) * r * one_plus_r2 ** (a / 2.0 - 1.0) / math.pi * f
     else:
@@ -162,18 +162,18 @@ def m_prime_bound(r: float, alpha) -> float:
     return 2.0 ** (1.0 + a / 2.0) * r + 2.0 ** (1.0 + a) * (1.0 - r) * r ** a
 
 
-def schwarz_bound(r: float, alpha, settings: SeriesSettings | None = None) -> float:
+def schwarz_bound(r: float, alpha) -> float:
     """Sup bound F(-alpha/2, -alpha/2; 1; r^2), per unit boundary sup-norm."""
     r = _validate_r(r)
     a = alpha_value(alpha)
-    return hyp2f1((-a / 2.0, -a / 2.0, 1.0), r * r, settings)
+    return hyp2f1((-a / 2.0, -a / 2.0, 1.0), r * r)
 
 
-def schwarz_pick_bound(r: float, alpha, settings: SeriesSettings | None = None) -> float:
+def schwarz_pick_bound(r: float, alpha) -> float:
     """Hypergeometric derivative bound, per unit boundary sup-norm."""
     r = _validate_r(r)
     a = alpha_value(alpha)
-    f = hyp2f1((-a / 2.0, -a / 2.0, 1.0), r * r, settings)
+    f = hyp2f1((-a / 2.0, -a / 2.0, 1.0), r * r)
     lead = 2.0 * (1.0 + a) if a >= 0.0 else 2.0
     return lead / (1.0 - r * r) * f
 

@@ -18,8 +18,10 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .bounds import BOUND_IDS, evaluate_bound
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, IntegrandError
 from .kernel import (BoundaryData, derivative_pair, dirichlet_quadrature,
                      solve_dirichlet)
 from .quadrature import QuadratureConfig
@@ -90,7 +92,9 @@ def _cmd_solve(args) -> int:
     n_max = args.quad_n_max
     cfg = None if n_max is None else QuadratureConfig(
         n_initial=min(QuadratureConfig.n_initial, n_max), n_max=n_max)
-    diag = dirichlet_quadrature(args.alpha, fstar, z, cfg)
+    # a non-finite kernel value is reported as IntegrandError, not warned about
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        diag = dirichlet_quadrature(args.alpha, fstar, z, cfg)
     try:
         diag.unwrap("Dirichlet quadrature")
     except ConvergenceError as exc:
@@ -154,8 +158,11 @@ def _cmd_figure1(args) -> int:
         raise DomainError(f"--alpha-min must exceed -1, got {args.alpha_min!r}")
     if not (0.0 <= args.r < 1.0):
         raise DomainError(f"--r must lie in [0, 1), got {args.r!r}")
-    if not args.step > 0:
-        raise DomainError(f"--step must be positive, got {args.step!r}")
+    if not 0 < args.step < math.inf:
+        raise DomainError(f"--step must be positive and finite, got {args.step!r}")
+    if not args.alpha_min <= args.alpha_max < math.inf:
+        raise DomainError(f"--alpha-max must be finite and >= --alpha-min, got "
+                          f"{args.alpha_min!r} and {args.alpha_max!r}")
     if (args.alpha_min, args.alpha_max, args.step) == (-0.95, 3.0, 0.05):
         alphas = default_figure_alphas()
     else:
@@ -240,7 +247,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN
-    except ConvergenceError as exc:
+    except (ConvergenceError, IntegrandError) as exc:
         sys.stderr.write(f"non-convergence: {exc}\n")
         return EXIT_NONCONVERGENCE
     except (OSError, json.JSONDecodeError, KeyError) as exc:

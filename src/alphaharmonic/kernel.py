@@ -42,12 +42,10 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_periodic
-from .specfun import SeriesSettings, _series_sum, alpha_value, c_alpha
+from .specfun import _series_sum, alpha_value, c_alpha
 
 _EPS = float(np.finfo(float).eps)
 
-# The seed's series are summed to machine precision.
-_SEED_SERIES = SeriesSettings(rel_tol=_EPS)
 # Seeds A_K with K (1 - x) at most this use the series in 1 - x, whose
 # leading term x^(-K) is then cancelled by at most a factor e^0.5; larger
 # K (1 - x) use the series in x, which needs O(1 / (1 - x)) terms.
@@ -103,31 +101,24 @@ def disk_point_value(z) -> complex:
 class BoundaryData:
     """Trig-polynomial boundary data with a dense sample grid.
 
-    ``coefficients`` holds the 2d+1 Fourier coefficients for frequencies
-    -d..d.  ``samples`` are the values on an equispaced grid whose
-    power-of-two size is at least 4d+4, and ``sup_norm`` is the maximum
-    modulus over that grid.
+    ``coefficients`` holds the 2d+1 finite Fourier coefficients for
+    frequencies -d..d.  ``samples`` are the values on an equispaced grid
+    whose power-of-two size is at least 4d+4, and ``sup_norm`` is the
+    maximum modulus over that grid.
     """
 
     __slots__ = ("coefficients", "degree", "samples", "sup_norm")
 
-    def __init__(self, coefficients, samples=None):
+    def __init__(self, coefficients):
         coeffs = np.asarray(coefficients, dtype=complex)
         if coeffs.ndim != 1 or coeffs.size % 2 != 1:
             raise DomainError("coefficients must be a 1-D array of odd length (indices -d..d)")
+        if not np.isfinite(coeffs).all():
+            raise DomainError("coefficients must be finite")
         self.coefficients = coeffs
         self.degree = coeffs.size // 2
         n = self._grid_size(self.degree)
-        angles = 2.0 * math.pi * np.arange(n) / n
-        expected = self._evaluate_poly(angles)
-        if samples is None:
-            self.samples = expected
-        else:
-            samples = np.asarray(samples, dtype=complex)
-            scale = max(1.0, float(np.max(np.abs(expected)))) if expected.size else 1.0
-            if samples.shape != expected.shape or np.max(np.abs(samples - expected)) > 1e-12 * scale:
-                raise DomainError("samples are inconsistent with the coefficients")
-            self.samples = samples
+        self.samples = self._evaluate_poly(2.0 * math.pi * np.arange(n) / n)
         self.sup_norm = float(np.max(np.abs(self.samples)))
 
     @staticmethod
@@ -174,12 +165,28 @@ class BoundaryData:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BoundaryData":
-        d = int(data["degree"])
+        if not isinstance(data, dict):
+            raise DomainError("boundary data must be a JSON object")
+        d = data["degree"]
+        if not _is_number(d, int):
+            raise DomainError(f"degree must be an integer, got {d!r}")
         pairs = data["coefficients"]
+        if not (isinstance(pairs, list) and all(
+                isinstance(p, list) and len(p) == 2 and all(_is_number(v, (int, float)) for v in p)
+                for p in pairs)):
+            raise DomainError("coefficients must be a list of [re, im] number pairs")
         if len(pairs) != 2 * d + 1:
             raise DomainError(f"expected {2 * d + 1} coefficients for degree {d}, got {len(pairs)}")
-        coeffs = np.array([complex(p[0], p[1]) for p in pairs])
+        try:
+            coeffs = np.array([complex(p[0], p[1]) for p in pairs])
+        except OverflowError:  # a JSON integer beyond the float range
+            raise DomainError("coefficients must be finite") from None
         return cls(coeffs)
+
+
+def _is_number(v, types) -> bool:
+    """JSON number of the given types (bool, a subclass of int, excluded)."""
+    return isinstance(v, types) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -188,14 +195,10 @@ class DerivativePair:
 
     d_z: complex
     d_zbar: complex
-    norm: float = field(default=None)  # type: ignore[assignment]
+    norm: float = field(init=False)
 
     def __post_init__(self):
-        expected = abs(self.d_z) + abs(self.d_zbar)
-        if self.norm is None:
-            object.__setattr__(self, "norm", expected)
-        elif abs(self.norm - expected) > 1e-14 * max(1.0, expected):
-            raise DomainError("norm does not equal |d_z| + |d_zbar|")
+        object.__setattr__(self, "norm", abs(self.d_z) + abs(self.d_zbar))
 
 
 def poisson_kernel(alpha, z) -> complex:
@@ -253,8 +256,8 @@ def dirichlet_quadrature(alpha, fstar: BoundaryData, z,
     a = alpha_value(alpha)
     zc = disk_point_value(z)
     r = abs(zc)
-    one_minus_r2 = 1.0 - r * r
-    sup = one_minus_r2 ** (a + 1.0) / (1.0 - r) ** (a + 2.0)
+    # (1-r^2)^(a+1) / (1-r)^(a+2), in a form that cannot underflow to 0/0
+    sup = (1.0 + r) ** (a + 1.0) / (1.0 - r)
     return _kernel_integral(lambda theta: _kernel_on_grid(a, zc, theta)[0],
                             fstar, sup, config)
 
@@ -294,7 +297,7 @@ def _derivative_kernel_sups(a: float, zc: complex) -> tuple[float, float]:
     """Sup bounds over theta of the two kernel-derivative moduli."""
     r = abs(zc)
     one_minus_r2 = 1.0 - r * r
-    base = one_minus_r2 ** a / (1.0 - r) ** (a + 2.0)
+    base = (1.0 + r) ** a / ((1.0 - r) * (1.0 - r))  # (1-r^2)^a / (1-r)^(a+2)
     sup_dzbar = (1.0 + a) * base
     sup_dz = base * ((1.0 + a) * (r * r + r) + one_minus_r2) / (1.0 - r)
     return sup_dz, sup_dzbar
@@ -339,8 +342,8 @@ def _one_minus_abs2(zc: complex) -> float:
 def _mode_seed(a: float, k: int, x: float, y: float, scale_k: float) -> float:
     """A_k = scale_k F(-a, k; k+1; x), scale_k = (a+1)_k / k!, y = 1 - x.
 
-    Summed from series with positive terms only, never from the alternating
-    one.  Far from x = 1 the Euler transform
+    Summed to machine precision from series with positive terms only, never
+    from the alternating one.  Far from x = 1 the Euler transform
         F(-a, k; k+1; x) = y^(a+1) F(k+1+a, 1; k+1; x);
     near it the connection formula (DLMF 15.8.4), whose first series here
     is F(-a, k; -a; y) = x^(-k) and whose gamma ratios reduce to scale_k
@@ -352,9 +355,9 @@ def _mode_seed(a: float, k: int, x: float, y: float, scale_k: float) -> float:
         if ya1 < sys.float_info.min:
             raise ConvergenceError(
                 f"spectral seed (1-|z|^2)^(alpha+1) = {y!r}^{a + 1.0!r} underflows")
-        s, _ = _series_sum(k + 1.0 + a, 1.0, k + 1.0, x, _SEED_SERIES)
+        s, _ = _series_sum(k + 1.0 + a, 1.0, k + 1.0, x, rel_tol=_EPS)
         return scale_k * ya1 * s
-    s, _ = _series_sum(k + 1.0 + a, 1.0, 2.0 + a, y, _SEED_SERIES)
+    s, _ = _series_sum(k + 1.0 + a, 1.0, 2.0 + a, y, rel_tol=_EPS)
     return x ** -k - scale_k * k / (1.0 + a) * ya1 * s
 
 

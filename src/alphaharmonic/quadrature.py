@@ -78,8 +78,8 @@ def _eval_checked(f: Callable, theta: np.ndarray) -> np.ndarray:
         np.isfinite(vals.real) & np.isfinite(vals.imag)
     )
     if not finite.all():
-        bad = theta[np.argmin(finite)]
-        raise IntegrandError(f"integrand is non-finite at theta={bad!r}", theta=float(bad))
+        bad = float(theta[np.argmin(finite)])
+        raise IntegrandError(f"integrand is non-finite at theta={bad!r}", theta=bad)
     return vals
 
 
@@ -148,25 +148,19 @@ def _ratio_outer_terms(a: float, b: float, alpha: float, beta: float,
     return even * weights
 
 
-def ratio_integral_series(a: float, b: float, alpha: float, beta: float,
-                          n_terms: int | None = None) -> float:
+def ratio_integral_series(a: float, b: float, alpha: float, beta: float) -> float:
     """Double-series value of the circle mean of (1-a cos)^alpha / (1-b cos)^beta.
 
     The inner sum over m is the degree-2n power-series coefficient of
     (1-a x)^alpha (1-b x)^(-beta), computed by convolving the two binomial
     series; the outer weight (2n)!/(4^n (n!)^2) is the central binomial
-    coefficient over 4^n.  With ``n_terms`` given, exactly that outer
-    truncation is summed; otherwise the truncation grows until the last
-    outer terms fall below 1e-14 of the running sum (outer cap 50000).
+    coefficient over 4^n.  The truncation grows until the last outer terms
+    fall below 1e-14 of the running sum (outer cap 50000).
     """
     if not (abs(a) < 1.0 and abs(b) < 1.0):
         raise DomainError(f"require |a| < 1 and |b| < 1, got a={a!r}, b={b!r}")
     if alpha < 0 or beta < 0:
         raise DomainError(f"require alpha, beta >= 0, got {alpha!r}, {beta!r}")
-    if n_terms is not None:
-        if n_terms < 1:
-            raise DomainError("n_terms must be a positive integer")
-        return float(np.sum(_ratio_outer_terms(a, b, alpha, beta, n_terms)))
 
     cap = 50_000
     n_outer = 64
@@ -187,8 +181,7 @@ def ratio_integral_series(a: float, b: float, alpha: float, beta: float,
         n_outer = min(2 * n_outer, cap)
 
 
-def modulus_power_integral(z: complex, beta: float,
-                           settings: specfun.SeriesSettings | None = None) -> float:
+def modulus_power_integral(z: complex, beta: float) -> float:
     """Closed form of the circle mean of |1 - z e^{i theta}|^(-2 beta).
 
     Equals (1-|z|^2)^(1-2 beta) * F(1-beta, 1-beta; 1; |z|^2).
@@ -199,5 +192,5 @@ def modulus_power_integral(z: complex, beta: float,
         raise DomainError(f"point must lie inside the unit disk, got |z|^2={r2!r}")
     if beta < 0:
         raise DomainError(f"require beta >= 0, got {beta!r}")
-    f = specfun.hyp2f1((1.0 - beta, 1.0 - beta, 1.0), r2, settings)
+    f = specfun.hyp2f1((1.0 - beta, 1.0 - beta, 1.0), r2)
     return (1.0 - r2) ** (1.0 - 2.0 * beta) * f

@@ -19,7 +19,7 @@ attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "Alpha",
     "HypergeomParams",
-    "SeriesSettings",
     "Hyp2F1Result",
     "gamma",
     "beta",
@@ -48,6 +47,16 @@ _BAD_C_TOL = 1e-12
 
 _CHUNK = 4096
 
+# The connection route near x = 1 needs a few hundred terms at most.  The
+# cap serves the raw and Euler series that remain for x -> 1 when the
+# connection formula is skipped (integer or badly cancelling c - a - b): it
+# covers exponent c - a - b down to about 0.2 at x = 1 - 1e-5 under the
+# tail-bound stopping rule, with headroom; chunked summation keeps even
+# capped runs cheap.
+_TERM_CAP = 4_000_000
+# Relative tolerance of every hypergeometric value returned.
+_REL_TOL = 1e-13
+
 _EPS = 2.0 ** -52
 # Rounding of one connection-formula term (gamma factors, y**s, series
 # sum), in units of _EPS; cancellation between the two terms multiplies it.
@@ -56,13 +65,18 @@ _CONNECTION_ULPS = 16.0
 _ONE_MINUS_X_TOL = 64.0 * _EPS
 
 
-def _validate_c(c: float) -> None:
+def _validate_params(a, b, c) -> tuple[float, float, float]:
+    """(a, b, c) as floats: all finite, c not near a non-positive integer."""
+    a, b, c = float(a), float(b), float(c)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise DomainError(f"parameters must be finite, got a={a!r}, b={b!r}, c={c!r}")
     if c <= 0.5:
         k = round(c)
         if k <= 0 and abs(c - k) <= _BAD_C_TOL:
             raise DomainError(
                 f"c={c!r} is (within {_BAD_C_TOL}) a non-positive integer"
             )
+    return a, b, c
 
 
 @dataclass(frozen=True)
@@ -74,7 +88,7 @@ class HypergeomParams:
     c: float
 
     def __post_init__(self):
-        _validate_c(self.c)
+        _validate_params(self.a, self.b, self.c)
 
 
 @dataclass(frozen=True)
@@ -90,32 +104,9 @@ class Alpha:
 def alpha_value(alpha) -> float:
     """Coerce an Alpha or plain number to a validated float."""
     v = alpha.value if isinstance(alpha, Alpha) else float(alpha)
-    if not v > -1.0:
-        raise DomainError(f"alpha must be > -1, got {v!r}")
+    if not -1.0 < v < math.inf:
+        raise DomainError(f"alpha must be finite and > -1, got {v!r}")
     return v
-
-
-@dataclass(frozen=True)
-class SeriesSettings:
-    """Evaluation knobs for the hypergeometric power series.
-
-    The connection route near x = 1 needs a few hundred terms at most.
-    The cap serves the raw and Euler series that remain for x -> 1 when
-    the connection formula is skipped (integer or badly cancelling
-    c - a - b): it covers exponent c - a - b down to about 0.2 at
-    x = 1 - 1e-5 under the tail-bound stopping rule, with headroom;
-    chunked summation keeps even capped runs cheap.
-    """
-
-    term_cap: int = 4_000_000
-    rel_tol: float = 1e-13
-
-    def __post_init__(self):
-        if self.term_cap < 1 or not self.rel_tol > 0:
-            raise DomainError("term_cap must be >= 1 and rel_tol > 0")
-
-
-DEFAULT_SERIES_SETTINGS = SeriesSettings()
 
 
 @dataclass(frozen=True)
@@ -166,9 +157,7 @@ def binom_general(alpha: float, n: int) -> float:
 def _unpack_params(params) -> tuple[float, float, float]:
     if isinstance(params, HypergeomParams):
         return params.a, params.b, params.c
-    a, b, c = params
-    _validate_c(float(c))
-    return float(a), float(b), float(c)
+    return _validate_params(*params)
 
 
 def _validate_x(x: float) -> float:
@@ -178,7 +167,7 @@ def _validate_x(x: float) -> float:
     return x
 
 
-def _series_sum(a: float, b: float, c: float, x: float, settings: SeriesSettings):
+def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TOL):
     """Sum the raw series; returns (value, terms_used).
 
     Stops once the remaining tail is provably below rel_tol * |sum|.  The
@@ -205,8 +194,8 @@ def _series_sum(a: float, b: float, c: float, x: float, settings: SeriesSettings
     v = min(c, 1.0)
     n_burn = int(max(abs(a), abs(b), abs(c), 1.0)) + 2
 
-    while n < settings.term_cap:
-        k = min(chunk, settings.term_cap - n)
+    while n < _TERM_CAP:
+        k = min(chunk, _TERM_CAP - n)
         chunk = min(2 * chunk, _CHUNK)
         idx = n + np.arange(k, dtype=float)
         # grouped (.. + a) * (.. + b) first so that swapping a and b
@@ -220,7 +209,7 @@ def _series_sum(a: float, b: float, c: float, x: float, settings: SeriesSettings
         n += k
         if term == 0.0:
             # a Pochhammer factor hit zero: the series terminates here
-            if ends and size * _EPS > settings.rel_tol * abs(total):
+            if ends and size * _EPS > rel_tol * abs(total):
                 raise ConvergenceError(
                     f"terminating hypergeometric series cancels (a={a}, b={b}, "
                     f"c={c}, x={x})", partial=total, error_estimate=size * _EPS,
@@ -232,12 +221,12 @@ def _series_sum(a: float, b: float, c: float, x: float, settings: SeriesSettings
         q = x * growth * growth if growth > 1.0 else x
         if q < 1.0:
             tail = abs(term) * q / (1.0 - q)
-            if tail <= settings.rel_tol * max(abs(total), 1e-12):
+            if tail <= rel_tol * max(abs(total), 1e-12):
                 return total, n
 
     tail = abs(term) * x / max(1.0 - x, 1e-300)
     raise ConvergenceError(
-        f"hypergeometric series did not converge within {settings.term_cap} terms "
+        f"hypergeometric series did not converge within {_TERM_CAP} terms "
         f"(a={a}, b={b}, c={c}, x={x})",
         partial=total,
         error_estimate=tail,
@@ -265,7 +254,7 @@ def _rgamma(z: float) -> float:
     return 1.0 / math.gamma(z)
 
 
-def _connection(a: float, b: float, c: float, y: float, settings: SeriesSettings):
+def _connection(a: float, b: float, c: float, y: float):
     """F(a, b; c; 1 - y) by DLMF 15.8.4; None where it does not apply.
 
     With s = c - a - b not an integer (integer s is the logarithmic case),
@@ -276,10 +265,10 @@ def _connection(a: float, b: float, c: float, y: float, settings: SeriesSettings
     c - a and c - b are rebuilt from s, so that the poles of the two
     terms at integer s cancel for the rounded s as they do for the exact
     one.  Both series are summed to machine precision, except that a
-    terminating F(c-a, c-b; ..) (t1 is then 0) is held to rel_tol; the
+    terminating F(c-a, c-b; ..) (t1 is then 0) is held to _REL_TOL; the
     result is returned only if _CONNECTION_ULPS rounding per term,
     multiplied by the cancellation (|t1| + |t2|) / |t1 + t2|, stays within
-    rel_tol.
+    _REL_TOL.
     """
     s = c - a - b
     if s == round(s):
@@ -291,30 +280,32 @@ def _connection(a: float, b: float, c: float, y: float, settings: SeriesSettings
         g2 = gc * math.gamma(-s) * _rgamma(a) * _rgamma(b) * y ** s
     except (OverflowError, ZeroDivisionError):
         return None
-    inner = replace(settings, rel_tol=min(settings.rel_tol, _EPS))
-    f1, n1 = _series_sum(a, b, 1.0 - s, y, inner)
+    f1, n1 = _series_sum(a, b, 1.0 - s, y, _EPS)
     # a terminating series ends before its tail test: rel_tol then only sets
-    # its cancellation check, which must run at the caller's tolerance
-    f2, n2 = _series_sum(ca, cb, 1.0 + s, y, settings if _terminates(ca, cb) else inner)
+    # its cancellation check, which must run at the returned value's tolerance
+    f2, n2 = _series_sum(ca, cb, 1.0 + s, y, _REL_TOL if _terminates(ca, cb) else _EPS)
     t1, t2 = g1 * f1, g2 * f2
     value = t1 + t2
     spread = abs(t1) + abs(t2)
     if not (math.isfinite(spread) and value != 0.0):
         return None
-    if spread / abs(value) * _CONNECTION_ULPS * _EPS > settings.rel_tol:
+    if spread / abs(value) * _CONNECTION_ULPS * _EPS > _REL_TOL:
         return None
     return Hyp2F1Result(value, n1 + n2, "connection")
 
 
-def hyp2f1_detailed(params, x: float, settings: SeriesSettings | None = None, *,
+def hyp2f1_detailed(params, x: float, *,
                     one_minus_x: float | None = None) -> Hyp2F1Result:
     """Evaluate F(a, b; c; x) on [0, 1), reporting terms used and transform.
+
+    The value is returned to relative tolerance 1e-13 (_REL_TOL), or
+    ConvergenceError is raised.
 
     For 0.5 < x < 1 the connection formula in y = 1 - x (DLMF 15.8.4) is
     used, transform "connection": two series in y that need tens to a few
     hundred terms even at x = 1 - 1e-8.  It is skipped for a terminating
     series, for integer c - a - b (the logarithmic case) and whenever
-    cancellation between its two terms would exceed rel_tol; those calls,
+    cancellation between its two terms would exceed 1e-13; those calls,
     and all x <= 0.5, take the series route below.
 
     The Euler transform F(a,b;c;x) = (1-x)^(c-a-b) F(c-a, c-b; c; x) is
@@ -332,29 +323,27 @@ def hyp2f1_detailed(params, x: float, settings: SeriesSettings | None = None, *,
     a, b = min(a, b), max(a, b)
     x = _validate_x(x)
     y = _one_minus(x, one_minus_x)
-    st = settings or DEFAULT_SERIES_SETTINGS
     terminates = _terminates(a, b)
     if x > 0.5 and not terminates:
-        res = _connection(a, b, c, y, st)
+        res = _connection(a, b, c, y)
         if res is not None:
             return res
     if not terminates and (c - a) + (c - b) < a + b:
-        value, terms = _series_sum(c - a, c - b, c, x, st)
+        value, terms = _series_sum(c - a, c - b, c, x)
         return Hyp2F1Result(y ** (c - a - b) * value, terms, "euler")
-    value, terms = _series_sum(a, b, c, x, st)
+    value, terms = _series_sum(a, b, c, x)
     return Hyp2F1Result(value, terms, "none")
 
 
-def hyp2f1(params, x: float, settings: SeriesSettings | None = None, *,
-           one_minus_x: float | None = None) -> float:
+def hyp2f1(params, x: float, *, one_minus_x: float | None = None) -> float:
     """Gauss hypergeometric function F(a, b; c; x) for 0 <= x < 1.
 
     See hyp2f1_detailed for the evaluation routes and one_minus_x.
     """
-    return hyp2f1_detailed(params, x, settings, one_minus_x=one_minus_x).value
+    return hyp2f1_detailed(params, x, one_minus_x=one_minus_x).value
 
 
-def euler_transform_eval(params, x: float, settings: SeriesSettings | None = None) -> float:
+def euler_transform_eval(params, x: float) -> float:
     """Right-hand side of the Euler transform, summed as a raw series.
 
     Returns (1-x)^(c-a-b) * F(c-a, c-b; c; x) without re-applying any
@@ -363,24 +352,21 @@ def euler_transform_eval(params, x: float, settings: SeriesSettings | None = Non
     """
     a, b, c = _unpack_params(params)
     x = _validate_x(x)
-    st = settings or DEFAULT_SERIES_SETTINGS
-    value, _ = _series_sum(c - a, c - b, c, x, st)
+    value, _ = _series_sum(c - a, c - b, c, x)
     return (1.0 - x) ** (c - a - b) * value
 
 
-def quadratic_transform_eval(a: float, c: float, x: float,
-                             settings: SeriesSettings | None = None) -> float:
+def quadratic_transform_eval(a: float, c: float, x: float) -> float:
     """Argument-halving evaluation of F(a, a + 1/2; c; x).
 
     Computes ((1 + sqrt(1-x))/2)^(-2a) * F(2a, 2a-c+1; c; y) with
     y = (1 - sqrt(1-x)) / (1 + sqrt(1-x)), again as a raw series.
     """
-    _validate_c(float(c))
+    a, _, c = _validate_params(a, a + 0.5, c)
     x = _validate_x(x)
-    st = settings or DEFAULT_SERIES_SETTINGS
     s = math.sqrt(1.0 - x)
     y = (1.0 - s) / (1.0 + s)
-    value, _ = _series_sum(2.0 * a, 2.0 * a - c + 1.0, c, y, st)
+    value, _ = _series_sum(2.0 * a, 2.0 * a - c + 1.0, c, y)
     return ((1.0 + s) / 2.0) ** (-2.0 * a) * value
 
 

@@ -67,6 +67,8 @@ class TrialSpec:
     slack: float = 1e-9
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed!r}")
         if self.n_trials < 1 or self.max_degree < 0:
             raise DomainError("n_trials must be >= 1 and max_degree >= 0")
         if not all(a > -1.0 for a in self.alpha_set):
@@ -148,8 +150,7 @@ def random_boundary(seed: int, degree: int, target_sup_norm: float = 1.0) -> Bou
     return raw.scaled(target_sup_norm / raw.sup_norm)
 
 
-def thm_a_constant(alpha, fstar: BoundaryData,
-                   config: QuadratureConfig | None = None) -> float:
+def thm_a_constant(fstar: BoundaryData) -> float:
     """Ratio of the boundary modulus mean to the sup-norm, in (0, 1].
 
     The true ratio never exceeds 1; for constant-modulus data the computed
@@ -161,7 +162,7 @@ def thm_a_constant(alpha, fstar: BoundaryData,
     def integrand(theta):
         return np.abs(fstar.evaluate(theta))
 
-    mean = integrate_periodic(integrand, config).unwrap("boundary-mean quadrature")
+    mean = integrate_periodic(integrand).unwrap("boundary-mean quadrature")
     return min(float(mean) / fstar.sup_norm, 1.0)
 
 
@@ -206,7 +207,7 @@ def check_schwarz(spec: TrialSpec) -> list[TrialReport]:
         # |f*| has kinks where f* nears zero, so its boundary-mean quadrature
         # can fail; that leaves only the informational M1 check open
         try:
-            c = thm_a_constant(alpha, fstar)
+            c = thm_a_constant(fstar)
         except ConvergenceError:
             t_m1.add_inconclusive()
             continue

@@ -50,6 +50,16 @@ class TestEval2F1:
         code, _, _ = run(capsys, ["eval2f1", "--a", "1", "--b", "1", "--c", "2"])
         assert code == 1
 
+    @pytest.mark.parametrize("flag,value", [("--a", "nan"), ("--a", "inf"),
+                                            ("--b", "inf"), ("--c", "nan")])
+    def test_non_finite_parameter_exits_2(self, capsys, flag, value):
+        argv = {"--a": "1", "--b": "1", "--c": "2", "--x": "0.5"}
+        argv[flag] = value
+        code, out, err = run(capsys, ["eval2f1", *(t for kv in argv.items() for t in kv)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domain error:") and err.count("\n") == 1
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, ["eval2f1", "--a", "1", "--b", "1",
                                     "--c", "2", "--x", "0.25", "--format", "json"])
@@ -111,6 +121,30 @@ class TestSolve:
         assert "non-convergence" in err
         assert "raise --quad-n-max" in err
 
+    @pytest.mark.parametrize("degree,coefficients", [
+        (1, [[0.0, 0.0], [float("nan"), 0.0], [1.0, 0.0]]),  # json writes NaN
+        (1, [[0.0, 0.0], ["x", 0.0], [1.0, 0.0]]),
+        (1, [[0.0, 0.0], [0.0], [1.0, 0.0]]),
+        (1.5, [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
+    ])
+    def test_malformed_boundary_exits_2(self, capsys, boundary_file, degree, coefficients):
+        path = boundary_file("bad.json", degree, coefficients)
+        code, out, err = run(capsys, ["solve", "--alpha", "1", "--boundary", path,
+                                      "--z-re", "0.3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domain error:") and err.count("\n") == 1
+
+    def test_non_finite_kernel_exits_3(self, capsys, boundary_file):
+        # the kernel's (1 - r)^(alpha + 1) underflows on part of the circle
+        path = boundary_file("eik.json", 1, [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        code, out, err = run(capsys, ["solve", "--alpha", "400", "--boundary", path,
+                                      "--z-re", "0.9"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("non-convergence: integrand is non-finite")
+        assert err.count("\n") == 1
+
     def test_escape_hatch_allows_near_boundary(self, capsys, boundary_file):
         path = boundary_file("one.json", 0, [[1.0, 0.0]])
         code, out, _ = run(capsys, ["solve", "--alpha", "1", "--boundary", path,
@@ -147,6 +181,12 @@ class TestBounds:
                                     "--alpha", "2"])
         assert code == 2
 
+    def test_infinite_alpha_exits_2(self, capsys):
+        code, _, err = run(capsys, ["bounds", "--id", "all", "--r", "0.5",
+                                    "--alpha", "inf", "--c", "0.5"])
+        assert code == 2
+        assert "alpha must be finite" in err
+
     def test_bad_radius_exits_2(self, capsys):
         code, _, _ = run(capsys, ["bounds", "--id", "M2", "--r", "1.5",
                                   "--alpha", "1"])
@@ -177,6 +217,12 @@ class TestVerify:
                                     "--seed", "4", "--trials", "15"])
         assert code == 0
         assert "CENTER_M," in out
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, ["verify", "--suite", "machinery", "--seed", "-1"])
+        assert code == 2
+        assert out == ""
+        assert err == "domain error: seed must be >= 0, got -1\n"
 
     def test_violations_exit_4(self, capsys, monkeypatch):
         from alphaharmonic.verify import TrialReport
@@ -234,6 +280,22 @@ class TestFigure1:
     def test_low_alpha_min_exits_2(self, capsys):
         code, _, _ = run(capsys, ["figure1", "--alpha-min", "-2"])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--alpha-max", "nan"], ["--alpha-max", "inf"], ["--alpha-min", "nan"],
+        ["--alpha-min", "inf"], ["--step", "nan"], ["--step", "inf"],
+        ["--alpha-min", "2", "--alpha-max", "1"],
+    ])
+    def test_bad_grid_exits_2(self, capsys, flags):
+        code, out, err = run(capsys, ["figure1", *flags])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domain error:") and err.count("\n") == 1
+
+    def test_single_point_grid(self, capsys):
+        code, out, _ = run(capsys, ["figure1", "--alpha-min", "1", "--alpha-max", "1"])
+        assert code == 0
+        assert out.strip().split("\n")[1].startswith("1,")
 
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, ["figure1", "--step", "0.5"])

@@ -42,25 +42,25 @@ class TestRandomBoundary:
 
 class TestThmAConstant:
     def test_constant_data(self):
-        assert thm_a_constant(1.0, BoundaryData.constant(1.0)) == pytest.approx(
+        assert thm_a_constant(BoundaryData.constant(1.0)) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_unimodular_data(self):
         eik = BoundaryData([0.0, 0.0, 1.0])
-        assert thm_a_constant(0.5, eik) == pytest.approx(1.0, abs=1e-12)
+        assert thm_a_constant(eik) == pytest.approx(1.0, abs=1e-12)
 
     def test_cosine_data(self):
         cosb = BoundaryData([0.5, 0.0, 0.5])
-        assert thm_a_constant(0.0, cosb) == pytest.approx(2.0 / math.pi, abs=1e-10)
+        assert thm_a_constant(cosb) == pytest.approx(2.0 / math.pi, abs=1e-10)
 
     def test_zero_data_rejected(self):
         with pytest.raises(DomainError):
-            thm_a_constant(0.0, BoundaryData.constant(0.0))
+            thm_a_constant(BoundaryData.constant(0.0))
 
     def test_always_in_unit_interval(self):
         for seed in range(20):
             bd = random_boundary(seed, 6, 0.9)
-            c = thm_a_constant(1.0, bd)
+            c = thm_a_constant(bd)
             assert 0.0 < c <= 1.0
 
 
@@ -137,6 +137,8 @@ class TestSuiteReports:
             TrialSpec(radius_set=(1.0,))
         with pytest.raises(DomainError):
             TrialSpec(slack=-1e-9)
+        with pytest.raises(DomainError):
+            TrialSpec(seed=-1)
 
 
 class TestFigureData:

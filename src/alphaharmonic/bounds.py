@@ -64,15 +64,6 @@ class BoundReport:
     note: str = _NOTE_LINEAR
 
     def __post_init__(self):
-        if self.bound_id not in BOUND_IDS:
-            raise DomainError(f"unknown bound id {self.bound_id!r}")
-        if not (0.0 <= self.r < 1.0):
-            raise DomainError(f"radius must lie in [0, 1), got {self.r!r}")
-        if not self.alpha > -1.0:
-            raise DomainError(f"alpha must be > -1, got {self.alpha!r}")
-        if self.bound_id == "M1":
-            if self.aux is None or not (0.0 < self.aux <= 1.0):
-                raise DomainError("M1 requires aux (the mean-to-sup ratio c) in (0, 1]")
         if not self.value >= 0.0:
             raise DomainError(f"bound value must be non-negative, got {self.value!r}")
 

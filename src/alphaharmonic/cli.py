@@ -12,22 +12,20 @@ Exit codes: 0 success, 1 usage or I/O error, 2 domain error,
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import io
 import json
 import math
 import sys
 
-import numpy as np
-
 from .bounds import BOUND_IDS, evaluate_bound
 from .errors import ConvergenceError, DomainError, IntegrandError
-from .kernel import (BoundaryData, derivative_pair, dirichlet_quadrature,
-                     solve_dirichlet)
-from .quadrature import QuadratureConfig
+from .kernel import BoundaryData, derivative_pair, solve_dirichlet
 from .specfun import hyp2f1_detailed
-from .verify import (TrialSpec, default_figure_alphas, figure1_data,
-                     inconclusive_rate, run_suite, total_violations)
+from .verify import (SUITE_NAMES, TrialSpec, default_figure_alphas,
+                     figure1_data, inconclusive_rate, run_suite,
+                     total_violations)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,6 +34,8 @@ EXIT_NONCONVERGENCE = 3
 EXIT_VIOLATION = 4
 
 _MAX_INCONCLUSIVE_RATE = 0.01
+# figure1 evaluates two bounds per point and holds every row in memory
+_MAX_FIGURE_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,17 +89,6 @@ def _load_boundary(path: str) -> BoundaryData:
 def _cmd_solve(args) -> int:
     fstar = _load_boundary(args.boundary)
     z = complex(args.z_re, args.z_im)
-    n_max = args.quad_n_max
-    cfg = None if n_max is None else QuadratureConfig(
-        n_initial=min(QuadratureConfig.n_initial, n_max), n_max=n_max)
-    # a non-finite kernel value is reported as IntegrandError, not warned about
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        diag = dirichlet_quadrature(args.alpha, fstar, z, cfg)
-    try:
-        diag.unwrap("Dirichlet quadrature")
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"{exc}; raise --quad-n-max", exc.partial,
-                               exc.error_estimate, exc.iterations) from None
     value = solve_dirichlet(args.alpha, fstar, z)
     pair = derivative_pair(args.alpha, fstar, z)
     _emit([{
@@ -107,9 +96,6 @@ def _cmd_solve(args) -> int:
         "fz_re": pair.d_z.real, "fz_im": pair.d_z.imag,
         "fzbar_re": pair.d_zbar.real, "fzbar_im": pair.d_zbar.imag,
         "deriv_norm": pair.norm,
-        "quad_nodes": diag.nodes_used,
-        "quad_error_estimate": diag.error_estimate,
-        "quad_converged": diag.converged,
     }], args.format, args.out)
     return EXIT_OK
 
@@ -153,6 +139,22 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _grid_count(lo: float, hi: float, step: float) -> int:
+    """Number of grid points lo + k*step <= hi + 1e-12, k = 0, 1, ...
+
+    lo + k*step never decreases in k, so the points inside form a prefix
+    0..n-1 and n is found by bisection, without building the grid.  Grids
+    of more than _MAX_FIGURE_POINTS points are rejected.
+    """
+    def outside(k: int) -> bool:
+        return lo + k * step > hi + 1e-12
+
+    if not outside(_MAX_FIGURE_POINTS):
+        raise DomainError(f"the alpha grid exceeds {_MAX_FIGURE_POINTS} points "
+                          f"(--alpha-min {lo!r}, --alpha-max {hi!r}, --step {step!r})")
+    return bisect.bisect_left(range(_MAX_FIGURE_POINTS + 1), True, key=outside)
+
+
 def _cmd_figure1(args) -> int:
     if not args.alpha_min > -1.0:
         raise DomainError(f"--alpha-min must exceed -1, got {args.alpha_min!r}")
@@ -166,14 +168,8 @@ def _cmd_figure1(args) -> int:
     if (args.alpha_min, args.alpha_max, args.step) == (-0.95, 3.0, 0.05):
         alphas = default_figure_alphas()
     else:
-        alphas = []
-        k = 0
-        while True:
-            a = args.alpha_min + k * args.step
-            if a > args.alpha_max + 1e-12:
-                break
-            alphas.append(a)
-            k += 1
+        n = _grid_count(args.alpha_min, args.alpha_max, args.step)
+        alphas = [args.alpha_min + k * args.step for k in range(n)]
     rows = [{"alpha": a, "M": m, "M2": m2} for a, m, m2 in figure1_data(args.r, alphas)]
     _emit(rows, args.format, args.out)
     return EXIT_OK
@@ -203,8 +199,6 @@ def build_parser() -> _Parser:
                    help="JSON file {degree, coefficients: [[re, im], ...]}")
     p.add_argument("--z-re", type=float, required=True)
     p.add_argument("--z-im", type=float, default=0.0)
-    p.add_argument("--quad-n-max", type=int, default=None,
-                   help="escalate the quadrature node cap (power of two)")
     add_io(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -218,8 +212,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("verify", help="run the empirical certification suites")
-    p.add_argument("--suite", required=True,
-                   choices=("schwarz", "schwarz-pick", "identities", "machinery", "all"))
+    p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
     add_io(p)

@@ -52,7 +52,6 @@ _EPS = float(np.finfo(float).eps)
 _SEED_SWITCH = 0.5
 
 __all__ = [
-    "DiskPoint",
     "BoundaryData",
     "DerivativePair",
     "disk_point_value",
@@ -67,32 +66,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiskPoint:
-    """A point strictly inside the unit disk."""
-
-    re: float
-    im: float = 0.0
-
-    def __post_init__(self):
-        disk_point_value(self.as_complex)
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "DiskPoint":
-        z = complex(z)
-        return cls(z.real, z.imag)
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __abs__(self) -> float:
-        return math.hypot(self.re, self.im)
-
-
 def disk_point_value(z) -> complex:
-    """Coerce a DiskPoint or complex-like to a validated complex number."""
-    zc = z.as_complex if isinstance(z, DiskPoint) else complex(z)
+    """z as a complex number, validated: strictly inside the unit disk."""
+    zc = complex(z)
     if not zc.real * zc.real + zc.imag * zc.imag < 1.0:
         raise DomainError(f"point {zc!r} is not inside the unit disk")
     return zc
@@ -118,8 +94,12 @@ class BoundaryData:
         self.coefficients = coeffs
         self.degree = coeffs.size // 2
         n = self._grid_size(self.degree)
-        self.samples = self._evaluate_poly(2.0 * math.pi * np.arange(n) / n)
-        self.sup_norm = float(np.max(np.abs(self.samples)))
+        # finite coefficients can still sum past the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.samples = self._evaluate_poly(2.0 * math.pi * np.arange(n) / n)
+            self.sup_norm = float(np.max(np.abs(self.samples)))
+        if not math.isfinite(self.sup_norm):
+            raise DomainError("boundary values overflow the float range")
 
     @staticmethod
     def _grid_size(degree: int) -> int:

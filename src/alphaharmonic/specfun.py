@@ -26,8 +26,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "Alpha",
-    "HypergeomParams",
     "Hyp2F1Result",
     "gamma",
     "beta",
@@ -79,31 +77,9 @@ def _validate_params(a, b, c) -> tuple[float, float, float]:
     return a, b, c
 
 
-@dataclass(frozen=True)
-class HypergeomParams:
-    """Parameter triple (a, b, c) of the Gauss hypergeometric function."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        _validate_params(self.a, self.b, self.c)
-
-
-@dataclass(frozen=True)
-class Alpha:
-    """Weight parameter of the weighted Laplacian; must exceed -1."""
-
-    value: float
-
-    def __post_init__(self):
-        alpha_value(self.value)
-
-
 def alpha_value(alpha) -> float:
-    """Coerce an Alpha or plain number to a validated float."""
-    v = alpha.value if isinstance(alpha, Alpha) else float(alpha)
+    """Alpha as a float, validated: finite and > -1."""
+    v = float(alpha)
     if not -1.0 < v < math.inf:
         raise DomainError(f"alpha must be finite and > -1, got {v!r}")
     return v
@@ -152,12 +128,6 @@ def binom_general(alpha: float, n: int) -> float:
     for k in range(n):
         out *= (alpha - k) / (k + 1)
     return out
-
-
-def _unpack_params(params) -> tuple[float, float, float]:
-    if isinstance(params, HypergeomParams):
-        return params.a, params.b, params.c
-    return _validate_params(*params)
 
 
 def _validate_x(x: float) -> float:
@@ -319,7 +289,7 @@ def hyp2f1_detailed(params, x: float, *,
     place of the rounded 1.0 - x (which loses digits as x -> 1).  It must
     agree with 1.0 - x to within 64 * 2**-52, else DomainError.
     """
-    a, b, c = _unpack_params(params)
+    a, b, c = _validate_params(*params)
     a, b = min(a, b), max(a, b)
     x = _validate_x(x)
     y = _one_minus(x, one_minus_x)
@@ -350,7 +320,7 @@ def euler_transform_eval(params, x: float) -> float:
     transform, so the identity with hyp2f1 can be tested as two genuinely
     different evaluation routes.
     """
-    a, b, c = _unpack_params(params)
+    a, b, c = _validate_params(*params)
     x = _validate_x(x)
     value, _ = _series_sum(c - a, c - b, c, x)
     return (1.0 - x) ** (c - a - b) * value
@@ -377,7 +347,7 @@ def hyp2f1_at_one(params) -> float:
     parameter triples with c - a and c - b positive are supported; every
     bound in this package satisfies that.
     """
-    a, b, c = _unpack_params(params)
+    a, b, c = _validate_params(*params)
     s = c - a - b
     if not s > 0:
         raise DomainError(f"limit diverges: c - a - b = {s!r} <= 0")

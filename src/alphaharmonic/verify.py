@@ -46,7 +46,16 @@ __all__ = [
     "inconclusive_rate",
 ]
 
-SUITE_NAMES = ("schwarz", "schwarz-pick", "identities", "machinery")
+# Suite name -> name of its check function.  run_suite looks the function
+# up at call time, so a rebound module attribute is the one called
+# (perfbench/tracer.py times each suite that way).
+_SUITES = {
+    "schwarz": "check_schwarz",
+    "schwarz-pick": "check_schwarz_pick",
+    "identities": "check_identities",
+    "machinery": "check_proof_machinery",
+}
+SUITE_NAMES = tuple(_SUITES)
 
 _DEFAULT_ALPHAS = (-0.9, -0.5, -0.1, 0.0, 0.5, 1.0, 2.0, 3.5, 5.0)
 _DEFAULT_RADII = (0.1, 0.3, 0.5, 0.7, 0.85)
@@ -452,20 +461,12 @@ def figure1_data(r: float = 0.99, alphas=None) -> list[tuple[float, float, float
 
 def run_suite(name: str, spec: TrialSpec) -> list[TrialReport]:
     """Run one named suite (or all of them) and return its reports."""
-    dispatch = {
-        "schwarz": check_schwarz,
-        "schwarz-pick": check_schwarz_pick,
-        "identities": check_identities,
-        "machinery": check_proof_machinery,
-    }
-    if name == "all":
-        reports = []
-        for key in SUITE_NAMES:
-            reports.extend(dispatch[key](spec))
-        return reports
-    if name not in dispatch:
+    if name != "all" and name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}")
-    return dispatch[name](spec)
+    reports = []
+    for key in SUITE_NAMES if name == "all" else (name,):
+        reports.extend(globals()[_SUITES[key]](spec))
+    return reports
 
 
 def total_violations(reports: list[TrialReport]) -> int:

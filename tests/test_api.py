@@ -1,21 +1,23 @@
 """The public surface: exported names and the parameters of every public
 function and class.
 
-A change that adds, removes or renames a parameter (a new knob included)
-has to update these tables, and so has to say so.
+A change that adds, removes or renames a parameter or a CLI flag (a new
+knob included) has to update these tables, and so has to say so.
 """
 
+import argparse
 import inspect
 
 import alphaharmonic
 from alphaharmonic import bounds, kernel, quadrature, specfun, verify
+from alphaharmonic.cli import build_parser
 
 MODULES = (specfun, quadrature, kernel, bounds, verify)
 
 EXPORTS = frozenset({
-    "Alpha", "BOUND_IDS", "BoundReport", "BoundaryData", "ConvergenceError",
-    "DerivativePair", "DiskPoint", "DomainError", "Hyp2F1Result",
-    "HypergeomParams", "IntegrandError", "QuadratureConfig", "QuadratureResult",
+    "BOUND_IDS", "BoundReport", "BoundaryData", "ConvergenceError",
+    "DerivativePair", "DomainError", "Hyp2F1Result", "IntegrandError",
+    "QuadratureConfig", "QuadratureResult",
     "TrialReport", "TrialSpec", "alpha_laplacian_residual", "beta",
     "binom_general", "c_alpha", "check_identities", "check_proof_machinery",
     "check_schwarz", "check_schwarz_pick", "colonna_bound",
@@ -34,16 +36,13 @@ EXPORTS = frozenset({
 # a default.  DomainError is absent: it inherits ValueError's signature,
 # which Python cannot read.
 SIGNATURES = {
-    "Alpha": ("value",),
     "BoundReport": ("bound_id", "r", "alpha", "aux", "value",
                     "note='scales linearly with the boundary sup-norm'"),
     "BoundaryData": ("coefficients",),
     "ConvergenceError": ("message", "partial=None", "error_estimate=None",
                          "iterations=None"),
     "DerivativePair": ("d_z", "d_zbar"),
-    "DiskPoint": ("re", "im=0.0"),
     "Hyp2F1Result": ("value", "terms_used", "transform"),
-    "HypergeomParams": ("a", "b", "c"),
     "IntegrandError": ("message", "theta=None"),
     "QuadratureConfig": ("n_initial=256", "n_max=1048576", "rel_tol=1e-11",
                          "abs_tol=1e-14"),
@@ -102,6 +101,18 @@ SIGNATURES = {
 }
 
 
+_IO_FLAGS = ("--format", "--out")
+
+# Option strings of each CLI subcommand, --help aside.
+CLI_FLAGS = {
+    "eval2f1": ("--a", "--b", "--c", "--x") + _IO_FLAGS,
+    "solve": ("--alpha", "--boundary", "--z-re", "--z-im") + _IO_FLAGS,
+    "bounds": ("--id", "--r", "--alpha", "--c") + _IO_FLAGS,
+    "verify": ("--suite", "--seed", "--trials") + _IO_FLAGS,
+    "figure1": ("--r", "--alpha-min", "--alpha-max", "--step") + _IO_FLAGS,
+}
+
+
 def _parameters(obj) -> tuple:
     out = []
     for p in inspect.signature(obj).parameters.values():
@@ -133,3 +144,13 @@ def test_signatures():
     found = _public_callables()
     for name, want in SIGNATURES.items():
         assert _parameters(found[name]) == want, name
+
+
+def test_cli_flags():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {name: tuple(flag for action in p._actions
+                         if not isinstance(action, argparse._HelpAction)
+                         for flag in action.option_strings)
+             for name, p in sub.choices.items()}
+    assert found == CLI_FLAGS

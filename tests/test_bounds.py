@@ -213,14 +213,17 @@ class TestBoundReport:
             evaluate_bound("M1", 0.5, 1.0)
 
     def test_report_validation(self):
-        with pytest.raises(DomainError):
-            BoundReport("M2", 1.5, 0.0, None, 1.0)
-        with pytest.raises(DomainError):
-            BoundReport("M2", 0.5, -2.0, None, 1.0)
-        with pytest.raises(DomainError):
-            BoundReport("M1", 0.5, 0.0, None, 1.0)
-        with pytest.raises(DomainError):
-            BoundReport("NOPE", 0.5, 0.0, None, 1.0)
+        # the one check on an output; inputs are checked by evaluate_bound
+        for bad in (-1.0, math.nan):
+            with pytest.raises(DomainError):
+                BoundReport("M2", 0.5, 0.0, None, bad)
+        assert BoundReport("M2", 0.5, 0.0, None, 0.0).value == 0.0
+
+    def test_inputs_checked_by_evaluate_bound(self):
+        for bound_id, r, alpha in (("M2", 1.5, 0.0), ("M2", 0.5, -2.0),
+                                   ("NOPE", 0.5, 0.0)):
+            with pytest.raises(DomainError):
+                evaluate_bound(bound_id, r, alpha)
 
     def test_note_distinguishes_scaling(self):
         assert "sup-norm <= 1" in evaluate_bound("M", 0.5, 1.0).note

@@ -90,7 +90,6 @@ class TestSolve:
         assert doc["f_re"] == pytest.approx(0.3, abs=1e-10)
         assert doc["f_im"] == pytest.approx(0.1, abs=1e-10)
         assert doc["deriv_norm"] == pytest.approx(1.0, abs=1e-9)
-        assert doc["quad_converged"] is True
 
     def test_exterior_point_exits_2(self, capsys, boundary_file):
         path = boundary_file("one.json", 0, [[1.0, 0.0]])
@@ -111,15 +110,22 @@ class TestSolve:
                                   "--z-re", "0.1", "--z-im", "0"])
         assert code == 1
 
-    def test_starved_quadrature_exits_3(self, capsys, boundary_file):
+    def test_quad_n_max_is_not_a_solve_option(self, capsys, boundary_file):
+        # the mode sums have no quadrature node cap to escalate
         coeffs = [[0.0, 0.0]] * 16 + [[1.0, 0.0]]  # degree-8 mode, 17 entries
         path = boundary_file("hi.json", 8, coeffs)
-        code, _, err = run(capsys, ["solve", "--alpha", "2", "--boundary", path,
+        code, out, _ = run(capsys, ["solve", "--alpha", "2", "--boundary", path,
                                     "--z-re", "0.9", "--z-im", "0",
                                     "--quad-n-max", "8"])
-        assert code == 3
-        assert "non-convergence" in err
-        assert "raise --quad-n-max" in err
+        assert code == 1
+        assert out == ""
+
+    def test_prints_seven_columns(self, capsys, boundary_file):
+        path = boundary_file("eik.json", 1, [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        code, out, _ = run(capsys, ["solve", "--alpha", "1.5", "--boundary", path,
+                                    "--z-re", "0.3"])
+        assert code == 0
+        assert out.split("\n")[0] == "f_re,f_im,fz_re,fz_im,fzbar_re,fzbar_im,deriv_norm"
 
     @pytest.mark.parametrize("degree,coefficients", [
         (1, [[0.0, 0.0], [float("nan"), 0.0], [1.0, 0.0]]),  # json writes NaN
@@ -135,24 +141,43 @@ class TestSolve:
         assert out == ""
         assert err.startswith("domain error:") and err.count("\n") == 1
 
-    def test_non_finite_kernel_exits_3(self, capsys, boundary_file):
-        # the kernel's (1 - r)^(alpha + 1) underflows on part of the circle
+    def test_large_alpha_analytic_data(self, capsys, boundary_file):
+        # the kernel's (1 - r)^(alpha + 1) underflows on part of the circle,
+        # but analytic data e^{i theta} extends to z for every alpha
         path = boundary_file("eik.json", 1, [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         code, out, err = run(capsys, ["solve", "--alpha", "400", "--boundary", path,
+                                      "--z-re", "0.9", "--format", "json"])
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["f_re"] == 0.9
+
+    def test_spectral_seed_underflow_exits_3(self, capsys, boundary_file):
+        # c_{-2} = 1: the seed's (1 - |z|^2)^(alpha + 1) = 0.19^1001 underflows
+        coeffs = [[1.0, 0.0]] + [[0.0, 0.0]] * 4
+        path = boundary_file("conj2.json", 2, coeffs)
+        code, out, err = run(capsys, ["solve", "--alpha", "1000", "--boundary", path,
                                       "--z-re", "0.9"])
         assert code == 3
         assert out == ""
-        assert err.startswith("non-convergence: integrand is non-finite")
+        assert err.startswith("non-convergence: spectral seed")
         assert err.count("\n") == 1
 
-    def test_escape_hatch_allows_near_boundary(self, capsys, boundary_file):
+    def test_overflowing_boundary_exits_2(self, capsys, boundary_file):
+        path = boundary_file("big.json", 1, [[1e308, 1e308]] * 3)
+        code, out, err = run(capsys, ["solve", "--alpha", "1", "--boundary", path,
+                                      "--z-re", "0.3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domain error:") and err.count("\n") == 1
+
+    def test_near_boundary_constant_data(self, capsys, boundary_file):
         path = boundary_file("one.json", 0, [[1.0, 0.0]])
-        code, out, _ = run(capsys, ["solve", "--alpha", "1", "--boundary", path,
-                                    "--z-re", "0.995", "--z-im", "0",
-                                    "--quad-n-max", str(2 ** 16),
-                                    "--format", "json"])
-        assert code == 0
-        assert json.loads(out)["f_re"] == pytest.approx(1.0, abs=1e-9)
+        for z_re in ("0.995", "0.99999"):
+            code, out, _ = run(capsys, ["solve", "--alpha", "1", "--boundary", path,
+                                        "--z-re", z_re, "--z-im", "0",
+                                        "--format", "json"])
+            assert code == 0
+            assert json.loads(out)["f_re"] == 1.0
 
 
 class TestBounds:
@@ -291,6 +316,33 @@ class TestFigure1:
         assert code == 2
         assert out == ""
         assert err.startswith("domain error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--alpha-max", "1e300"],
+        ["--alpha-min", "1", "--alpha-max", "2", "--step", "1e-20"],
+        ["--alpha-min", "1", "--alpha-max", "1", "--step", "1e-30"],
+    ])
+    def test_oversized_grid_exits_2(self, capsys, monkeypatch, flags):
+        import alphaharmonic.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the grid is rejected before any bound runs")
+
+        monkeypatch.setattr(cli_mod, "figure1_data", never)
+        code, out, err = run(capsys, ["figure1", *flags])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domain error:") and err.count("\n") == 1
+
+    def test_grid_matches_the_stepping_loop(self, capsys):
+        argv = ["figure1", "--alpha-min", "-0.3", "--alpha-max", "0.7", "--step", "0.1"]
+        _, out, _ = run(capsys, argv)
+        want, a, k = [], -0.3, 0
+        while a <= 0.7 + 1e-12:
+            want.append(a)
+            k += 1
+            a = -0.3 + k * 0.1
+        assert [float(line.split(",")[0]) for line in out.strip().split("\n")[1:]] == want
 
     def test_single_point_grid(self, capsys):
         code, out, _ = run(capsys, ["figure1", "--alpha-min", "1", "--alpha-max", "1"])

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,29 +11,30 @@ import pytest
 import alphaharmonic.kernel as kernel_module
 import alphaharmonic.quadrature as quadrature_module
 from alphaharmonic import (BoundaryData, ConvergenceError, DerivativePair,
-                           DiskPoint, DomainError, IntegrandError, QuadratureConfig,
+                           DomainError, IntegrandError, QuadratureConfig,
                            alpha_laplacian_residual, c_alpha, derivative_pair,
                            derivative_quadrature, dirichlet_quadrature,
                            kernel_derivatives, poisson_kernel, random_boundary,
                            real_kernel, solve_dirichlet)
+from alphaharmonic.kernel import disk_point_value
 
 TIGHT = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
 
 
 class TestDiskPoint:
     def test_accepts_interior(self):
-        p = DiskPoint(0.6, 0.3)
-        assert p.as_complex == 0.6 + 0.3j
+        assert disk_point_value(0.6 + 0.3j) == 0.6 + 0.3j
 
     def test_rejects_boundary_and_exterior(self):
         with pytest.raises(DomainError):
-            DiskPoint(1.0, 0.0)
+            disk_point_value(1.0)
         with pytest.raises(DomainError):
-            DiskPoint(0.8, 0.7)
+            disk_point_value(0.8 + 0.7j)
 
     def test_from_complex_roundtrip(self):
-        p = DiskPoint.from_complex(0.1 - 0.2j)
-        assert abs(p) == pytest.approx(math.hypot(0.1, 0.2))
+        z = disk_point_value(np.complex128(0.1 - 0.2j))
+        assert type(z) is complex and z == 0.1 - 0.2j
+        assert abs(z) == pytest.approx(math.hypot(0.1, 0.2))
 
 
 class TestBoundaryData:
@@ -91,6 +93,16 @@ class TestBoundaryData:
     def test_non_finite_coefficients_rejected(self, bad):
         with pytest.raises(DomainError):
             BoundaryData([1.0, bad, 0.5])
+
+    @pytest.mark.parametrize("coefficients", [
+        [1e308] * 3,  # the samples' sum overflows
+        [complex(1.5e308, 1.5e308)],  # finite samples, modulus overflows
+    ])
+    def test_overflowing_samples_rejected(self, coefficients):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                BoundaryData(coefficients)
 
 
 class TestKernelValues:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .specfun import alpha_value, c_alpha, hyp2f1
+from .errors import ConvergenceError, DomainError
+from .specfun import _series_sum, alpha_value, beta, c_alpha, hyp2f1
 
 __all__ = [
     "BOUND_IDS",
@@ -121,23 +121,49 @@ def m_bound(r: float, alpha) -> float:
 
     At alpha = 0 it collapses to (4/pi) arctan r, returned in the float
     expression of m2_bound's leading term, so that M == M2 bit for bit.
+    The first term (1-r^2)^(alpha+1) |(1-r)^(-alpha) - 1| / (1+r^2) is
+    formed as (1-r^2) |(1+r)^alpha - (1-r^2)^alpha| / (1+r^2), whose powers
+    stay in range at large alpha where (1-r)^(-alpha) overflows; for
+    alpha > 1 the hypergeometric factor comes from `_m_series`.
     """
     r = _validate_r(r)
     a = alpha_value(alpha)
     if a == 0.0:
         return 2.0 ** (a + 2.0) / math.pi * math.atan(r)
     one_plus_r2 = 1.0 + r * r
-    first = ((1.0 - r * r) ** (a + 1.0)
-             * abs((1.0 - r) ** (-a) - 1.0) / one_plus_r2)
+    one_minus_r2 = (1.0 - r) * (1.0 + r)
+    first = one_minus_r2 * abs((1.0 + r) ** a - one_minus_r2 ** a) / one_plus_r2
     x = 4.0 * r * r / (one_plus_r2 * one_plus_r2)
     # 1 - x = ((1 - r^2) / (1 + r^2))^2, free of the cancellation in 1.0 - x
-    d = (1.0 - r) * (1.0 + r) / one_plus_r2
-    f = hyp2f1((0.5, 0.5 - a / 2.0, 1.5), x, one_minus_x=d * d)
+    d = one_minus_r2 / one_plus_r2
+    if a > 1.0:
+        f = _m_series(a, x, d * d)
+    else:
+        f = hyp2f1((0.5, 0.5 - a / 2.0, 1.5), x, one_minus_x=d * d)
     if a >= 0.0:
         second = 2.0 ** (2.0 + a / 2.0) * r * one_plus_r2 ** (a / 2.0 - 1.0) / math.pi * f
     else:
         second = 4.0 * r / math.pi * one_plus_r2 ** (a / 2.0 - 1.0) * f
     return first + second
+
+
+def _m_series(a: float, x: float, y: float) -> float:
+    """F(1/2, (1-a)/2; 3/2; x), y = 1 - x, for a > 1, from positive series.
+
+    Its own series alternates there (b = (1-a)/2 < 0), and by a factor that
+    grows like (1+x)^(a/2), so it is never summed.  With s = (a+1)/2:
+    for x <= 1/2 the Euler transform y^s F(1, s + 1/2; 3/2; x); above it
+    the connection formula (DLMF 15.8.4), whose first series
+    F(1/2, 1-s; 1-s; y) is x^(-1/2) and whose gamma ratios reduce to
+    B(s, 1/2)/2 and -1/(2s):
+        F = B(s, 1/2) / (2 sqrt(x)) - y^s / (2s) F(1, s + 1/2; s + 1; y).
+    """
+    s = (a + 1.0) / 2.0
+    if x <= 0.5:
+        f, _ = _series_sum(1.0, s + 0.5, 1.5, x)
+        return y ** s * f
+    f, _ = _series_sum(1.0, s + 0.5, s + 1.0, y)
+    return beta(s, 0.5) / (2.0 * math.sqrt(x)) - y ** s / (2.0 * s) * f
 
 
 def m_prime_bound(r: float, alpha) -> float:
@@ -189,27 +215,41 @@ def l1_mean_kernel(alpha, r: float) -> float:
     return schwarz_bound(r, alpha)
 
 
+# Bound id -> evaluator of (r, alpha, c).  The lambdas look each bound up
+# at call time, so a rebound module attribute is the one called
+# (perfbench/tracer.py times each bound that way).
+_EVALUATORS = {
+    "M1": lambda r, a, c: m1_bound(r, a, c),
+    "M2": lambda r, a, c: m2_bound(r, a),
+    "COLONNA": lambda r, a, c: colonna_bound(r),
+    "LC_SP": lambda r, a, c: lc_schwarz_pick_bound(r, a),
+    "M": lambda r, a, c: m_bound(r, a),
+    "M_PRIME": lambda r, a, c: m_prime_bound(r, a),
+    "SCHWARZ_2F1": lambda r, a, c: schwarz_bound(r, a),
+    "SP_2F1": lambda r, a, c: schwarz_pick_bound(r, a),
+    "SP_LIMIT": lambda r, a, c: schwarz_pick_limit_bound(r, a),
+    "L1_MEAN": lambda r, a, c: l1_mean_kernel(a, r),
+}
+
+
 def evaluate_bound(bound_id: str, r: float, alpha, c: float | None = None) -> BoundReport:
-    """Evaluate one named bound into a BoundReport; all are closed forms."""
+    """Evaluate one named bound into a BoundReport; all are closed forms.
+
+    A value beyond the float range (alpha of about a thousand or more)
+    raises ConvergenceError.
+    """
     a = alpha_value(alpha)
-    if bound_id == "M1":
-        if c is None:
-            raise DomainError("M1 requires the auxiliary parameter c")
-        value = m1_bound(r, a, c)
-        return BoundReport("M1", float(r), a, float(c), value, _NOTE_LINEAR)
-    dispatch = {
-        "M2": lambda: m2_bound(r, a),
-        "COLONNA": lambda: colonna_bound(r),
-        "LC_SP": lambda: lc_schwarz_pick_bound(r, a),
-        "M": lambda: m_bound(r, a),
-        "M_PRIME": lambda: m_prime_bound(r, a),
-        "SCHWARZ_2F1": lambda: schwarz_bound(r, a),
-        "SP_2F1": lambda: schwarz_pick_bound(r, a),
-        "SP_LIMIT": lambda: schwarz_pick_limit_bound(r, a),
-        "L1_MEAN": lambda: l1_mean_kernel(a, r),
-    }
-    if bound_id not in dispatch:
+    if bound_id == "M1" and c is None:
+        raise DomainError("M1 requires the auxiliary parameter c")
+    evaluator = _EVALUATORS.get(bound_id)
+    if evaluator is None:
         raise DomainError(f"unknown bound id {bound_id!r}")
-    value = dispatch[bound_id]()
-    return BoundReport(bound_id, float(r), a, None, value,
-                       _NOTES.get(bound_id, _NOTE_LINEAR))
+    try:
+        value = evaluator(r, a, c)
+    except (OverflowError, ZeroDivisionError):  # a power overflows or c_alpha underflows
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConvergenceError(
+            f"bound {bound_id} at r={r!r}, alpha={a!r} leaves the float range")
+    return BoundReport(bound_id, float(r), a, float(c) if bound_id == "M1" else None,
+                       value, _NOTES.get(bound_id, _NOTE_LINEAR))

@@ -19,6 +19,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .bounds import BOUND_IDS, evaluate_bound
 from .errors import ConvergenceError, DomainError, IntegrandError
 from .kernel import BoundaryData, derivative_pair, solve_dirichlet
@@ -108,8 +110,10 @@ def _cmd_bounds(args) -> int:
     for bound_id in ids:
         if bound_id == "M_PRIME" and args.id == "all" and args.alpha < 0:
             continue  # stated for alpha >= 0 only
-        rep = evaluate_bound(bound_id, args.r, args.alpha,
-                             c=args.c if bound_id == "M1" else None)
+        # at huge alpha series terms overflow; the error says so in one line
+        with np.errstate(all="ignore"):
+            rep = evaluate_bound(bound_id, args.r, args.alpha,
+                                 c=args.c if bound_id == "M1" else None)
         rows.append({"bound_id": rep.bound_id, "r": rep.r, "alpha": rep.alpha,
                      "aux": rep.aux, "value": rep.value})
     _emit(rows, args.format, args.out)

@@ -10,10 +10,13 @@ The real-exponent power of (1-wbar) uses the principal logarithm, which
 is well defined on the disk because Re(1-wbar) > 0 there.
 
 Boundary data is a finite Fourier series (trig polynomial) stored with a
-dense sample grid; that keeps sup-norms computable.  For such data the
-integral has a closed form mode by mode, and that is the production
-route of `solve_dirichlet`, `derivative_pair` and
-`alpha_laplacian_residual`: with x = |z|^2,
+sample grid that keeps sup-norms computable.  On any equispaced grid, the
+sample grid and every quadrature level alike, its values come from one
+inverse FFT of the coefficients (`BoundaryData._on_grid`); `evaluate`
+sums the series at arbitrary angles.  For such data the integral has a
+closed form mode by mode, and that is the production route of
+`solve_dirichlet`, `derivative_pair` and `alpha_laplacian_residual`: with
+x = |z|^2,
 
     e^{ik theta}  ->  z^k                                   (k >= 0),
     e^{-ik theta} ->  A_k(x) zbar^k,
@@ -29,6 +32,9 @@ recurrence A_k' = k(((alpha+1)_k / k!) (1-x)^alpha - A_{k+1}).
 The quadrature route (`dirichlet_quadrature`, `derivative_quadrature`)
 integrates the kernel and its Wirtinger derivatives by node doubling; it
 is kept as the independent cross-check that `verify` compares against.
+Both are views of one private pass, `_kernel_pass`, which builds the
+kernel and the boundary values once per level for every row it
+integrates.
 """
 
 from __future__ import annotations
@@ -36,12 +42,13 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_periodic
+from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, QuadratureResult,
+                         _node_level, integrate_periodic)
 from .specfun import _series_sum, alpha_value, c_alpha
 
 _EPS = float(np.finfo(float).eps)
@@ -75,12 +82,12 @@ def disk_point_value(z) -> complex:
 
 
 class BoundaryData:
-    """Trig-polynomial boundary data with a dense sample grid.
+    """Trig-polynomial boundary data with a sample grid.
 
     ``coefficients`` holds the 2d+1 finite Fourier coefficients for
     frequencies -d..d.  ``samples`` are the values on an equispaced grid
-    whose power-of-two size is at least 4d+4, and ``sup_norm`` is the
-    maximum modulus over that grid.
+    whose power-of-two size is at least 4d+4, computed by one inverse FFT
+    (`_on_grid`), and ``sup_norm`` is the maximum modulus over that grid.
     """
 
     __slots__ = ("coefficients", "degree", "samples", "sup_norm")
@@ -89,15 +96,20 @@ class BoundaryData:
         coeffs = np.asarray(coefficients, dtype=complex)
         if coeffs.ndim != 1 or coeffs.size % 2 != 1:
             raise DomainError("coefficients must be a 1-D array of odd length (indices -d..d)")
+        self._set(coeffs, None)
+
+    def _set(self, coeffs: np.ndarray, samples: np.ndarray | None) -> None:
+        """Store coefficients and samples (computed when None), with checks."""
         if not np.isfinite(coeffs).all():
             raise DomainError("coefficients must be finite")
         self.coefficients = coeffs
         self.degree = coeffs.size // 2
-        n = self._grid_size(self.degree)
         # finite coefficients can still sum past the float range
         with np.errstate(over="ignore", invalid="ignore"):
-            self.samples = self._evaluate_poly(2.0 * math.pi * np.arange(n) / n)
-            self.sup_norm = float(np.max(np.abs(self.samples)))
+            if samples is None:
+                samples = self._on_grid(self._grid_size(self.degree), 0.0)
+            self.samples = samples
+            self.sup_norm = float(np.max(np.abs(samples)))
         if not math.isfinite(self.sup_norm):
             raise DomainError("boundary values overflow the float range")
 
@@ -105,6 +117,22 @@ class BoundaryData:
     def _grid_size(degree: int) -> int:
         need = max(4 * degree + 4, 4)
         return 1 << (need - 1).bit_length()
+
+    def _on_grid(self, n: int, offset: float) -> np.ndarray:
+        """Values at theta_j = 2pi (j + offset) / n, j = 0..n-1.
+
+        Coefficient c_k, times the phase e^{2pi i k offset / n}, goes to bin
+        k mod n, and one unnormalised inverse FFT sums the bins; frequencies
+        that alias onto one bin add up there, so every n is exact.
+        """
+        d = self.degree
+        ks = np.arange(-d, d + 1)
+        c = self.coefficients
+        if offset:
+            c = c * np.exp((2j * math.pi * offset / n) * ks)
+        bins = np.zeros(n, dtype=complex)
+        np.add.at(bins, ks % n, c)
+        return np.fft.ifft(bins, norm="forward")
 
     def _evaluate_poly(self, theta: np.ndarray) -> np.ndarray:
         e = np.exp(1j * theta)
@@ -131,7 +159,12 @@ class BoundaryData:
         return BoundaryData(self.coefficients * np.exp(1j * ks * phi))
 
     def scaled(self, factor: complex) -> "BoundaryData":
-        return BoundaryData(self.coefficients * factor)
+        """Boundary data factor * f, its samples scaled from this grid's."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs, samples = self.coefficients * factor, self.samples * factor
+        out = object.__new__(BoundaryData)
+        out._set(coeffs, samples)
+        return out
 
     @classmethod
     def constant(cls, value: complex) -> "BoundaryData":
@@ -197,33 +230,55 @@ def real_kernel(alpha, z) -> float:
     return c_alpha(a) * one_minus_r2 ** (a + 1.0) / abs(1.0 - zc) ** (a + 2.0)
 
 
-def _kernel_on_grid(a: float, zc: complex, theta: np.ndarray):
-    """Kernel P(xi) at xi = z e^{-i theta}, returned with e^{-i theta}, xi
-    and 1 - |z|^2 for the derivative kernels."""
+def _kernel_rows(a: float, zc: complex, theta: np.ndarray, rows) -> tuple:
+    """The rows picked by index from (P, dP/dz, dP/dzbar) at
+    xi = z e^{-i theta}, all from one evaluation of the kernel."""
     one_minus_r2 = 1.0 - (zc.real * zc.real + zc.imag * zc.imag)
     emith = np.exp(-1j * theta)
     xi = zc * emith
-    kern = one_minus_r2 ** (a + 1.0) / ((1.0 - xi) * (1.0 - np.conj(xi)) ** (a + 1.0))
-    return kern, emith, xi, one_minus_r2
+    one_minus_xi = 1.0 - xi
+    kern = one_minus_r2 ** (a + 1.0) / (one_minus_xi * (1.0 - np.conj(xi)) ** (a + 1.0))
+    if rows == (0,):
+        return (kern,)
+    # conj(q) = e^{i theta} / (1 - xibar), the d/dzbar factor
+    q = emith / one_minus_xi
+    d_z = kern * (q - (a + 1.0) * zc.conjugate() / one_minus_r2)
+    d_zbar = (a + 1.0) * kern * (np.conj(q) - zc / one_minus_r2)
+    return tuple((kern, d_z, d_zbar)[i] for i in rows)
 
 
-def _kernel_integral(kern, fstar: BoundaryData, sup: float,
-                     config: QuadratureConfig | None):
-    """Raw quadrature result for the circle mean of kern(theta) * fstar.
+def _kernel_pass(alpha, fstar: BoundaryData, z, rows,
+                 config: QuadratureConfig | None) -> list[QuadratureResult]:
+    """Raw quadrature results for the circle means of K_i * fstar, K_i the
+    `_kernel_rows` picked by ``rows``, in one node-doubling pass.
 
-    ``sup`` bounds |kern|; abs_tol is raised to the summation roundoff of
-    the integrand's sup bound, so near-zero means (cancelling integrands)
-    still converge instead of chasing noise.
+    Each level builds the kernel, e^{-i theta} and fstar's values (one
+    inverse FFT) once for all rows.  Each row's abs_tol is raised to the
+    summation roundoff 32 eps sup|K_i| sup|fstar| of its integrand, so
+    near-zero means (cancelling integrands) still converge instead of
+    chasing noise; the row is integrated scaled by abs_tol / floor_i, which
+    makes the pass's one abs_tol that floor for it.  All rows share the
+    node count; non-finite values raise IntegrandError, and numpy's
+    floating-point warnings are silenced inside the pass.
     """
+    a = alpha_value(alpha)
+    zc = disk_point_value(z)
     cfg = config or DEFAULT_CONFIG
-    floor = 32.0 * _EPS * (sup * fstar.sup_norm)
-    if floor > cfg.abs_tol:
-        cfg = replace(cfg, abs_tol=floor)
+    r = abs(zc)
+    # (1-r^2)^(a+1) / (1-r)^(a+2), in a form that cannot underflow to 0/0
+    sups = ((1.0 + r) ** (a + 1.0) / (1.0 - r),) + _derivative_kernel_sups(a, zc)
+    scale = [cfg.abs_tol / max(cfg.abs_tol, 32.0 * _EPS * (sups[i] * fstar.sup_norm))
+             for i in rows]
+    weights = np.array(scale)[:, None]
 
     def integrand(theta):
-        return kern(theta) * fstar.evaluate(theta)
+        fvals = fstar._on_grid(*_node_level(theta))
+        return np.stack(_kernel_rows(a, zc, theta, rows)) * (weights * fvals)
 
-    return integrate_periodic(integrand, cfg)
+    with np.errstate(all="ignore"):
+        res = integrate_periodic(integrand, cfg)
+    return [QuadratureResult(v / s, e / s, res.nodes_used, res.converged)
+            for v, e, s in zip(res.value, res.error_estimate, scale)]
 
 
 def dirichlet_quadrature(alpha, fstar: BoundaryData, z,
@@ -231,25 +286,9 @@ def dirichlet_quadrature(alpha, fstar: BoundaryData, z,
     """Raw quadrature result for the extension at z, with diagnostics.
 
     The independent route beside `solve_dirichlet`: the kernel integral
-    itself, by node doubling.
+    itself, by node doubling (the value row of `_kernel_pass`).
     """
-    a = alpha_value(alpha)
-    zc = disk_point_value(z)
-    r = abs(zc)
-    # (1-r^2)^(a+1) / (1-r)^(a+2), in a form that cannot underflow to 0/0
-    sup = (1.0 + r) ** (a + 1.0) / (1.0 - r)
-    return _kernel_integral(lambda theta: _kernel_on_grid(a, zc, theta)[0],
-                            fstar, sup, config)
-
-
-def _dz_kernel(a: float, zc: complex, theta: np.ndarray) -> np.ndarray:
-    kern, emith, xi, one_minus_r2 = _kernel_on_grid(a, zc, theta)
-    return kern * (emith / (1.0 - xi) - (a + 1.0) * zc.conjugate() / one_minus_r2)
-
-
-def _dzbar_kernel(a: float, zc: complex, theta: np.ndarray) -> np.ndarray:
-    kern, emith, xi, one_minus_r2 = _kernel_on_grid(a, zc, theta)
-    return (a + 1.0) * kern * (np.conj(emith) / (1.0 - np.conj(xi)) - zc / one_minus_r2)
+    return _kernel_pass(alpha, fstar, z, (0,), config)[0]
 
 
 def kernel_derivatives(alpha, z, theta):
@@ -265,9 +304,7 @@ def kernel_derivatives(alpha, z, theta):
     zc = disk_point_value(z)
     th = np.asarray(theta, dtype=float)
     scalar = th.ndim == 0
-    th = np.atleast_1d(th)
-    d_z = _dz_kernel(a, zc, th)
-    d_zbar = _dzbar_kernel(a, zc, th)
+    d_z, d_zbar = _kernel_rows(a, zc, np.atleast_1d(th), (1, 2))
     if scalar:
         return complex(d_z[0]), complex(d_zbar[0])
     return d_z, d_zbar
@@ -288,18 +325,13 @@ def derivative_quadrature(alpha, fstar: BoundaryData, z,
     """Raw quadrature results (d/dz, d/dzbar) for the Wirtinger derivatives
     of the extension at z, by differentiating under the integral sign.
 
-    The independent route beside `derivative_pair`.  Each absolute
-    tolerance is floored at the roundoff level of its integrand's sup
-    bound, so exactly-vanishing derivatives (for example constant boundary
-    data) converge instead of chasing noise.
+    The independent route beside `derivative_pair`: the two derivative
+    rows of `_kernel_pass`, integrated together.  Each absolute tolerance
+    is floored at the roundoff level of its integrand's sup bound, so
+    exactly-vanishing derivatives (for example constant boundary data)
+    converge instead of chasing noise.
     """
-    a = alpha_value(alpha)
-    zc = disk_point_value(z)
-    sup_dz, sup_dzbar = _derivative_kernel_sups(a, zc)
-    d_z = _kernel_integral(lambda theta: _dz_kernel(a, zc, theta),
-                           fstar, sup_dz, config)
-    d_zbar = _kernel_integral(lambda theta: _dzbar_kernel(a, zc, theta),
-                              fstar, sup_dzbar, config)
+    d_z, d_zbar = _kernel_pass(alpha, fstar, z, (1, 2), config)
     return d_z, d_zbar
 
 

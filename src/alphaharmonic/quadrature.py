@@ -3,7 +3,10 @@
 The engine computes circle means (1/2pi) * integral over [0, 2pi) by the
 composite trapezoidal rule on equispaced nodes, doubling the node count
 until two successive levels agree.  For the analytic periodic integrands
-used throughout this package the rule is spectrally accurate.
+used throughout this package the rule is spectrally accurate.  Every
+level's nodes are theta_j = 2pi (j + offset) / n with offset 0 or 1/2,
+and `_node_level` recovers (n, offset) from them, so an integrand can
+sample a trig polynomial there by one inverse FFT.
 """
 
 from __future__ import annotations
@@ -52,8 +55,10 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: complex | float
-    error_estimate: float
+    """A circle mean, or a tuple of row means for a stacked integrand."""
+
+    value: complex | float | tuple
+    error_estimate: float | tuple
     nodes_used: int
     converged: bool
 
@@ -70,15 +75,30 @@ class QuadratureResult:
         return self.value
 
 
+def _nodes(n: int, offset: float) -> np.ndarray:
+    """The level's nodes theta_j = 2pi (j + offset) / n, j = 0..n-1."""
+    return 2.0 * math.pi * (np.arange(n) + offset) / n
+
+
+def _node_level(theta: np.ndarray) -> tuple[int, float]:
+    """(n, offset) of a node array built by `_nodes`, the inverse of its
+    formula for the arrays `integrate_periodic` passes its integrand."""
+    n = theta.size
+    offset = 0.0 if theta[0] == 0.0 else 0.5
+    if theta[0] != 2.0 * math.pi * offset / n:
+        raise DomainError("angles are not the nodes of a quadrature level")
+    return n, offset
+
+
 def _eval_checked(f: Callable, theta: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(theta))
-    if vals.shape != theta.shape:
+    if vals.shape[-1:] != theta.shape:
         vals = np.broadcast_to(vals, theta.shape)
     finite = np.isfinite(vals) if not np.iscomplexobj(vals) else (
         np.isfinite(vals.real) & np.isfinite(vals.imag)
     )
     if not finite.all():
-        bad = float(theta[np.argmin(finite)])
+        bad = float(theta[np.argmin(finite.reshape(-1, theta.size).all(axis=0))])
         raise IntegrandError(f"integrand is non-finite at theta={bad!r}", theta=bad)
     return vals
 
@@ -86,26 +106,36 @@ def _eval_checked(f: Callable, theta: np.ndarray) -> np.ndarray:
 def integrate_periodic(f: Callable, config: QuadratureConfig | None = None) -> QuadratureResult:
     """Circle mean of f over [0, 2pi) by node-doubling trapezoidal sums.
 
-    ``f`` must accept a float ndarray of angles and return values of the
-    same shape.  Node sums reuse previous levels (new nodes are the
-    midpoints), and summation order is fixed, so results are reproducible.
+    ``f`` must accept a float ndarray of n angles and return values of the
+    same shape, or of shape (m, n) for m integrands stacked as rows.  A
+    stacked integrand's ``value`` and ``error_estimate`` are tuples of m
+    row means and row errors, and the doubling stops only when every row
+    meets max(rel_tol |mean_i|, abs_tol); a caller that needs its own
+    absolute tolerance for a row scales that row.  Node sums reuse
+    previous levels (new nodes are the midpoints), and summation order is
+    fixed, so results are reproducible.
     """
     cfg = config or DEFAULT_CONFIG
     n = cfg.n_initial
-    theta = 2.0 * math.pi * np.arange(n) / n
-    total = _eval_checked(f, theta).sum()
+    total = _eval_checked(f, _nodes(n, 0.0)).sum(axis=-1)
     prev_mean = total / n
-    err = float("inf")
+    err = np.full(np.shape(prev_mean), np.inf)
     while n < cfg.n_max:
-        mid = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-        total = total + _eval_checked(f, mid).sum()
+        total = total + _eval_checked(f, _nodes(n, 0.5)).sum(axis=-1)
         n *= 2
         mean = total / n
-        err = float(abs(mean - prev_mean))
-        if err <= max(cfg.rel_tol * abs(mean), cfg.abs_tol):
-            return QuadratureResult(_as_scalar(mean), err, n, True)
+        err = np.abs(mean - prev_mean)
+        if (err <= np.maximum(cfg.rel_tol * np.abs(mean), cfg.abs_tol)).all():
+            return _result(mean, err, n, True)
         prev_mean = mean
-    return QuadratureResult(_as_scalar(prev_mean), err, n, False)
+    return _result(prev_mean, err, n, False)
+
+
+def _result(mean, err, n: int, converged: bool) -> QuadratureResult:
+    if np.ndim(mean) == 0:
+        return QuadratureResult(_as_scalar(mean), float(err), n, converged)
+    return QuadratureResult(tuple(map(_as_scalar, mean)), tuple(map(float, err)),
+                            n, converged)
 
 
 def _as_scalar(v):

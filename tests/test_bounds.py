@@ -2,10 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from alphaharmonic import (BoundReport, DomainError, c_alpha, colonna_bound,
+from alphaharmonic import (BoundReport, ConvergenceError, DomainError, c_alpha, colonna_bound,
                            evaluate_bound, integrate_periodic, l1_mean_kernel,
                            lc_schwarz_pick_bound, m1_bound, m2_bound, m_bound,
                            m_prime_bound, schwarz_bound, schwarz_pick_bound,
@@ -94,6 +95,39 @@ class TestM:
     def test_value_at_one_alpha_one(self):
         # frozen: second hypergeometric parameter vanishes so F = 1 exactly
         assert rel_err(m_bound(0.99, 1.0), 1.2866248613285742585) < 1e-12
+
+
+def m_bound_mpmath(r, alpha):
+    """M from its defining formula, at 40 digits."""
+    with mp.workdps(40):
+        r, a = mp.mpf(r), mp.mpf(alpha)
+        s = 1 + r * r
+        first = (1 - r * r) ** (a + 1) * abs((1 - r) ** (-a) - 1) / s
+        f = mp.hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2 - a / 2, mp.mpf(3) / 2, 4 * r * r / s ** 2)
+        if a >= 0:
+            second = 2 ** (2 + a / 2) * r * s ** (a / 2 - 1) / mp.pi * f
+        else:
+            second = 4 * r / mp.pi * s ** (a / 2 - 1) * f
+        return first + second
+
+
+class TestMLargeAlpha:
+    @pytest.mark.parametrize("alpha", [5.0, 50.0, 400.0])
+    def test_against_mpmath_at_r_09(self, alpha):
+        # at alpha = 400, (1 - r)^(-alpha) alone overflows; M is about 5.5e110
+        assert rel_err(m_bound(0.9, alpha), m_bound_mpmath(0.9, alpha)) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [1.0001, 1.5, 3.0, 4.9, 23.0, 41.0, 150.5, 341.5, 600.0])
+    def test_sweep_against_mpmath(self, alpha):
+        # both sides of x = 4r^2/(1+r^2)^2 = 1/2 (r = sqrt(2) - 1), and odd
+        # alpha, where the hypergeometric factor is an alternating polynomial
+        for r in (0.01, 0.1, 0.3, 0.41, 0.42, 0.5, 0.7, 0.9, 0.99, 0.999, 0.9999):
+            assert rel_err(m_bound(r, alpha), m_bound_mpmath(r, alpha)) < 1e-12
+
+    def test_evaluate_bound_outside_float_range_raises(self):
+        for bound_id in ("M", "M1", "M2", "LC_SP", "SP_LIMIT"):
+            with pytest.raises(ConvergenceError, match="float range"):
+                evaluate_bound(bound_id, 0.9, 2000.0, c=0.5 if bound_id == "M1" else None)
 
 
 class TestMPrime:

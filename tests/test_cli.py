@@ -217,6 +217,22 @@ class TestBounds:
                                   "--alpha", "1"])
         assert code == 2
 
+    def test_large_alpha_all_bounds(self, capsys):
+        code, out, err = run(capsys, ["bounds", "--id", "all", "--r", "0.9",
+                                      "--alpha", "400", "--c", "0.5"])
+        assert code == 0 and err == ""
+        rows = {line.split(",")[0]: float(line.split(",")[-1])
+                for line in out.strip().split("\n")[1:]}
+        assert len(rows) == 10 and all(math.isfinite(v) for v in rows.values())
+        assert rows["M"] == pytest.approx(5.5301915003883e110, rel=1e-12)
+
+    @pytest.mark.parametrize("bound_id", ["all", "M", "SP_LIMIT", "SCHWARZ_2F1"])
+    def test_value_beyond_float_range_exits_3(self, capsys, bound_id):
+        code, out, err = run(capsys, ["bounds", "--id", bound_id, "--r", "0.999",
+                                      "--alpha", "1100", "--c", "0.5"])
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "float range" in err
+
     def test_quad_n_max_is_not_a_bounds_option(self, capsys):
         # every bound is a closed form: no quadrature to escalate
         code, _, _ = run(capsys, ["bounds", "--id", "L1_MEAN", "--r", "0.5",

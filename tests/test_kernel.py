@@ -7,6 +7,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import alphaharmonic.kernel as kernel_module
 import alphaharmonic.quadrature as quadrature_module
@@ -16,7 +18,7 @@ from alphaharmonic import (BoundaryData, ConvergenceError, DerivativePair,
                            derivative_quadrature, dirichlet_quadrature,
                            kernel_derivatives, poisson_kernel, random_boundary,
                            real_kernel, solve_dirichlet)
-from alphaharmonic.kernel import disk_point_value
+from alphaharmonic.kernel import _kernel_pass, disk_point_value
 
 TIGHT = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
 
@@ -103,6 +105,46 @@ class TestBoundaryData:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="overflow"):
                 BoundaryData(coefficients)
+
+
+class TestOnGrid:
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None)
+    @given(degree=st.integers(0, 16), log_n=st.integers(0, 12),
+           offset=st.sampled_from([0.0, 0.5]), data_seed=st.integers(0, 2 ** 32))
+    def test_matches_evaluate(self, degree, log_n, offset, data_seed):
+        # any n, also n < 2d + 1 where frequencies alias onto one bin
+        rng = np.random.default_rng(data_seed)
+        coeffs = rng.standard_normal(2 * degree + 1) + 1j * rng.standard_normal(2 * degree + 1)
+        bd = BoundaryData(coeffs)
+        n = 1 << log_n
+        theta = 2.0 * math.pi * (np.arange(n) + offset) / n
+        err = np.max(np.abs(bd._on_grid(n, offset) - bd.evaluate(theta)))
+        assert err <= 1e-13 * np.sum(np.abs(coeffs))
+
+    def test_samples_are_the_offset_zero_grid(self):
+        bd = BoundaryData(random_boundary(11, 7, 0.8).coefficients)
+        assert np.array_equal(bd.samples, bd._on_grid(bd.samples.size, 0.0))
+
+    def test_scaled_reuses_samples(self):
+        for s in range(50):
+            rng = np.random.default_rng(s)
+            d = int(rng.integers(0, 17))
+            coeffs = rng.standard_normal(2 * d + 1) + 1j * rng.standard_normal(2 * d + 1)
+            factor = complex(rng.standard_normal(), rng.standard_normal())
+            got = BoundaryData(coeffs).scaled(factor)
+            fresh = BoundaryData(coeffs * factor)
+            assert np.array_equal(got.coefficients, fresh.coefficients)
+            assert np.max(np.abs(got.samples - fresh.samples)) <= 1e-15 * fresh.sup_norm
+            assert got.sup_norm == np.max(np.abs(got.samples))
+
+    def test_scaled_rejects_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                BoundaryData([1.0, 0.5, 1.0]).scaled(1e308)
+            with pytest.raises(DomainError, match="finite"):
+                BoundaryData([1.0, 0.5, 1.0]).scaled(1e309 * 1j)
 
 
 class TestKernelValues:
@@ -321,6 +363,43 @@ class TestDerivativeQuadrature:
             pair = derivative_pair(a, fstar, z)
             assert abs(q_dz.unwrap("d/dz") - pair.d_z) < 1e-10
             assert abs(q_dzbar.unwrap("d/dzbar") - pair.d_zbar) < 1e-10
+
+
+class TestKernelPass:
+    @pytest.mark.parametrize("config", [None, QuadratureConfig(n_initial=64), TIGHT])
+    def test_rows_match_the_public_quadratures(self, config):
+        rng = np.random.default_rng(47)
+        for _ in range(25):
+            fstar = random_boundary(int(rng.integers(0, 2 ** 62)),
+                                    int(rng.integers(0, 9)), float(rng.uniform(0.2, 1.0)))
+            a = float(rng.choice([-0.9, -0.1, 0.0, 1.0, 3.5, 5.0]))
+            z = float(rng.choice([0.1, 0.5, 0.85, 0.95])) * cmath.exp(1j * rng.uniform(0.0, 6.3))
+            rows = _kernel_pass(a, fstar, z, (0, 1, 2), config)
+            separate = [dirichlet_quadrature(a, fstar, z, config),
+                        *derivative_quadrature(a, fstar, z, config)]
+            assert rows[0].nodes_used == max(q.nodes_used for q in separate)
+            for row, q in zip(rows, separate):
+                assert row.converged and q.converged
+                assert row.nodes_used == rows[0].nodes_used
+                assert abs(row.value - q.value) <= q.error_estimate + 1e-15 * abs(q.value)
+
+    def test_each_row_keeps_its_own_floor(self):
+        # constant data: both derivative means vanish, so they converge only
+        # at their roundoff floors (32 eps times each row's sup bound), far
+        # above the value row's; at the value row's floor they would run
+        # unconverged to 2^20 nodes
+        one = BoundaryData.constant(1.0)
+        f, d_z, d_zbar = _kernel_pass(5.0, one, 0.95, (0, 1, 2), None)
+        assert f.converged and f.nodes_used <= 4096
+        assert abs(f.value - 1.0) < 1e-12
+        assert abs(d_z.value) < 1e-10 and abs(d_zbar.value) < 1e-10
+
+    def test_non_finite_integrand_raises_without_warnings(self):
+        eik = BoundaryData([0.0, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrandError):
+                _kernel_pass(400.0, eik, 0.9, (0, 1, 2), None)
 
 
 class TestKernelDerivatives:

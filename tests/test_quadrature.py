@@ -8,6 +8,7 @@ import pytest
 from alphaharmonic import (ConvergenceError, DomainError, IntegrandError,
                            QuadratureConfig, cos_power_integral, integrate_periodic,
                            modulus_power_integral, ratio_integral_series)
+from alphaharmonic.quadrature import _node_level
 
 
 def rel_err(got, want):
@@ -81,6 +82,66 @@ class TestIntegratePeriodic:
             if e1 < 1e-13:
                 break
             assert e2 <= e1 / 4.0
+
+
+class TestStackedIntegrands:
+    @staticmethod
+    def peaked(rho):
+        return lambda th: 1.0 / np.abs(1.0 - rho * np.exp(1j * th)) ** 2
+
+    def test_rows_equal_separate_integrals(self):
+        rows = [self.peaked(0.3), self.peaked(0.8), lambda th: np.exp(2j * th) + 0.5]
+        stacked = integrate_periodic(lambda th: np.stack([f(th) for f in rows]))
+        separate = [integrate_periodic(f) for f in rows]
+        assert stacked.converged
+        assert stacked.nodes_used == max(q.nodes_used for q in separate)
+        assert len(stacked.value) == len(stacked.error_estimate) == 3
+        for v, e, q in zip(stacked.value, stacked.error_estimate, separate):
+            assert abs(v - q.value) <= q.error_estimate + 1e-15 * abs(q.value)
+            assert e <= max(1e-11 * abs(v), 1e-14)
+
+    def test_one_row_sums_as_a_plain_integrand(self):
+        f = self.peaked(0.6)
+        stacked = integrate_periodic(lambda th: f(th)[None, :])
+        plain = integrate_periodic(f)
+        assert stacked.value == (plain.value,)
+        assert stacked.error_estimate == (plain.error_estimate,)
+        assert stacked.nodes_used == plain.nodes_used
+
+    def test_stops_only_when_every_row_converges(self):
+        cfg = QuadratureConfig(n_initial=4, n_max=64)
+        res = integrate_periodic(
+            lambda th: np.stack([np.ones_like(th), np.abs(np.cos(th))]), cfg)
+        assert not res.converged
+        assert res.nodes_used == 64
+        assert res.value[0] == 1.0
+
+    def test_non_finite_row_names_its_angle(self):
+        def f(th):
+            bad = np.where(th > 3.0, np.inf, 1.0)
+            return np.stack([np.ones_like(th), bad])
+
+        with pytest.raises(IntegrandError) as info:
+            integrate_periodic(f)
+        assert info.value.theta > 3.0
+
+
+class TestNodeLevel:
+    def test_inverts_every_level(self):
+        seen = []
+
+        def f(th):
+            seen.append((th.copy(), _node_level(th)))
+            return 1.0 + th  # not periodic: runs to n_max
+
+        integrate_periodic(f, QuadratureConfig(n_initial=1, n_max=1024))
+        assert len(seen) == 11
+        for th, (n, offset) in seen:
+            assert np.array_equal(th, 2.0 * math.pi * (np.arange(n) + offset) / n)
+
+    def test_rejects_other_angles(self):
+        with pytest.raises(DomainError):
+            _node_level(np.linspace(0.1, 1.0, 8))
 
 
 class TestUnwrap:

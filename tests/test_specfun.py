@@ -449,11 +449,15 @@ class TestTerminatingCancellation:
                 hyp2f1((-1.0, b, 1.0), x)
             assert info.value.partial == 0.0
 
-    def test_m_bound_alpha_41_raises(self):
-        # its terminating series loses ~1e-11 to cancellation near r = 1
+    def test_m_factor_alpha_41_raises(self):
+        # M's factor F(1/2, 1/2 - alpha/2; 3/2; x) at alpha = 41 is a
+        # terminating series that loses ~1e-11 to cancellation near r = 1;
+        # m_bound itself now sums positive series there (tests/test_bounds.py)
         for r in (0.9, 0.999):
-            with pytest.raises(ConvergenceError):
-                m_bound(r, 41)
+            s = 1.0 + r * r
+            d = (1.0 - r) * (1.0 + r) / s
+            with pytest.raises(ConvergenceError, match="cancels"):
+                hyp2f1((0.5, 0.5 - 41.0 / 2.0, 1.5), 4.0 * r * r / (s * s), one_minus_x=d * d)
 
 
 class TestGaussSummation:

@@ -1,6 +1,7 @@
 """Harness behavior: determinism, report semantics, and suite health."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,35 @@ class TestSuiteReports:
         reports = {r.theorem_id: r for r in check_proof_machinery(spec)}
         assert reports["MOEBIUS_CONTRACTION"].worst_margin > 0.0
 
+    @pytest.mark.parametrize("alpha", [-0.95, -0.9, -0.5, -0.1, -1e-3])
+    def test_machinery_moebius_margin_per_pair(self, alpha):
+        # the per-(alpha, r) formula on the same 4096-point grid; near r = 1
+        # both forms round like eps / |1 - xi| <= eps / (1 - r)
+        theta = 2.0 * math.pi * np.arange(4096) / 4096.0
+        eps = np.finfo(float).eps
+        for r in (0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.85, 0.9, 0.99, 0.999):
+            xi = r * np.exp(-1j * theta)
+            vals = np.abs(((1.0 + alpha) * (r * r - xi) + 1.0 - r * r) / (1.0 - xi))
+            want = (1.0 - alpha) - float(np.max(vals))
+            spec = TrialSpec(alpha_set=(alpha,), radius_set=(r,))
+            reports = {t.theorem_id: t for t in check_proof_machinery(spec)}
+            tol = 1e-15 if r <= 0.9 else 16.0 * eps / (1.0 - r)
+            assert abs(reports["MOEBIUS_CONTRACTION"].worst_margin - want) <= tol
+
+    def test_machinery_pochhammer_margin_per_alpha(self):
+        n = np.arange(10_000, dtype=float)
+        for alpha in (-0.9, -0.1, 0.0, 0.5, 2.0, 5.0):
+            ratios = ((0.5 + alpha / 4.0 + n) * (1.0 + alpha / 4.0 + n)
+                      / ((0.5 + n) * (1.0 + alpha / 2.0 + n)))
+            q = np.concatenate(([1.0], np.cumprod(ratios)))
+            diffs = np.diff(q)
+            mono = float(np.min(diffs)) if alpha >= 0.0 else float(np.min(-diffs))
+            limit = 2.0 ** (alpha / 2.0)
+            want = min(mono, 1e-2 - abs(q[-1] - limit) / limit)
+            spec = TrialSpec(alpha_set=(alpha,), radius_set=(0.5,))
+            reports = {t.theorem_id: t for t in check_proof_machinery(spec)}
+            assert reports["POCHHAMMER_RATIO_SEQUENCE"].worst_margin == want
+
     def test_informational_flag_only_on_m1(self):
         reports = check_schwarz(TrialSpec(seed=0, n_trials=10))
         info = [r.theorem_id for r in reports if r.informational]
@@ -139,6 +169,41 @@ class TestSuiteReports:
             TrialSpec(slack=-1e-9)
         with pytest.raises(DomainError):
             TrialSpec(seed=-1)
+
+
+class TestLargeAlpha:
+    # alpha = 400 at r = 0.9: bounds near 1e110 to 1e124, kernel integrands
+    # that leave the float range
+    SPEC = TrialSpec(seed=0, n_trials=12, alpha_set=(400.0,), radius_set=(0.9,))
+
+    @staticmethod
+    def run(name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return {r.theorem_id: r for r in run_suite(name, TestLargeAlpha.SPEC)}
+
+    def test_schwarz(self):
+        reports = self.run("schwarz")
+        for tid in ("CENTER_M", "CENTER_M2", "CENTER_M_PRIME", "SUP_2F1"):
+            assert reports[tid].n_checked + reports[tid].n_inconclusive == 12
+            assert reports[tid].n_violations == 0
+
+    def test_schwarz_pick(self):
+        reports = self.run("schwarz-pick")
+        for tid in ("DERIV_SP_2F1", "DERIV_SP_LIMIT", "DERIV_LC"):
+            assert reports[tid].n_checked + reports[tid].n_inconclusive == 12
+            assert reports[tid].n_violations == 0
+
+    def test_identities(self):
+        # the kernel pass meets non-finite values: inconclusive, not an error
+        spectral = self.run("identities")["DIRICHLET_SPECTRAL"]
+        assert (spectral.n_checked, spectral.n_inconclusive) == (0, 12)
+
+    def test_machinery(self):
+        reports = self.run("machinery")
+        assert reports["MOEBIUS_CONTRACTION"].n_checked == 0  # alpha >= 0
+        assert reports["RATE_FUNCTION"].n_violations == 0
+        assert reports["POCHHAMMER_RATIO_SEQUENCE"].n_checked == 1
 
 
 class TestFigureData:

@@ -5,7 +5,10 @@ evaluator sums the defining power series
 
     F(a, b; c; x) = sum_n (a)_n (b)_n / ((c)_n n!) x^n,    0 <= x < 1,
 
-in float64 with a rigorous geometric tail bound for stopping.  For
+in float64 with a rigorous geometric tail bound for stopping.  Series
+predicted to be short (fewer than 48 terms from log(2**-56) / log(x) and
+the burn-in) are summed term by term in Python floats and added by
+math.fsum; the rest in numpy chunks of 64 terms and more.  For
 0.5 < x < 1 it continues F to x -> 1 with the connection formula in
 y = 1 - x (DLMF 15.8.4), whose two series converge like y^n; otherwise it
 applies the Euler transform when the transformed series decays faster.
@@ -56,6 +59,13 @@ _TERM_CAP = 4_000_000
 _REL_TOL = 1e-13
 
 _EPS = 2.0 ** -52
+# Series predicted to need fewer terms than _SHORT_TERMS are summed term by
+# term in Python floats, which below it is cheaper than one 64-term numpy
+# chunk, until their tail is at most _SHORT_TOL * |sum|: far enough below
+# an ulp that truncation adds no error beside the rounding of the terms.
+_SHORT_TERMS = 48
+_SHORT_TOL = 2.0 ** -56
+_LOG_SHORT_TOL = math.log(_SHORT_TOL)
 # Rounding of one connection-formula term (gamma factors, y**s, series
 # sum), in units of _EPS; cancellation between the two terms multiplies it.
 _CONNECTION_ULPS = 16.0
@@ -148,28 +158,80 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
     decreases to x, so the geometric tail test always terminates for
     x < 1.
 
+    Two routes, chosen by the predicted term count n_burn + log(2**-56) /
+    log(x).  Below _SHORT_TERMS the series is summed term by term in
+    Python floats (`_sum_terms`), testing the tail after every term and
+    stopping once it is at most 2**-56 * |sum|, whatever rel_tol; the terms
+    are added by math.fsum.  That costs less than one numpy chunk and is
+    as accurate as the chunk, which summed to machine precision.  Longer
+    series, and a short one whose prediction proves wrong, are summed in
+    numpy chunks of 64, 128, ... up to _CHUNK terms, testing the tail after
+    each chunk (`_sum_chunks`).
+
     A terminating series is a polynomial whose terms can cancel (5e14-fold
     for F(13.4, -15; 3.18; 0.974)); its roundoff, up to 2**-52 * sum|terms|,
     must stay within rel_tol * |sum| or ConvergenceError is raised.
     """
     if x == 0.0:
         return 1.0, 1
-    total = 1.0
-    ends = _terminates(a, b)
-    size = 1.0  # sum of |terms|, tracked for terminating series
-    term = 1.0
-    n = 0
-    chunk = 64
+    n_burn = int(max(abs(a), abs(b), abs(c), 1.0)) + 2
+    if n_burn + _LOG_SHORT_TOL / math.log(x) < _SHORT_TERMS:
+        done, total, term, size, n = _sum_terms(a, b, c, x, n_burn)
+        if done:
+            return total, n
+        return _sum_chunks(a, b, c, x, rel_tol, n_burn, total, term, size, n)
+    return _sum_chunks(a, b, c, x, rel_tol, n_burn)
+
+
+def _sum_terms(a: float, b: float, c: float, x: float, n_burn: int):
+    """Up to _SHORT_TERMS terms, one at a time: (done, total, term, size, n).
+
+    done is True once the tail bound is at most _SHORT_TOL * |total|, and
+    total is then the correctly rounded sum (math.fsum) of t_0 .. t_n;
+    else total, the last term t_n, sum|t| and n are where `_sum_chunks`
+    goes on (term is 0.0 if the series terminated).
+    """
     u = max(a, b)
     v = min(c, 1.0)
-    n_burn = int(max(abs(a), abs(b), abs(c), 1.0)) + 2
+    # |term| * near <= |total| + 1e-12 is necessary for the tail test
+    # (q >= x), and cheaper
+    near = x / ((1.0 - x) * _SHORT_TOL)
+    total = term = 1.0
+    terms = [1.0]
+    m = 0.0
+    while m < _SHORT_TERMS:
+        # grouped (.. + a) * (.. + b) first so that swapping a and b
+        # reproduces the result bit for bit
+        term *= (m + a) * (m + b) / ((m + c) * (m + 1.0)) * x
+        m += 1.0
+        total += term
+        terms.append(term)
+        if term == 0.0:
+            break
+        if abs(term) * near <= abs(total) + 1e-12 and m >= n_burn:
+            growth = (m + u) / (m + v)
+            q = x * growth * growth if growth > 1.0 else x
+            if q < 1.0 and abs(term) * q <= (1.0 - q) * _SHORT_TOL * max(abs(total), 1e-12):
+                return True, math.fsum(terms), term, None, int(m)
+    return False, math.fsum(terms), term, math.fsum(map(abs, terms)), int(m)
 
-    while n < _TERM_CAP:
+
+def _sum_chunks(a: float, b: float, c: float, x: float, rel_tol: float,
+                n_burn: int, total: float = 1.0, term: float = 1.0,
+                size: float = 1.0, n: int = 0):
+    """Sum on from term t_n in numpy chunks; returns (value, terms_used).
+
+    total and size are the sum and sum|t| of t_0 .. t_n.  Also settles a
+    series that has terminated (term == 0.0), with its cancellation check.
+    """
+    ends = _terminates(a, b)
+    u = max(a, b)
+    v = min(c, 1.0)
+    chunk = 64
+    while term != 0.0 and n < _TERM_CAP:
         k = min(chunk, _TERM_CAP - n)
         chunk = min(2 * chunk, _CHUNK)
         idx = n + np.arange(k, dtype=float)
-        # grouped (.. + a) * (.. + b) first so that swapping a and b
-        # reproduces the result bit for bit
         ratios = (idx + a) * (idx + b) / ((idx + c) * (idx + 1.0)) * x
         terms = term * np.cumprod(ratios)
         total += float(terms.sum())
@@ -177,15 +239,7 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
             size += float(np.abs(terms).sum())
         term = float(terms[-1])
         n += k
-        if term == 0.0:
-            # a Pochhammer factor hit zero: the series terminates here
-            if ends and size * _EPS > rel_tol * abs(total):
-                raise ConvergenceError(
-                    f"terminating hypergeometric series cancels (a={a}, b={b}, "
-                    f"c={c}, x={x})", partial=total, error_estimate=size * _EPS,
-                    iterations=n)
-            return total, n
-        if n < n_burn:
+        if term == 0.0 or n < n_burn:
             continue
         growth = (n + u) / (n + v)
         q = x * growth * growth if growth > 1.0 else x
@@ -193,6 +247,15 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
             tail = abs(term) * q / (1.0 - q)
             if tail <= rel_tol * max(abs(total), 1e-12):
                 return total, n
+
+    if term == 0.0:
+        # a Pochhammer factor hit zero: the series terminates here
+        if ends and size * _EPS > rel_tol * abs(total):
+            raise ConvergenceError(
+                f"terminating hypergeometric series cancels (a={a}, b={b}, "
+                f"c={c}, x={x})", partial=total, error_estimate=size * _EPS,
+                iterations=n)
+        return total, n
 
     tail = abs(term) * x / max(1.0 - x, 1e-300)
     raise ConvergenceError(
@@ -205,7 +268,7 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
 
 
 def _terminates(a: float, b: float) -> bool:
-    return any(v <= 0.0 and v == int(v) for v in (a, b))
+    return (a <= 0.0 and a == int(a)) or (b <= 0.0 and b == int(b))
 
 
 def _one_minus(x: float, one_minus_x) -> float:
@@ -272,11 +335,13 @@ def hyp2f1_detailed(params, x: float, *,
     ConvergenceError is raised.
 
     For 0.5 < x < 1 the connection formula in y = 1 - x (DLMF 15.8.4) is
-    used, transform "connection": two series in y that need tens to a few
-    hundred terms even at x = 1 - 1e-8.  It is skipped for a terminating
-    series, for integer c - a - b (the logarithmic case) and whenever
-    cancellation between its two terms would exceed 1e-13; those calls,
-    and all x <= 0.5, take the series route below.
+    used, transform "connection": two series in y that converge like y^n,
+    so they need a few terms each near x = 1 (3 at x = 1 - 1e-5 for
+    moderate a, b, c) and at most a few hundred near x = 1/2.  It is
+    skipped for a terminating series, for integer c - a - b (the
+    logarithmic case) and whenever cancellation between its two terms
+    would exceed 1e-13; those calls, and all x <= 0.5, take the series
+    route below.
 
     The Euler transform F(a,b;c;x) = (1-x)^(c-a-b) F(c-a, c-b; c; x) is
     applied whenever (c-a) + (c-b) < a + b, i.e. whenever the transformed

@@ -5,16 +5,23 @@ also used directly as an independent high-precision oracle where noted.
 """
 
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+import alphaharmonic.specfun as specfun_module
 from alphaharmonic import (ConvergenceError, DomainError, beta, binom_general,
                            c_alpha, euler_transform_eval, gamma, hyp2f1,
                            hyp2f1_at_one, hyp2f1_detailed, m_bound, pochhammer,
                            quadratic_transform_eval)
-from alphaharmonic.specfun import alpha_value
+from alphaharmonic.bounds import _m_series
+from alphaharmonic.kernel import _mode_seed
+from alphaharmonic.specfun import (_EPS, _series_sum, _sum_chunks, _sum_terms,
+                                   alpha_value)
 
 mp.mp.dps = 30
 
@@ -458,6 +465,124 @@ class TestTerminatingCancellation:
             d = (1.0 - r) * (1.0 + r) / s
             with pytest.raises(ConvergenceError, match="cancels"):
                 hyp2f1((0.5, 0.5 - 41.0 / 2.0, 1.5), 4.0 * r * r / (s * s), one_minus_x=d * d)
+
+
+def _sweep_values(family, u, x):
+    """[(value, mpmath value)] for one draw of a family of series callers;
+    u holds three uniforms in [0, 1] that set its parameters."""
+    y = 1.0 - x
+    xm = mp.mpf(x)
+    if family == "schwarz":  # SCHWARZ_2F1, SP_2F1, L1_MEAN
+        a = -(-0.99 + 10.99 * u[0]) / 2.0
+        return [(hyp2f1((a, a, 1.0), x), mp.hyp2f1(a, a, 1, xm))]
+    if family == "m":  # M for alpha <= 1
+        b = 0.5 - (-0.99 + 1.99 * u[0]) / 2.0
+        return [(hyp2f1((0.5, b, 1.5), x), mp.hyp2f1(0.5, b, 1.5, xm))]
+    if family == "m_series":  # M for alpha > 1
+        alpha = 1.0 + 59.0 * u[0]
+        want = mp.hyp2f1(0.5, (1 - mp.mpf(alpha)) / 2, 1.5, xm)
+        return [(_m_series(alpha, x, y), want)]
+    if family == "mode_seed":  # the spectral solver's seed A_k
+        a = -0.95 + 20.95 * u[0]
+        k = 1 + int(31 * u[1])
+        scale_k = math.exp(math.lgamma(a + 1.0 + k) - math.lgamma(a + 1.0)
+                           - math.lgamma(k + 1.0))
+        want = scale_k * mp.hyp2f1(-a, k, k + 1, xm)
+        return [(_mode_seed(a, k, x, y, scale_k), want)]
+    if family == "euler":  # verify's EULER_TRANSFORM draws
+        a, b, c = -2.0 + 4.0 * u[0], -2.0 + 4.0 * u[1], 0.3 + 2.7 * u[2]
+        want = mp.hyp2f1(a, b, c, xm)
+        return [(hyp2f1((a, b, c), x), want), (euler_transform_eval((a, b, c), x), want)]
+    a, c = -1.5 + 3.0 * u[0], 0.4 + 2.6 * u[1]  # QUADRATIC_TRANSFORM draws
+    want = mp.hyp2f1(a, a + 0.5, c, xm)
+    return [(hyp2f1((a, a + 0.5, c), x), want), (quadratic_transform_eval(a, c, x), want)]
+
+
+SWEEP_FAMILIES = ("schwarz", "m", "m_series", "mode_seed", "euler", "quadratic")
+
+
+class TestShortRoute:
+    """Series predicted short are summed term by term (`_sum_terms`), the
+    rest in numpy chunks (`_sum_chunks`).  The chunked route, which sums
+    any series to machine precision, is the reference for the short one."""
+
+    def test_sweep_no_worse_than_chunked_route(self):
+        # x across the 0.5 switch to the connection formula and the 1 - x
+        # its series are summed in; every value is also computed with the
+        # short route switched off, which is the chunked route alone
+        worst = {"short": 0.0, "chunked": 0.0}
+
+        @seed(20261018)
+        @settings(max_examples=400, deadline=None, database=None)
+        @given(family=st.sampled_from(SWEEP_FAMILIES),
+               u=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+               near_one=st.booleans(), v=st.floats(0.0, 1.0))
+        def sweep(family, u, near_one, v):
+            x = 1.0 - 10.0 ** (-8.0 + v * (8.0 + math.log10(0.5))) if near_one else 0.6 * v
+            try:
+                short = _sweep_values(family, u, x)
+            except ConvergenceError:
+                short = None
+            with mock.patch.object(specfun_module, "_SHORT_TERMS", 0):
+                try:
+                    chunked = _sweep_values(family, u, x)
+                except ConvergenceError:
+                    chunked = None
+            assert (short is None) == (chunked is None), (family, u, x)
+            for route, values in (("short", short), ("chunked", chunked)):
+                for got, want in values or ():
+                    err = float(abs(got - want) / max(abs(want), mp.mpf(1e-300)))
+                    worst[route] = max(worst[route], err)
+
+        sweep()
+        assert 0.0 < worst["short"] <= worst["chunked"]
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(a=st.floats(1e-3, 30.0), b=st.floats(1e-3, 30.0), c=st.floats(0.05, 30.0),
+           x=st.floats(1e-12, 0.6))
+    def test_routes_agree_to_a_few_ulps(self, a, b, c, x):
+        # positive terms, so a few ulps of the sum bound both roundings
+        n_burn = int(max(a, b, c, 1.0)) + 2
+        done, short, term, _, n = _sum_terms(a, b, c, x, n_burn)
+        chunked, _ = _sum_chunks(a, b, c, x, _EPS, n_burn)
+        if done or term == 0.0:  # a term that underflows ends the series
+            assert abs(short - chunked) <= 4.0 * _EPS * chunked
+        else:
+            assert n == specfun_module._SHORT_TERMS
+
+    def test_connection_terms_at_gauss_summation_argument(self):
+        # two series in y = 1e-5: 128 terms when every sum began with a
+        # 64-term chunk
+        res = hyp2f1_detailed((0.3, 0.7, 1.4), 1.0 - 1e-5)
+        assert res.transform == "connection"
+        assert res.terms_used <= 8
+        want = mp.hyp2f1(0.3, 0.7, 1.4, 1 - mp.mpf(1e-5))
+        assert rel_err(res.value, float(want)) < 1e-13
+
+    def test_terminating_series_stops_at_its_last_term(self):
+        res = hyp2f1_detailed((-2.0, 0.7, 1.9), 0.3)
+        assert (res.transform, res.terms_used) == ("none", 3)
+        assert rel_err(res.value, float(mp.hyp2f1(-2, 0.7, 1.9, 0.3))) < 4 * _EPS
+
+    def test_misprediction_passes_to_chunks(self):
+        # predicted 43 terms, but terms grow like n^(a+b-c-1) first: the
+        # 48 short terms are followed by one 64-term chunk
+        a, b, c, x = 8.5, 5.0, 1.35, 0.32
+        n_burn = int(max(a, b, c, 1.0)) + 2
+        assert n_burn + specfun_module._LOG_SHORT_TOL / math.log(x) < specfun_module._SHORT_TERMS
+        value, terms = _series_sum(a, b, c, x)
+        assert terms == specfun_module._SHORT_TERMS + 64
+        assert rel_err(value, float(mp.hyp2f1(a, b, c, x))) < 1e-13
+
+    @pytest.mark.parametrize("params, x, value, terms", [
+        ((0.25, 0.75, 1.5), 0.5, 1.082392200292394, 64),
+        ((-0.5, -0.5, 1.0), 0.999 ** 2, 1.2726042763383305, 8128),
+    ])
+    def test_long_series_unchanged(self, params, x, value, terms):
+        # predicted long: summed in chunks exactly as before the short route
+        res = hyp2f1_detailed(params, x)
+        assert (res.value, res.terms_used, res.transform) == (value, terms, "none")
 
 
 class TestGaussSummation:

@@ -10,8 +10,9 @@ from alphaharmonic import (BoundaryData, DomainError, TrialSpec,
                            check_identities, check_proof_machinery,
                            check_schwarz, check_schwarz_pick, figure1_data,
                            random_boundary, run_suite, thm_a_constant)
-from alphaharmonic.verify import (default_figure_alphas, inconclusive_rate,
-                                  total_violations)
+from alphaharmonic.quadrature import cos_power_integral
+from alphaharmonic.verify import (_gauss_legendre_quarter, default_figure_alphas,
+                                  inconclusive_rate, total_violations)
 
 
 class TestRandomBoundary:
@@ -145,6 +146,14 @@ class TestSuiteReports:
             reports = {t.theorem_id: t for t in check_proof_machinery(spec)}
             assert reports["POCHHAMMER_RATIO_SEQUENCE"].worst_margin == want
 
+    def test_wallis_margins_per_power(self):
+        # one numpy pass per power, as the suite did before its power table
+        theta, w = _gauss_legendre_quarter()
+        want = min(1e-12 - abs(cos_power_integral(n) - float(np.sum(w * np.cos(theta) ** n)))
+                   for n in range(41))
+        reports = {t.theorem_id: t for t in check_identities(TrialSpec(seed=0, n_trials=1))}
+        assert reports["COSINE_POWER_WALLIS"].worst_margin == want
+
     def test_informational_flag_only_on_m1(self):
         reports = check_schwarz(TrialSpec(seed=0, n_trials=10))
         info = [r.theorem_id for r in reports if r.informational]
@@ -203,7 +212,34 @@ class TestLargeAlpha:
         reports = self.run("machinery")
         assert reports["MOEBIUS_CONTRACTION"].n_checked == 0  # alpha >= 0
         assert reports["RATE_FUNCTION"].n_violations == 0
-        assert reports["POCHHAMMER_RATIO_SEQUENCE"].n_checked == 1
+        pochhammer = reports["POCHHAMMER_RATIO_SEQUENCE"]
+        assert (pochhammer.n_checked, pochhammer.n_violations) == (1, 0)
+
+    @pytest.mark.parametrize("alpha", [50.0, 100.0])
+    def test_pochhammer_steps_grow_with_alpha(self, alpha):
+        # the gap to 2^(alpha/2) after n steps is about alpha^2 / (16 n):
+        # 10,000 steps would leave 1.6e-2 at alpha = 50, above the 1e-2 gate
+        spec = TrialSpec(alpha_set=(alpha,), radius_set=(0.9,))
+        reports = {t.theorem_id: t for t in check_proof_machinery(spec)}
+        pochhammer = reports["POCHHAMMER_RATIO_SEQUENCE"]
+        assert (pochhammer.n_checked, pochhammer.n_violations) == (1, 0)
+        # one cumprod over every step, against the chunks that carry q on
+        n_steps = 10_000 * math.ceil(alpha * alpha / 160.0)
+        n = np.arange(n_steps, dtype=float)
+        ratios = ((0.5 + alpha / 4.0 + n) * (1.0 + alpha / 4.0 + n)
+                  / ((0.5 + n) * (1.0 + alpha / 2.0 + n)))
+        q = np.concatenate(([1.0], np.cumprod(ratios)))
+        limit = 2.0 ** (alpha / 2.0)
+        want = min(float(np.min(np.diff(q))), 1e-2 - abs(q[-1] - limit) / limit)
+        assert abs(pochhammer.worst_margin - want) <= 1e-12
+        assert want > 8e-3
+
+    def test_pochhammer_limit_beyond_float_range(self):
+        # 2^(alpha/2) overflows: inconclusive, not an OverflowError
+        spec = TrialSpec(alpha_set=(3000.0,), radius_set=(0.9,))
+        reports = {t.theorem_id: t for t in check_proof_machinery(spec)}
+        pochhammer = reports["POCHHAMMER_RATIO_SEQUENCE"]
+        assert (pochhammer.n_checked, pochhammer.n_inconclusive) == (0, 1)
 
 
 class TestFigureData:

@@ -14,7 +14,6 @@ from .quadrature import (QuadratureConfig, QuadratureResult,
                          modulus_power_integral, ratio_integral_series)
 from .kernel import (BoundaryData, DerivativePair,
                      alpha_laplacian_residual, derivative_pair,
-                     derivative_quadrature, dirichlet_quadrature,
                      kernel_derivatives, poisson_kernel, real_kernel,
                      solve_dirichlet)
 from .bounds import (BOUND_IDS, BoundReport, colonna_bound, evaluate_bound,

@@ -29,12 +29,9 @@ F(-alpha, k; k+1; x) is an alternating polynomial).  Their derivatives
 need no second family: x F_k' = k((1-x)^alpha - F_k), and by the same
 recurrence A_k' = k(((alpha+1)_k / k!) (1-x)^alpha - A_{k+1}).
 
-The quadrature route (`dirichlet_quadrature`, `derivative_quadrature`)
-integrates the kernel and its Wirtinger derivatives by node doubling; it
-is kept as the independent cross-check that `verify` compares against.
-Both are views of one private pass, `_kernel_pass`, which builds the
-kernel and the boundary values once per level for every row it
-integrates.
+The kernel integral itself is evaluated only inside `verify`, whose
+DIRICHLET_SPECTRAL check integrates the rows of `_kernel_rows` by
+quadrature as the independent route beside the mode sums.
 """
 
 from __future__ import annotations
@@ -47,8 +44,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, QuadratureResult,
-                         _node_level, integrate_periodic)
 from .specfun import _series_sum, alpha_value, c_alpha
 
 _EPS = float(np.finfo(float).eps)
@@ -64,10 +59,8 @@ __all__ = [
     "disk_point_value",
     "poisson_kernel",
     "real_kernel",
-    "dirichlet_quadrature",
     "solve_dirichlet",
     "kernel_derivatives",
-    "derivative_quadrature",
     "derivative_pair",
     "alpha_laplacian_residual",
 ]
@@ -230,65 +223,19 @@ def real_kernel(alpha, z) -> float:
     return c_alpha(a) * one_minus_r2 ** (a + 1.0) / abs(1.0 - zc) ** (a + 2.0)
 
 
-def _kernel_rows(a: float, zc: complex, theta: np.ndarray, rows) -> tuple:
-    """The rows picked by index from (P, dP/dz, dP/dzbar) at
-    xi = z e^{-i theta}, all from one evaluation of the kernel."""
+def _kernel_rows(a: float, zc: complex, theta: np.ndarray) -> tuple:
+    """(P, dP/dz, dP/dzbar) at xi = z e^{-i theta}, all from one
+    evaluation of the kernel."""
     one_minus_r2 = 1.0 - (zc.real * zc.real + zc.imag * zc.imag)
     emith = np.exp(-1j * theta)
     xi = zc * emith
     one_minus_xi = 1.0 - xi
     kern = one_minus_r2 ** (a + 1.0) / (one_minus_xi * (1.0 - np.conj(xi)) ** (a + 1.0))
-    if rows == (0,):
-        return (kern,)
     # conj(q) = e^{i theta} / (1 - xibar), the d/dzbar factor
     q = emith / one_minus_xi
     d_z = kern * (q - (a + 1.0) * zc.conjugate() / one_minus_r2)
     d_zbar = (a + 1.0) * kern * (np.conj(q) - zc / one_minus_r2)
-    return tuple((kern, d_z, d_zbar)[i] for i in rows)
-
-
-def _kernel_pass(alpha, fstar: BoundaryData, z, rows,
-                 config: QuadratureConfig | None) -> list[QuadratureResult]:
-    """Raw quadrature results for the circle means of K_i * fstar, K_i the
-    `_kernel_rows` picked by ``rows``, in one node-doubling pass.
-
-    Each level builds the kernel, e^{-i theta} and fstar's values (one
-    inverse FFT) once for all rows.  Each row's abs_tol is raised to the
-    summation roundoff 32 eps sup|K_i| sup|fstar| of its integrand, so
-    near-zero means (cancelling integrands) still converge instead of
-    chasing noise; the row is integrated scaled by abs_tol / floor_i, which
-    makes the pass's one abs_tol that floor for it.  All rows share the
-    node count; non-finite values raise IntegrandError, and numpy's
-    floating-point warnings are silenced inside the pass.
-    """
-    a = alpha_value(alpha)
-    zc = disk_point_value(z)
-    cfg = config or DEFAULT_CONFIG
-    r = abs(zc)
-    # (1-r^2)^(a+1) / (1-r)^(a+2), in a form that cannot underflow to 0/0
-    sups = ((1.0 + r) ** (a + 1.0) / (1.0 - r),) + _derivative_kernel_sups(a, zc)
-    scale = [cfg.abs_tol / max(cfg.abs_tol, 32.0 * _EPS * (sups[i] * fstar.sup_norm))
-             for i in rows]
-    weights = np.array(scale)[:, None]
-
-    def integrand(theta):
-        fvals = fstar._on_grid(*_node_level(theta))
-        return np.stack(_kernel_rows(a, zc, theta, rows)) * (weights * fvals)
-
-    with np.errstate(all="ignore"):
-        res = integrate_periodic(integrand, cfg)
-    return [QuadratureResult(v / s, e / s, res.nodes_used, res.converged)
-            for v, e, s in zip(res.value, res.error_estimate, scale)]
-
-
-def dirichlet_quadrature(alpha, fstar: BoundaryData, z,
-                         config: QuadratureConfig | None = None):
-    """Raw quadrature result for the extension at z, with diagnostics.
-
-    The independent route beside `solve_dirichlet`: the kernel integral
-    itself, by node doubling (the value row of `_kernel_pass`).
-    """
-    return _kernel_pass(alpha, fstar, z, (0,), config)[0]
+    return kern, d_z, d_zbar
 
 
 def kernel_derivatives(alpha, z, theta):
@@ -304,34 +251,9 @@ def kernel_derivatives(alpha, z, theta):
     zc = disk_point_value(z)
     th = np.asarray(theta, dtype=float)
     scalar = th.ndim == 0
-    d_z, d_zbar = _kernel_rows(a, zc, np.atleast_1d(th), (1, 2))
+    _, d_z, d_zbar = _kernel_rows(a, zc, np.atleast_1d(th))
     if scalar:
         return complex(d_z[0]), complex(d_zbar[0])
-    return d_z, d_zbar
-
-
-def _derivative_kernel_sups(a: float, zc: complex) -> tuple[float, float]:
-    """Sup bounds over theta of the two kernel-derivative moduli."""
-    r = abs(zc)
-    one_minus_r2 = 1.0 - r * r
-    base = (1.0 + r) ** a / ((1.0 - r) * (1.0 - r))  # (1-r^2)^a / (1-r)^(a+2)
-    sup_dzbar = (1.0 + a) * base
-    sup_dz = base * ((1.0 + a) * (r * r + r) + one_minus_r2) / (1.0 - r)
-    return sup_dz, sup_dzbar
-
-
-def derivative_quadrature(alpha, fstar: BoundaryData, z,
-                          config: QuadratureConfig | None = None):
-    """Raw quadrature results (d/dz, d/dzbar) for the Wirtinger derivatives
-    of the extension at z, by differentiating under the integral sign.
-
-    The independent route beside `derivative_pair`: the two derivative
-    rows of `_kernel_pass`, integrated together.  Each absolute tolerance
-    is floored at the roundoff level of its integrand's sup bound, so
-    exactly-vanishing derivatives (for example constant boundary data)
-    converge instead of chasing noise.
-    """
-    d_z, d_zbar = _kernel_pass(alpha, fstar, z, (1, 2), config)
     return d_z, d_zbar
 
 

@@ -63,11 +63,12 @@ class QuadratureResult:
     converged: bool
 
     def unwrap(self, what: str):
-        """The value if converged, else ConvergenceError naming ``what``."""
+        """The value if converged, else ConvergenceError naming ``what``
+        (a stacked result's message gives its largest row error)."""
         if not self.converged:
             raise ConvergenceError(
                 f"{what} did not converge "
-                f"(nodes={self.nodes_used}, err={self.error_estimate:.3e})",
+                f"(nodes={self.nodes_used}, err={np.max(self.error_estimate):.3e})",
                 partial=self.value,
                 error_estimate=self.error_estimate,
                 iterations=self.nodes_used,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .errors import ConvergenceError, DomainError, IntegrandError
-from .kernel import (BoundaryData, _kernel_pass, derivative_pair,
+from .kernel import (BoundaryData, _kernel_rows, derivative_pair,
                      solve_dirichlet)
 from .quadrature import (QuadratureConfig, _node_level, cos_power_integral,
                          integrate_periodic, modulus_power_integral,
@@ -69,8 +69,11 @@ _POCHHAMMER_GAP = 1e-3
 
 # DIRICHLET_SPECTRAL's kernel integrals are analytic, so the trapezoid error
 # falls geometrically and two levels agree only once both are resolved;
-# starting at 64 nodes lets the small radii stop at 128 or 256 nodes.
-_KERNEL_QUADRATURE = QuadratureConfig(n_initial=64)
+# starting at 64 nodes lets the small radii stop at 128 or 256 nodes.  The
+# abs_tol is a hundredth of the check's 1e-9, so a row converges only when
+# it can decide the check; where float64 roundoff in the kernel exceeds that
+# (large alpha near the boundary) the trial is inconclusive.
+_KERNEL_QUADRATURE = QuadratureConfig(n_initial=64, abs_tol=1e-11)
 
 
 @dataclass(frozen=True)
@@ -187,6 +190,24 @@ def thm_a_constant(fstar: BoundaryData) -> float:
     return min(float(mean) / fstar.sup_norm, 1.0)
 
 
+def _kernel_integrals(alpha: float, fstar: BoundaryData, z: complex) -> tuple:
+    """(f, f_z, f_zbar) at z as the circle means of the kernel rows
+    (P, dP/dz, dP/dzbar) times fstar, by one node-doubling quadrature.
+
+    Each level builds the kernel and fstar's values (one inverse FFT) once
+    for all three rows.  Raises ConvergenceError when a row misses
+    `_KERNEL_QUADRATURE`, and IntegrandError when the kernel leaves the
+    float range (alpha in the hundreds); numpy's floating-point warnings
+    are silenced.
+    """
+    def integrand(theta):
+        return np.stack(_kernel_rows(alpha, z, theta)) * fstar._on_grid(*_node_level(theta))
+
+    with np.errstate(all="ignore"):
+        res = integrate_periodic(integrand, _KERNEL_QUADRATURE)
+    return res.unwrap("kernel quadrature")
+
+
 def _draw_boundary_trial(rng: np.random.Generator, spec: TrialSpec):
     degree = int(rng.integers(0, spec.max_degree + 1))
     target = float(rng.uniform(0.2, 1.0))
@@ -272,8 +293,14 @@ def _pochhammer_ratio_sequence(alpha: float, n: np.ndarray,
 
 
 def _rate_function(alpha: float, r: float) -> float:
+    """2r(1+alpha)(1+alpha r^2) / ((1+alpha r^2)^2 + (1+alpha)^2 r^2), or NaN
+    once a square leaves the float range (alpha above about 1e154); the
+    denominator is at least the numerator, so an overflowing numerator gives inf/inf."""
     num = 2.0 * r * (1.0 + alpha) * (1.0 + alpha * r * r)
-    den = (1.0 + alpha * r * r) ** 2 + (1.0 + alpha) ** 2 * r * r
+    try:
+        den = (1.0 + alpha * r * r) ** 2 + (1.0 + alpha) ** 2 * r * r
+    except OverflowError:
+        return math.nan
     return num / den
 
 
@@ -314,21 +341,17 @@ def check_proof_machinery(spec: TrialSpec) -> list[TrialReport]:
         ctx = f"alpha={alpha:.3g} n={n_steps}"
         t_q.add(min(mono, 1e-2 - rel_gap), i, ctx)
 
-    i = 0
-    for alpha in spec.alpha_set:
-        if alpha < 0.0:
-            continue
-        for r in spec.radius_set:
-            if r == 0.0:
-                continue
-            ctx = f"alpha={alpha:.3g} r={r:.3g}"
-            t_r.add(_rate_function(alpha, r) - _rate_function(0.0, r), i, ctx)
-            i += 1
-    for r in spec.radius_set:
-        if r == 0.0:
-            continue
-        t_r.add(1e-12 - abs(_rate_function(1.0 / r, r) - 1.0), i, f"alpha=1/r r={r:.3g}")
-        i += 1
+    rate_checks = [(_rate_function(alpha, r) - _rate_function(0.0, r),
+                    f"alpha={alpha:.3g} r={r:.3g}")
+                   for alpha in spec.alpha_set if alpha >= 0.0
+                   for r in spec.radius_set if r != 0.0]
+    rate_checks += [(1e-12 - abs(_rate_function(1.0 / r, r) - 1.0), f"alpha=1/r r={r:.3g}")
+                    for r in spec.radius_set if r != 0.0]
+    for i, (margin, ctx) in enumerate(rate_checks):
+        if math.isnan(margin):  # a square in the rate function left the float range
+            t_r.add_inconclusive()
+        else:
+            t_r.add(margin, i, ctx)
 
     negative = [alpha for alpha in spec.alpha_set if alpha < 0.0]
     sups = []  # per radius: the max over theta for every negative alpha
@@ -372,12 +395,13 @@ def check_identities(spec: TrialSpec) -> list[TrialReport]:
     """Quadrature-versus-closed-form and transform identity suites.
 
     DIRICHLET_SPECTRAL compares the solver (`solve_dirichlet`,
-    `derivative_pair`) with the quadrature route on data drawn as in the
-    Schwarz suites: one kernel pass integrates the value and both
-    Wirtinger derivatives together (the rows of `dirichlet_quadrature` and
-    `derivative_quadrature`).  A pass that does not converge or meets a
-    non-finite integrand (alpha in the hundreds) leaves its trial
-    inconclusive.
+    `derivative_pair`) with the kernel integrals on data drawn as in the
+    Schwarz suites: one quadrature (`_kernel_integrals`) integrates the
+    value and both Wirtinger derivatives together, each row to an absolute
+    1e-11, a hundredth of the check's tolerance.  A quadrature that does
+    not converge, as where float64 cannot resolve the kernel (alpha 20 and
+    up near r = 0.9), or that meets a non-finite integrand (alpha in the
+    hundreds) leaves its trial inconclusive rather than violated.
     """
     rng = np.random.default_rng(spec.seed)
     t_cos = _Tracker("COSINE_MEAN_SERIES", spec.slack)
@@ -483,9 +507,7 @@ def check_identities(spec: TrialSpec) -> list[TrialReport]:
         try:
             pair = derivative_pair(alpha, fstar, z)
             spectral = (solve_dirichlet(alpha, fstar, z), pair.d_z, pair.d_zbar)
-            q_f, q_dz, q_dzbar = _kernel_pass(alpha, fstar, z, (0, 1, 2), _KERNEL_QUADRATURE)
-            quad = (q_f.unwrap("Dirichlet quadrature"),
-                    q_dz.unwrap("d/dz quadrature"), q_dzbar.unwrap("d/dzbar quadrature"))
+            quad = _kernel_integrals(alpha, fstar, z)
         except (ConvergenceError, IntegrandError):
             t_dsp.add_inconclusive()
             continue

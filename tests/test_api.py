@@ -21,8 +21,8 @@ EXPORTS = frozenset({
     "TrialReport", "TrialSpec", "alpha_laplacian_residual", "beta",
     "binom_general", "c_alpha", "check_identities", "check_proof_machinery",
     "check_schwarz", "check_schwarz_pick", "colonna_bound",
-    "cos_power_integral", "derivative_pair", "derivative_quadrature",
-    "dirichlet_quadrature", "euler_transform_eval", "evaluate_bound",
+    "cos_power_integral", "derivative_pair",
+    "euler_transform_eval", "evaluate_bound",
     "figure1_data", "gamma", "hyp2f1", "hyp2f1_at_one", "hyp2f1_detailed",
     "integrate_periodic", "kernel_derivatives", "l1_mean_kernel",
     "lc_schwarz_pick_bound", "m1_bound", "m2_bound", "m_bound",
@@ -65,8 +65,6 @@ SIGNATURES = {
     "cos_power_integral": ("n",),
     "default_figure_alphas": (),
     "derivative_pair": ("alpha", "fstar", "z"),
-    "derivative_quadrature": ("alpha", "fstar", "z", "config=None"),
-    "dirichlet_quadrature": ("alpha", "fstar", "z", "config=None"),
     "disk_point_value": ("z",),
     "euler_transform_eval": ("params", "x"),
     "evaluate_bound": ("bound_id", "r", "alpha", "c=None"),

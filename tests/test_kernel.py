@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 import alphaharmonic.kernel as kernel_module
 import alphaharmonic.quadrature as quadrature_module
 from alphaharmonic import (BoundaryData, ConvergenceError, DerivativePair,
-                           DomainError, IntegrandError, QuadratureConfig,
+                           DomainError, QuadratureConfig,
                            alpha_laplacian_residual, c_alpha, derivative_pair,
-                           derivative_quadrature, dirichlet_quadrature,
-                           kernel_derivatives, poisson_kernel, random_boundary,
-                           real_kernel, solve_dirichlet)
-from alphaharmonic.kernel import _kernel_pass, disk_point_value
+                           integrate_periodic, kernel_derivatives,
+                           poisson_kernel, random_boundary, real_kernel,
+                           solve_dirichlet)
+from alphaharmonic.kernel import _kernel_rows, disk_point_value
 
 TIGHT = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
 
@@ -225,12 +225,6 @@ class TestSolver:
         assert abs(solve_dirichlet(a, both, z)
                    - solve_dirichlet(a, f1, z) - solve_dirichlet(a, f2, z)) < 1e-10
 
-    def test_propagates_non_convergence(self):
-        cfg = QuadratureConfig(n_initial=4, n_max=8, rel_tol=1e-15, abs_tol=1e-16)
-        fstar = random_boundary(3, 8, 1.0)
-        with pytest.raises(ConvergenceError):
-            dirichlet_quadrature(2.0, fstar, 0.9, cfg).unwrap("Dirichlet quadrature")
-
 
 def _mp_extension(alpha, coefficients, z):
     """(f, f_z, f_zbar) of the extension at the float z, by mpmath.
@@ -315,91 +309,13 @@ class TestSpectralRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("the production route must not integrate")
 
-        monkeypatch.setattr(kernel_module, "integrate_periodic", refuse)
+        assert not hasattr(kernel_module, "integrate_periodic")
         monkeypatch.setattr(quadrature_module, "integrate_periodic", refuse)
         fstar = random_boundary(8, 6, 1.0)
         z = 0.6 - 0.5j
         assert isinstance(solve_dirichlet(1.5, fstar, z), complex)
         assert isinstance(derivative_pair(1.5, fstar, z), DerivativePair)
         assert alpha_laplacian_residual(1.5, fstar, z, 1e-3) >= 0.0
-        with pytest.raises(AssertionError):
-            dirichlet_quadrature(1.5, fstar, z)
-
-
-class TestQuadratureSupBounds:
-    def test_large_alpha_near_boundary_reports_non_finite_integrand(self):
-        # (1 - r^2)^(alpha + 1) / (1 - r)^(alpha + 2) would underflow to 0/0;
-        # the sup bound is formed as (1 + r)^(alpha + 1) / (1 - r) instead
-        eik = BoundaryData([0.0, 0.0, 1.0])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            with pytest.raises(IntegrandError):
-                dirichlet_quadrature(400.0, eik, 0.9)
-            with pytest.raises(IntegrandError):
-                derivative_quadrature(400.0, eik, 0.9)
-
-    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5, 20.0])
-    @pytest.mark.parametrize("r", [0.0, 0.3, 0.9, 0.999])
-    def test_equal_the_original_forms(self, alpha, r):
-        one_minus_r2 = 1.0 - r * r
-        want = one_minus_r2 ** (alpha + 1.0) / (1.0 - r) ** (alpha + 2.0)
-        got = (1.0 + r) ** (alpha + 1.0) / (1.0 - r)
-        assert got == pytest.approx(want, rel=1e-11)
-        base = one_minus_r2 ** alpha / (1.0 - r) ** (alpha + 2.0)
-        sup_dz, sup_dzbar = kernel_module._derivative_kernel_sups(alpha, complex(r))
-        assert sup_dzbar == pytest.approx((1.0 + alpha) * base, rel=1e-11)
-        assert sup_dz == pytest.approx(
-            base * ((1.0 + alpha) * (r * r + r) + one_minus_r2) / (1.0 - r), rel=1e-11)
-
-
-class TestDerivativeQuadrature:
-    def test_matches_derivative_pair(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            fstar = random_boundary(int(rng.integers(0, 2 ** 62)),
-                                    int(rng.integers(0, 9)), 1.0)
-            a = float(rng.choice([-0.9, 0.0, 1.0, 3.5]))
-            z = float(rng.uniform(0.0, 0.85)) * cmath.exp(1j * rng.uniform(0.0, 6.0))
-            q_dz, q_dzbar = derivative_quadrature(a, fstar, z, TIGHT)
-            pair = derivative_pair(a, fstar, z)
-            assert abs(q_dz.unwrap("d/dz") - pair.d_z) < 1e-10
-            assert abs(q_dzbar.unwrap("d/dzbar") - pair.d_zbar) < 1e-10
-
-
-class TestKernelPass:
-    @pytest.mark.parametrize("config", [None, QuadratureConfig(n_initial=64), TIGHT])
-    def test_rows_match_the_public_quadratures(self, config):
-        rng = np.random.default_rng(47)
-        for _ in range(25):
-            fstar = random_boundary(int(rng.integers(0, 2 ** 62)),
-                                    int(rng.integers(0, 9)), float(rng.uniform(0.2, 1.0)))
-            a = float(rng.choice([-0.9, -0.1, 0.0, 1.0, 3.5, 5.0]))
-            z = float(rng.choice([0.1, 0.5, 0.85, 0.95])) * cmath.exp(1j * rng.uniform(0.0, 6.3))
-            rows = _kernel_pass(a, fstar, z, (0, 1, 2), config)
-            separate = [dirichlet_quadrature(a, fstar, z, config),
-                        *derivative_quadrature(a, fstar, z, config)]
-            assert rows[0].nodes_used == max(q.nodes_used for q in separate)
-            for row, q in zip(rows, separate):
-                assert row.converged and q.converged
-                assert row.nodes_used == rows[0].nodes_used
-                assert abs(row.value - q.value) <= q.error_estimate + 1e-15 * abs(q.value)
-
-    def test_each_row_keeps_its_own_floor(self):
-        # constant data: both derivative means vanish, so they converge only
-        # at their roundoff floors (32 eps times each row's sup bound), far
-        # above the value row's; at the value row's floor they would run
-        # unconverged to 2^20 nodes
-        one = BoundaryData.constant(1.0)
-        f, d_z, d_zbar = _kernel_pass(5.0, one, 0.95, (0, 1, 2), None)
-        assert f.converged and f.nodes_used <= 4096
-        assert abs(f.value - 1.0) < 1e-12
-        assert abs(d_z.value) < 1e-10 and abs(d_zbar.value) < 1e-10
-
-    def test_non_finite_integrand_raises_without_warnings(self):
-        eik = BoundaryData([0.0, 0.0, 1.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(IntegrandError):
-                _kernel_pass(400.0, eik, 0.9, (0, 1, 2), None)
 
 
 class TestKernelDerivatives:
@@ -481,8 +397,11 @@ class TestDerivativePair:
             z = r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
             pair = derivative_pair(a, fstar, z)
 
-            def f(w):
-                return dirichlet_quadrature(a, fstar, w, TIGHT).unwrap("Dirichlet quadrature")
+            def f(w):  # the kernel integral at w, by quadrature
+                def integrand(theta):
+                    return _kernel_rows(a, w, theta)[0] * fstar.evaluate(theta)
+
+                return integrate_periodic(integrand, TIGHT).unwrap("Dirichlet quadrature")
 
             fx = (f(z + h) - f(z - h)) / (2.0 * h)
             fy = (f(z + 1j * h) - f(z - 1j * h)) / (2.0 * h)

@@ -163,6 +163,18 @@ class TestUnwrap:
         assert exc.error_estimate == res.error_estimate > 0
         assert exc.iterations == res.nodes_used == 8
 
+    def test_starved_stacked_result_names_its_largest_row_error(self):
+        res = integrate_periodic(lambda th: np.stack([np.ones_like(th), 1.0 + th]),
+                                 QuadratureConfig(n_initial=4, n_max=16))
+        assert not res.converged and res.error_estimate[0] == 0.0
+        with pytest.raises(ConvergenceError, match=r"x did not converge") as info:
+            res.unwrap("x")
+        exc = info.value
+        assert f"err={res.error_estimate[1]:.3e}" in str(exc)
+        assert exc.partial == res.value
+        assert exc.error_estimate == res.error_estimate
+        assert exc.iterations == 16
+
 
 class TestCosPower:
     def test_trivial(self):

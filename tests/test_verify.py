@@ -1,18 +1,21 @@
 """Harness behavior: determinism, report semantics, and suite health."""
 
+import cmath
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from alphaharmonic import (BoundaryData, DomainError, TrialSpec,
-                           check_identities, check_proof_machinery,
-                           check_schwarz, check_schwarz_pick, figure1_data,
-                           random_boundary, run_suite, thm_a_constant)
+from alphaharmonic import (BoundaryData, DomainError, IntegrandError,
+                           TrialSpec, check_identities, check_proof_machinery,
+                           check_schwarz, check_schwarz_pick, derivative_pair,
+                           figure1_data, random_boundary, run_suite,
+                           solve_dirichlet, thm_a_constant)
 from alphaharmonic.quadrature import cos_power_integral
-from alphaharmonic.verify import (_gauss_legendre_quarter, default_figure_alphas,
-                                  inconclusive_rate, total_violations)
+from alphaharmonic.verify import (_gauss_legendre_quarter, _kernel_integrals,
+                                  default_figure_alphas, inconclusive_rate,
+                                  total_violations)
 
 
 class TestRandomBoundary:
@@ -180,6 +183,52 @@ class TestSuiteReports:
             TrialSpec(seed=-1)
 
 
+class TestKernelIntegrals:
+    """DIRICHLET_SPECTRAL's quadrature route beside the solver's mode sums."""
+
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            fstar = random_boundary(int(rng.integers(0, 2 ** 62)),
+                                    int(rng.integers(0, 9)), 1.0)
+            a = float(rng.choice([-0.9, 0.0, 1.0, 3.5]))
+            z = float(rng.uniform(0.0, 0.85)) * cmath.exp(1j * rng.uniform(0.0, 6.0))
+            yield fstar, a, z
+        rng = np.random.default_rng(47)
+        for _ in range(25):
+            fstar = random_boundary(int(rng.integers(0, 2 ** 62)),
+                                    int(rng.integers(0, 9)), float(rng.uniform(0.2, 1.0)))
+            a = float(rng.choice([-0.9, -0.1, 0.0, 1.0, 3.5, 5.0]))
+            z = float(rng.choice([0.1, 0.5, 0.85, 0.95])) * cmath.exp(1j * rng.uniform(0.0, 6.3))
+            yield fstar, a, z
+
+    def test_rows_match_the_spectral_route(self):
+        for fstar, a, z in self.draws():
+            pair = derivative_pair(a, fstar, z)
+            want = (solve_dirichlet(a, fstar, z), pair.d_z, pair.d_zbar)
+            for label, got, w in zip(("f", "f_z", "f_zbar"), _kernel_integrals(a, fstar, z), want):
+                assert abs(got - w) < 1e-10, f"alpha={a} z={z} {label}: {got!r} vs {w!r}"
+
+    def test_non_finite_integrand_raises_without_warnings(self):
+        eik = BoundaryData([0.0, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrandError):
+                _kernel_integrals(400.0, eik, 0.9 + 0j)
+
+    @pytest.mark.parametrize("alpha, radii, n_trials",
+                             [(50.0, (0.9,), 4), (20.0, (0.5, 0.9), 40)])
+    def test_unresolved_kernel_is_inconclusive_not_violated(self, alpha, radii, n_trials):
+        # float64 roundoff in the kernel at these alphas exceeds the check's
+        # 1e-9 near r = 0.9: the quadrature must not converge on that noise
+        spec = TrialSpec(seed=0, n_trials=n_trials, alpha_set=(alpha,), radius_set=radii)
+        spectral = check_identities(spec)[-1]
+        assert spectral.theorem_id == "DIRICHLET_SPECTRAL"
+        assert spectral.n_violations == 0
+        assert spectral.n_checked + spectral.n_inconclusive == n_trials
+
+
 class TestLargeAlpha:
     # alpha = 400 at r = 0.9: bounds near 1e110 to 1e124, kernel integrands
     # that leave the float range
@@ -233,6 +282,13 @@ class TestLargeAlpha:
         want = min(float(np.min(np.diff(q))), 1e-2 - abs(q[-1] - limit) / limit)
         assert abs(pochhammer.worst_margin - want) <= 1e-12
         assert want > 8e-3
+
+    def test_rate_function_beyond_float_range(self):
+        # (1 + alpha r^2)^2 overflows: inconclusive, not an OverflowError
+        spec = TrialSpec(alpha_set=(1e200,), radius_set=(0.9,))
+        rate = {t.theorem_id: t for t in run_suite("machinery", spec)}["RATE_FUNCTION"]
+        # the one check left is the alpha-free alpha = 1/r identity
+        assert (rate.n_checked, rate.n_inconclusive, rate.n_violations) == (1, 1, 0)
 
     def test_pochhammer_limit_beyond_float_range(self):
         # 2^(alpha/2) overflows: inconclusive, not an OverflowError

@@ -19,6 +19,7 @@ from alphaharmonic import (BoundaryData, ConvergenceError, DerivativePair,
                            poisson_kernel, random_boundary, real_kernel,
                            solve_dirichlet)
 from alphaharmonic.kernel import _kernel_rows, disk_point_value
+from alphaharmonic.verify import _KERNEL_QUADRATURE
 
 TIGHT = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
 
@@ -316,6 +317,56 @@ class TestSpectralRoute:
         assert isinstance(solve_dirichlet(1.5, fstar, z), complex)
         assert isinstance(derivative_pair(1.5, fstar, z), DerivativePair)
         assert alpha_laplacian_residual(1.5, fstar, z, 1e-3) >= 0.0
+
+
+def _row_quadrature(a, fstar, z, rows, config):
+    """The circle means of the chosen `_kernel_rows` rows times fstar, the
+    rows stacked into one quadrature when ``rows`` has more than one."""
+    def integrand(theta):
+        got = _kernel_rows(a, z, theta)
+        return np.stack([got[i] for i in rows]) * fstar.evaluate(theta)
+
+    if len(rows) == 1:
+        return integrate_periodic(lambda theta: integrand(theta)[0], config)
+    return integrate_periodic(integrand, config)
+
+
+class TestDerivativeQuadrature:
+    def test_matches_derivative_pair(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            fstar = random_boundary(int(rng.integers(0, 2 ** 62)),
+                                    int(rng.integers(0, 9)), 1.0)
+            a = float(rng.choice([-0.9, 0.0, 1.0, 3.5]))
+            z = float(rng.uniform(0.0, 0.85)) * cmath.exp(1j * rng.uniform(0.0, 6.0))
+            q_dz = _row_quadrature(a, fstar, z, (1,), TIGHT)
+            q_dzbar = _row_quadrature(a, fstar, z, (2,), TIGHT)
+            pair = derivative_pair(a, fstar, z)
+            assert abs(q_dz.unwrap("d/dz") - pair.d_z) < 1e-10
+            assert abs(q_dzbar.unwrap("d/dzbar") - pair.d_zbar) < 1e-10
+
+
+class TestKernelPass:
+    # the three rows stacked, as DIRICHLET_SPECTRAL integrates them, against
+    # each row alone; None is that check's own configuration.  A row whose
+    # mean vanishes converges only at an absolute tolerance above its
+    # roundoff, hence abs_tol = 1e-11 throughout
+    @pytest.mark.parametrize("config", [None, QuadratureConfig(abs_tol=1e-11),
+                                        QuadratureConfig(rel_tol=1e-13, abs_tol=1e-11)])
+    def test_rows_match_the_public_quadratures(self, config):
+        config = config or _KERNEL_QUADRATURE
+        rng = np.random.default_rng(47)
+        for _ in range(25):
+            fstar = random_boundary(int(rng.integers(0, 2 ** 62)),
+                                    int(rng.integers(0, 9)), float(rng.uniform(0.2, 1.0)))
+            a = float(rng.choice([-0.9, -0.1, 0.0, 1.0, 3.5, 5.0]))
+            z = float(rng.choice([0.1, 0.5, 0.85, 0.95])) * cmath.exp(1j * rng.uniform(0.0, 6.3))
+            stacked = _row_quadrature(a, fstar, z, (0, 1, 2), config)
+            separate = [_row_quadrature(a, fstar, z, (i,), config) for i in range(3)]
+            assert stacked.converged and all(q.converged for q in separate)
+            assert stacked.nodes_used == max(q.nodes_used for q in separate)
+            for value, q in zip(stacked.value, separate):
+                assert abs(value - q.value) <= q.error_estimate + 1e-15 * abs(q.value)
 
 
 class TestKernelDerivatives:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .specfun import _series_sum, alpha_value, beta, c_alpha, hyp2f1
+from .specfun import _series_sum, _two_terms, alpha_value, beta, c_alpha, hyp2f1
 
 __all__ = [
     "BOUND_IDS",
@@ -88,7 +88,7 @@ def m1_bound(r: float, alpha, c: float) -> float:
         arc = math.atan((1.0 + r) / (1.0 - r) * math.tan(c * math.pi / 2.0))
     if a >= 0.0:
         return 2.0 ** (1.0 + a) / math.pi * arc
-    return 2.0 ** (1.0 - a) / math.pi * (1.0 - r * r) ** a * arc
+    return 2.0 ** (1.0 - a) / math.pi * ((1.0 - r) * (1.0 + r)) ** a * arc
 
 
 def m2_bound(r: float, alpha) -> float:
@@ -104,16 +104,17 @@ def m2_bound(r: float, alpha) -> float:
 def colonna_bound(r: float) -> float:
     """Derivative bound (4/pi) / (1-r^2) for harmonic self-maps of the disk."""
     r = _validate_r(r)
-    return 4.0 / math.pi / (1.0 - r * r)
+    return 4.0 / math.pi / ((1.0 - r) * (1.0 + r))
 
 
 def lc_schwarz_pick_bound(r: float, alpha) -> float:
     """Power-of-two derivative bound, per unit boundary sup-norm."""
     r = _validate_r(r)
     a = alpha_value(alpha)
+    one_minus_r2 = (1.0 - r) * (1.0 + r)
     if a >= 0.0:
-        return (1.0 + a) * 2.0 ** (1.0 + a) / (1.0 - r * r)
-    return 2.0 ** (1.0 - a) / (1.0 - r * r) ** (1.0 - a)
+        return (1.0 + a) * 2.0 ** (1.0 + a) / one_minus_r2
+    return 2.0 ** (1.0 - a) / one_minus_r2 ** (1.0 - a)
 
 
 def m_bound(r: float, alpha) -> float:
@@ -123,8 +124,8 @@ def m_bound(r: float, alpha) -> float:
     expression of m2_bound's leading term, so that M == M2 bit for bit.
     The first term (1-r^2)^(alpha+1) |(1-r)^(-alpha) - 1| / (1+r^2) is
     formed as (1-r^2) |(1+r)^alpha - (1-r^2)^alpha| / (1+r^2), whose powers
-    stay in range at large alpha where (1-r)^(-alpha) overflows; for
-    alpha > 1 the hypergeometric factor comes from `_m_series`.
+    stay in range at large alpha where (1-r)^(-alpha) overflows; the
+    hypergeometric factor comes from `_m_series` for every alpha.
     """
     r = _validate_r(r)
     a = alpha_value(alpha)
@@ -136,10 +137,7 @@ def m_bound(r: float, alpha) -> float:
     x = 4.0 * r * r / (one_plus_r2 * one_plus_r2)
     # 1 - x = ((1 - r^2) / (1 + r^2))^2, free of the cancellation in 1.0 - x
     d = one_minus_r2 / one_plus_r2
-    if a > 1.0:
-        f = _m_series(a, x, d * d)
-    else:
-        f = hyp2f1((0.5, 0.5 - a / 2.0, 1.5), x, one_minus_x=d * d)
+    f = _m_series(a, x, d * d)
     if a >= 0.0:
         second = 2.0 ** (2.0 + a / 2.0) * r * one_plus_r2 ** (a / 2.0 - 1.0) / math.pi * f
     else:
@@ -148,22 +146,27 @@ def m_bound(r: float, alpha) -> float:
 
 
 def _m_series(a: float, x: float, y: float) -> float:
-    """F(1/2, (1-a)/2; 3/2; x), y = 1 - x, for a > 1, from positive series.
+    """F(1/2, (1-a)/2; 3/2; x), y = 1 - x, for a > -1, from positive series.
 
-    Its own series alternates there (b = (1-a)/2 < 0), and by a factor that
-    grows like (1+x)^(a/2), so it is never summed.  With s = (a+1)/2:
-    for x <= 1/2 the Euler transform y^s F(1, s + 1/2; 3/2; x); above it
-    the connection formula (DLMF 15.8.4), whose first series
+    Its own series alternates for a > 1 (b = (1-a)/2 < 0), by a factor that
+    grows like (1+x)^(a/2), so it is never summed; the series below have
+    positive terms for every a > -1.  With s = (a+1)/2: above x = 1/2 the
+    connection formula (DLMF 15.8.4), whose first series
     F(1/2, 1-s; 1-s; y) is x^(-1/2) and whose gamma ratios reduce to
     B(s, 1/2)/2 and -1/(2s):
-        F = B(s, 1/2) / (2 sqrt(x)) - y^s / (2s) F(1, s + 1/2; s + 1; y).
+        F = B(s, 1/2) / (2 sqrt(x)) - y^s / (2s) F(1, s + 1/2; s + 1; y),
+    unless its two terms cancel beyond the tolerance (`_two_terms`; s near
+    0, where both grow like 1/(2s)); else, and for x <= 1/2, the Euler
+    transform y^s F(1, s + 1/2; 3/2; x).
     """
     s = (a + 1.0) / 2.0
-    if x <= 0.5:
-        f, _ = _series_sum(1.0, s + 0.5, 1.5, x)
-        return y ** s * f
-    f, _ = _series_sum(1.0, s + 0.5, s + 1.0, y)
-    return beta(s, 0.5) / (2.0 * math.sqrt(x)) - y ** s / (2.0 * s) * f
+    if x > 0.5:
+        f, _ = _series_sum(1.0, s + 0.5, s + 1.0, y)
+        value = _two_terms(beta(s, 0.5) / (2.0 * math.sqrt(x)), -(y ** s / (2.0 * s) * f))
+        if value is not None:
+            return value
+    f, _ = _series_sum(1.0, s + 0.5, 1.5, x)
+    return y ** s * f
 
 
 def m_prime_bound(r: float, alpha) -> float:
@@ -190,9 +193,8 @@ def schwarz_pick_bound(r: float, alpha) -> float:
     """Hypergeometric derivative bound, per unit boundary sup-norm."""
     r = _validate_r(r)
     a = alpha_value(alpha)
-    f = hyp2f1((-a / 2.0, -a / 2.0, 1.0), r * r)
     lead = 2.0 * (1.0 + a) if a >= 0.0 else 2.0
-    return lead / (1.0 - r * r) * f
+    return lead / ((1.0 - r) * (1.0 + r)) * schwarz_bound(r, a)
 
 
 def schwarz_pick_limit_bound(r: float, alpha) -> float:
@@ -201,7 +203,7 @@ def schwarz_pick_limit_bound(r: float, alpha) -> float:
     r = _validate_r(r)
     a = alpha_value(alpha)
     lead = 2.0 * (1.0 + a) if a >= 0.0 else 2.0
-    return lead / c_alpha(a) / (1.0 - r * r)
+    return lead / c_alpha(a) / ((1.0 - r) * (1.0 + r))
 
 
 def l1_mean_kernel(alpha, r: float) -> float:

@@ -44,9 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .specfun import _series_sum, alpha_value, c_alpha
-
-_EPS = float(np.finfo(float).eps)
+from .specfun import _EPS, _one_minus_abs2, _series_sum, alpha_value, c_alpha
 
 # Seeds A_K with K (1 - x) at most this use the series in 1 - x, whose
 # leading term x^(-K) is then cancelled by at most a factor e^0.5; larger
@@ -208,25 +206,24 @@ class DerivativePair:
 
 
 def poisson_kernel(alpha, z) -> complex:
-    """Weighted Poisson kernel at z, principal branch for the real power."""
+    """Weighted Poisson kernel at z, principal branch for the real power:
+    the first row of `_kernel_rows` at theta = 0."""
     a = alpha_value(alpha)
     zc = disk_point_value(z)
-    one_minus_r2 = 1.0 - (zc.real * zc.real + zc.imag * zc.imag)
-    return one_minus_r2 ** (a + 1.0) / ((1.0 - zc) * (1.0 - zc.conjugate()) ** (a + 1.0))
+    return complex(_kernel_rows(a, zc, np.zeros(1))[0][0])
 
 
 def real_kernel(alpha, z) -> float:
     """Modulus-form kernel c_alpha (1-|z|^2)^(alpha+1) / |1-z|^(alpha+2)."""
     a = alpha_value(alpha)
     zc = disk_point_value(z)
-    one_minus_r2 = 1.0 - (zc.real * zc.real + zc.imag * zc.imag)
-    return c_alpha(a) * one_minus_r2 ** (a + 1.0) / abs(1.0 - zc) ** (a + 2.0)
+    return c_alpha(a) * _one_minus_abs2(zc) ** (a + 1.0) / abs(1.0 - zc) ** (a + 2.0)
 
 
 def _kernel_rows(a: float, zc: complex, theta: np.ndarray) -> tuple:
     """(P, dP/dz, dP/dzbar) at xi = z e^{-i theta}, all from one
     evaluation of the kernel."""
-    one_minus_r2 = 1.0 - (zc.real * zc.real + zc.imag * zc.imag)
+    one_minus_r2 = _one_minus_abs2(zc)
     emith = np.exp(-1j * theta)
     xi = zc * emith
     one_minus_xi = 1.0 - xi
@@ -255,22 +252,6 @@ def kernel_derivatives(alpha, z, theta):
     if scalar:
         return complex(d_z[0]), complex(d_zbar[0])
     return d_z, d_zbar
-
-
-def _one_minus_abs2(zc: complex) -> float:
-    """1 - |z|^2 correctly rounded.
-
-    Each square is split exactly (Veltkamp: hi has 26 bits, so hi*hi,
-    2*hi*lo and lo*lo are exact) and the pieces are summed by fsum, so the
-    difference keeps its digits as |z| -> 1, where 1.0 - |z|^2 would not.
-    """
-    parts = [1.0]
-    for v in (zc.real, zc.imag):
-        t = v * 134217729.0  # 2**27 + 1
-        hi = t - (t - v)
-        lo = v - hi
-        parts += (-hi * hi, -2.0 * hi * lo, -lo * lo)
-    return math.fsum(parts)
 
 
 def _mode_seed(a: float, k: int, x: float, y: float, scale_k: float) -> float:

@@ -224,4 +224,4 @@ def modulus_power_integral(z: complex, beta: float) -> float:
     if beta < 0:
         raise DomainError(f"require beta >= 0, got {beta!r}")
     f = specfun.hyp2f1((1.0 - beta, 1.0 - beta, 1.0), r2)
-    return (1.0 - r2) ** (1.0 - 2.0 * beta) * f
+    return specfun._one_minus_abs2(zc) ** (1.0 - 2.0 * beta) * f

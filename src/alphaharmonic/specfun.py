@@ -10,13 +10,14 @@ predicted to be short (fewer than 48 terms from log(2**-56) / log(x) and
 the burn-in) are summed term by term in Python floats and added by
 math.fsum; the rest in numpy chunks of 64 terms and more.  For
 0.5 < x < 1 it continues F to x -> 1 with the connection formula in
-y = 1 - x (DLMF 15.8.4), whose two series converge like y^n; otherwise it
+y = 1.0 - x (DLMF 15.8.4), whose two series converge like y^n; otherwise it
 applies the Euler transform when the transformed series decays faster.
 The connection formula is skipped, and the Euler/raw series summed
 instead, for terminating series, integer c - a - b (the logarithmic case,
 DLMF 15.8.10) and calls where cancellation between its two terms would
 cost more than the relative tolerance.  No continuation beyond [0, 1) is
-attempted.
+attempted.  A caller that knows 1 - x more exactly than 1.0 - x (as
+`bounds.m_bound` does) sums its own positive series in y instead.
 """
 
 from __future__ import annotations
@@ -69,8 +70,6 @@ _LOG_SHORT_TOL = math.log(_SHORT_TOL)
 # Rounding of one connection-formula term (gamma factors, y**s, series
 # sum), in units of _EPS; cancellation between the two terms multiplies it.
 _CONNECTION_ULPS = 16.0
-# How far a caller's one_minus_x may sit from the computed 1 - x.
-_ONE_MINUS_X_TOL = 64.0 * _EPS
 
 
 def _validate_params(a, b, c) -> tuple[float, float, float]:
@@ -110,9 +109,12 @@ def gamma(x: float) -> float:
 
 
 def beta(x: float, y: float) -> float:
-    """Beta function B(x, y) for positive real arguments."""
+    """Beta function B(x, y) for positive real arguments, from math.gamma
+    while x + y <= 170 keeps every factor in range, else from lgamma."""
     if not (x > 0 and y > 0):
         raise DomainError(f"beta requires positive arguments, got {x!r}, {y!r}")
+    if x + y <= 170.0:  # dividing first, tiny x and y cannot overflow a product
+        return math.gamma(x) / math.gamma(x + y) * math.gamma(y)
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
@@ -271,13 +273,20 @@ def _terminates(a: float, b: float) -> bool:
     return (a <= 0.0 and a == int(a)) or (b <= 0.0 and b == int(b))
 
 
-def _one_minus(x: float, one_minus_x) -> float:
-    if one_minus_x is None:
-        return 1.0 - x
-    y = float(one_minus_x)
-    if not (y > 0.0 and abs(y - (1.0 - x)) <= _ONE_MINUS_X_TOL):
-        raise DomainError(f"one_minus_x={y!r} does not match 1 - x for x={x!r}")
-    return y
+def _one_minus_abs2(zc: complex) -> float:
+    """1 - |z|^2 correctly rounded.
+
+    Each square is split exactly (Veltkamp: hi has 26 bits, so hi*hi,
+    2*hi*lo and lo*lo are exact) and the pieces are summed by fsum, so the
+    difference keeps its digits as |z| -> 1, where 1.0 - |z|^2 would not.
+    """
+    parts = [1.0]
+    for v in (zc.real, zc.imag):
+        t = v * 134217729.0  # 2**27 + 1
+        hi = t - (t - v)
+        lo = v - hi
+        parts += (-hi * hi, -2.0 * hi * lo, -lo * lo)
+    return math.fsum(parts)
 
 
 def _rgamma(z: float) -> float:
@@ -299,9 +308,7 @@ def _connection(a: float, b: float, c: float, y: float):
     terms at integer s cancel for the rounded s as they do for the exact
     one.  Both series are summed to machine precision, except that a
     terminating F(c-a, c-b; ..) (t1 is then 0) is held to _REL_TOL; the
-    result is returned only if _CONNECTION_ULPS rounding per term,
-    multiplied by the cancellation (|t1| + |t2|) / |t1 + t2|, stays within
-    _REL_TOL.
+    two terms are added by `_two_terms`.
     """
     s = c - a - b
     if s == round(s):
@@ -317,18 +324,22 @@ def _connection(a: float, b: float, c: float, y: float):
     # a terminating series ends before its tail test: rel_tol then only sets
     # its cancellation check, which must run at the returned value's tolerance
     f2, n2 = _series_sum(ca, cb, 1.0 + s, y, _REL_TOL if _terminates(ca, cb) else _EPS)
-    t1, t2 = g1 * f1, g2 * f2
+    value = _two_terms(g1 * f1, g2 * f2)
+    return None if value is None else Hyp2F1Result(value, n1 + n2, "connection")
+
+
+def _two_terms(t1: float, t2: float) -> float | None:
+    """t1 + t2, or None where the cancellation costs more than _REL_TOL:
+    _CONNECTION_ULPS rounding per term times (|t1| + |t2|) / |t1 + t2|."""
     value = t1 + t2
     spread = abs(t1) + abs(t2)
-    if not (math.isfinite(spread) and value != 0.0):
-        return None
-    if spread / abs(value) * _CONNECTION_ULPS * _EPS > _REL_TOL:
-        return None
-    return Hyp2F1Result(value, n1 + n2, "connection")
+    if math.isfinite(spread) and value != 0.0 and (
+            spread / abs(value) * _CONNECTION_ULPS * _EPS <= _REL_TOL):
+        return value
+    return None
 
 
-def hyp2f1_detailed(params, x: float, *,
-                    one_minus_x: float | None = None) -> Hyp2F1Result:
+def hyp2f1_detailed(params, x: float) -> Hyp2F1Result:
     """Evaluate F(a, b; c; x) on [0, 1), reporting terms used and transform.
 
     The value is returned to relative tolerance 1e-13 (_REL_TOL), or
@@ -350,14 +361,14 @@ def hyp2f1_detailed(params, x: float, *,
     polynomial, and rewriting it through the transform trades an exact sum
     for a cancellation-prone one.
 
-    one_minus_x, if given, is the caller's exact value of 1 - x, used in
-    place of the rounded 1.0 - x (which loses digits as x -> 1).  It must
-    agree with 1.0 - x to within 64 * 2**-52, else DomainError.
+    Both routes take y = 1.0 - x, which is exact for x >= 1/2; the value
+    is F at the float x, whose rounding from a caller's own x near 1 can
+    cost that caller digits.
     """
     a, b, c = _validate_params(*params)
     a, b = min(a, b), max(a, b)
     x = _validate_x(x)
-    y = _one_minus(x, one_minus_x)
+    y = 1.0 - x
     terminates = _terminates(a, b)
     if x > 0.5 and not terminates:
         res = _connection(a, b, c, y)
@@ -370,12 +381,12 @@ def hyp2f1_detailed(params, x: float, *,
     return Hyp2F1Result(value, terms, "none")
 
 
-def hyp2f1(params, x: float, *, one_minus_x: float | None = None) -> float:
+def hyp2f1(params, x: float) -> float:
     """Gauss hypergeometric function F(a, b; c; x) for 0 <= x < 1.
 
-    See hyp2f1_detailed for the evaluation routes and one_minus_x.
+    See hyp2f1_detailed for the evaluation routes.
     """
-    return hyp2f1_detailed(params, x, one_minus_x=one_minus_x).value
+    return hyp2f1_detailed(params, x).value
 
 
 def euler_transform_eval(params, x: float) -> float:
@@ -429,9 +440,8 @@ def c_alpha(alpha) -> float:
     """Normalization constant Gamma(alpha/2 + 1)^2 / Gamma(alpha + 1).
 
     Its reciprocal equals 2^alpha Gamma(1/2 + alpha/2) / (sqrt(pi)
-    Gamma(1 + alpha/2)) by the duplication formula.
+    Gamma(1 + alpha/2)) by the duplication formula.  Evaluated as
+    (alpha + 1) B(alpha/2 + 1, alpha/2 + 1).
     """
     a = alpha_value(alpha)
-    if a <= 170.0:
-        return math.gamma(a / 2.0 + 1.0) ** 2 / math.gamma(a + 1.0)
-    return math.exp(2.0 * math.lgamma(a / 2.0 + 1.0) - math.lgamma(a + 1.0))
+    return (a + 1.0) * beta(a / 2.0 + 1.0, a / 2.0 + 1.0)

@@ -25,7 +25,8 @@ from .kernel import (BoundaryData, _kernel_rows, derivative_pair,
 from .quadrature import (QuadratureConfig, _node_level, cos_power_integral,
                          integrate_periodic, modulus_power_integral,
                          ratio_integral_series)
-from .specfun import (euler_transform_eval, gamma, hyp2f1, hyp2f1_at_one,
+from .specfun import (_series_sum, alpha_value, euler_transform_eval, gamma,
+                      hyp2f1, hyp2f1_at_one, hyp2f1_detailed,
                       quadratic_transform_eval)
 
 __all__ = [
@@ -90,12 +91,13 @@ class TrialSpec:
             raise DomainError(f"seed must be >= 0, got {self.seed!r}")
         if self.n_trials < 1 or self.max_degree < 0:
             raise DomainError("n_trials must be >= 1 and max_degree >= 0")
-        if not all(a > -1.0 for a in self.alpha_set):
-            raise DomainError("all alphas must exceed -1")
+        for a in self.alpha_set:
+            alpha_value(a)
         if not all(0.0 <= r < 1.0 for r in self.radius_set):
             raise DomainError("all radii must lie in [0, 1)")
-        if self.slack < 0.0:
-            raise DomainError("slack must be non-negative")
+        # a NaN slack would pass every margin: margin < -nan is never true
+        if not 0.0 <= self.slack < math.inf:
+            raise DomainError(f"slack must be finite and >= 0, got {self.slack!r}")
 
 
 @dataclass(frozen=True)
@@ -464,7 +466,10 @@ def check_identities(spec: TrialSpec) -> list[TrialReport]:
         c = float(rng.uniform(0.3, 3.0))
         x = float(rng.uniform(0.0, 0.95))
         ctx = f"a={a:.3g} b={b:.3g} c={c:.3g} x={x:.3g}"
-        lhs = hyp2f1((a, b, c), x)
+        res = hyp2f1_detailed((a, b, c), x)
+        # hyp2f1's "euler" route sums the very series euler_transform_eval
+        # sums, so there the untransformed series is the other route
+        lhs = _series_sum(a, b, c, x)[0] if res.transform == "euler" else res.value
         rhs = euler_transform_eval((a, b, c), x)
         rel = abs(lhs - rhs) / max(abs(lhs), 1e-12)
         t_eul.add(1e-10 - rel, trial, ctx)

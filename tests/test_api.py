@@ -70,9 +70,9 @@ SIGNATURES = {
     "evaluate_bound": ("bound_id", "r", "alpha", "c=None"),
     "figure1_data": ("r=0.99", "alphas=None"),
     "gamma": ("x",),
-    "hyp2f1": ("params", "x", "*one_minus_x=None"),
+    "hyp2f1": ("params", "x"),
     "hyp2f1_at_one": ("params",),
-    "hyp2f1_detailed": ("params", "x", "*one_minus_x=None"),
+    "hyp2f1_detailed": ("params", "x"),
     "inconclusive_rate": ("reports",),
     "integrate_periodic": ("f", "config=None"),
     "kernel_derivatives": ("alpha", "z", "theta"),

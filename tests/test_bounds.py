@@ -130,6 +130,47 @@ class TestMLargeAlpha:
                 evaluate_bound(bound_id, 0.9, 2000.0, c=0.5 if bound_id == "M1" else None)
 
 
+class TestMNearMinusOne:
+    @pytest.mark.parametrize("alpha, r", [(-0.9999, 0.5), (-0.9999, 0.45), (-0.99, 0.9),
+                                          (-0.95, 0.999), (-0.5, 0.99999), (0.5, 0.99999)])
+    def test_against_mpmath(self, alpha, r):
+        # s = (alpha+1)/2 near 0: the connection formula's two terms, both
+        # about 1/(2s), cancel; at alpha = -0.9999, r = 0.5 the Euler series
+        # in x takes over, without which M was 1e-12 off
+        assert rel_err(m_bound(r, alpha), float(m_bound_mpmath(r, alpha))) < 1e-13
+
+
+def near_boundary_mpmath(bound_id, r, alpha, c):
+    """The bounds built on 1 - r^2, from their formulas at 40 digits; F of
+    SP_2F1 is taken at the float r * r that schwarz_bound passes hyp2f1."""
+    with mp.workdps(40):
+        x = mp.mpf(r * r)
+        r, a = mp.mpf(r), mp.mpf(alpha)
+        om = 1 - r * r
+        lead = 2 * (1 + a) if a >= 0 else mp.mpf(2)
+        if bound_id == "COLONNA":
+            return 4 / mp.pi / om
+        if bound_id == "LC_SP":
+            return (1 + a) * 2 ** (1 + a) / om if a >= 0 else 2 ** (1 - a) / om ** (1 - a)
+        if bound_id == "SP_2F1":
+            return lead / om * mp.hyp2f1(-a / 2, -a / 2, 1, x)
+        if bound_id == "SP_LIMIT":
+            return lead / om * mp.gamma(1 + a) / mp.gamma(a / 2 + 1) ** 2
+        arc = mp.atan((1 + r) / (1 - r) * mp.tan(mp.mpf(c) * mp.pi / 2))
+        return 2 ** (1 + a) / mp.pi * arc if a >= 0 else 2 ** (1 - a) / mp.pi * om ** a * arc
+
+
+class TestOneMinusR2NearBoundary:
+    # 1.0 - r * r put COLONNA 4.1e-13 and 4.0e-11 off at these radii
+    @pytest.mark.parametrize("r", [0.99999, 0.9999999])
+    @pytest.mark.parametrize("bound_id", ["COLONNA", "LC_SP", "SP_2F1", "SP_LIMIT", "M1"])
+    def test_against_mpmath(self, bound_id, r):
+        for alpha in (-0.9, -0.5, 0.0, 0.5, 1.0, 2.5, 7.0):
+            got = evaluate_bound(bound_id, r, alpha, c=0.7 if bound_id == "M1" else None).value
+            want = near_boundary_mpmath(bound_id, r, alpha, 0.7)
+            assert rel_err(got, float(want)) < 1e-13, alpha
+
+
 class TestMPrime:
     def test_alpha_zero_constant(self):
         for r in (0.1, 0.5, 0.9):

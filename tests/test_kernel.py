@@ -176,6 +176,25 @@ class TestKernelValues:
         assert real_kernel(1.5, 0.0) == pytest.approx(c_alpha(1.5), rel=1e-13)
         assert real_kernel(2.0, 0.5) == pytest.approx(3.375, rel=1e-13)
 
+    def test_near_the_unit_circle_against_mpmath(self):
+        # within 1e-8 of |z| = 1, where 1.0 - |z|^2 put poisson_kernel 1.1e-4
+        # off at the first point and 1.0e-8 off at the second
+        rng = np.random.default_rng(23)
+        points = [(1.5, 0.3 - 0.9539392014169j), (1.5, 0.6 + 0.79999999j)]
+        for _ in range(40):
+            rad = 1.0 - 10.0 ** rng.uniform(-12.0, -8.0)
+            points.append((float(rng.choice([-0.9, -0.5, 0.0, 1.0, 2.5, 7.0])),
+                           rad * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))))
+        with mpmath.workdps(40):
+            for a, z in points:
+                zm = mpmath.mpc(z.real, z.imag)
+                one_minus_r2 = 1 - abs(zm) ** 2
+                want = one_minus_r2 ** (a + 1) / ((1 - zm) * (1 - mpmath.conj(zm)) ** (a + 1))
+                assert abs(poisson_kernel(a, z) - want) < 1e-13 * abs(want), (a, z)
+                want = (mpmath.gamma(mpmath.mpf(a) / 2 + 1) ** 2 / mpmath.gamma(a + 1)
+                        * one_minus_r2 ** (a + 1) / abs(1 - zm) ** (a + 2))
+                assert abs(real_kernel(a, z) - want) < 1e-13 * want, (a, z)
+
     def test_real_kernel_is_scaled_modulus(self):
         rng = np.random.default_rng(8)
         for _ in range(50):

@@ -12,6 +12,7 @@ from alphaharmonic import (BoundaryData, DomainError, IntegrandError,
                            check_schwarz, check_schwarz_pick, derivative_pair,
                            figure1_data, random_boundary, run_suite,
                            solve_dirichlet, thm_a_constant)
+import alphaharmonic.verify as verify_module
 from alphaharmonic.quadrature import cos_power_integral
 from alphaharmonic.verify import (_gauss_legendre_quarter, _kernel_integrals,
                                   default_figure_alphas, inconclusive_rate,
@@ -181,6 +182,43 @@ class TestSuiteReports:
             TrialSpec(slack=-1e-9)
         with pytest.raises(DomainError):
             TrialSpec(seed=-1)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, -1.0])
+    def test_spec_rejects_alpha_outside_domain(self, alpha):
+        # an infinite alpha used to fail partway through a run, in the
+        # machinery suite with a raw OverflowError
+        with pytest.raises(DomainError, match="alpha"):
+            TrialSpec(alpha_set=(0.5, alpha))
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf])
+    def test_spec_rejects_non_finite_slack(self, slack):
+        # margin < -nan is never true, so a NaN slack hid every violation
+        with pytest.raises(DomainError, match="slack"):
+            TrialSpec(slack=slack)
+
+    def test_euler_transform_pairs_two_routes(self, monkeypatch):
+        # where hyp2f1 takes its "euler" route it sums the very series
+        # euler_transform_eval sums; there the untransformed series must be
+        # the route compared
+        routes = []  # per EULER_TRANSFORM trial: the route beside the Euler side
+        detailed, raw = verify_module.hyp2f1_detailed, verify_module._series_sum
+
+        def spy_detailed(params, x):
+            res = detailed(params, x)
+            routes.append(res.transform)
+            return res
+
+        def spy_raw(a, b, c, x):
+            routes[-1] = "raw"
+            return raw(a, b, c, x)
+
+        monkeypatch.setattr(verify_module, "hyp2f1_detailed", spy_detailed)
+        monkeypatch.setattr(verify_module, "_series_sum", spy_raw)
+        for seed in range(5):
+            check_identities(TrialSpec(seed=seed, n_trials=200))
+        assert len(routes) == 5 * 200
+        assert "euler" not in routes
+        assert {"raw", "none", "connection"} <= set(routes)
 
 
 class TestKernelIntegrals:

@@ -5,13 +5,20 @@ alpha.  All values are reported per unit boundary sup-norm; callers
 multiply by their own norm.  The bounds M, M2 and M_PRIME additionally
 assume the solution maps the disk into itself (boundary sup-norm <= 1),
 which the report ``note`` field records.
+
+SCHWARZ_2F1 is F(-alpha/2, -alpha/2; 1; r^2), SP_2F1 is a lead factor
+over 1 - r^2 times it, and L1_MEAN equals it; all three take F from
+`schwarz_bound`, which keeps its last F (`_memo.LastCall`), so the three
+at one (r, alpha) sum F once.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
+from ._memo import LastCall
 from .errors import ConvergenceError, DomainError
 from .specfun import _series_sum, _two_terms, alpha_value, beta, c_alpha, hyp2f1
 
@@ -46,6 +53,9 @@ BOUND_IDS = (
 
 _NOTE_UNIT_DISK = "requires boundary sup-norm <= 1 (maps disk into disk)"
 _NOTE_LINEAR = "scales linearly with the boundary sup-norm"
+
+_LAST_F = LastCall()
+_R_ALPHA_BITS = struct.Struct("2d").pack
 
 _NOTES = {
     "M": _NOTE_UNIT_DISK,
@@ -183,10 +193,15 @@ def m_prime_bound(r: float, alpha) -> float:
 
 
 def schwarz_bound(r: float, alpha) -> float:
-    """Sup bound F(-alpha/2, -alpha/2; 1; r^2), per unit boundary sup-norm."""
+    """Sup bound F(-alpha/2, -alpha/2; 1; r^2), per unit boundary sup-norm.
+
+    F is summed once for consecutive calls at the same r and alpha, bit
+    for bit, whether they come from here, `schwarz_pick_bound` or
+    `l1_mean_kernel`.
+    """
     r = _validate_r(r)
     a = alpha_value(alpha)
-    return hyp2f1((-a / 2.0, -a / 2.0, 1.0), r * r)
+    return _LAST_F(_R_ALPHA_BITS(r, a), hyp2f1, (-a / 2.0, -a / 2.0, 1.0), r * r)
 
 
 def schwarz_pick_bound(r: float, alpha) -> float:

@@ -29,6 +29,11 @@ F(-alpha, k; k+1; x) is an alternating polynomial).  Their derivatives
 need no second family: x F_k' = k((1-x)^alpha - F_k), and by the same
 recurrence A_k' = k(((alpha+1)_k / k!) (1-x)^alpha - A_{k+1}).
 
+One pass of that sum (`_spectral`) yields the value and both Wirtinger
+derivatives together, and its last result is kept (`_memo.LastCall`), so
+`solve_dirichlet` followed by `derivative_pair` at one point, for one
+alpha and one set of coefficients, sums the modes once.
+
 The kernel integral itself is evaluated only inside `verify`, whose
 DIRICHLET_SPECTRAL check integrates the rows of `_kernel_rows` by
 quadrature as the independent route beside the mode sums.
@@ -38,11 +43,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._memo import LastCall
 from .errors import ConvergenceError, DomainError
 from .specfun import _EPS, _one_minus_abs2, _series_sum, alpha_value, c_alpha
 
@@ -50,6 +57,9 @@ from .specfun import _EPS, _one_minus_abs2, _series_sum, alpha_value, c_alpha
 # leading term x^(-K) is then cancelled by at most a factor e^0.5; larger
 # K (1 - x) use the series in x, which needs O(1 / (1 - x)) terms.
 _SEED_SWITCH = 0.5
+
+_LAST_SPECTRAL = LastCall()
+_POINT_BITS = struct.Struct("3d").pack
 
 __all__ = [
     "BoundaryData",
@@ -76,15 +86,17 @@ class BoundaryData:
     """Trig-polynomial boundary data with a sample grid.
 
     ``coefficients`` holds the 2d+1 finite Fourier coefficients for
-    frequencies -d..d.  ``samples`` are the values on an equispaced grid
-    whose power-of-two size is at least 4d+4, computed by one inverse FFT
-    (`_on_grid`), and ``sup_norm`` is the maximum modulus over that grid.
+    frequencies -d..d, copied from the argument.  ``samples`` are the
+    values on an equispaced grid whose power-of-two size is at least 4d+4,
+    computed by one inverse FFT (`_on_grid`), and ``sup_norm`` is the
+    maximum modulus over that grid.  Both arrays are read-only, so
+    ``sup_norm`` and ``samples`` always describe ``coefficients``.
     """
 
     __slots__ = ("coefficients", "degree", "samples", "sup_norm")
 
     def __init__(self, coefficients):
-        coeffs = np.asarray(coefficients, dtype=complex)
+        coeffs = np.array(coefficients, dtype=complex)
         if coeffs.ndim != 1 or coeffs.size % 2 != 1:
             raise DomainError("coefficients must be a 1-D array of odd length (indices -d..d)")
         self._set(coeffs, None)
@@ -103,6 +115,8 @@ class BoundaryData:
             self.sup_norm = float(np.max(np.abs(samples)))
         if not math.isfinite(self.sup_norm):
             raise DomainError("boundary values overflow the float range")
+        coeffs.flags.writeable = False
+        samples.flags.writeable = False
 
     @staticmethod
     def _grid_size(degree: int) -> int:
@@ -319,15 +333,23 @@ def _spectral(a: float, fstar: BoundaryData, zc: complex):
     return out
 
 
+def _spectral_at(a: float, fstar: BoundaryData, zc: complex):
+    """`_spectral`, or its last result if alpha, z and the coefficients
+    are bit for bit those of the last call."""
+    key = _POINT_BITS(a, zc.real, zc.imag) + fstar.coefficients.tobytes()
+    return _LAST_SPECTRAL(key, _spectral, a, fstar, zc)
+
+
 def solve_dirichlet(alpha, fstar: BoundaryData, z) -> complex:
     """Weighted-harmonic extension of fstar evaluated at z.
 
     Summed mode by mode (see the module docstring): one positive seed
-    series for A_{d+1}, then the downward recurrence to A_1.  Raises
-    ConvergenceError if the seed does not converge or the result leaves
-    the float range (only for very large alpha).
+    series for A_{d+1}, then the downward recurrence to A_1, shared with
+    `derivative_pair` at the same point.  Raises ConvergenceError if the
+    seed does not converge or the result leaves the float range (only for
+    very large alpha).
     """
-    return _spectral(alpha_value(alpha), fstar, disk_point_value(z))[0]
+    return _spectral_at(alpha_value(alpha), fstar, disk_point_value(z))[0]
 
 
 def derivative_pair(alpha, fstar: BoundaryData, z) -> DerivativePair:
@@ -337,7 +359,7 @@ def derivative_pair(alpha, fstar: BoundaryData, z) -> DerivativePair:
     A_k' = k(((alpha+1)_k / k!) (1-x)^alpha - A_{k+1}) from the same
     recurrence, so no further hypergeometric family is summed.
     """
-    _, d_z, d_zbar = _spectral(alpha_value(alpha), fstar, disk_point_value(z))
+    _, d_z, d_zbar = _spectral_at(alpha_value(alpha), fstar, disk_point_value(z))
     return DerivativePair(d_z=d_z, d_zbar=d_zbar)
 
 

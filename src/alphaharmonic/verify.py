@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +78,14 @@ _POCHHAMMER_GAP = 1e-3
 _KERNEL_QUADRATURE = QuadratureConfig(n_initial=64, abs_tol=1e-11)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise DomainError unless value is an integer (bool excluded) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrialSpec:
     seed: int = 0
@@ -87,10 +96,11 @@ class TrialSpec:
     slack: float = 1e-9
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed!r}")
-        if self.n_trials < 1 or self.max_degree < 0:
-            raise DomainError("n_trials must be >= 1 and max_degree >= 0")
+        _check_count("seed", self.seed, 0)
+        _check_count("n_trials", self.n_trials, 1)
+        _check_count("max_degree", self.max_degree, 0)
+        if len(self.alpha_set) == 0 or len(self.radius_set) == 0:
+            raise DomainError("alpha_set and radius_set must not be empty")
         for a in self.alpha_set:
             alpha_value(a)
         if not all(0.0 <= r < 1.0 for r in self.radius_set):
@@ -161,8 +171,8 @@ def random_boundary(seed: int, degree: int, target_sup_norm: float = 1.0) -> Bou
     same data.  The polynomial is sampled once: the rescaled data scales
     the raw data's samples.
     """
-    if degree < 0:
-        raise DomainError(f"degree must be >= 0, got {degree!r}")
+    _check_count("seed", seed, 0)
+    _check_count("degree", degree, 0)
     if not (0.0 < target_sup_norm <= 1.0):
         raise DomainError(f"target sup-norm must lie in (0, 1], got {target_sup_norm!r}")
     rng = np.random.default_rng(seed)

@@ -7,6 +7,8 @@ knob included) has to update these tables, and so has to say so.
 
 import argparse
 import inspect
+import json
+from pathlib import Path
 
 import alphaharmonic
 from alphaharmonic import bounds, kernel, quadrature, specfun, verify
@@ -152,3 +154,14 @@ def test_cli_flags():
                          for flag in action.option_strings)
              for name, p in sub.choices.items()}
     assert found == CLI_FLAGS
+
+
+def test_bench_layer_names_follow_bound_ids_and_suites():
+    """The benchmark names a per-layer time for every bound id and suite;
+    renaming or removing one would leave its traced run's metric names
+    out of step with BENCHMARK.json."""
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    declared = {m["name"] for m in spec["per_layer"]
+                if m["name"].startswith(("bounds.", "verify.")) and m["name"].endswith(".s")}
+    assert declared == ({f"bounds.{bid}.s" for bid in bounds.BOUND_IDS}
+                        | {f"verify.{suite}.s" for suite in verify.SUITE_NAMES})

@@ -92,6 +92,22 @@ class TestBoundaryData:
         with pytest.raises(DomainError):
             BoundaryData.from_json_dict(data)
 
+    def test_copies_the_caller_array(self):
+        c = np.array([1 + 1j, 2, 0.5j])
+        bd = BoundaryData(c)
+        sup, f0 = bd.sup_norm, solve_dirichlet(0.5, bd, 0.0)
+        c[1] = 100
+        assert bd.coefficients[1] == 2
+        assert bd.sup_norm == sup
+        assert solve_dirichlet(0.5, bd, 0.0) == f0
+
+    def test_arrays_are_read_only(self):
+        bd = random_boundary(4, 3, 1.0)
+        for arr in (bd.coefficients, bd.samples, bd.scaled(0.5).coefficients,
+                    bd.scaled(0.5).samples):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_non_finite_coefficients_rejected(self, bad):
         with pytest.raises(DomainError):

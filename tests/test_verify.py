@@ -190,6 +190,20 @@ class TestSuiteReports:
         with pytest.raises(DomainError, match="alpha"):
             TrialSpec(alpha_set=(0.5, alpha))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha_set": ()}, {"radius_set": ()}, {"n_trials": 2.5}, {"max_degree": 2.5},
+    ])
+    def test_spec_rejects_malformed_sets_and_counts(self, kwargs):
+        # these used to escape as numpy's "a cannot be empty" ValueError, a
+        # TypeError from range, or (max_degree) silent truncation
+        with pytest.raises(DomainError, match=next(iter(kwargs))):
+            TrialSpec(**kwargs)
+
+    @pytest.mark.parametrize("seed, degree", [(-1, 3), (1, 2.5)])
+    def test_random_boundary_rejects_bad_seed_or_degree(self, seed, degree):
+        with pytest.raises(DomainError):
+            random_boundary(seed, degree)
+
     @pytest.mark.parametrize("slack", [math.nan, math.inf])
     def test_spec_rejects_non_finite_slack(self, slack):
         # margin < -nan is never true, so a NaN slack hid every violation

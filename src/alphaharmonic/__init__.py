@@ -6,16 +6,14 @@ Schwarz-Pick-type bounds, and an empirical verification harness.
 """
 
 from .errors import ConvergenceError, DomainError, IntegrandError
-from .specfun import (Hyp2F1Result, beta, binom_general, c_alpha,
-                      euler_transform_eval, gamma, hyp2f1, hyp2f1_at_one,
-                      hyp2f1_detailed, pochhammer, quadratic_transform_eval)
+from .specfun import (Hyp2F1Result, beta, c_alpha, gamma, hyp2f1,
+                      hyp2f1_detailed)
 from .quadrature import (QuadratureConfig, QuadratureResult,
                          cos_power_integral, integrate_periodic,
                          modulus_power_integral, ratio_integral_series)
 from .kernel import (BoundaryData, DerivativePair,
                      alpha_laplacian_residual, derivative_pair,
-                     kernel_derivatives, poisson_kernel, real_kernel,
-                     solve_dirichlet)
+                     poisson_kernel, solve_dirichlet)
 from .bounds import (BOUND_IDS, BoundReport, colonna_bound, evaluate_bound,
                      l1_mean_kernel, lc_schwarz_pick_bound, m1_bound,
                      m2_bound, m_bound, m_prime_bound, schwarz_bound,

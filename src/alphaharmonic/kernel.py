@@ -51,7 +51,7 @@ import numpy as np
 
 from ._memo import LastCall
 from .errors import ConvergenceError, DomainError
-from .specfun import _EPS, _one_minus_abs2, _series_sum, alpha_value, c_alpha
+from .specfun import _EPS, _one_minus_abs2, _series_sum, alpha_value
 
 # Seeds A_K with K (1 - x) at most this use the series in 1 - x, whose
 # leading term x^(-K) is then cancelled by at most a factor e^0.5; larger
@@ -66,9 +66,7 @@ __all__ = [
     "DerivativePair",
     "disk_point_value",
     "poisson_kernel",
-    "real_kernel",
     "solve_dirichlet",
-    "kernel_derivatives",
     "derivative_pair",
     "alpha_laplacian_residual",
 ]
@@ -89,8 +87,9 @@ class BoundaryData:
     frequencies -d..d, copied from the argument.  ``samples`` are the
     values on an equispaced grid whose power-of-two size is at least 4d+4,
     computed by one inverse FFT (`_on_grid`), and ``sup_norm`` is the
-    maximum modulus over that grid.  Both arrays are read-only, so
-    ``sup_norm`` and ``samples`` always describe ``coefficients``.
+    maximum modulus over that grid.  Both arrays are read-only and no
+    attribute can be rebound, so ``sup_norm`` and ``samples`` always
+    describe ``coefficients``.
     """
 
     __slots__ = ("coefficients", "degree", "samples", "sup_norm")
@@ -105,18 +104,29 @@ class BoundaryData:
         """Store coefficients and samples (computed when None), with checks."""
         if not np.isfinite(coeffs).all():
             raise DomainError("coefficients must be finite")
-        self.coefficients = coeffs
-        self.degree = coeffs.size // 2
+        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "degree", coeffs.size // 2)
         # finite coefficients can still sum past the float range
         with np.errstate(over="ignore", invalid="ignore"):
             if samples is None:
                 samples = self._on_grid(self._grid_size(self.degree), 0.0)
-            self.samples = samples
-            self.sup_norm = float(np.max(np.abs(samples)))
+            object.__setattr__(self, "samples", samples)
+            object.__setattr__(self, "sup_norm", float(np.max(np.abs(samples))))
         if not math.isfinite(self.sup_norm):
             raise DomainError("boundary values overflow the float range")
         coeffs.flags.writeable = False
         samples.flags.writeable = False
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"BoundaryData is immutable: cannot change {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __getstate__(self):  # copy and pickle, whose default sets the slots
+        return self.coefficients, self.samples
+
+    def __setstate__(self, state):
+        self._set(*state)
 
     @staticmethod
     def _grid_size(degree: int) -> int:
@@ -156,12 +166,6 @@ class BoundaryData:
         scalar = th.ndim == 0
         vals = self._evaluate_poly(np.atleast_1d(th))
         return complex(vals[0]) if scalar else vals
-
-    def rotate(self, phi: float) -> "BoundaryData":
-        """Boundary data of theta -> f(e^{i(theta + phi)})."""
-        d = self.degree
-        ks = np.arange(-d, d + 1)
-        return BoundaryData(self.coefficients * np.exp(1j * ks * phi))
 
     def scaled(self, factor: complex) -> "BoundaryData":
         """Boundary data factor * f, its samples scaled from this grid's."""
@@ -227,13 +231,6 @@ def poisson_kernel(alpha, z) -> complex:
     return complex(_kernel_rows(a, zc, np.zeros(1))[0][0])
 
 
-def real_kernel(alpha, z) -> float:
-    """Modulus-form kernel c_alpha (1-|z|^2)^(alpha+1) / |1-z|^(alpha+2)."""
-    a = alpha_value(alpha)
-    zc = disk_point_value(z)
-    return c_alpha(a) * _one_minus_abs2(zc) ** (a + 1.0) / abs(1.0 - zc) ** (a + 2.0)
-
-
 def _kernel_rows(a: float, zc: complex, theta: np.ndarray) -> tuple:
     """(P, dP/dz, dP/dzbar) at xi = z e^{-i theta}, all from one
     evaluation of the kernel."""
@@ -247,25 +244,6 @@ def _kernel_rows(a: float, zc: complex, theta: np.ndarray) -> tuple:
     d_z = kern * (q - (a + 1.0) * zc.conjugate() / one_minus_r2)
     d_zbar = (a + 1.0) * kern * (np.conj(q) - zc / one_minus_r2)
     return kern, d_z, d_zbar
-
-
-def kernel_derivatives(alpha, z, theta):
-    """Wirtinger derivatives of the kernel map z -> P(z e^{-i theta}).
-
-    Returns the pair (d/dz, d/dzbar), each with the shape of theta.  Their
-    moduli satisfy, with xi = z e^{-i theta} and r = |z|:
-
-        |d/dzbar| = (1+alpha) (1-r^2)^alpha / |1-xi|^(alpha+2)
-        |d/dz|    = (1-r^2)^alpha |(1+alpha)(r^2-xi) + 1-r^2| / |1-xi|^(alpha+3)
-    """
-    a = alpha_value(alpha)
-    zc = disk_point_value(z)
-    th = np.asarray(theta, dtype=float)
-    scalar = th.ndim == 0
-    _, d_z, d_zbar = _kernel_rows(a, zc, np.atleast_1d(th))
-    if scalar:
-        return complex(d_z[0]), complex(d_zbar[0])
-    return d_z, d_zbar
 
 
 def _mode_seed(a: float, k: int, x: float, y: float, scale_k: float) -> float:

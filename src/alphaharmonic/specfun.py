@@ -33,13 +33,8 @@ __all__ = [
     "Hyp2F1Result",
     "gamma",
     "beta",
-    "pochhammer",
-    "binom_general",
     "hyp2f1",
     "hyp2f1_detailed",
-    "hyp2f1_at_one",
-    "euler_transform_eval",
-    "quadratic_transform_eval",
     "c_alpha",
 ]
 
@@ -116,37 +111,6 @@ def beta(x: float, y: float) -> float:
     if x + y <= 170.0:  # dividing first, tiny x and y cannot overflow a product
         return math.gamma(x) / math.gamma(x + y) * math.gamma(y)
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
-
-
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    if n < 0:
-        raise DomainError(f"pochhammer requires n >= 0, got {n!r}")
-    out = 1.0
-    for k in range(n):
-        out *= a + k
-    return out
-
-
-def binom_general(alpha: float, n: int) -> float:
-    """Generalized binomial coefficient (alpha choose n) for real alpha.
-
-    Evaluated as the product (alpha - n + 1)_n / n! with factors interleaved,
-    so integer alpha with n > alpha >= 0 yields an exact 0.
-    """
-    if n < 0:
-        raise DomainError(f"binom_general requires n >= 0, got {n!r}")
-    out = 1.0
-    for k in range(n):
-        out *= (alpha - k) / (k + 1)
-    return out
-
-
-def _validate_x(x: float) -> float:
-    x = float(x)
-    if not (0.0 <= x < 1.0):
-        raise DomainError(f"series argument must lie in [0, 1), got {x!r}")
-    return x
 
 
 def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TOL):
@@ -367,7 +331,9 @@ def hyp2f1_detailed(params, x: float) -> Hyp2F1Result:
     """
     a, b, c = _validate_params(*params)
     a, b = min(a, b), max(a, b)
-    x = _validate_x(x)
+    x = float(x)
+    if not 0.0 <= x < 1.0:
+        raise DomainError(f"series argument must lie in [0, 1), got {x!r}")
     y = 1.0 - x
     terminates = _terminates(a, b)
     if x > 0.5 and not terminates:
@@ -387,53 +353,6 @@ def hyp2f1(params, x: float) -> float:
     See hyp2f1_detailed for the evaluation routes.
     """
     return hyp2f1_detailed(params, x).value
-
-
-def euler_transform_eval(params, x: float) -> float:
-    """Right-hand side of the Euler transform, summed as a raw series.
-
-    Returns (1-x)^(c-a-b) * F(c-a, c-b; c; x) without re-applying any
-    transform, so the identity with hyp2f1 can be tested as two genuinely
-    different evaluation routes.
-    """
-    a, b, c = _validate_params(*params)
-    x = _validate_x(x)
-    value, _ = _series_sum(c - a, c - b, c, x)
-    return (1.0 - x) ** (c - a - b) * value
-
-
-def quadratic_transform_eval(a: float, c: float, x: float) -> float:
-    """Argument-halving evaluation of F(a, a + 1/2; c; x).
-
-    Computes ((1 + sqrt(1-x))/2)^(-2a) * F(2a, 2a-c+1; c; y) with
-    y = (1 - sqrt(1-x)) / (1 + sqrt(1-x)), again as a raw series.
-    """
-    a, _, c = _validate_params(a, a + 0.5, c)
-    x = _validate_x(x)
-    s = math.sqrt(1.0 - x)
-    y = (1.0 - s) / (1.0 + s)
-    value, _ = _series_sum(2.0 * a, 2.0 * a - c + 1.0, c, y)
-    return ((1.0 + s) / 2.0) ** (-2.0 * a) * value
-
-
-def hyp2f1_at_one(params) -> float:
-    """Limit of F(a, b; c; x) as x -> 1-, requiring c - a - b > 0.
-
-    Evaluated as Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)).  Only
-    parameter triples with c - a and c - b positive are supported; every
-    bound in this package satisfies that.
-    """
-    a, b, c = _validate_params(*params)
-    s = c - a - b
-    if not s > 0:
-        raise DomainError(f"limit diverges: c - a - b = {s!r} <= 0")
-    if not (c > 0 and c - a > 0 and c - b > 0):
-        raise DomainError(
-            "parameter triple outside the supported range (needs c, c-a, c-b > 0)"
-        )
-    return math.exp(
-        math.lgamma(c) + math.lgamma(s) - math.lgamma(c - a) - math.lgamma(c - b)
-    )
 
 
 def c_alpha(alpha) -> float:

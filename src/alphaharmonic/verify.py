@@ -26,9 +26,7 @@ from .kernel import (BoundaryData, _kernel_rows, derivative_pair,
 from .quadrature import (QuadratureConfig, _node_level, cos_power_integral,
                          integrate_periodic, modulus_power_integral,
                          ratio_integral_series)
-from .specfun import (_series_sum, alpha_value, euler_transform_eval, gamma,
-                      hyp2f1, hyp2f1_at_one, hyp2f1_detailed,
-                      quadratic_transform_eval)
+from .specfun import _series_sum, alpha_value, gamma, hyp2f1, hyp2f1_detailed
 
 __all__ = [
     "TrialSpec",
@@ -86,6 +84,10 @@ def _check_count(name: str, value, least: int) -> None:
         raise DomainError(f"{name} must be >= {least}, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrialSpec:
     seed: int = 0
@@ -99,14 +101,21 @@ class TrialSpec:
         _check_count("seed", self.seed, 0)
         _check_count("n_trials", self.n_trials, 1)
         _check_count("max_degree", self.max_degree, 0)
-        if len(self.alpha_set) == 0 or len(self.radius_set) == 0:
-            raise DomainError("alpha_set and radius_set must not be empty")
+        for name in ("alpha_set", "radius_set"):
+            values = getattr(self, name)
+            try:
+                ok = len(values) > 0 and all(map(_is_real, values))
+            except TypeError:  # not a collection
+                ok = False
+            if not ok:
+                raise DomainError(f"{name} must be a non-empty sequence of real numbers, "
+                                  f"got {values!r}")
         for a in self.alpha_set:
             alpha_value(a)
         if not all(0.0 <= r < 1.0 for r in self.radius_set):
             raise DomainError("all radii must lie in [0, 1)")
         # a NaN slack would pass every margin: margin < -nan is never true
-        if not 0.0 <= self.slack < math.inf:
+        if not (_is_real(self.slack) and 0.0 <= self.slack < math.inf):
             raise DomainError(f"slack must be finite and >= 0, got {self.slack!r}")
 
 
@@ -173,7 +182,7 @@ def random_boundary(seed: int, degree: int, target_sup_norm: float = 1.0) -> Bou
     """
     _check_count("seed", seed, 0)
     _check_count("degree", degree, 0)
-    if not (0.0 < target_sup_norm <= 1.0):
+    if not (_is_real(target_sup_norm) and 0.0 < target_sup_norm <= 1.0):
         raise DomainError(f"target sup-norm must lie in (0, 1], got {target_sup_norm!r}")
     rng = np.random.default_rng(seed)
     n = 2 * degree + 1
@@ -403,6 +412,30 @@ def _gauss_legendre_quarter() -> tuple[np.ndarray, np.ndarray]:
     return theta, w
 
 
+def _euler_transform_eval(params, x: float) -> float:
+    """EULER_TRANSFORM's other side: (1-x)^(c-a-b) F(c-a, c-b; c; x), raw."""
+    a, b, c = params
+    value, _ = _series_sum(c - a, c - b, c, x)
+    return (1.0 - x) ** (c - a - b) * value
+
+
+def _quadratic_transform_eval(a: float, c: float, x: float) -> float:
+    """QUADRATIC_TRANSFORM's other side: F(a, a + 1/2; c; x) as the raw
+    ((1 + s)/2)^(-2a) F(2a, 2a-c+1; c; (1 - s)/(1 + s)), s = sqrt(1 - x)."""
+    s = math.sqrt(1.0 - x)
+    y = (1.0 - s) / (1.0 + s)
+    value, _ = _series_sum(2.0 * a, 2.0 * a - c + 1.0, c, y)
+    return ((1.0 + s) / 2.0) ** (-2.0 * a) * value
+
+
+def _hyp2f1_at_one(params) -> float:
+    """GAUSS_SUMMATION's F(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a)
+    Gamma(c-b)), for c, c - a, c - b and c - a - b all positive."""
+    a, b, c = params
+    return math.exp(math.lgamma(c) + math.lgamma(c - a - b)
+                    - math.lgamma(c - a) - math.lgamma(c - b))
+
+
 def check_identities(spec: TrialSpec) -> list[TrialReport]:
     """Quadrature-versus-closed-form and transform identity suites.
 
@@ -477,10 +510,10 @@ def check_identities(spec: TrialSpec) -> list[TrialReport]:
         x = float(rng.uniform(0.0, 0.95))
         ctx = f"a={a:.3g} b={b:.3g} c={c:.3g} x={x:.3g}"
         res = hyp2f1_detailed((a, b, c), x)
-        # hyp2f1's "euler" route sums the very series euler_transform_eval
+        # hyp2f1's "euler" route sums the very series _euler_transform_eval
         # sums, so there the untransformed series is the other route
         lhs = _series_sum(a, b, c, x)[0] if res.transform == "euler" else res.value
-        rhs = euler_transform_eval((a, b, c), x)
+        rhs = _euler_transform_eval((a, b, c), x)
         rel = abs(lhs - rhs) / max(abs(lhs), 1e-12)
         t_eul.add(1e-10 - rel, trial, ctx)
 
@@ -490,7 +523,7 @@ def check_identities(spec: TrialSpec) -> list[TrialReport]:
         x = float(rng.uniform(0.0, 0.95))
         ctx = f"a={a:.3g} c={c:.3g} x={x:.3g}"
         lhs = hyp2f1((a, a + 0.5, c), x)
-        rhs = quadratic_transform_eval(a, c, x)
+        rhs = _quadratic_transform_eval(a, c, x)
         rel = abs(lhs - rhs) / max(abs(lhs), 1e-12)
         t_qud.add(1e-10 - rel, trial, ctx)
 
@@ -503,7 +536,7 @@ def check_identities(spec: TrialSpec) -> list[TrialReport]:
             if c - a > 0.05 and c - b > 0.05 and c > 0.3:
                 break
         ctx = f"a={a:.3g} b={b:.3g} c={c:.3g}"
-        limit = hyp2f1_at_one((a, b, c))
+        limit = _hyp2f1_at_one((a, b, c))
         gaps = [abs(hyp2f1((a, b, c), 1.0 - d) - limit) for d in deltas]
         decrease = min(gaps[i] - gaps[i + 1] for i in range(len(gaps) - 1))
         t_gau.add(decrease, trial, ctx)

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from alphaharmonic import (QuadratureConfig, TrialSpec, c_alpha,
-                           alpha_laplacian_residual, derivative_pair,
-                           euler_transform_eval, gamma,
+                           alpha_laplacian_residual, derivative_pair, gamma,
                            hyp2f1, integrate_periodic, l1_mean_kernel,
-                           modulus_power_integral, quadratic_transform_eval,
-                           random_boundary, ratio_integral_series,
-                           run_suite, solve_dirichlet)
+                           modulus_power_integral, random_boundary,
+                           ratio_integral_series, run_suite, solve_dirichlet)
 from alphaharmonic.cli import main as cli_main
 from alphaharmonic.kernel import BoundaryData, _kernel_rows
-from alphaharmonic.verify import inconclusive_rate, total_violations
+from alphaharmonic.verify import (_euler_transform_eval,
+                                  _quadratic_transform_eval, inconclusive_rate,
+                                  total_violations)
 
 TIGHT = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
 
@@ -229,12 +229,12 @@ def test_criterion_10_transform_identities():
             c = rng.uniform(0.3, 3.0)
             x = rng.uniform(0.0, 0.95)
             lhs = hyp2f1((a, b, c), x)
-            rhs = euler_transform_eval((a, b, c), x)
+            rhs = _euler_transform_eval((a, b, c), x)
             assert abs(lhs - rhs) / max(abs(lhs), 1e-12) <= 1e-10
         for _ in range(100):
             a = rng.uniform(-1.5, 1.5)
             c = rng.uniform(0.4, 3.0)
             x = rng.uniform(0.0, 0.95)
             lhs = hyp2f1((a, a + 0.5, c), x)
-            rhs = quadratic_transform_eval(a, c, x)
+            rhs = _quadratic_transform_eval(a, c, x)
             assert abs(lhs - rhs) / max(abs(lhs), 1e-12) <= 1e-10

@@ -6,6 +6,7 @@ knob included) has to update these tables, and so has to say so.
 """
 
 import argparse
+import ast
 import inspect
 import json
 from pathlib import Path
@@ -21,18 +22,21 @@ EXPORTS = frozenset({
     "DerivativePair", "DomainError", "Hyp2F1Result", "IntegrandError",
     "QuadratureConfig", "QuadratureResult",
     "TrialReport", "TrialSpec", "alpha_laplacian_residual", "beta",
-    "binom_general", "c_alpha", "check_identities", "check_proof_machinery",
+    "c_alpha", "check_identities", "check_proof_machinery",
     "check_schwarz", "check_schwarz_pick", "colonna_bound",
-    "cos_power_integral", "derivative_pair",
-    "euler_transform_eval", "evaluate_bound",
-    "figure1_data", "gamma", "hyp2f1", "hyp2f1_at_one", "hyp2f1_detailed",
-    "integrate_periodic", "kernel_derivatives", "l1_mean_kernel",
+    "cos_power_integral", "derivative_pair", "evaluate_bound",
+    "figure1_data", "gamma", "hyp2f1", "hyp2f1_detailed",
+    "integrate_periodic", "l1_mean_kernel",
     "lc_schwarz_pick_bound", "m1_bound", "m2_bound", "m_bound",
-    "m_prime_bound", "modulus_power_integral", "pochhammer", "poisson_kernel",
-    "quadratic_transform_eval", "random_boundary", "ratio_integral_series",
-    "real_kernel", "run_suite", "schwarz_bound", "schwarz_pick_bound",
+    "m_prime_bound", "modulus_power_integral", "poisson_kernel",
+    "random_boundary", "ratio_integral_series",
+    "run_suite", "schwarz_bound", "schwarz_pick_bound",
     "schwarz_pick_limit_bound", "solve_dirichlet", "thm_a_constant",
 })
+
+# Exported functions that no module of the library calls: the kernel and
+# the weighted Laplacian's residual are the paper's own objects.
+UNCALLED_EXPORTS = frozenset({"poisson_kernel", "alpha_laplacian_residual"})
 
 # Parameters as written in a def: "*name" is keyword-only, "name=repr" has
 # a default.  DomainError is absent: it inherits ValueError's signature,
@@ -57,7 +61,6 @@ SIGNATURES = {
     "ViolationDetail": ("trial", "margin", "context"),
     "alpha_laplacian_residual": ("alpha", "fstar", "z", "h"),
     "beta": ("x", "y"),
-    "binom_general": ("alpha", "n"),
     "c_alpha": ("alpha",),
     "check_identities": ("spec",),
     "check_proof_machinery": ("spec",),
@@ -68,16 +71,13 @@ SIGNATURES = {
     "default_figure_alphas": (),
     "derivative_pair": ("alpha", "fstar", "z"),
     "disk_point_value": ("z",),
-    "euler_transform_eval": ("params", "x"),
     "evaluate_bound": ("bound_id", "r", "alpha", "c=None"),
     "figure1_data": ("r=0.99", "alphas=None"),
     "gamma": ("x",),
     "hyp2f1": ("params", "x"),
-    "hyp2f1_at_one": ("params",),
     "hyp2f1_detailed": ("params", "x"),
     "inconclusive_rate": ("reports",),
     "integrate_periodic": ("f", "config=None"),
-    "kernel_derivatives": ("alpha", "z", "theta"),
     "l1_mean_kernel": ("alpha", "r"),
     "lc_schwarz_pick_bound": ("r", "alpha"),
     "m1_bound": ("r", "alpha", "c"),
@@ -85,12 +85,9 @@ SIGNATURES = {
     "m_bound": ("r", "alpha"),
     "m_prime_bound": ("r", "alpha"),
     "modulus_power_integral": ("z", "beta"),
-    "pochhammer": ("a", "n"),
     "poisson_kernel": ("alpha", "z"),
-    "quadratic_transform_eval": ("a", "c", "x"),
     "random_boundary": ("seed", "degree", "target_sup_norm=1.0"),
     "ratio_integral_series": ("a", "b", "alpha", "beta"),
-    "real_kernel": ("alpha", "z"),
     "run_suite": ("name", "spec"),
     "schwarz_bound": ("r", "alpha"),
     "schwarz_pick_bound": ("r", "alpha"),
@@ -165,3 +162,38 @@ def test_bench_layer_names_follow_bound_ids_and_suites():
                 if m["name"].startswith(("bounds.", "verify.")) and m["name"].endswith(".s")}
     assert declared == ({f"bounds.{bid}.s" for bid in bounds.BOUND_IDS}
                         | {f"verify.{suite}.s" for suite in verify.SUITE_NAMES})
+
+
+def _names_in(node) -> set:
+    """Identifiers that node names in code: variables, attributes, and
+    strings that are exactly an identifier (as `verify._SUITES` holds)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            out.add(n.value)
+    return out
+
+
+def test_every_exported_function_is_called_in_the_library():
+    """Each exported function is named in the library's code outside its
+    own def, its module's __all__ and __init__.py, unless it is one of
+    the paper's objects listed in UNCALLED_EXPORTS; a routine only tests
+    use does not belong in the public API."""
+    named = set()
+    for path in Path(alphaharmonic.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "__all__" for target in node.targets):
+                continue
+            names = _names_in(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+            named |= names
+    functions = {n for n in EXPORTS if inspect.isfunction(getattr(alphaharmonic, n))}
+    assert functions - named == UNCALLED_EXPORTS

@@ -1,7 +1,9 @@
 """Kernel evaluation, Dirichlet solver, derivatives, and residual checks."""
 
 import cmath
+import copy
 import math
+import pickle
 import warnings
 
 import mpmath
@@ -15,8 +17,7 @@ import alphaharmonic.quadrature as quadrature_module
 from alphaharmonic import (BoundaryData, ConvergenceError, DerivativePair,
                            DomainError, QuadratureConfig,
                            alpha_laplacian_residual, c_alpha, derivative_pair,
-                           integrate_periodic, kernel_derivatives,
-                           poisson_kernel, random_boundary, real_kernel,
+                           integrate_periodic, poisson_kernel, random_boundary,
                            solve_dirichlet)
 from alphaharmonic.kernel import _kernel_rows, disk_point_value
 from alphaharmonic.verify import _KERNEL_QUADRATURE
@@ -58,10 +59,27 @@ class TestBoundaryData:
         angles = 2.0 * math.pi * np.arange(n) / n
         assert np.max(np.abs(bd.evaluate(angles) - bd.samples)) < 1e-12
 
+    def test_attributes_cannot_be_rebound(self):
+        # a rebound coefficients array used to leave sup_norm and samples
+        # describing the old data
+        bd = random_boundary(1, 2, 1.0)
+        before = solve_dirichlet(0.5, bd, 0.3)
+        for name, value in (("coefficients", np.zeros(5, complex)), ("degree", 0),
+                            ("samples", np.zeros(16, complex)), ("sup_norm", 7.0)):
+            with pytest.raises(AttributeError):
+                setattr(bd, name, value)
+            with pytest.raises(AttributeError):
+                delattr(bd, name)
+        assert solve_dirichlet(0.5, bd, 0.3) == before
+        for again in (copy.deepcopy(bd), pickle.loads(pickle.dumps(bd))):
+            assert np.array_equal(again.samples, bd.samples)
+            assert again.sup_norm == bd.sup_norm and not again.samples.flags.writeable
+
     def test_rotation(self):
+        # c_k e^{ik phi}, k = -d..d, are the coefficients of f(theta + phi)
         bd = random_boundary(5, 4, 0.8)
         phi = 0.7
-        rotated = bd.rotate(phi)
+        rotated = BoundaryData(bd.coefficients * np.exp(1j * np.arange(-4, 5) * phi))
         theta = np.linspace(0.0, 2.0 * math.pi, 17)
         assert np.allclose(rotated.evaluate(theta), bd.evaluate(theta + phi),
                            atol=1e-13)
@@ -187,10 +205,12 @@ class TestKernelValues:
             poisson_kernel(1.0, 1.2)
 
     def test_real_kernel_values(self):
-        assert real_kernel(0.0, 0.3 + 0.2j) == pytest.approx(
+        # the modulus form c_alpha (1-|z|^2)^(alpha+1) / |1-z|^(alpha+2)
+        assert c_alpha(0.0) * abs(poisson_kernel(0.0, 0.3 + 0.2j)) == pytest.approx(
             poisson_kernel(0.0, 0.3 + 0.2j).real, rel=1e-13)
-        assert real_kernel(1.5, 0.0) == pytest.approx(c_alpha(1.5), rel=1e-13)
-        assert real_kernel(2.0, 0.5) == pytest.approx(3.375, rel=1e-13)
+        assert c_alpha(1.5) * abs(poisson_kernel(1.5, 0.0)) == pytest.approx(
+            c_alpha(1.5), rel=1e-13)
+        assert c_alpha(2.0) * abs(poisson_kernel(2.0, 0.5)) == pytest.approx(3.375, rel=1e-13)
 
     def test_near_the_unit_circle_against_mpmath(self):
         # within 1e-8 of |z| = 1, where 1.0 - |z|^2 put poisson_kernel 1.1e-4
@@ -209,15 +229,17 @@ class TestKernelValues:
                 assert abs(poisson_kernel(a, z) - want) < 1e-13 * abs(want), (a, z)
                 want = (mpmath.gamma(mpmath.mpf(a) / 2 + 1) ** 2 / mpmath.gamma(a + 1)
                         * one_minus_r2 ** (a + 1) / abs(1 - zm) ** (a + 2))
-                assert abs(real_kernel(a, z) - want) < 1e-13 * want, (a, z)
+                got = c_alpha(a) * abs(poisson_kernel(a, z))
+                assert abs(got - want) < 1e-13 * want, (a, z)
 
     def test_real_kernel_is_scaled_modulus(self):
+        # |P(z)| = (1-|z|^2)^(alpha+1) / |1-z|^(alpha+2)
         rng = np.random.default_rng(8)
         for _ in range(50):
             a = rng.uniform(-0.9, 4.0)
             z = rng.uniform(-0.6, 0.6) + 1j * rng.uniform(-0.6, 0.6)
-            assert real_kernel(a, z) == pytest.approx(
-                c_alpha(a) * abs(poisson_kernel(a, z)), rel=1e-12)
+            assert abs(poisson_kernel(a, z)) == pytest.approx(
+                (1.0 - abs(z) ** 2) ** (a + 1.0) / abs(1.0 - z) ** (a + 2.0), rel=1e-12)
 
 
 class TestSolver:
@@ -246,10 +268,12 @@ class TestSolver:
 
     def test_rotation_equivariance(self):
         fstar = random_boundary(12, 5, 1.0)
+        ks = np.arange(-5, 6)
         for alpha in (-0.5, 0.0, 1.7):
             for phi in (0.4, 2.0):
                 z = 0.45 + 0.2j
-                lhs = solve_dirichlet(alpha, fstar.rotate(phi), z)
+                rotated = BoundaryData(fstar.coefficients * np.exp(1j * ks * phi))
+                lhs = solve_dirichlet(alpha, rotated, z)
                 rhs = solve_dirichlet(alpha, fstar, z * cmath.exp(1j * phi))
                 assert abs(lhs - rhs) < 1e-10
 
@@ -404,15 +428,22 @@ class TestKernelPass:
                 assert abs(value - q.value) <= q.error_estimate + 1e-15 * abs(q.value)
 
 
+def _kernel_derivatives(a, z, theta):
+    """(dP/dz, dP/dzbar) at z e^{-i theta}, the derivative rows of
+    `_kernel_rows` that DIRICHLET_SPECTRAL integrates."""
+    _, d_z, d_zbar = _kernel_rows(a, complex(z), np.array([theta]))
+    return complex(d_z[0]), complex(d_zbar[0])
+
+
 class TestKernelDerivatives:
     def test_origin_moduli(self):
         for a in (-0.5, 0.0, 1.0, 3.0):
-            d_z, d_zbar = kernel_derivatives(a, 0.0, 1.1)
+            d_z, d_zbar = _kernel_derivatives(a, 0.0, 1.1)
             assert abs(d_zbar) == pytest.approx(1.0 + a, rel=1e-13)
             assert abs(d_z) == pytest.approx(1.0, rel=1e-13)
 
     def test_classical_value(self):
-        _, d_zbar = kernel_derivatives(0.0, 0.5, 0.0)
+        _, d_zbar = _kernel_derivatives(0.0, 0.5, 0.0)
         assert abs(d_zbar) == pytest.approx(4.0, rel=1e-13)
 
     def test_modulus_contracts(self):
@@ -422,7 +453,7 @@ class TestKernelDerivatives:
             r = rng.uniform(0.0, 0.9)
             phi, theta = rng.uniform(0.0, 2.0 * math.pi, size=2)
             z = r * cmath.exp(1j * phi)
-            d_z, d_zbar = kernel_derivatives(a, z, theta)
+            d_z, d_zbar = _kernel_derivatives(a, z, theta)
             xi = z * cmath.exp(-1j * theta)
             want_zbar = (1.0 + a) * (1.0 - r * r) ** a / abs(1.0 - xi) ** (a + 2.0)
             want_z = ((1.0 - r * r) ** a
@@ -435,7 +466,7 @@ class TestKernelDerivatives:
         a, theta = 1.3, 0.8
         z = 0.35 + 0.15j
         h = 1e-6
-        d_z, d_zbar = kernel_derivatives(a, z, theta)
+        d_z, d_zbar = _kernel_derivatives(a, z, theta)
 
         def kernel_at(w):
             return poisson_kernel(a, w * cmath.exp(-1j * theta))

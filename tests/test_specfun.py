@@ -14,14 +14,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import alphaharmonic.specfun as specfun_module
-from alphaharmonic import (ConvergenceError, DomainError, beta, binom_general,
-                           c_alpha, euler_transform_eval, gamma, hyp2f1,
-                           hyp2f1_at_one, hyp2f1_detailed, m_bound, pochhammer,
-                           quadratic_transform_eval)
+from alphaharmonic import (ConvergenceError, DomainError, beta, c_alpha, gamma,
+                           hyp2f1, hyp2f1_detailed, m_bound)
 from alphaharmonic.bounds import _m_series
 from alphaharmonic.kernel import _mode_seed
 from alphaharmonic.specfun import (_EPS, _series_sum, _sum_chunks, _sum_terms,
                                    alpha_value)
+from alphaharmonic.verify import (_euler_transform_eval, _hyp2f1_at_one,
+                                  _quadratic_transform_eval)
 
 mp.mp.dps = 30
 
@@ -90,28 +90,6 @@ class TestGammaBeta:
             beta(0.0, 1.0)
 
 
-class TestPochhammerBinom:
-    def test_pochhammer_zero(self):
-        for a in (-3.7, 0.0, 2.5, 9.0):
-            assert pochhammer(a, 0) == 1.0
-
-    def test_pochhammer_rising(self):
-        assert pochhammer(3.0, 4) == 360.0  # 3*4*5*6
-
-    def test_pochhammer_hits_zero(self):
-        assert pochhammer(-1.0, 3) == 0.0
-
-    def test_binom_zero(self):
-        for a in (-2.0, 0.5, 7.0):
-            assert binom_general(a, 0) == 1.0
-
-    def test_binom_half(self):
-        assert binom_general(0.5, 2) == pytest.approx(-0.125, rel=1e-15)
-
-    def test_binom_integer_exhausted(self):
-        assert binom_general(3.0, 5) == 0.0
-
-
 class TestParams:
     def test_alpha_validation(self):
         assert alpha_value(0.0) == 0.0
@@ -129,15 +107,9 @@ class TestParams:
                                         (1.0, -math.inf, 2.0), (1.0, 1.0, math.nan),
                                         (1.0, 1.0, math.inf)])
     def test_non_finite_parameters_rejected(self, triple):
-        for evaluate in (hyp2f1, hyp2f1_detailed, euler_transform_eval):
+        for evaluate in (hyp2f1, hyp2f1_detailed):
             with pytest.raises(DomainError):
                 evaluate(triple, 0.5)
-        with pytest.raises(DomainError):
-            hyp2f1_at_one(triple)
-        a, b, c = triple
-        if b == 1.0:  # quadratic_transform_eval takes only a and c
-            with pytest.raises(DomainError):
-                quadratic_transform_eval(a, c, 0.5)
 
     def test_bad_c_rejected(self):
         for c in (0.0, -1.0, -2.0, -3.0 + 5e-13, 1e-13):
@@ -218,14 +190,14 @@ class TestHyp2F1:
 
 class TestTransforms:
     def test_euler_matches_log_form(self):
-        assert rel_err(euler_transform_eval((1.0, 1.0, 2.0), 0.5),
+        assert rel_err(_euler_transform_eval((1.0, 1.0, 2.0), 0.5),
                        1.3862943611198906188) < 1e-10
 
     def test_euler_at_zero(self):
-        assert euler_transform_eval((0.7, -0.2, 1.1), 0.0) == 1.0
+        assert _euler_transform_eval((0.7, -0.2, 1.1), 0.0) == 1.0
 
     def test_euler_identity_far_argument(self):
-        got = euler_transform_eval((0.25, 0.75, 1.5), 0.9)
+        got = _euler_transform_eval((0.25, 0.75, 1.5), 0.9)
         want = hyp2f1((0.25, 0.75, 1.5), 0.9)
         assert rel_err(got, want) < 1e-10
         assert rel_err(want, 1.2326775139086117622) < 1e-11  # mpmath
@@ -236,22 +208,22 @@ class TestTransforms:
             a, b = rng.uniform(-2.0, 2.0, size=2)
             c = rng.uniform(0.3, 3.0)
             x = rng.uniform(0.0, 0.95)
-            assert rel_err(euler_transform_eval((a, b, c), x),
+            assert rel_err(_euler_transform_eval((a, b, c), x),
                            hyp2f1((a, b, c), x)) < 1e-10
 
     def test_quadratic_at_zero(self):
-        assert quadratic_transform_eval(0.7, 1.3, 0.0) == 1.0
+        assert _quadratic_transform_eval(0.7, 1.3, 0.0) == 1.0
 
     def test_quadratic_arctanh_instance(self):
         # F(1/2, 1; 3/2; x) = atanh(sqrt(x)) / sqrt(x)
-        got = quadratic_transform_eval(0.5, 1.5, 0.64)
+        got = _quadratic_transform_eval(0.5, 1.5, 0.64)
         assert rel_err(got, 1.3732653608351371142) < 1e-10
         assert rel_err(got, hyp2f1((0.5, 1.0, 1.5), 0.64)) < 1e-10
 
     def test_quadratic_geometric_instance(self):
         r = 0.5
         x = 4.0 * r * r / (1.0 + r * r) ** 2
-        got = quadratic_transform_eval(1.0, 1.5, x)
+        got = _quadratic_transform_eval(1.0, 1.5, x)
         assert rel_err(got, hyp2f1((1.0, 1.5, 1.5), x)) < 1e-10
         assert rel_err(got, 1.0 / (1.0 - x)) < 1e-10
 
@@ -261,7 +233,7 @@ class TestTransforms:
             a = rng.uniform(-1.5, 1.5)
             c = rng.uniform(0.4, 3.0)
             x = rng.uniform(0.0, 0.95)
-            assert rel_err(quadratic_transform_eval(a, c, x),
+            assert rel_err(_quadratic_transform_eval(a, c, x),
                            hyp2f1((a, a + 0.5, c), x)) < 1e-10
 
     def test_auto_transform_engages(self):
@@ -485,10 +457,10 @@ def _sweep_values(family, u, x):
     if family == "euler":  # verify's EULER_TRANSFORM draws
         a, b, c = -2.0 + 4.0 * u[0], -2.0 + 4.0 * u[1], 0.3 + 2.7 * u[2]
         want = mp.hyp2f1(a, b, c, xm)
-        return [(hyp2f1((a, b, c), x), want), (euler_transform_eval((a, b, c), x), want)]
+        return [(hyp2f1((a, b, c), x), want), (_euler_transform_eval((a, b, c), x), want)]
     a, c = -1.5 + 3.0 * u[0], 0.4 + 2.6 * u[1]  # QUADRATIC_TRANSFORM draws
     want = mp.hyp2f1(a, a + 0.5, c, xm)
-    return [(hyp2f1((a, a + 0.5, c), x), want), (quadratic_transform_eval(a, c, x), want)]
+    return [(hyp2f1((a, a + 0.5, c), x), want), (_quadratic_transform_eval(a, c, x), want)]
 
 
 SWEEP_FAMILIES = ("schwarz", "m_series", "mode_seed", "euler", "quadratic")
@@ -580,20 +552,16 @@ class TestShortRoute:
 
 class TestGaussSummation:
     def test_terminating_limit(self):
-        assert hyp2f1_at_one((-1.0, -1.0, 1.0)) == pytest.approx(2.0, rel=1e-13)
+        assert _hyp2f1_at_one((-1.0, -1.0, 1.0)) == pytest.approx(2.0, rel=1e-13)
 
     def test_zero_parameter(self):
-        assert hyp2f1_at_one((0.0, 0.7, 1.3)) == pytest.approx(1.0, rel=1e-13)
+        assert _hyp2f1_at_one((0.0, 0.7, 1.3)) == pytest.approx(1.0, rel=1e-13)
 
     def test_reciprocal_normalization_constant(self):
         for alpha in (0.5, 1.0, 2.0, 3.5):
             want = 1.0 / c_alpha(alpha)
-            got = hyp2f1_at_one((-alpha / 2.0, -alpha / 2.0, 1.0))
+            got = _hyp2f1_at_one((-alpha / 2.0, -alpha / 2.0, 1.0))
             assert rel_err(got, want) < 1e-12
-
-    def test_divergent_rejected(self):
-        with pytest.raises(DomainError):
-            hyp2f1_at_one((1.0, 1.0, 1.5))
 
     def test_limit_approach_monotone(self):
         rng = np.random.default_rng(31)
@@ -604,7 +572,7 @@ class TestGaussSummation:
                 c = a + b + rng.uniform(0.25, 2.0)
                 if c - a > 0.05 and c - b > 0.05 and c > 0.3:
                     break
-            limit = hyp2f1_at_one((a, b, c))
+            limit = _hyp2f1_at_one((a, b, c))
             gaps = [abs(hyp2f1((a, b, c), 1.0 - d) - limit) for d in deltas]
             assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
 
@@ -612,7 +580,7 @@ class TestGaussSummation:
         # the gap to the limit scales like (1-x)^(c-a-b)
         x = 1.0 - 1e-6
         for a, b, c in ((0.25, 0.25, 1.0), (-0.5, 0.7, 1.9), (0.1, -0.9, 0.8)):
-            limit = hyp2f1_at_one((a, b, c))
+            limit = _hyp2f1_at_one((a, b, c))
             got = hyp2f1((a, b, c), x)
             want = float(mp.hyp2f1(a, b, c, mp.mpf(1) - mp.mpf(1e-6)))
             assert rel_err(got, want) < 1e-8

@@ -210,26 +210,41 @@ class TestSuiteReports:
         with pytest.raises(DomainError, match="slack"):
             TrialSpec(slack=slack)
 
+    @pytest.mark.parametrize("make", [
+        lambda: TrialSpec(radius_set=("0.5",)),
+        lambda: TrialSpec(slack="1e-9"),
+        lambda: TrialSpec(alpha_set=0.5),
+        lambda: TrialSpec(alpha_set=("x",)),
+        lambda: random_boundary(1, 3, "0.5"),
+    ])
+    def test_non_numeric_inputs_rejected(self, make):
+        # these used to escape as a raw TypeError or ValueError
+        with pytest.raises(DomainError):
+            make()
+
     def test_euler_transform_pairs_two_routes(self, monkeypatch):
         # where hyp2f1 takes its "euler" route it sums the very series
-        # euler_transform_eval sums; there the untransformed series must be
+        # _euler_transform_eval sums; there the untransformed series must be
         # the route compared
-        routes = []  # per EULER_TRANSFORM trial: the route beside the Euler side
+        trials = []  # per EULER_TRANSFORM trial: [(a, b, c, x), route beside the Euler side]
         detailed, raw = verify_module.hyp2f1_detailed, verify_module._series_sum
 
         def spy_detailed(params, x):
             res = detailed(params, x)
-            routes.append(res.transform)
+            trials.append([(*params, x), res.transform])
             return res
 
         def spy_raw(a, b, c, x):
-            routes[-1] = "raw"
+            # the Euler side sums F(c-a, c-b; c; x) through the same name
+            if trials and trials[-1][0] == (a, b, c, x):
+                trials[-1][1] = "raw"
             return raw(a, b, c, x)
 
         monkeypatch.setattr(verify_module, "hyp2f1_detailed", spy_detailed)
         monkeypatch.setattr(verify_module, "_series_sum", spy_raw)
         for seed in range(5):
             check_identities(TrialSpec(seed=seed, n_trials=200))
+        routes = [route for _, route in trials]
         assert len(routes) == 5 * 200
         assert "euler" not in routes
         assert {"raw", "none", "connection"} <= set(routes)

@@ -1,6 +1,7 @@
 """A one-entry memo for a computation that consecutive public calls share:
 the mode sum behind `kernel.solve_dirichlet` and `kernel.derivative_pair`,
-and the F behind SCHWARZ_2F1, SP_2F1 and L1_MEAN in `bounds`."""
+the F behind SCHWARZ_2F1, SP_2F1 and L1_MEAN in `bounds`, and the trial
+draws that `verify.check_schwarz` and `check_schwarz_pick` share."""
 
 
 class LastCall:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from ._memo import LastCall
 from .errors import ConvergenceError, DomainError
-from .specfun import _series_sum, _two_terms, alpha_value, beta, c_alpha, hyp2f1
+from .specfun import (_real, _series_sum, _two_terms, alpha_value, beta, c_alpha,
+                      hyp2f1)
 
 __all__ = [
     "BOUND_IDS",
@@ -79,7 +80,8 @@ class BoundReport:
 
 
 def _validate_r(r: float) -> float:
-    r = float(r)
+    if type(r) is not float:
+        r = _real("r", r)
     if not (0.0 <= r < 1.0):
         raise DomainError(f"radius must lie in [0, 1), got {r!r}")
     return r
@@ -90,6 +92,8 @@ def m1_bound(r: float, alpha, c: float) -> float:
     mean to the sup-norm and must lie in (0, 1]."""
     r = _validate_r(r)
     a = alpha_value(alpha)
+    if type(c) is not float:
+        c = _real("c", c)
     if not (0.0 < c <= 1.0):
         raise DomainError(f"c must lie in (0, 1], got {c!r}")
     if c == 1.0:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -73,7 +74,11 @@ __all__ = [
 
 
 def disk_point_value(z) -> complex:
-    """z as a complex number, validated: strictly inside the unit disk."""
+    """z as a complex number, validated: a number (bools excluded) strictly
+    inside the unit disk."""
+    if type(z) is not complex and (not isinstance(z, numbers.Complex)
+                                   or isinstance(z, bool)):
+        raise DomainError(f"z must be a number, got {z!r}")
     zc = complex(z)
     if not zc.real * zc.real + zc.imag * zc.imag < 1.0:
         raise DomainError(f"point {zc!r} is not inside the unit disk")

@@ -10,19 +10,22 @@ predicted to be short (fewer than 48 terms from log(2**-56) / log(x) and
 the burn-in) are summed term by term in Python floats and added by
 math.fsum; the rest in numpy chunks of 64 terms and more.  For
 0.5 < x < 1 it continues F to x -> 1 with the connection formula in
-y = 1.0 - x (DLMF 15.8.4), whose two series converge like y^n; otherwise it
+y = 1.0 - x (DLMF 15.8.4), whose two series converge like y^n; for
+integer c - a - b it takes the logarithmic case of that formula (DLMF
+15.8.10) once y < 0.25, and the Euler/raw series above.  Otherwise it
 applies the Euler transform when the transformed series decays faster.
-The connection formula is skipped, and the Euler/raw series summed
-instead, for terminating series, integer c - a - b (the logarithmic case,
-DLMF 15.8.10) and calls where cancellation between its two terms would
-cost more than the relative tolerance.  No continuation beyond [0, 1) is
-attempted.  A caller that knows 1 - x more exactly than 1.0 - x (as
-`bounds.m_bound` does) sums its own positive series in y instead.
+The connection formulas are skipped, and the Euler/raw series summed
+instead, for terminating series and for calls where cancellation between
+their terms would cost more than the relative tolerance.  No continuation
+beyond [0, 1) is attempted.  A caller that knows 1 - x more exactly than
+1.0 - x (as `bounds.m_bound` does) sums its own positive series in y
+instead.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +47,12 @@ _BAD_C_TOL = 1e-12
 
 _CHUNK = 4096
 
-# The connection route near x = 1 needs a few hundred terms at most.  The
+# The connection routes near x = 1 need a few hundred terms at most.  The
 # cap serves the raw and Euler series that remain for x -> 1 when the
-# connection formula is skipped (integer or badly cancelling c - a - b): it
-# covers exponent c - a - b down to about 0.2 at x = 1 - 1e-5 under the
-# tail-bound stopping rule, with headroom; chunked summation keeps even
-# capped runs cheap.
+# connection formulas are skipped (badly cancelling or near-integer
+# c - a - b): it covers exponent c - a - b down to about 0.2 at
+# x = 1 - 1e-5 under the tail-bound stopping rule, with headroom; chunked
+# summation keeps even capped runs cheap.
 _TERM_CAP = 4_000_000
 # Relative tolerance of every hypergeometric value returned.
 _REL_TOL = 1e-13
@@ -65,11 +68,52 @@ _LOG_SHORT_TOL = math.log(_SHORT_TOL)
 # Rounding of one connection-formula term (gamma factors, y**s, series
 # sum), in units of _EPS; cancellation between the two terms multiplies it.
 _CONNECTION_ULPS = 16.0
+# For integer c - a - b the logarithmic connection formula replaces the raw
+# or Euler series once y = 1 - x < _LOG_SWITCH: it needs 10-40 terms there
+# (a Python loop with four digamma values), while the raw series' count
+# grows like 1/y.  Timed for F(-alpha/2, -alpha/2; 1; 1 - y) on a 2-core
+# Xeon: at alpha = 1 the raw series needs 192 terms or more below
+# y = 0.221 (42-50 us at y = 0.1 to 0.2, 1,984 terms and 144 us at
+# y = 0.01), the logarithmic route 11-30 terms (27-51 us); at alpha = 3, 5
+# and 7 the raw series is one 64-term chunk (13-24 us) from y = 0.15, 0.1
+# and 0.01 up, the logarithmic route 30-65 us there.  Switching at 0.25
+# bounds the work at every alpha, costs up to 50 us a call at alpha >= 3
+# for y in [0.1, 0.25), and leaves 1 - r^2 >= 0.2775 (r <= 0.85, the
+# certify radii) on the raw series.
+_LOG_SWITCH = 0.25
+# The logarithmic series, past the burn-in that makes every digamma
+# argument at least 1, gives up (and the raw or Euler series is summed)
+# after _LOG_TERMS terms; below _LOG_SWITCH it needs at most 35 for
+# a, b in [-3, 3] and |c - a - b| <= 3, 58 for [-12, 12] and 25.
+_LOG_TERMS = 64
+# Bernoulli terms B_2k / (2k) of the digamma's asymptotic series, k = 1..7:
+# at x >= 10 the first term left out, B_16 / (16 x^16), is below 5e-17.
+_PSI_SHIFT = 10.0
+_PSI_COEFFS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
+               -691.0 / 32760.0, 1.0 / 12.0)
+
+
+def _is_real(value) -> bool:
+    """Whether value is a real number; bools are not."""
+    return type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def _real(name: str, value) -> float:
+    """value as a float, or DomainError naming it if it is not a real number.
+
+    Callers test `type(value) is float` first and call this only when it
+    fails: the call would cost more than the check on every bound.
+    """
+    if not _is_real(value):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _validate_params(a, b, c) -> tuple[float, float, float]:
     """(a, b, c) as floats: all finite, c not near a non-positive integer."""
-    a, b, c = float(a), float(b), float(c)
+    if not (type(a) is float and type(b) is float and type(c) is float):
+        a, b, c = _real("a", a), _real("b", b), _real("c", c)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise DomainError(f"parameters must be finite, got a={a!r}, b={b!r}, c={c!r}")
     if c <= 0.5:
@@ -83,7 +127,7 @@ def _validate_params(a, b, c) -> tuple[float, float, float]:
 
 def alpha_value(alpha) -> float:
     """Alpha as a float, validated: finite and > -1."""
-    v = float(alpha)
+    v = alpha if type(alpha) is float else _real("alpha", alpha)
     if not -1.0 < v < math.inf:
         raise DomainError(f"alpha must be finite and > -1, got {v!r}")
     return v
@@ -105,12 +149,46 @@ def gamma(x: float) -> float:
 
 def beta(x: float, y: float) -> float:
     """Beta function B(x, y) for positive real arguments, from math.gamma
-    while x + y <= 170 keeps every factor in range, else from lgamma."""
+    while x + y <= 170 keeps every factor in range, else from lgamma.
+
+    Gamma is taken at s = fl(x + y); where that sum rounds, by d = x + y - s
+    (TwoSum, exact), the result is multiplied by 1 - psi(s) d, the first
+    order of Gamma(s) / Gamma(s + d).
+    """
     if not (x > 0 and y > 0):
         raise DomainError(f"beta requires positive arguments, got {x!r}, {y!r}")
-    if x + y <= 170.0:  # dividing first, tiny x and y cannot overflow a product
-        return math.gamma(x) / math.gamma(x + y) * math.gamma(y)
-    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+    s = x + y
+    if s <= 170.0:  # dividing first, tiny x and y cannot overflow a product
+        value = math.gamma(x) / math.gamma(s) * math.gamma(y)
+    else:
+        value = math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(s))
+    y_part = s - x
+    d = (x - (s - y_part)) + (y - y_part)
+    if d:
+        value *= 1.0 - _digamma(s) * d
+    return value
+
+
+def _digamma(x: float) -> float:
+    """psi(x) = Gamma'(x) / Gamma(x) for real x, not a pole 0, -1, -2, ...
+
+    Below 1/2 by reflection, psi(x) = psi(1 - x) - pi cot(pi x), with the
+    cotangent taken at the exact x - round(x).  From 1/2 up, the recurrence
+    psi(x) = psi(x + 1) - 1/x lifts the argument to _PSI_SHIFT, where
+    ln x - 1/(2x) - sum_k B_2k / (2k x^2k) through k = 7 is exact to
+    5e-17; the absolute error is a few ulps of |ln x| + sum 1/x.
+    """
+    if x < 0.5:
+        return _digamma(1.0 - x) - math.pi / math.tan(math.pi * (x - round(x)))
+    shift = 0.0
+    while x < _PSI_SHIFT:
+        shift += 1.0 / x
+        x += 1.0
+    w2 = 1.0 / (x * x)
+    series = 0.0
+    for coeff in reversed(_PSI_COEFFS):
+        series = (series + coeff) * w2
+    return math.log(x) - 0.5 / x - series - shift
 
 
 def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TOL):
@@ -263,7 +341,8 @@ def _rgamma(z: float) -> float:
 def _connection(a: float, b: float, c: float, y: float):
     """F(a, b; c; 1 - y) by DLMF 15.8.4; None where it does not apply.
 
-    With s = c - a - b not an integer (integer s is the logarithmic case),
+    Integer s = c - a - b is the logarithmic case, `_log_connection`, below
+    y = _LOG_SWITCH (None above).  With s not an integer,
 
         F = G(c)G(s)/(G(c-a)G(c-b)) F(a, b; 1-s; y)
             + y^s G(c)G(-s)/(G(a)G(b)) F(c-a, c-b; 1+s; y).
@@ -276,7 +355,7 @@ def _connection(a: float, b: float, c: float, y: float):
     """
     s = c - a - b
     if s == round(s):
-        return None
+        return _log_connection(a, b, c, s, y) if y < _LOG_SWITCH else None
     ca, cb = b + s, a + s
     try:
         gc = math.gamma(c)
@@ -292,11 +371,108 @@ def _connection(a: float, b: float, c: float, y: float):
     return None if value is None else Hyp2F1Result(value, n1 + n2, "connection")
 
 
-def _two_terms(t1: float, t2: float) -> float | None:
+def _log_connection(a: float, b: float, c: float, s: float, y: float):
+    """F(a, b; c; 1 - y) for integer s = c - a - b by DLMF 15.8.10 (A&S
+    15.3.11); None where it does not apply or would lose digits.
+
+    For s = m >= 0, with psi the digamma function,
+
+        F = G(m)G(c)/(G(a+m)G(b+m)) sum_{n<m} (a)_n (b)_n / (n! (1-m)_n) y^n
+            + (-1)^(m+1) G(c)/(G(a)G(b)) y^m / m!
+              * sum_n t_n [ln y - psi(n+1) - psi(n+m+1) + psi(a+m+n) + psi(b+m+n)],
+
+    t_n = (a+m)_n (b+m)_n / (n! (m+1)_n) y^n; the four psi values move on
+    by psi(z + 1) = psi(z) + 1/z.  For s = -m < 0 the Euler transform
+    y^s F(c-a, c-b; c; 1-y) comes first.  None for a terminating series,
+    where a gamma factor overflows, where the log series has not met its
+    tail bound after _LOG_TERMS terms past the burn-in, and where the
+    rounding, _CONNECTION_ULPS per term of each sum counted with every
+    part of its bracket (|ln y| and each |psi|), exceeds _REL_TOL of the
+    value (`_two_terms`).
+
+    The log series stops, like `_sum_terms`, once its tail is at most
+    2**-56 times its sum.  Past the burn-in (every psi argument >= 1) the
+    term ratio is at most q = y max(1, (n+u)/(n+1))^2, u = b + m, as in
+    `_series_sum`, and each bracket at step k >= n at most
+    B_k = |ln y| + 4 ln(k + w), w = max(b, 1) + m + 2, since
+    |psi(z)| <= ln(z + 2) for z >= 1; ln(n+j+w) <= ln(n+w) + j/(n+w) then
+    bounds the tail by |t_n| q/(1-q) (B_n + 4 / ((n+w)(1-q))).
+    """
+    if s < 0.0:
+        a, b = c - b, c - a
+        if _terminates(a, b):
+            return None
+    m = int(abs(s))
+    try:
+        gc = math.gamma(c)
+        g1 = gc * math.gamma(m) * _rgamma(a + m) * _rgamma(b + m) if m else 0.0
+        g2 = gc * _rgamma(a) * _rgamma(b) / math.gamma(m + 1.0)
+        # y^m of the log term, or the Euler factor y^-m, which cancels it
+        if s < 0.0:
+            g1 *= y ** s
+        else:
+            g2 *= y ** s
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+    term = 1.0
+    finite = [1.0] if m else []
+    for n in range(m - 1):
+        term *= (n + a) * (n + b) / ((n + 1.0) * (n + 1.0 - m)) * y
+        finite.append(term)
+
+    am, bm, m1 = a + m, b + m, m + 1.0
+    ly = math.log(y)
+    p1 = _digamma(1.0)
+    p2 = _digamma(m1)
+    pa = _digamma(am)
+    pb = pa if a == b else _digamma(bm)
+    terms = [ly - p1 - p2 + pa + pb]
+    size = abs(ly) + abs(p1) + abs(p2) + abs(pa) + abs(pb)
+    total = terms[0]
+    term = 1.0
+    n_burn = max(0, math.ceil(1.0 - am))
+    w = max(b, 1.0) + m + 2.0
+    n = 0.0
+    while True:
+        term *= (n + am) * (n + bm) / ((n + 1.0) * (n + m1)) * y
+        p1 += 1.0 / (n + 1.0)
+        p2 += 1.0 / (n + m1)
+        pa += 1.0 / (n + am)
+        pb = pa if a == b else pb + 1.0 / (n + bm)
+        n += 1.0
+        t = term * (ly - p1 - p2 + pa + pb)
+        terms.append(t)
+        total += t
+        size += abs(term) * (abs(ly) + abs(p1) + abs(p2) + abs(pa) + abs(pb))
+        if n < n_burn:
+            continue
+        growth = (n + bm) / (n + 1.0)
+        q = y * growth * growth if growth > 1.0 else y
+        if q < 1.0:
+            nw = n + w
+            bracket = abs(ly) + 4.0 * math.log(nw) + 4.0 / (nw * (1.0 - q))
+            if abs(term) * q / (1.0 - q) * bracket <= _SHORT_TOL * abs(total):
+                break
+        if n >= n_burn + _LOG_TERMS:
+            return None
+
+    sign = -1.0 if m % 2 == 0 else 1.0
+    t1 = g1 * math.fsum(finite)
+    t2 = sign * g2 * math.fsum(terms)
+    spread = abs(g1) * math.fsum(map(abs, finite)) + abs(g2) * size
+    value = _two_terms(t1, t2, spread)
+    return None if value is None else Hyp2F1Result(value, m + int(n) + 1, "connection")
+
+
+def _two_terms(t1: float, t2: float, spread: float | None = None) -> float | None:
     """t1 + t2, or None where the cancellation costs more than _REL_TOL:
-    _CONNECTION_ULPS rounding per term times (|t1| + |t2|) / |t1 + t2|."""
+    _CONNECTION_ULPS rounding per term times spread / |t1 + t2|, where
+    spread, by default |t1| + |t2|, bounds the magnitudes the two terms
+    were summed from."""
     value = t1 + t2
-    spread = abs(t1) + abs(t2)
+    if spread is None:
+        spread = abs(t1) + abs(t2)
     if math.isfinite(spread) and value != 0.0 and (
             spread / abs(value) * _CONNECTION_ULPS * _EPS <= _REL_TOL):
         return value
@@ -312,11 +488,15 @@ def hyp2f1_detailed(params, x: float) -> Hyp2F1Result:
     For 0.5 < x < 1 the connection formula in y = 1 - x (DLMF 15.8.4) is
     used, transform "connection": two series in y that converge like y^n,
     so they need a few terms each near x = 1 (3 at x = 1 - 1e-5 for
-    moderate a, b, c) and at most a few hundred near x = 1/2.  It is
-    skipped for a terminating series, for integer c - a - b (the
-    logarithmic case) and whenever cancellation between its two terms
-    would exceed 1e-13; those calls, and all x <= 0.5, take the series
-    route below.
+    moderate a, b, c) and at most a few hundred near x = 1/2.  For
+    integer c - a - b it takes the logarithmic case (DLMF 15.8.10), also
+    reported as "connection", below y = 0.25 (`_LOG_SWITCH`): |c - a - b|
+    terms plus at most _LOG_TERMS past a burn-in (4-40 in all for the
+    bounds' F(-alpha/2, -alpha/2; 1; x)).  Either formula is skipped for
+    a terminating series, wherever a gamma factor overflows and whenever
+    the rounding of its terms, magnified by their cancellation, would
+    exceed 1e-13; those calls, integer c - a - b from y = 0.25 up, and all
+    x <= 0.5, take the series route below.
 
     The Euler transform F(a,b;c;x) = (1-x)^(c-a-b) F(c-a, c-b; c; x) is
     applied whenever (c-a) + (c-b) < a + b, i.e. whenever the transformed
@@ -331,7 +511,8 @@ def hyp2f1_detailed(params, x: float) -> Hyp2F1Result:
     """
     a, b, c = _validate_params(*params)
     a, b = min(a, b), max(a, b)
-    x = float(x)
+    if type(x) is not float:
+        x = _real("x", x)
     if not 0.0 <= x < 1.0:
         raise DomainError(f"series argument must lie in [0, 1), got {x!r}")
     y = 1.0 - x

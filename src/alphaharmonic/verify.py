@@ -20,13 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as bnd
+from ._memo import LastCall
 from .errors import ConvergenceError, DomainError, IntegrandError
 from .kernel import (BoundaryData, _kernel_rows, derivative_pair,
                      solve_dirichlet)
 from .quadrature import (QuadratureConfig, _node_level, cos_power_integral,
                          integrate_periodic, modulus_power_integral,
                          ratio_integral_series)
-from .specfun import _series_sum, alpha_value, gamma, hyp2f1, hyp2f1_detailed
+from .specfun import (_is_real, _series_sum, alpha_value, gamma, hyp2f1,
+                      hyp2f1_detailed)
 
 __all__ = [
     "TrialSpec",
@@ -57,6 +59,8 @@ _SUITES = {
 }
 SUITE_NAMES = tuple(_SUITES)
 
+_LAST_TRIALS = LastCall()
+
 _DEFAULT_ALPHAS = (-0.9, -0.5, -0.1, 0.0, 0.5, 1.0, 2.0, 3.5, 5.0)
 _DEFAULT_RADII = (0.1, 0.3, 0.5, 0.7, 0.85)
 
@@ -82,10 +86,6 @@ def _check_count(name: str, value, least: int) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise DomainError(f"{name} must be >= {least}, got {value!r}")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -241,17 +241,35 @@ def _draw_boundary_trial(rng: np.random.Generator, spec: TrialSpec):
     return fstar, alpha, r, z
 
 
+def _schwarz_trials(spec: TrialSpec) -> tuple:
+    """The n_trials draws of `check_schwarz` and `check_schwarz_pick`.
+
+    Both suites seed default_rng(spec.seed) and draw nothing else, so the
+    draws are made once for consecutive calls (`_memo.LastCall`), keyed by
+    the exact bits of every TrialSpec field they read; the tuple holds
+    about 2 kB per trial until the next key.
+    """
+    alphas = np.asarray(spec.alpha_set, dtype=float)
+    radii = np.asarray(spec.radius_set, dtype=float)
+    key = (b"%d,%d,%d,%d," % (spec.seed, spec.n_trials, spec.max_degree, alphas.size)
+           + alphas.tobytes() + radii.tobytes())
+    return _LAST_TRIALS(key, _draw_trials, spec)
+
+
+def _draw_trials(spec: TrialSpec) -> tuple:
+    rng = np.random.default_rng(spec.seed)
+    return tuple(_draw_boundary_trial(rng, spec) for _ in range(spec.n_trials))
+
+
 def check_schwarz(spec: TrialSpec) -> list[TrialReport]:
     """Center-value and sup Schwarz inequalities on random boundary data."""
-    rng = np.random.default_rng(spec.seed)
     t_m = _Tracker("CENTER_M", spec.slack)
     t_m2 = _Tracker("CENTER_M2", spec.slack)
     t_mp = _Tracker("CENTER_M_PRIME", spec.slack)
     t_sup = _Tracker("SUP_2F1", spec.slack)
     t_m1 = _Tracker("CENTER_M1", spec.slack, informational=True)
     trackers = [t_m, t_m2, t_mp, t_sup, t_m1]
-    for trial in range(spec.n_trials):
-        fstar, alpha, r, z = _draw_boundary_trial(rng, spec)
+    for trial, (fstar, alpha, r, z) in enumerate(_schwarz_trials(spec)):
         sup = fstar.sup_norm
         ctx = f"alpha={alpha:.3g} r={r:.3g} degree={fstar.degree} sup={sup:.3g}"
         try:
@@ -280,14 +298,12 @@ def check_schwarz(spec: TrialSpec) -> list[TrialReport]:
 
 def check_schwarz_pick(spec: TrialSpec) -> list[TrialReport]:
     """Derivative-norm inequalities on random boundary data."""
-    rng = np.random.default_rng(spec.seed)
     t_sp = _Tracker("DERIV_SP_2F1", spec.slack)
     t_lim = _Tracker("DERIV_SP_LIMIT", spec.slack)
     t_lc = _Tracker("DERIV_LC", spec.slack)
     t_col = _Tracker("DERIV_COLONNA", spec.slack)
     trackers = [t_sp, t_lim, t_lc, t_col]
-    for trial in range(spec.n_trials):
-        fstar, alpha, r, z = _draw_boundary_trial(rng, spec)
+    for trial, (fstar, alpha, r, z) in enumerate(_schwarz_trials(spec)):
         sup = fstar.sup_norm
         ctx = f"alpha={alpha:.3g} r={r:.3g} degree={fstar.degree} sup={sup:.3g}"
         try:

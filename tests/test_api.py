@@ -11,6 +11,8 @@ import inspect
 import json
 from pathlib import Path
 
+import pytest
+
 import alphaharmonic
 from alphaharmonic import bounds, kernel, quadrature, specfun, verify
 from alphaharmonic.cli import build_parser
@@ -197,3 +199,29 @@ def test_every_exported_function_is_called_in_the_library():
             named |= names
     functions = {n for n in EXPORTS if inspect.isfunction(getattr(alphaharmonic, n))}
     assert functions - named == UNCALLED_EXPORTS
+
+
+_NON_NUMERIC_CALLS = {
+    "m_bound alpha": (lambda: bounds.m_bound(0.5, "1"), "alpha"),
+    "m_bound bool alpha": (lambda: bounds.m_bound(0.5, True), "alpha"),
+    "schwarz_bound r": (lambda: bounds.schwarz_bound("0.5", 1.0), "r"),
+    "m1_bound c": (lambda: bounds.m1_bound(0.5, 1.0, "0.5"), "c"),
+    "hyp2f1 a": (lambda: specfun.hyp2f1(("1", 1, "2"), 0.5), "a"),
+    "hyp2f1 c": (lambda: specfun.hyp2f1((1, 1, "2"), 0.5), "c"),
+    "hyp2f1 x": (lambda: specfun.hyp2f1((1, 1, 2), "x"), "x"),
+    "hyp2f1 string x": (lambda: specfun.hyp2f1((1, 1, 2), "0.5"), "x"),
+    "solve_dirichlet z": (lambda: kernel.solve_dirichlet(
+        0.5, kernel.BoundaryData.constant(1), "0.3"), "z"),
+    "solve_dirichlet alpha": (lambda: kernel.solve_dirichlet(
+        "x", kernel.BoundaryData.constant(1), 0.3), "alpha"),
+    "disk_point_value bool": (lambda: kernel.disk_point_value(False), "z"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NON_NUMERIC_CALLS))
+def test_non_numeric_input_raises_domain_error_naming_it(call):
+    """Strings and bools are not numbers: every entry point rejects them
+    with a DomainError that names the argument, never parses them."""
+    fn, name = _NON_NUMERIC_CALLS[call]
+    with pytest.raises(alphaharmonic.DomainError, match=f"^{name} must be"):
+        fn()

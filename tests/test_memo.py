@@ -12,10 +12,11 @@ import pytest
 
 import alphaharmonic.bounds as bounds_module
 import alphaharmonic.kernel as kernel_module
-from alphaharmonic import (BoundaryData, ConvergenceError, derivative_pair,
-                           evaluate_bound, hyp2f1, l1_mean_kernel,
-                           random_boundary, schwarz_bound, schwarz_pick_bound,
-                           solve_dirichlet)
+import alphaharmonic.verify as verify_module
+from alphaharmonic import (BoundaryData, ConvergenceError, TrialSpec,
+                           derivative_pair, evaluate_bound, hyp2f1,
+                           l1_mean_kernel, random_boundary, schwarz_bound,
+                           schwarz_pick_bound, solve_dirichlet)
 from alphaharmonic._memo import LastCall
 from alphaharmonic.kernel import _spectral
 
@@ -160,3 +161,25 @@ def test_threads_get_their_own_results():
         sys.setswitchinterval(old)
     assert failures == []
     assert len(done) == n_threads
+
+
+class TestTrialMemo:
+    def test_schwarz_suites_draw_their_trials_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify_module, "_draw_trials",
+                            counting(verify_module._draw_trials, calls))
+        monkeypatch.setattr(verify_module, "_LAST_TRIALS", LastCall())
+        spec = TrialSpec(seed=5, n_trials=3)
+        verify_module.check_schwarz(spec)
+        verify_module.check_schwarz_pick(spec)
+        assert len(calls) == 1
+        verify_module.check_schwarz_pick(TrialSpec(seed=5, n_trials=3, radius_set=(0.1, 0.3)))
+        assert len(calls) == 2
+
+    def test_reports_match_fresh_draws(self, monkeypatch):
+        spec = TrialSpec(seed=9, n_trials=6)
+        after_schwarz = (verify_module.check_schwarz(spec), verify_module.check_schwarz_pick(spec))
+        monkeypatch.setattr(verify_module, "_LAST_TRIALS", LastCall())
+        fresh_pick = verify_module.check_schwarz_pick(spec)
+        monkeypatch.setattr(verify_module, "_LAST_TRIALS", LastCall())
+        assert (verify_module.check_schwarz(spec), fresh_pick) == after_schwarz

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 import alphaharmonic.specfun as specfun_module
 from alphaharmonic import (ConvergenceError, DomainError, beta, c_alpha, gamma,
-                           hyp2f1, hyp2f1_detailed, m_bound)
+                           hyp2f1, hyp2f1_detailed, m_bound, schwarz_bound,
+                           schwarz_pick_bound)
 from alphaharmonic.bounds import _m_series
 from alphaharmonic.kernel import _mode_seed
-from alphaharmonic.specfun import (_EPS, _series_sum, _sum_chunks, _sum_terms,
-                                   alpha_value)
+from alphaharmonic.specfun import (_EPS, _digamma, _series_sum, _sum_chunks,
+                                   _sum_terms, alpha_value)
 from alphaharmonic.verify import (_euler_transform_eval, _hyp2f1_at_one,
                                   _quadratic_transform_eval)
 
@@ -85,6 +86,16 @@ class TestGammaBeta:
         # the quotient is formed before the product, which would overflow
         assert rel_err(beta(1e-160, 1e-160), 2e160) < 1e-14
 
+    def test_beta_rounded_sum_matches_mpmath(self):
+        # Gamma is taken at the rounded x + y; the first-order correction
+        # brought (158.28, 0.0122) from 3.6e-14 to 8e-17
+        assert rel_err(beta(158.28, 0.0122), mp.beta(158.28, 0.0122)) < 1e-15
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            x = float(10.0 ** rng.uniform(-3.0, math.log10(169.0)))
+            y = float(10.0 ** rng.uniform(-3.0, math.log10(170.0 - x)))
+            assert rel_err(beta(x, y), mp.beta(x, y)) < 4e-15, (x, y)
+
     def test_beta_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             beta(0.0, 1.0)
@@ -139,10 +150,11 @@ class TestHyp2F1:
             hyp2f1((1.0, 1.0, 2.0), 1.0)
 
     def test_convergence_error_carries_diagnostics(self):
-        # c - a - b = 0 keeps the raw series, which needs more than the
-        # term cap this close to x = 1
+        # c - a - b = 1e-13 is not an integer, and the connection formula's
+        # two terms cancel there, so the raw series is summed, which needs
+        # more than the term cap this close to x = 1
         with pytest.raises(ConvergenceError) as info:
-            hyp2f1((0.5, 0.5, 1.0), 1.0 - 1e-6)
+            hyp2f1((0.5, 0.5, 1.0 + 1e-13), 1.0 - 1e-6)
         assert info.value.partial is not None
         assert info.value.error_estimate > 0
 
@@ -314,21 +326,6 @@ class TestConnection:
             assert rel_err(res.value, want) < 1e-13, (a, b, c, x)
         assert connection > 100 and fallback > 50
 
-    def test_integer_s_falls_back(self):
-        rng = np.random.default_rng(107)
-        for _ in range(60):
-            # multiples of 2^-10, so that c - a - b is exact in either order
-            a, b = np.round(rng.uniform(-2.0, 2.0, size=2) * 1024.0) / 1024.0
-            c = a + b + int(rng.integers(0, 4))
-            if c < 0.1 or a == round(a) or b == round(b):
-                continue
-            x = 1.0 - 10.0 ** rng.uniform(-3.0, math.log10(0.5))
-            try:
-                res = hyp2f1_detailed((a, b, c), x)
-            except ConvergenceError:
-                continue
-            assert res.transform != "connection"
-
     def test_symmetry_bit_for_bit_near_one(self):
         rng = np.random.default_rng(109)
         for _ in range(200):
@@ -355,6 +352,108 @@ class TestConnection:
         # terminating series stay raw: a finite polynomial is summed exactly
         assert hyp2f1_detailed((-2.0, 0.5, 1.7), 0.9).transform == "none"
 
+
+def _integer_s_draw(rng):
+    """(a, b, c, x) with a, b in [-3, 3] not integers, c - a - b = m in
+    {-3, ..., 6} exactly (a and b are multiples of 2^-10), and 1 - x
+    log-uniform in [1e-14, _LOG_SWITCH)."""
+    while True:
+        a, b = np.round(rng.uniform(-3.0, 3.0, size=2) * 1024.0) / 1024.0
+        c = a + b + int(rng.integers(-3, 7))
+        if a != round(a) and b != round(b) and not (c <= 0.0 and c == round(c)):
+            break
+    y = 10.0 ** rng.uniform(-14.0, math.log10(specfun_module._LOG_SWITCH))
+    return float(a), float(b), float(c), 1.0 - y
+
+
+class TestLogConnection:
+    """Integer c - a - b near x = 1: the logarithmic connection formula."""
+
+    def test_integer_s_meets_tolerance_or_falls_back(self):
+        rng = np.random.default_rng(131)
+        draws = [_integer_s_draw(rng) for _ in range(200)]
+        # ln y = -25.2 and psi(b) near its pole at -2 nearly cancel in the
+        # bracket's first term
+        draws.append((2.24, -2.04, 0.2, 1.0 - 1.09e-11))
+        log_route = 0
+        for a, b, c, x in draws:
+            try:
+                res = hyp2f1_detailed((a, b, c), x)
+            except ConvergenceError:
+                continue
+            if res.transform != "connection":
+                continue
+            log_route += 1
+            m = abs(round(c - a - b))
+            # the finite sum's |m| terms, then at most 40 log-series terms
+            assert res.terms_used <= m + 40, (a, b, c, x)
+            want = mp.hyp2f1(a, b, c, mp.mpf(x))
+            assert rel_err(res.value, want) < 1e-13, (a, b, c, x)
+        assert log_route >= 190
+
+    def test_cancelling_bracket_gives_way(self):
+        # ln y - 2 psi(n+1) + psi(a+n) + psi(b+n) nearly cancels at n = 0;
+        # counting only |t_n g_n| in the rounding estimate let this point
+        # through 5.3e-14 off, where every part counted sends it to the raw
+        # series
+        a, b, x = -0.24609375, 1.765625, 1.0 - 0.011741584225880269
+        res = hyp2f1_detailed((a, b, a + b), x)
+        want = mp.hyp2f1(a, b, a + b, mp.mpf(x))
+        assert res.transform != "connection" or rel_err(res.value, want) < 1e-14
+        assert rel_err(res.value, want) < 1e-13
+
+    @pytest.mark.parametrize("alpha", [1.0, 3.0, 5.0])
+    def test_bounds_near_one(self, alpha):
+        for r in (0.99, 0.999, 0.99999, 0.9999999, 1.0 - 1e-12):
+            x = r * r
+            res = hyp2f1_detailed((-alpha / 2.0, -alpha / 2.0, 1.0), x)
+            assert res.transform == "connection" and res.terms_used <= 64, (alpha, r)
+            with mp.workdps(40):
+                want = mp.hyp2f1(-alpha / 2.0, -alpha / 2.0, 1, mp.mpf(x))
+            assert rel_err(schwarz_bound(r, alpha), want) < 1e-13, (alpha, r)
+            lead = 2.0 * (1.0 + alpha) / ((1.0 - r) * (1.0 + r))
+            assert rel_err(schwarz_pick_bound(r, alpha), lead * want) < 1e-13, (alpha, r)
+
+    def test_alpha_one_work_bounded_at_every_radius(self):
+        # the raw series below the switch, the logarithmic route above it
+        radii = np.concatenate([np.linspace(0.0, 0.999, 400), 1.0 - 10.0 ** -np.arange(4.0, 13.0)])
+        for r in radii:
+            assert hyp2f1_detailed((-0.5, -0.5, 1.0), r * r).terms_used <= 64, r
+
+    def test_symmetry_bit_for_bit(self):
+        rng = np.random.default_rng(137)
+        log_route = 0
+        for _ in range(200):
+            a, b, c, x = _integer_s_draw(rng)
+            try:
+                res = hyp2f1_detailed((a, b, c), x)
+            except ConvergenceError:
+                continue
+            log_route += res.transform == "connection"
+            assert res == hyp2f1_detailed((b, a, c), x)
+        assert log_route >= 180
+
+    def test_switch(self):
+        below = 1.0 - specfun_module._LOG_SWITCH * 0.99
+        above = 1.0 - specfun_module._LOG_SWITCH * 1.01
+        assert hyp2f1_detailed((-0.5, -0.5, 1.0), below).transform == "connection"
+        assert hyp2f1_detailed((-0.5, -0.5, 1.0), above).transform == "none"
+        # c - a - b = -2: the Euler series above the switch
+        assert hyp2f1_detailed((1.25, 1.75, 1.0), above).transform == "euler"
+        assert hyp2f1_detailed((1.25, 1.75, 1.0), below).transform == "connection"
+        # terminating series stay raw
+        assert hyp2f1_detailed((-2.0, -2.0, 1.0), below).transform == "none"
+
+    def test_digamma_against_mpmath(self):
+        rng = np.random.default_rng(139)
+        xs = np.concatenate([rng.uniform(0.5, 60.0, 300), 10.0 ** rng.uniform(-8.0, 0.0, 100),
+                             rng.uniform(-20.0, 0.5, 300)])
+        for x in xs:
+            x = float(x)
+            if x <= 0.0 and abs(x - round(x)) < 1e-3:
+                continue  # next to a pole
+            want = mp.digamma(x)
+            assert abs(_digamma(x) - want) <= 2e-15 * max(abs(want), 1.0), x
 
 
 class TestMBoundNearBoundary:
@@ -546,8 +645,9 @@ class TestShortRoute:
     ])
     def test_long_series_unchanged(self, params, x, value, terms):
         # predicted long: summed in chunks exactly as before the short route
-        res = hyp2f1_detailed(params, x)
-        assert (res.value, res.terms_used, res.transform) == (value, terms, "none")
+        # (hyp2f1 takes the second, integer c - a - b near x = 1, by the
+        # logarithmic connection formula)
+        assert _series_sum(*params, x) == (value, terms)
 
 
 class TestGaussSummation:

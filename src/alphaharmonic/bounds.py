@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from ._memo import LastCall
 from .errors import ConvergenceError, DomainError
-from .specfun import (_real, _series_sum, _two_terms, alpha_value, beta, c_alpha,
-                      hyp2f1)
+from .specfun import _m_series, _real, alpha_value, c_alpha, hyp2f1
 
 __all__ = [
     "BOUND_IDS",
@@ -157,30 +156,6 @@ def m_bound(r: float, alpha) -> float:
     else:
         second = 4.0 * r / math.pi * one_plus_r2 ** (a / 2.0 - 1.0) * f
     return first + second
-
-
-def _m_series(a: float, x: float, y: float) -> float:
-    """F(1/2, (1-a)/2; 3/2; x), y = 1 - x, for a > -1, from positive series.
-
-    Its own series alternates for a > 1 (b = (1-a)/2 < 0), by a factor that
-    grows like (1+x)^(a/2), so it is never summed; the series below have
-    positive terms for every a > -1.  With s = (a+1)/2: above x = 1/2 the
-    connection formula (DLMF 15.8.4), whose first series
-    F(1/2, 1-s; 1-s; y) is x^(-1/2) and whose gamma ratios reduce to
-    B(s, 1/2)/2 and -1/(2s):
-        F = B(s, 1/2) / (2 sqrt(x)) - y^s / (2s) F(1, s + 1/2; s + 1; y),
-    unless its two terms cancel beyond the tolerance (`_two_terms`; s near
-    0, where both grow like 1/(2s)); else, and for x <= 1/2, the Euler
-    transform y^s F(1, s + 1/2; 3/2; x).
-    """
-    s = (a + 1.0) / 2.0
-    if x > 0.5:
-        f, _ = _series_sum(1.0, s + 0.5, s + 1.0, y)
-        value = _two_terms(beta(s, 0.5) / (2.0 * math.sqrt(x)), -(y ** s / (2.0 * s) * f))
-        if value is not None:
-            return value
-    f, _ = _series_sum(1.0, s + 0.5, 1.5, x)
-    return y ** s * f
 
 
 def m_prime_bound(r: float, alpha) -> float:

@@ -45,19 +45,13 @@ import cmath
 import math
 import numbers
 import struct
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._memo import LastCall
 from .errors import ConvergenceError, DomainError
-from .specfun import _EPS, _one_minus_abs2, _series_sum, alpha_value
-
-# Seeds A_K with K (1 - x) at most this use the series in 1 - x, whose
-# leading term x^(-K) is then cancelled by at most a factor e^0.5; larger
-# K (1 - x) use the series in x, which needs O(1 / (1 - x)) terms.
-_SEED_SWITCH = 0.5
+from .specfun import _mode_seed, _one_minus_abs2, alpha_value
 
 _LAST_SPECTRAL = LastCall()
 _POINT_BITS = struct.Struct("3d").pack
@@ -249,28 +243,6 @@ def _kernel_rows(a: float, zc: complex, theta: np.ndarray) -> tuple:
     d_z = kern * (q - (a + 1.0) * zc.conjugate() / one_minus_r2)
     d_zbar = (a + 1.0) * kern * (np.conj(q) - zc / one_minus_r2)
     return kern, d_z, d_zbar
-
-
-def _mode_seed(a: float, k: int, x: float, y: float, scale_k: float) -> float:
-    """A_k = scale_k F(-a, k; k+1; x), scale_k = (a+1)_k / k!, y = 1 - x.
-
-    Summed to machine precision from series with positive terms only, never
-    from the alternating one.  Far from x = 1 the Euler transform
-        F(-a, k; k+1; x) = y^(a+1) F(k+1+a, 1; k+1; x);
-    near it the connection formula (DLMF 15.8.4), whose first series here
-    is F(-a, k; -a; y) = x^(-k) and whose gamma ratios reduce to scale_k
-    and -k/(a+1):
-        A_k = x^(-k) - scale_k k/(a+1) y^(a+1) F(k+1+a, 1; 2+a; y).
-    """
-    ya1 = y ** (a + 1.0)
-    if k * y > _SEED_SWITCH:
-        if ya1 < sys.float_info.min:
-            raise ConvergenceError(
-                f"spectral seed (1-|z|^2)^(alpha+1) = {y!r}^{a + 1.0!r} underflows")
-        s, _ = _series_sum(k + 1.0 + a, 1.0, k + 1.0, x, rel_tol=_EPS)
-        return scale_k * ya1 * s
-    s, _ = _series_sum(k + 1.0 + a, 1.0, 2.0 + a, y, rel_tol=_EPS)
-    return x ** -k - scale_k * k / (1.0 + a) * ya1 * s
 
 
 def _spectral(a: float, fstar: BoundaryData, zc: complex):

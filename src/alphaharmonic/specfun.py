@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,10 @@ _LOG_SWITCH = 0.25
 # after _LOG_TERMS terms; below _LOG_SWITCH it needs at most 35 for
 # a, b in [-3, 3] and |c - a - b| <= 3, 58 for [-12, 12] and 25.
 _LOG_TERMS = 64
+# `_mode_seed` sums seeds A_K with K (1 - x) at most this in 1 - x, where
+# their leading term x^(-K) is at most e^0.5; larger K (1 - x) in x, which
+# needs O(1 / (1 - x)) terms.
+_SEED_SWITCH = 0.5
 # Bernoulli terms B_2k / (2k) of the digamma's asymptotic series, k = 1..7:
 # at x >= 10 the first term left out, B_16 / (16 x^16), is below 5e-17.
 _PSI_SHIFT = 10.0
@@ -194,23 +199,16 @@ def _digamma(x: float) -> float:
 def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TOL):
     """Sum the raw series; returns (value, terms_used).
 
-    Stops once the remaining tail is provably below rel_tol * |sum|.  The
-    term ratio is |t_{m+1}/t_m| = x (m+a)(m+b) / ((m+c)(m+1)); for
-    m >= n past the burn-in (all four factors positive) it is bounded by
-    q(n) = x * max(1, (n+u)/(n+v))^2 with u = max(a, b) and v = min(c, 1),
-    since (m+a)(m+b) <= (m+u)^2 and (m+c)(m+1) >= (m+v)^2.  The bound
-    decreases to x, so the geometric tail test always terminates for
-    x < 1.
-
-    Two routes, chosen by the predicted term count n_burn + log(2**-56) /
-    log(x).  Below _SHORT_TERMS the series is summed term by term in
-    Python floats (`_sum_terms`), testing the tail after every term and
-    stopping once it is at most 2**-56 * |sum|, whatever rel_tol; the terms
-    are added by math.fsum.  That costs less than one numpy chunk and is
-    as accurate as the chunk, which summed to machine precision.  Longer
-    series, and a short one whose prediction proves wrong, are summed in
-    numpy chunks of 64, 128, ... up to _CHUNK terms, testing the tail after
-    each chunk (`_sum_chunks`).
+    Stops once the tail, bounded by `_ratio_bound` with u = max(a, b) and
+    v = min(c, 1), is provably below rel_tol * |sum|.  A series predicted
+    (n_burn + log(2**-56) / log(x)) to need fewer than _SHORT_TERMS terms
+    is first summed term by term in Python floats, testing the tail after
+    every term and stopping once it is at most 2**-56 * |sum|, whatever
+    rel_tol; the terms are added by math.fsum.  That costs less than one
+    numpy chunk and is as accurate as the chunk, which sums to machine
+    precision.  Longer series, and a short one still going after
+    _SHORT_TERMS terms, are summed on in numpy chunks of 64, 128, ... up to
+    _CHUNK terms, testing the tail after each chunk.
 
     A terminating series is a polynomial whose terms can cancel (5e14-fold
     for F(13.4, -15; 3.18; 0.974)); its roundoff, up to 2**-52 * sum|terms|,
@@ -219,58 +217,33 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
     if x == 0.0:
         return 1.0, 1
     n_burn = int(max(abs(a), abs(b), abs(c), 1.0)) + 2
+    u = max(a, b)
+    v = min(c, 1.0)
+    total = term = size = 1.0
+    n = 0
     if n_burn + _LOG_SHORT_TOL / math.log(x) < _SHORT_TERMS:
-        done, total, term, size, n = _sum_terms(a, b, c, x, n_burn)
-        if done:
-            return total, n
-        return _sum_chunks(a, b, c, x, rel_tol, n_burn, total, term, size, n)
-    return _sum_chunks(a, b, c, x, rel_tol, n_burn)
+        # |term| * near <= |total| + 1e-12 is necessary for the tail test
+        # (q >= x), and cheaper
+        near = x / ((1.0 - x) * _SHORT_TOL)
+        terms = [1.0]
+        m = 0.0
+        while m < _SHORT_TERMS:
+            # grouped (.. + a) * (.. + b) first so that swapping a and b
+            # reproduces the result bit for bit
+            term *= (m + a) * (m + b) / ((m + c) * (m + 1.0)) * x
+            m += 1.0
+            total += term
+            terms.append(term)
+            if term == 0.0:
+                break
+            if abs(term) * near <= abs(total) + 1e-12 and m >= n_burn:
+                q = _ratio_bound(m, x, u, v)
+                if q < 1.0 and abs(term) * q <= (1.0 - q) * _SHORT_TOL * max(abs(total), 1e-12):
+                    return math.fsum(terms), int(m)
+        # the chunks go on from t_n (a terminated series settles below)
+        total, size, n = math.fsum(terms), math.fsum(map(abs, terms)), int(m)
 
-
-def _sum_terms(a: float, b: float, c: float, x: float, n_burn: int):
-    """Up to _SHORT_TERMS terms, one at a time: (done, total, term, size, n).
-
-    done is True once the tail bound is at most _SHORT_TOL * |total|, and
-    total is then the correctly rounded sum (math.fsum) of t_0 .. t_n;
-    else total, the last term t_n, sum|t| and n are where `_sum_chunks`
-    goes on (term is 0.0 if the series terminated).
-    """
-    u = max(a, b)
-    v = min(c, 1.0)
-    # |term| * near <= |total| + 1e-12 is necessary for the tail test
-    # (q >= x), and cheaper
-    near = x / ((1.0 - x) * _SHORT_TOL)
-    total = term = 1.0
-    terms = [1.0]
-    m = 0.0
-    while m < _SHORT_TERMS:
-        # grouped (.. + a) * (.. + b) first so that swapping a and b
-        # reproduces the result bit for bit
-        term *= (m + a) * (m + b) / ((m + c) * (m + 1.0)) * x
-        m += 1.0
-        total += term
-        terms.append(term)
-        if term == 0.0:
-            break
-        if abs(term) * near <= abs(total) + 1e-12 and m >= n_burn:
-            growth = (m + u) / (m + v)
-            q = x * growth * growth if growth > 1.0 else x
-            if q < 1.0 and abs(term) * q <= (1.0 - q) * _SHORT_TOL * max(abs(total), 1e-12):
-                return True, math.fsum(terms), term, None, int(m)
-    return False, math.fsum(terms), term, math.fsum(map(abs, terms)), int(m)
-
-
-def _sum_chunks(a: float, b: float, c: float, x: float, rel_tol: float,
-                n_burn: int, total: float = 1.0, term: float = 1.0,
-                size: float = 1.0, n: int = 0):
-    """Sum on from term t_n in numpy chunks; returns (value, terms_used).
-
-    total and size are the sum and sum|t| of t_0 .. t_n.  Also settles a
-    series that has terminated (term == 0.0), with its cancellation check.
-    """
     ends = _terminates(a, b)
-    u = max(a, b)
-    v = min(c, 1.0)
     chunk = 64
     while term != 0.0 and n < _TERM_CAP:
         k = min(chunk, _TERM_CAP - n)
@@ -285,8 +258,7 @@ def _sum_chunks(a: float, b: float, c: float, x: float, rel_tol: float,
         n += k
         if term == 0.0 or n < n_burn:
             continue
-        growth = (n + u) / (n + v)
-        q = x * growth * growth if growth > 1.0 else x
+        q = _ratio_bound(n, x, u, v)
         if q < 1.0:
             tail = abs(term) * q / (1.0 - q)
             if tail <= rel_tol * max(abs(total), 1e-12):
@@ -309,6 +281,16 @@ def _sum_chunks(a: float, b: float, c: float, x: float, rel_tol: float,
         error_estimate=tail,
         iterations=n,
     )
+
+
+def _ratio_bound(n: float, x: float, u: float, v: float) -> float:
+    """q(n) = x max(1, (n+u)/(n+v))^2, a bound on every term ratio
+    x (m+a)(m+b) / ((m+c)(m+1)) from m = n on, past the burn-in where all
+    four factors are positive, for u >= max(a, b) and v <= min(c, 1):
+    (m+a)(m+b) <= (m+u)^2 and (m+c)(m+1) >= (m+v)^2.  It decreases to x, so
+    a geometric tail test |t_n| q / (1 - q) <= tol always ends for x < 1."""
+    growth = (n + u) / (n + v)
+    return x * growth * growth if growth > 1.0 else x
 
 
 def _terminates(a: float, b: float) -> bool:
@@ -336,6 +318,53 @@ def _rgamma(z: float) -> float:
     if z <= 0.0 and z == int(z):
         return 0.0
     return 1.0 / math.gamma(z)
+
+
+def _m_series(a: float, x: float, y: float) -> float:
+    """F(1/2, (1-a)/2; 3/2; x), y = 1 - x, for a > -1: `bounds.m_bound`'s factor.
+
+    Its own series alternates for a > 1 (b = (1-a)/2 < 0), by a factor that
+    grows like (1+x)^(a/2), so it is never summed; the series below have
+    positive terms for every a > -1.  With s = (a+1)/2: above x = 1/2 the
+    connection formula (DLMF 15.8.4), whose first series
+    F(1/2, 1-s; 1-s; y) is x^(-1/2) and whose gamma ratios reduce to
+    B(s, 1/2)/2 and -1/(2s):
+        F = B(s, 1/2) / (2 sqrt(x)) - y^s / (2s) F(1, s + 1/2; s + 1; y),
+    unless its two terms cancel beyond the tolerance (`_two_terms`; s near
+    0, where both grow like 1/(2s)); else, and for x <= 1/2, the Euler
+    transform y^s F(1, s + 1/2; 3/2; x).
+    """
+    s = (a + 1.0) / 2.0
+    if x > 0.5:
+        f, _ = _series_sum(1.0, s + 0.5, s + 1.0, y)
+        value = _two_terms(beta(s, 0.5) / (2.0 * math.sqrt(x)), -(y ** s / (2.0 * s) * f))
+        if value is not None:
+            return value
+    f, _ = _series_sum(1.0, s + 0.5, 1.5, x)
+    return y ** s * f
+
+
+def _mode_seed(a: float, k: int, x: float, y: float, scale_k: float) -> float:
+    """`kernel._spectral`'s seed A_k = scale_k F(-a, k; k+1; x), y = 1 - x,
+    scale_k = (a+1)_k / k!.
+
+    Summed to machine precision from series with positive terms only, never
+    from the alternating one.  Far from x = 1 the Euler transform
+        F(-a, k; k+1; x) = y^(a+1) F(k+1+a, 1; k+1; x);
+    near it the connection formula (DLMF 15.8.4), whose first series here
+    is F(-a, k; -a; y) = x^(-k) and whose gamma ratios reduce to scale_k
+    and -k/(a+1):
+        A_k = x^(-k) - scale_k k/(a+1) y^(a+1) F(k+1+a, 1; 2+a; y).
+    """
+    ya1 = y ** (a + 1.0)
+    if k * y > _SEED_SWITCH:
+        if ya1 < sys.float_info.min:
+            raise ConvergenceError(
+                f"spectral seed (1-|z|^2)^(alpha+1) = {y!r}^{a + 1.0!r} underflows")
+        s, _ = _series_sum(k + 1.0 + a, 1.0, k + 1.0, x, rel_tol=_EPS)
+        return scale_k * ya1 * s
+    s, _ = _series_sum(k + 1.0 + a, 1.0, 2.0 + a, y, rel_tol=_EPS)
+    return x ** -k - scale_k * k / (1.0 + a) * ya1 * s
 
 
 def _connection(a: float, b: float, c: float, y: float):
@@ -390,10 +419,10 @@ def _log_connection(a: float, b: float, c: float, s: float, y: float):
     part of its bracket (|ln y| and each |psi|), exceeds _REL_TOL of the
     value (`_two_terms`).
 
-    The log series stops, like `_sum_terms`, once its tail is at most
-    2**-56 times its sum.  Past the burn-in (every psi argument >= 1) the
-    term ratio is at most q = y max(1, (n+u)/(n+1))^2, u = b + m, as in
-    `_series_sum`, and each bracket at step k >= n at most
+    The log series stops, like `_series_sum`'s first stage, once its tail is
+    at most 2**-56 times its sum.  Past the burn-in (every psi argument
+    >= 1) the term ratio is at most q = `_ratio_bound`(n, y, b + m, 1), and
+    each bracket at step k >= n at most
     B_k = |ln y| + 4 ln(k + w), w = max(b, 1) + m + 2, since
     |psi(z)| <= ln(z + 2) for z >= 1; ln(n+j+w) <= ln(n+w) + j/(n+w) then
     bounds the tail by |t_n| q/(1-q) (B_n + 4 / ((n+w)(1-q))).
@@ -447,8 +476,7 @@ def _log_connection(a: float, b: float, c: float, s: float, y: float):
         size += abs(term) * (abs(ly) + abs(p1) + abs(p2) + abs(pa) + abs(pb))
         if n < n_burn:
             continue
-        growth = (n + bm) / (n + 1.0)
-        q = y * growth * growth if growth > 1.0 else y
+        q = _ratio_bound(n, y, bm, 1.0)
         if q < 1.0:
             nw = n + w
             bracket = abs(ly) + 4.0 * math.log(nw) + 4.0 / (nw * (1.0 - q))

@@ -58,8 +58,8 @@ class TestSpectralMemo:
 
     def test_value_then_pair_sums_the_seed_once(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(kernel_module, "_series_sum",
-                            counting(kernel_module._series_sum, calls))
+        monkeypatch.setattr(kernel_module, "_mode_seed",
+                            counting(kernel_module._mode_seed, calls))
         monkeypatch.setattr(kernel_module, "_LAST_SPECTRAL", LastCall())
         fstar = random_boundary(22, 4, 1.0)
         z = 0.5 + 0.2j

@@ -17,10 +17,8 @@ import alphaharmonic.specfun as specfun_module
 from alphaharmonic import (ConvergenceError, DomainError, beta, c_alpha, gamma,
                            hyp2f1, hyp2f1_detailed, m_bound, schwarz_bound,
                            schwarz_pick_bound)
-from alphaharmonic.bounds import _m_series
-from alphaharmonic.kernel import _mode_seed
-from alphaharmonic.specfun import (_EPS, _digamma, _series_sum, _sum_chunks,
-                                   _sum_terms, alpha_value)
+from alphaharmonic.specfun import (_EPS, _digamma, _m_series, _mode_seed, _series_sum,
+                                   alpha_value)
 from alphaharmonic.verify import (_euler_transform_eval, _hyp2f1_at_one,
                                   _quadratic_transform_eval)
 
@@ -566,9 +564,10 @@ SWEEP_FAMILIES = ("schwarz", "m_series", "mode_seed", "euler", "quadratic")
 
 
 class TestShortRoute:
-    """Series predicted short are summed term by term (`_sum_terms`), the
-    rest in numpy chunks (`_sum_chunks`).  The chunked route, which sums
-    any series to machine precision, is the reference for the short one."""
+    """Series predicted short are summed term by term (`_series_sum`'s
+    first stage), the rest in numpy chunks.  The chunked stage alone
+    (`_SHORT_TERMS` patched to 0), which sums any series to machine
+    precision, is the reference for the short one."""
 
     def test_sweep_no_worse_than_chunked_route(self):
         # x across the 0.5 switch to the connection formula and the 1 - x
@@ -607,13 +606,11 @@ class TestShortRoute:
            x=st.floats(1e-12, 0.6))
     def test_routes_agree_to_a_few_ulps(self, a, b, c, x):
         # positive terms, so a few ulps of the sum bound both roundings
-        n_burn = int(max(a, b, c, 1.0)) + 2
-        done, short, term, _, n = _sum_terms(a, b, c, x, n_burn)
-        chunked, _ = _sum_chunks(a, b, c, x, _EPS, n_burn)
-        if done or term == 0.0:  # a term that underflows ends the series
-            assert abs(short - chunked) <= 4.0 * _EPS * chunked
-        else:
-            assert n == specfun_module._SHORT_TERMS
+        value, n = _series_sum(a, b, c, x, _EPS)
+        with mock.patch.object(specfun_module, "_SHORT_TERMS", 0):
+            chunked, _ = _series_sum(a, b, c, x, _EPS)
+        # also where the first stage gives way to chunks after its terms
+        assert abs(value - chunked) <= 4.0 * _EPS * chunked
 
     def test_connection_terms_at_gauss_summation_argument(self):
         # two series in y = 1e-5: 128 terms when every sum began with a

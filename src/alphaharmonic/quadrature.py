@@ -215,13 +215,15 @@ def ratio_integral_series(a: float, b: float, alpha: float, beta: float) -> floa
 def modulus_power_integral(z: complex, beta: float) -> float:
     """Closed form of the circle mean of |1 - z e^{i theta}|^(-2 beta).
 
-    Equals (1-|z|^2)^(1-2 beta) * F(1-beta, 1-beta; 1; |z|^2).
+    Equals (1-|z|^2)^(1-2 beta) * F(1-beta, 1-beta; 1; |z|^2), with F
+    taken in the correctly rounded 1 - |z|^2.
     """
     zc = complex(z)
     r2 = zc.real * zc.real + zc.imag * zc.imag
     if not r2 < 1.0:
         raise DomainError(f"point must lie inside the unit disk, got |z|^2={r2!r}")
-    if beta < 0:
-        raise DomainError(f"require beta >= 0, got {beta!r}")
-    f = specfun.hyp2f1((1.0 - beta, 1.0 - beta, 1.0), r2)
-    return specfun._one_minus_abs2(zc) ** (1.0 - 2.0 * beta) * f
+    if not 0.0 <= beta < math.inf:
+        raise DomainError(f"require finite beta >= 0, got {beta!r}")
+    y = specfun._one_minus_abs2(zc)
+    f = specfun._hyp(1.0 - beta, 1.0 - beta, 1.0, r2, y).value
+    return y ** (1.0 - 2.0 * beta) * f

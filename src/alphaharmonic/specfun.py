@@ -18,8 +18,10 @@ The connection formulas are skipped, and the Euler/raw series summed
 instead, for terminating series and for calls where cancellation between
 their terms would cost more than the relative tolerance.  No continuation
 beyond [0, 1) is attempted.  A caller that knows 1 - x more exactly than
-1.0 - x (as `bounds.m_bound` does) sums its own positive series in y
-instead.
+1.0 - x passes it to `_hyp` (`bounds.schwarz_bound` and
+`quadrature.modulus_power_integral` do).  The other series the library
+sums are here too: M's factor (`_m_series`) and the solver's seed
+(`_mode_seed`), each from positive series in its caller's exact 1 - x.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ _LOG_SWITCH = 0.25
 # a, b in [-3, 3] and |c - a - b| <= 3, 58 for [-12, 12] and 25.
 _LOG_TERMS = 64
 # `_mode_seed` sums seeds A_K with K (1 - x) at most this in 1 - x, where
-# their leading term x^(-K) is at most e^0.5; larger K (1 - x) in x, which
+# their leading term x^(-K) is at most 2; larger K (1 - x) in x, which
 # needs O(1 / (1 - x)) terms.
 _SEED_SWITCH = 0.5
 # Bernoulli terms B_2k / (2k) of the digamma's asymptotic series, k = 1..7:
@@ -355,6 +357,10 @@ def _mode_seed(a: float, k: int, x: float, y: float, scale_k: float) -> float:
     is F(-a, k; -a; y) = x^(-k) and whose gamma ratios reduce to scale_k
     and -k/(a+1):
         A_k = x^(-k) - scale_k k/(a+1) y^(a+1) F(k+1+a, 1; 2+a; y).
+    The seed is held to absolute accuracy, a few ulps of x^(-k) <= 2,
+    all the solver needs, as it adds A_k to terms of order 1: near a = -1,
+    where the two terms cancel (7.3e-11 relative at a = -0.99999), the
+    formula is kept rather than traded for the O(1 / y)-term series in x.
     """
     ya1 = y ** (a + 1.0)
     if k * y > _SEED_SWITCH:
@@ -511,7 +517,7 @@ def hyp2f1_detailed(params, x: float) -> Hyp2F1Result:
     """Evaluate F(a, b; c; x) on [0, 1), reporting terms used and transform.
 
     The value is returned to relative tolerance 1e-13 (_REL_TOL), or
-    ConvergenceError is raised.
+    ConvergenceError is raised, also where it leaves the float range.
 
     For 0.5 < x < 1 the connection formula in y = 1 - x (DLMF 15.8.4) is
     used, transform "connection": two series in y that converge like y^n,
@@ -533,17 +539,20 @@ def hyp2f1_detailed(params, x: float) -> Hyp2F1Result:
     polynomial, and rewriting it through the transform trades an exact sum
     for a cancellation-prone one.
 
-    Both routes take y = 1.0 - x, which is exact for x >= 1/2; the value
-    is F at the float x, whose rounding from a caller's own x near 1 can
-    cost that caller digits.
+    Both routes take y = 1.0 - x, exact for x >= 1/2: the value is F at
+    the float x (`_hyp` takes a caller's own, more exact, 1 - x).
     """
     a, b, c = _validate_params(*params)
-    a, b = min(a, b), max(a, b)
     if type(x) is not float:
         x = _real("x", x)
     if not 0.0 <= x < 1.0:
         raise DomainError(f"series argument must lie in [0, 1), got {x!r}")
-    y = 1.0 - x
+    return _hyp(min(a, b), max(a, b), c, x, 1.0 - x)
+
+
+def _hyp(a: float, b: float, c: float, x: float, y: float) -> Hyp2F1Result:
+    """`hyp2f1_detailed` for validated a <= b, c and 0 <= x < 1, with the
+    caller's y = 1 - x, which it may know more exactly than 1.0 - x."""
     terminates = _terminates(a, b)
     if x > 0.5 and not terminates:
         res = _connection(a, b, c, y)
@@ -551,7 +560,14 @@ def hyp2f1_detailed(params, x: float) -> Hyp2F1Result:
             return res
     if not terminates and (c - a) + (c - b) < a + b:
         value, terms = _series_sum(c - a, c - b, c, x)
-        return Hyp2F1Result(y ** (c - a - b) * value, terms, "euler")
+        try:
+            value = y ** (c - a - b) * value
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise ConvergenceError(f"hypergeometric value leaves the float range (a={a}, "
+                                   f"b={b}, c={c}, x={x})", partial=value, iterations=terms)
+        return Hyp2F1Result(value, terms, "euler")
     value, terms = _series_sum(a, b, c, x)
     return Hyp2F1Result(value, terms, "none")
 

@@ -201,6 +201,19 @@ def test_every_exported_function_is_called_in_the_library():
     assert functions - named == UNCALLED_EXPORTS
 
 
+def test_series_sums_are_named_only_in_specfun_and_verify():
+    """Every route to a hypergeometric value lives in specfun, so no other
+    module names `_series_sum` or `_two_terms`; verify's second routes sum
+    raw series on purpose."""
+    users = set()
+    for path in Path(alphaharmonic.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = _names_in(tree) | {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
+        if names & {"_series_sum", "_two_terms"}:
+            users.add(path.name)
+    assert users == {"specfun.py", "verify.py"}
+
+
 _NON_NUMERIC_CALLS = {
     "m_bound alpha": (lambda: bounds.m_bound(0.5, "1"), "alpha"),
     "m_bound bool alpha": (lambda: bounds.m_bound(0.5, True), "alpha"),

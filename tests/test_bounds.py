@@ -130,6 +130,22 @@ class TestMLargeAlpha:
                 evaluate_bound(bound_id, 0.9, 2000.0, c=0.5 if bound_id == "M1" else None)
 
 
+class TestSmallRadius:
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.07, 0.5, 1.0, 3.0, 10.0])
+    def test_m_and_m2_against_mpmath(self, alpha):
+        # (1 - r)^alpha - 1 by expm1 and log1p: as a difference of powers it
+        # put M 5.1e-11 and M2 2.6e-11 off at alpha = 0.5, r = 1e-6
+        for r in (1e-6, 1e-4, 1e-2, 0.5):
+            with mp.workdps(40):
+                rm, a = mp.mpf(r), mp.mpf(alpha)
+                if alpha >= 0:
+                    m2 = 2 ** (a + 2) / mp.pi * mp.atan(rm) + 2 ** (a + 1) * (1 - rm) * (1 - (1 - rm) ** a)
+                else:
+                    m2 = 4 / mp.pi * (1 - rm) ** a * mp.atan(rm) + (1 - rm) ** a - 1
+            assert rel_err(m_bound(r, alpha), float(m_bound_mpmath(r, alpha))) < 1e-13, r
+            assert rel_err(m2_bound(r, alpha), float(m2)) < 1e-13, r
+
+
 class TestMNearMinusOne:
     @pytest.mark.parametrize("alpha, r", [(-0.9999, 0.5), (-0.9999, 0.45), (-0.99, 0.9),
                                           (-0.95, 0.999), (-0.5, 0.99999), (0.5, 0.99999)])
@@ -141,10 +157,9 @@ class TestMNearMinusOne:
 
 
 def near_boundary_mpmath(bound_id, r, alpha, c):
-    """The bounds built on 1 - r^2, from their formulas at 40 digits; F of
-    SP_2F1 is taken at the float r * r that schwarz_bound passes hyp2f1."""
+    """The bounds built on 1 - r^2, from their formulas at 40 digits at the
+    exact r (F of SP_2F1 too)."""
     with mp.workdps(40):
-        x = mp.mpf(r * r)
         r, a = mp.mpf(r), mp.mpf(alpha)
         om = 1 - r * r
         lead = 2 * (1 + a) if a >= 0 else mp.mpf(2)
@@ -153,7 +168,7 @@ def near_boundary_mpmath(bound_id, r, alpha, c):
         if bound_id == "LC_SP":
             return (1 + a) * 2 ** (1 + a) / om if a >= 0 else 2 ** (1 - a) / om ** (1 - a)
         if bound_id == "SP_2F1":
-            return lead / om * mp.hyp2f1(-a / 2, -a / 2, 1, x)
+            return lead / om * mp.hyp2f1(-a / 2, -a / 2, 1, r * r)
         if bound_id == "SP_LIMIT":
             return lead / om * mp.gamma(1 + a) / mp.gamma(a / 2 + 1) ** 2
         arc = mp.atan((1 + r) / (1 - r) * mp.tan(mp.mpf(c) * mp.pi / 2))

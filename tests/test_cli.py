@@ -40,6 +40,12 @@ class TestEval2F1:
         assert code == 0
         assert float(out.strip().split("\n")[1].split(",")[0]) == 1.0
 
+    def test_value_beyond_float_range_exits_3(self, capsys):
+        code, out, err = run(capsys, ["eval2f1", "--a", "3.5", "--b", "3.25",
+                                      "--c", "-18.25", "--x", "0.9999999999999"])
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "float range" in err
+
     def test_invalid_c_exits_2(self, capsys):
         code, _, err = run(capsys, ["eval2f1", "--a", "1", "--b", "1",
                                     "--c", "-2", "--x", "0.1"])

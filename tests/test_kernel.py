@@ -321,7 +321,10 @@ def _spectral_triple(alpha, fstar, z):
 
 
 class TestSpectralRoute:
-    @pytest.mark.parametrize("alpha", [-0.95, -0.5, 0.0, 0.5, 1.0, 2.0, 2.5, 5.0, 10.0, 20.5])
+    # near alpha = -1 the seed's connection formula cancels (7.3e-11
+    # relative at alpha = -0.99999), which its absolute accuracy allows
+    @pytest.mark.parametrize("alpha", [-0.9999, -0.999, -0.99, -0.95, -0.5, 0.0, 0.5, 1.0,
+                                       2.0, 2.5, 5.0, 10.0, 20.5])
     def test_matches_mpmath(self, alpha):
         rng = np.random.default_rng(int(alpha * 100) + 400)
         for r in (0.0, 0.3, 0.7, 0.9, 0.97, 0.99, 0.999):

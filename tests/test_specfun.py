@@ -442,6 +442,16 @@ class TestLogConnection:
         # terminating series stay raw
         assert hyp2f1_detailed((-2.0, -2.0, 1.0), below).transform == "none"
 
+    @pytest.mark.parametrize("params, x", [
+        ((3.5, 3.25, -18.25), 1.0 - 1e-13),  # (1 - x)^-25 alone overflows
+        ((150.0, 150.0, 1.0), 0.9),  # 1e299 times a sum of 1e85
+    ])
+    def test_euler_value_beyond_float_range_raises(self, params, x):
+        # c - a - b a negative integer: the logarithmic route gives way and
+        # the Euler series is summed; its value was a raw OverflowError or inf
+        with pytest.raises(ConvergenceError, match="float range"):
+            hyp2f1(params, x)
+
     def test_digamma_against_mpmath(self):
         rng = np.random.default_rng(139)
         xs = np.concatenate([rng.uniform(0.5, 60.0, 300), 10.0 ** rng.uniform(-8.0, 0.0, 100),

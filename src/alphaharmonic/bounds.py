@@ -4,7 +4,8 @@ Each function evaluates one published upper bound at radius r and weight
 alpha.  All values are reported per unit boundary sup-norm; callers
 multiply by their own norm.  The bounds M, M2 and M_PRIME additionally
 assume the solution maps the disk into itself (boundary sup-norm <= 1),
-which the report ``note`` field records.
+which the report ``note`` field records.  A value beyond the float range
+(alpha of about a thousand or more) raises ConvergenceError.
 
 SCHWARZ_2F1 is F(-alpha/2, -alpha/2; 1; r^2), SP_2F1 is a lead factor
 over 1 - r^2 times it, and L1_MEAN equals it; all three take F from
@@ -14,6 +15,7 @@ at one (r, alpha) sum F once.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -80,6 +82,31 @@ class BoundReport:
             raise DomainError(f"bound value must be non-negative, got {self.value!r}")
 
 
+_NO_C = object()  # c left out: every bound but M1
+
+
+def _in_float_range(bound):
+    """`bound`, raising ConvergenceError where a power overflows, c_alpha
+    underflows to zero or the value is otherwise not finite.
+
+    Every public bound returns through it, but for COLONNA, below 6e15 on
+    [0, 1), and L1_MEAN, which returns SCHWARZ_2F1's value.
+    The wrapper takes the bounds' own parameters r, alpha and M1's c, by
+    position or name; forwarding them as *args would cost a tuple a call.
+    """
+    @functools.wraps(bound)
+    def checked(r, alpha, c=_NO_C):
+        try:
+            value = bound(r, alpha) if c is _NO_C else bound(r, alpha, c)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        if not math.isfinite(value):
+            args = (r, alpha) if c is _NO_C else (r, alpha, c)
+            raise ConvergenceError(f"{bound.__name__}{args!r} leaves the float range")
+        return value
+    return checked
+
+
 def _validate_r(r: float) -> float:
     if type(r) is not float:
         r = _real("r", r)
@@ -88,6 +115,7 @@ def _validate_r(r: float) -> float:
     return r
 
 
+@_in_float_range
 def m1_bound(r: float, alpha, c: float) -> float:
     """Center-mean Schwarz bound; c is the ratio of the boundary modulus
     mean to the sup-norm and must lie in (0, 1]."""
@@ -106,6 +134,7 @@ def m1_bound(r: float, alpha, c: float) -> float:
     return 2.0 ** (1.0 - a) / math.pi * ((1.0 - r) * (1.0 + r)) ** a * arc
 
 
+@_in_float_range
 def m2_bound(r: float, alpha) -> float:
     """Center-value Schwarz bound with arctan leading term; (1-r)^alpha - 1
     is formed by expm1 and log1p, which keep its digits at small r."""
@@ -123,6 +152,7 @@ def colonna_bound(r: float) -> float:
     return 4.0 / math.pi / ((1.0 - r) * (1.0 + r))
 
 
+@_in_float_range
 def lc_schwarz_pick_bound(r: float, alpha) -> float:
     """Power-of-two derivative bound, per unit boundary sup-norm."""
     r = _validate_r(r)
@@ -133,6 +163,7 @@ def lc_schwarz_pick_bound(r: float, alpha) -> float:
     return 2.0 ** (1.0 - a) / one_minus_r2 ** (1.0 - a)
 
 
+@_in_float_range
 def m_bound(r: float, alpha) -> float:
     """Hypergeometric center-value Schwarz bound (stays bounded as r -> 1).
 
@@ -162,6 +193,7 @@ def m_bound(r: float, alpha) -> float:
     return first + second
 
 
+@_in_float_range
 def m_prime_bound(r: float, alpha) -> float:
     """Piecewise-elementary majorant of the hypergeometric Schwarz bound."""
     r = _validate_r(r)
@@ -175,6 +207,7 @@ def m_prime_bound(r: float, alpha) -> float:
     return 2.0 ** (1.0 + a / 2.0) * r + 2.0 ** (1.0 + a) * (1.0 - r) * r ** a
 
 
+@_in_float_range
 def schwarz_bound(r: float, alpha) -> float:
     """Sup bound F(-alpha/2, -alpha/2; 1; r^2), per unit boundary sup-norm.
 
@@ -188,6 +221,7 @@ def schwarz_bound(r: float, alpha) -> float:
                    (1.0 - r) * (1.0 + r)).value
 
 
+@_in_float_range
 def schwarz_pick_bound(r: float, alpha) -> float:
     """Hypergeometric derivative bound, per unit boundary sup-norm."""
     r = _validate_r(r)
@@ -196,6 +230,7 @@ def schwarz_pick_bound(r: float, alpha) -> float:
     return lead / ((1.0 - r) * (1.0 + r)) * schwarz_bound(r, a)
 
 
+@_in_float_range
 def schwarz_pick_limit_bound(r: float, alpha) -> float:
     """Limit form of the derivative bound with the hypergeometric factor
     replaced by its boundary value 1/c_alpha."""
@@ -245,12 +280,5 @@ def evaluate_bound(bound_id: str, r: float, alpha, c: float | None = None) -> Bo
     evaluator = _EVALUATORS.get(bound_id)
     if evaluator is None:
         raise DomainError(f"unknown bound id {bound_id!r}")
-    try:
-        value = evaluator(r, a, c)
-    except (OverflowError, ZeroDivisionError):  # a power overflows or c_alpha underflows
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConvergenceError(
-            f"bound {bound_id} at r={r!r}, alpha={a!r} leaves the float range")
     return BoundReport(bound_id, float(r), a, float(c) if bound_id == "M1" else None,
-                       value, _NOTES.get(bound_id, _NOTE_LINEAR))
+                       evaluator(r, a, c), _NOTES.get(bound_id, _NOTE_LINEAR))

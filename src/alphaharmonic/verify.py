@@ -1,12 +1,16 @@
 """Empirical certification harness for the inequality and identity suites.
 
-Every suite draws seeded random boundary data, evaluates the relevant
-quantity and its published bound through two independent routes where
-possible, and records the worst margin (bound minus quantity).  A
-violation is a margin below the negative slack; since the inequalities
-are proven, violations indicate implementation bugs.  Trials whose
-quadrature or series fails to converge are reported as inconclusive
-rather than as violations.
+Every suite draws seeded random data and records the worst margin of a bound (or
+second route) over a quantity; the inequalities are proven, so a violation is a bug.
+
+One runner, `_tally`, counts every trial of every suite.  A trial is
+inconclusive for an id, not checked, when its margin is NaN, and for
+every id it checks when its quadrature or series raises ConvergenceError
+or IntegrandError.  An id a trial leaves out is not applicable to it:
+CENTER_M_PRIME for alpha < 0, DERIV_COLONNA for alpha != 0.  A violation
+is a margin below -slack in the inequality and machinery suites, at most
+0 for the strict MOEBIUS_CONTRACTION, and below 0 in the identity suite,
+whose margins carry their own tolerance.
 """
 
 from __future__ import annotations
@@ -137,40 +141,35 @@ class TrialReport:
     informational: bool = False
 
 
-class _Tracker:
-    """Accumulates margins for one named inequality."""
+def _tally(ids, cases, slack: float, informational=(), strict=()) -> list[TrialReport]:
+    """The reports of `ids`, in order, from cases (trial, context, case_ids,
+    margins), by the rules in the module docstring.  Each case's `margins()`
+    is called before the next case is drawn; it maps some of `case_ids` to
+    margins, all computed before any is counted."""
+    reports = {tid: TrialReport(tid, 0, 0, 0, math.inf, informational=tid in informational)
+               for tid in ids}
+    for trial, context, case_ids, margins in cases:
+        try:
+            found = margins()
+        except (ConvergenceError, IntegrandError):
+            found = dict.fromkeys(case_ids, math.nan)
+        for tid, margin in found.items():
+            report = reports[tid]
+            if math.isnan(margin):
+                report.n_inconclusive += 1
+                continue
+            report.n_checked += 1
+            report.worst_margin = min(report.worst_margin, margin)
+            if margin <= 0.0 if tid in strict else margin < -slack:
+                report.n_violations += 1
+                if len(report.details) < 20:  # details kept per id
+                    report.details.append(ViolationDetail(trial, margin, context))
+    return list(reports.values())
 
-    _DETAIL_CAP = 20
 
-    def __init__(self, theorem_id: str, slack: float, informational: bool = False,
-                 require_positive: bool = False):
-        self.theorem_id = theorem_id
-        self.slack = slack
-        self.informational = informational
-        self.require_positive = require_positive
-        self.n_checked = 0
-        self.n_violations = 0
-        self.n_inconclusive = 0
-        self.worst = math.inf
-        self.details: list[ViolationDetail] = []
-
-    def add(self, margin: float, trial: int, context: str) -> None:
-        self.n_checked += 1
-        if margin < self.worst:
-            self.worst = margin
-        violated = margin <= 0.0 if self.require_positive else margin < -self.slack
-        if violated:
-            self.n_violations += 1
-            if len(self.details) < self._DETAIL_CAP:
-                self.details.append(ViolationDetail(trial, margin, context))
-
-    def add_inconclusive(self) -> None:
-        self.n_inconclusive += 1
-
-    def report(self) -> TrialReport:
-        return TrialReport(self.theorem_id, self.n_checked, self.n_violations,
-                           self.n_inconclusive, self.worst, self.details,
-                           self.informational)
+def _case(tid: str, trial: int, context: str, margin) -> tuple:
+    """A case of the one id `tid`, whose margin is `margin()`."""
+    return trial, context, (tid,), lambda: {tid: margin()}
 
 
 def random_boundary(seed: int, degree: int, target_sup_norm: float = 1.0) -> BoundaryData:
@@ -261,72 +260,62 @@ def _draw_trials(spec: TrialSpec) -> tuple:
     return tuple(_draw_boundary_trial(rng, spec) for _ in range(spec.n_trials))
 
 
+def _boundary_context(fstar: BoundaryData, alpha: float, r: float) -> str:
+    return f"alpha={alpha:.3g} r={r:.3g} degree={fstar.degree} sup={fstar.sup_norm:.3g}"
+
+
 def check_schwarz(spec: TrialSpec) -> list[TrialReport]:
-    """Center-value and sup Schwarz inequalities on random boundary data."""
-    t_m = _Tracker("CENTER_M", spec.slack)
-    t_m2 = _Tracker("CENTER_M2", spec.slack)
-    t_mp = _Tracker("CENTER_M_PRIME", spec.slack)
-    t_sup = _Tracker("SUP_2F1", spec.slack)
-    t_m1 = _Tracker("CENTER_M1", spec.slack, informational=True)
-    trackers = [t_m, t_m2, t_mp, t_sup, t_m1]
-    for trial, (fstar, alpha, r, z) in enumerate(_schwarz_trials(spec)):
-        sup = fstar.sup_norm
-        ctx = f"alpha={alpha:.3g} r={r:.3g} degree={fstar.degree} sup={sup:.3g}"
-        try:
-            f0 = solve_dirichlet(alpha, fstar, 0.0)
-            fz = solve_dirichlet(alpha, fstar, z)
-            lhs = abs(fz - (1.0 - r * r) ** (alpha + 1.0) / (1.0 + r * r) * f0)
-            t_m.add(bnd.m_bound(r, alpha) - lhs, trial, ctx)
-            t_m2.add(bnd.m2_bound(r, alpha) - lhs, trial, ctx)
-            if alpha >= 0.0:
-                t_mp.add(bnd.m_prime_bound(r, alpha) - lhs, trial, ctx)
-            t_sup.add(bnd.schwarz_bound(r, alpha) * sup - abs(fz), trial, ctx)
-        except ConvergenceError:
-            for t in trackers:
-                t.add_inconclusive()
-            continue
-        # |f*| has kinks where f* nears zero, so its boundary-mean quadrature
-        # can fail; that leaves only the informational M1 check open
-        try:
-            c = thm_a_constant(fstar)
-        except ConvergenceError:
-            t_m1.add_inconclusive()
-            continue
-        t_m1.add(bnd.m1_bound(r, alpha, c) * sup - abs(fz), trial, ctx)
-    return [t.report() for t in trackers]
+    """Center-value and sup Schwarz inequalities on random boundary data.
+
+    |f*| has kinks where f* nears zero, so the boundary-mean quadrature
+    behind CENTER_M1 can fail.  CENTER_M1 is a case of its own after the
+    others pass, so that such a failure leaves it alone inconclusive.
+    """
+    ids = ("CENTER_M", "CENTER_M2", "CENTER_M_PRIME", "SUP_2F1", "CENTER_M1")
+
+    def cases():
+        for trial, (fstar, alpha, r, z) in enumerate(_schwarz_trials(spec)):
+            context = _boundary_context(fstar, alpha, r)
+            sup = fstar.sup_norm
+            abs_fz = []
+
+            def margins():
+                f0 = solve_dirichlet(alpha, fstar, 0.0)
+                fz = solve_dirichlet(alpha, fstar, z)
+                lhs = abs(fz - (1.0 - r * r) ** (alpha + 1.0) / (1.0 + r * r) * f0)
+                found = {"CENTER_M": bnd.m_bound(r, alpha) - lhs,
+                         "CENTER_M2": bnd.m2_bound(r, alpha) - lhs}
+                if alpha >= 0.0:
+                    found["CENTER_M_PRIME"] = bnd.m_prime_bound(r, alpha) - lhs
+                found["SUP_2F1"] = bnd.schwarz_bound(r, alpha) * sup - abs(fz)
+                abs_fz.append(abs(fz))
+                return found
+
+            yield trial, context, ids, margins
+            if abs_fz:
+                yield _case("CENTER_M1", trial, context, lambda: bnd.m1_bound(
+                    r, alpha, thm_a_constant(fstar)) * sup - abs_fz[0])
+
+    return _tally(ids, cases(), spec.slack, informational=("CENTER_M1",))
 
 
 def check_schwarz_pick(spec: TrialSpec) -> list[TrialReport]:
     """Derivative-norm inequalities on random boundary data."""
-    t_sp = _Tracker("DERIV_SP_2F1", spec.slack)
-    t_lim = _Tracker("DERIV_SP_LIMIT", spec.slack)
-    t_lc = _Tracker("DERIV_LC", spec.slack)
-    t_col = _Tracker("DERIV_COLONNA", spec.slack)
-    trackers = [t_sp, t_lim, t_lc, t_col]
-    for trial, (fstar, alpha, r, z) in enumerate(_schwarz_trials(spec)):
+    ids = ("DERIV_SP_2F1", "DERIV_SP_LIMIT", "DERIV_LC", "DERIV_COLONNA")
+
+    def margins(fstar, alpha, r, z):
         sup = fstar.sup_norm
-        ctx = f"alpha={alpha:.3g} r={r:.3g} degree={fstar.degree} sup={sup:.3g}"
-        try:
-            nd = derivative_pair(alpha, fstar, z).norm
-            t_sp.add(bnd.schwarz_pick_bound(r, alpha) * sup - nd, trial, ctx)
-            t_lim.add(bnd.schwarz_pick_limit_bound(r, alpha) * sup - nd, trial, ctx)
-            t_lc.add(bnd.lc_schwarz_pick_bound(r, alpha) * sup - nd, trial, ctx)
-            if alpha == 0.0:
-                t_col.add(bnd.colonna_bound(r) * sup - nd, trial, ctx)
-        except ConvergenceError:
-            for t in trackers:
-                t.add_inconclusive()
-    return [t.report() for t in trackers]
+        nd = derivative_pair(alpha, fstar, z).norm
+        found = {"DERIV_SP_2F1": bnd.schwarz_pick_bound(r, alpha) * sup - nd,
+                 "DERIV_SP_LIMIT": bnd.schwarz_pick_limit_bound(r, alpha) * sup - nd,
+                 "DERIV_LC": bnd.lc_schwarz_pick_bound(r, alpha) * sup - nd}
+        if alpha == 0.0:
+            found["DERIV_COLONNA"] = bnd.colonna_bound(r) * sup - nd
+        return found
 
-
-def _pochhammer_ratio_sequence(alpha: float, n: np.ndarray,
-                               half_n: np.ndarray) -> np.ndarray:
-    """q_0 = 1 and the running products of the ratios
-    (1/2 + alpha/4 + n)(1 + alpha/4 + n) / ((1/2 + n)(1 + alpha/2 + n)),
-    with the alpha-free n and 1/2 + n passed in."""
-    ratios = ((0.5 + alpha / 4.0 + n) * (1.0 + alpha / 4.0 + n)
-              / (half_n * (1.0 + alpha / 2.0 + n)))
-    return np.concatenate(([1.0], np.cumprod(ratios)))
+    cases = ((trial, _boundary_context(*draw[:3]), ids, functools.partial(margins, *draw))
+             for trial, draw in enumerate(_schwarz_trials(spec)))
+    return _tally(ids, cases, spec.slack)
 
 
 def _rate_function(alpha: float, r: float) -> float:
@@ -341,84 +330,83 @@ def _rate_function(alpha: float, r: float) -> float:
     return num / den
 
 
-def check_proof_machinery(spec: TrialSpec) -> list[TrialReport]:
-    """Sequence and pointwise facts used inside the derivative estimates.
+def _pochhammer_margin(alpha: float, n: np.ndarray, half_n: np.ndarray) -> float:
+    """POCHHAMMER_RATIO_SEQUENCE: q_0 = 1 times the ratios (1/2 + alpha/4 + n)
+    (1 + alpha/4 + n) / ((1/2 + n)(1 + alpha/2 + n)), alpha-free n and 1/2 + n
+    given.  The least step of q_n in its direction, or 1e-2 less the relative
+    gap of the last q_n to 2^(alpha/2) if smaller; NaN for alpha >= 2048,
+    where that limit leaves the float range."""
+    if alpha >= 2048.0:
+        return math.nan
+    limit = 2.0 ** (alpha / 2.0)
+    n_chunks = max(1, math.ceil(alpha * alpha / (16.0 * _POCHHAMMER_GAP * _POCHHAMMER_STEPS)))
+    mono, q_last = math.inf, 1.0
+    for chunk in range(n_chunks):
+        if chunk:  # on to the next chunk's n, carrying the last q forward
+            n, half_n = n + _POCHHAMMER_STEPS, half_n + _POCHHAMMER_STEPS
+        ratios = ((0.5 + alpha / 4.0 + n) * (1.0 + alpha / 4.0 + n)
+                  / (half_n * (1.0 + alpha / 2.0 + n)))
+        q = np.cumprod(np.concatenate(([q_last], ratios)))
+        mono = min(mono, float(np.min(np.diff(q) if alpha >= 0.0 else -np.diff(q))))
+        q_last = float(q[-1])
+    return min(mono, 1e-2 - abs(q_last - limit) / limit)
 
-    MOEBIUS_CONTRACTION bounds max over theta of
+
+def _moebius_margins(alphas, radii) -> list:
+    """(alpha, r, margin) of MOEBIUS_CONTRACTION for each negative alpha and
+    each radius: 1 - alpha less the max over theta of
     |(1+alpha)(r^2 - xi) + 1 - r^2| / |1 - xi|, xi = r e^{-i theta}, on a
     4096-point grid.  With b = 1 + alpha, c = 1 - r^2 and w = r^2 - xi its
-    square is (b^2 |w|^2 + 2bc Re w + c^2) / |1 - xi|^2, so e^{-i theta}
-    is formed once per call, the three alpha-free grids once per radius,
-    and one matrix product per radius gives every negative alpha's values.
-    """
-    t_q = _Tracker("POCHHAMMER_RATIO_SEQUENCE", spec.slack)
-    t_r = _Tracker("RATE_FUNCTION", spec.slack)
-    t_mob = _Tracker("MOEBIUS_CONTRACTION", spec.slack, require_positive=True)
+    square is (b^2 |w|^2 + 2bc Re w + c^2) / |1 - xi|^2: one matrix product
+    per radius gives every alpha's values from three alpha-free grids."""
+    negative = [alpha for alpha in alphas if alpha < 0.0]
+    if not negative:
+        return []
+    b = 1.0 + np.array(negative)
+    emith = np.exp(-1j * (2.0 * math.pi * np.arange(4096) / 4096.0))
+    sups = []
+    for r in radii:
+        xi = r * emith
+        w, one_minus_xi = r * r - xi, 1.0 - xi
+        inv = 1.0 / (one_minus_xi.real ** 2 + one_minus_xi.imag ** 2)
+        grid = np.stack([(w.real ** 2 + w.imag ** 2) * inv, w.real * inv, inv])
+        c = 1.0 - r * r
+        coef = np.stack([b * b, 2.0 * c * b, np.full_like(b, c * c)], axis=1)
+        sups.append(np.sqrt(np.max(coef @ grid, axis=1)))
+    return [(alpha, r, (1.0 - alpha) - float(sup[k]))
+            for k, alpha in enumerate(negative) for r, sup in zip(radii, sups)]
 
-    n = np.arange(_POCHHAMMER_STEPS, dtype=float)
-    half_n = 0.5 + n
-    for i, alpha in enumerate(spec.alpha_set):
-        try:
-            limit = 2.0 ** (alpha / 2.0)
-        except OverflowError:
-            t_q.add_inconclusive()  # q_n's limit is beyond the float range
-            continue
-        n_chunks = max(1, math.ceil(alpha * alpha / (16.0 * _POCHHAMMER_GAP * _POCHHAMMER_STEPS)))
-        n_steps = n_chunks * _POCHHAMMER_STEPS
-        mono, q_last = math.inf, 1.0
-        for start in range(0, n_steps, _POCHHAMMER_STEPS):
-            if start:  # carry the last q forward
-                q = q_last * _pochhammer_ratio_sequence(alpha, n + start, half_n + start)
-            else:
-                q = _pochhammer_ratio_sequence(alpha, n, half_n)
-            diffs = np.diff(q)
-            mono = min(mono, float(np.min(diffs)) if alpha >= 0.0 else float(np.min(-diffs)))
-            q_last = float(q[-1])
-        rel_gap = abs(q_last - limit) / limit
-        ctx = f"alpha={alpha:.3g} n={n_steps}"
-        t_q.add(min(mono, 1e-2 - rel_gap), i, ctx)
 
-    rate_checks = [(_rate_function(alpha, r) - _rate_function(0.0, r),
-                    f"alpha={alpha:.3g} r={r:.3g}")
-                   for alpha in spec.alpha_set if alpha >= 0.0
-                   for r in spec.radius_set if r != 0.0]
-    rate_checks += [(1e-12 - abs(_rate_function(1.0 / r, r) - 1.0), f"alpha=1/r r={r:.3g}")
-                    for r in spec.radius_set if r != 0.0]
-    for i, (margin, ctx) in enumerate(rate_checks):
-        if math.isnan(margin):  # a square in the rate function left the float range
-            t_r.add_inconclusive()
-        else:
-            t_r.add(margin, i, ctx)
+def check_proof_machinery(spec: TrialSpec) -> list[TrialReport]:
+    """Facts used inside the derivative estimates; MOEBIUS_CONTRACTION is strict."""
+    def cases():
+        n = np.arange(_POCHHAMMER_STEPS, dtype=float)
+        half_n = 0.5 + n
+        for i, alpha in enumerate(spec.alpha_set):
+            yield _case("POCHHAMMER_RATIO_SEQUENCE", i, f"alpha={alpha:.3g}",
+                        lambda: _pochhammer_margin(alpha, n, half_n))
 
-    negative = [alpha for alpha in spec.alpha_set if alpha < 0.0]
-    sups = []  # per radius: the max over theta for every negative alpha
-    if negative:
-        b = 1.0 + np.array(negative)
-        emith = np.exp(-1j * (2.0 * math.pi * np.arange(4096) / 4096.0))
-        for r in spec.radius_set:
-            xi = r * emith
-            w, one_minus_xi = r * r - xi, 1.0 - xi
-            inv = 1.0 / (one_minus_xi.real ** 2 + one_minus_xi.imag ** 2)
-            grid = np.stack([(w.real ** 2 + w.imag ** 2) * inv, w.real * inv, inv])
-            c = 1.0 - r * r
-            coef = np.stack([b * b, 2.0 * c * b, np.full_like(b, c * c)], axis=1)
-            sups.append(np.sqrt(np.max(coef @ grid, axis=1)))
-    i = 0
-    for k, alpha in enumerate(negative):
-        for r, sup in zip(spec.radius_set, sups):
-            t_mob.add((1.0 - alpha) - float(sup[k]), i, f"alpha={alpha:.3g} r={r:.3g}")
-            i += 1
+        radii = [r for r in spec.radius_set if r != 0.0]
+        rates = [(f"alpha={alpha:.3g} r={r:.3g}",
+                  _rate_function(alpha, r) - _rate_function(0.0, r))
+                 for alpha in spec.alpha_set if alpha >= 0.0 for r in radii]
+        rates += [(f"alpha=1/r r={r:.3g}", 1e-12 - abs(_rate_function(1.0 / r, r) - 1.0))
+                  for r in radii]
+        for i, (context, margin) in enumerate(rates):
+            yield _case("RATE_FUNCTION", i, context, lambda: margin)
 
-    return [t_q.report(), t_r.report(), t_mob.report()]
+        moebius = _moebius_margins(spec.alpha_set, spec.radius_set)
+        for i, (alpha, r, margin) in enumerate(moebius):
+            yield _case("MOEBIUS_CONTRACTION", i, f"alpha={alpha:.3g} r={r:.3g}", lambda: margin)
+
+    return _tally(("POCHHAMMER_RATIO_SEQUENCE", "RATE_FUNCTION", "MOEBIUS_CONTRACTION"),
+                  cases(), spec.slack, strict=("MOEBIUS_CONTRACTION",))
 
 
 @functools.cache
 def _gauss_legendre_quarter() -> tuple[np.ndarray, np.ndarray]:
-    """64-point Gauss-Legendre nodes and weights on [0, pi/2], read-only.
-
-    Built once per process: the eigenvalue solve behind them takes about
-    1 ms, several percent of a four-trial run of every suite.
-    """
+    """64-point Gauss-Legendre nodes and weights on [0, pi/2], read-only, built
+    once per process: their eigenvalue solve takes about 1 ms."""
     nodes, weights = np.polynomial.legendre.leggauss(64)
     half_pi = math.pi / 2.0
     theta = 0.5 * (nodes + 1.0) * half_pi
@@ -452,98 +440,78 @@ def _hyp2f1_at_one(params) -> float:
                     - math.lgamma(c - a) - math.lgamma(c - b))
 
 
-def check_identities(spec: TrialSpec) -> list[TrialReport]:
-    """Quadrature-versus-closed-form and transform identity suites.
+def _rel_margin(tol: float, value, reference) -> float:
+    """tol less the error of value relative to reference (floored at 1e-12)."""
+    return tol - abs(value - reference) / max(abs(reference), 1e-12)
 
-    DIRICHLET_SPECTRAL compares the solver (`solve_dirichlet`,
-    `derivative_pair`) with the kernel integrals on data drawn as in the
-    Schwarz suites: one quadrature (`_kernel_integrals`) integrates the
-    value and both Wirtinger derivatives together, each row to an absolute
-    1e-11, a hundredth of the check's tolerance.  A quadrature that does
-    not converge, as where float64 cannot resolve the kernel (alpha 20 and
-    up near r = 0.9), or that meets a non-finite integrand (alpha in the
-    hundreds) leaves its trial inconclusive rather than violated.
-    """
+
+def _mean_margin(tol: float, closed: float, integrand) -> float:
+    """_rel_margin of a closed form against the circle mean of integrand."""
+    return _rel_margin(tol, closed, integrate_periodic(integrand).unwrap("mean quadrature"))
+
+
+def _euler_margin(a: float, b: float, c: float, x: float) -> float:
+    res = hyp2f1_detailed((a, b, c), x)
+    # where hyp2f1 sums the Euler side's own series, the raw series is the other route
+    lhs = _series_sum(a, b, c, x)[0] if res.transform == "euler" else res.value
+    return _rel_margin(1e-10, _euler_transform_eval((a, b, c), x), lhs)
+
+
+def _gauss_margin(a: float, b: float, c: float) -> float:
+    """Least decrease of |F(a, b; c; 1 - d) - F(a, b; c; 1)| over d = 1e-2, ..., 1e-5."""
+    limit = _hyp2f1_at_one((a, b, c))
+    gaps = [abs(hyp2f1((a, b, c), 1.0 - d) - limit) for d in (1e-2, 1e-3, 1e-4, 1e-5)]
+    return min(gaps[i] - gaps[i + 1] for i in range(len(gaps) - 1))
+
+
+def _spectral_margin(alpha: float, fstar: BoundaryData, z: complex) -> float:
+    """The solver's value and Wirtinger derivatives against `_kernel_integrals`;
+    a trial that quadrature cannot resolve in float64 (alpha 20 and up near
+    r = 0.9) or that meets non-finite values (alpha in the hundreds) is
+    inconclusive, not violated."""
+    pair = derivative_pair(alpha, fstar, z)
+    spectral = (solve_dirichlet(alpha, fstar, z), pair.d_z, pair.d_zbar)
+    quad = _kernel_integrals(alpha, fstar, z)
+    return 1e-9 - max(abs(s - q) / (1.0 + abs(q)) for s, q in zip(spectral, quad))
+
+
+def _identity_cases(spec: TrialSpec):
+    """The identity rows' cases, drawn row by row from one default_rng."""
     rng = np.random.default_rng(spec.seed)
-    t_cos = _Tracker("COSINE_MEAN_SERIES", spec.slack)
-    t_mod = _Tracker("MODULUS_POWER_MEAN", spec.slack)
-    t_wal = _Tracker("COSINE_POWER_WALLIS", spec.slack)
-    t_eul = _Tracker("EULER_TRANSFORM", spec.slack)
-    t_qud = _Tracker("QUADRATIC_TRANSFORM", spec.slack)
-    t_gau = _Tracker("GAUSS_SUMMATION", spec.slack)
-    t_dup = _Tracker("DUPLICATION", spec.slack)
-    t_dsp = _Tracker("DIRICHLET_SPECTRAL", spec.slack)
 
-    for trial in range(spec.n_trials):
-        a = float(rng.uniform(-0.95, 0.95))
-        b = float(rng.uniform(-0.95, 0.95))
-        al = float(rng.uniform(0.0, 4.0))
-        be = float(rng.uniform(0.0, 4.0))
-        ctx = f"a={a:.3g} b={b:.3g} alpha={al:.3g} beta={be:.3g}"
-        try:
-            series = ratio_integral_series(a, b, al, be)
+    def draws(*ranges):  # per trial, one uniform draw in each range
+        for trial in range(spec.n_trials):
+            yield trial, [float(rng.uniform(lo, hi)) for lo, hi in ranges]
 
-            def integrand(theta, a=a, b=b, al=al, be=be):
-                return ((1.0 - a * np.cos(theta)) ** al
-                        / (1.0 - b * np.cos(theta)) ** be)
+    for trial, (a, b, al, be) in draws((-0.95, 0.95), (-0.95, 0.95), (0.0, 4.0), (0.0, 4.0)):
+        context = f"a={a:.3g} b={b:.3g} alpha={al:.3g} beta={be:.3g}"
+        yield _case("COSINE_MEAN_SERIES", trial, context, lambda: _mean_margin(
+            1e-8, ratio_integral_series(a, b, al, be),
+            lambda t: (1.0 - a * np.cos(t)) ** al / (1.0 - b * np.cos(t)) ** be))
 
-            quad = integrate_periodic(integrand).unwrap("mean quadrature")
-            rel = abs(series - quad) / max(abs(quad), 1e-12)
-            t_cos.add(1e-8 - rel, trial, ctx)
-        except ConvergenceError:
-            t_cos.add_inconclusive()
-
-    for trial in range(spec.n_trials):
-        r = float(rng.uniform(0.0, 0.9))
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        be = float(rng.uniform(0.0, 3.0))
+    for trial, (r, phi, be) in draws((0.0, 0.9), (0.0, 2.0 * math.pi), (0.0, 3.0)):
         z = r * cmath.exp(1j * phi)
-        ctx = f"r={r:.3g} beta={be:.3g}"
-        try:
-            closed = modulus_power_integral(z, be)
-
-            def integrand(theta, z=z, be=be):
-                return np.abs(1.0 - z * np.exp(1j * theta)) ** (-2.0 * be)
-
-            quad = integrate_periodic(integrand).unwrap("mean quadrature")
-            rel = abs(closed - quad) / max(abs(quad), 1e-12)
-            t_mod.add(1e-9 - rel, trial, ctx)
-        except ConvergenceError:
-            t_mod.add_inconclusive()
+        yield _case("MODULUS_POWER_MEAN", trial, f"r={r:.3g} beta={be:.3g}", lambda: _mean_margin(
+            1e-9, modulus_power_integral(z, be),
+            lambda t: np.abs(1.0 - z * np.exp(1j * t)) ** (-2.0 * be)))
 
     # one (41, 64) table of cos(theta)^n; each row sum runs along the
     # contiguous axis, as the sum of one row alone would
     theta, w = _gauss_legendre_quarter()
     oracles = (w * np.cos(theta) ** np.arange(41.0)[:, None]).sum(axis=1)
     for n, oracle in enumerate(oracles.tolist()):
-        diff = abs(cos_power_integral(n) - oracle)
-        t_wal.add(1e-12 - diff, n, f"n={n}")
+        yield _case("COSINE_POWER_WALLIS", n, f"n={n}",
+                    lambda: 1e-12 - abs(cos_power_integral(n) - oracle))
 
-    for trial in range(spec.n_trials):
-        a = float(rng.uniform(-2.0, 2.0))
-        b = float(rng.uniform(-2.0, 2.0))
-        c = float(rng.uniform(0.3, 3.0))
-        x = float(rng.uniform(0.0, 0.95))
-        ctx = f"a={a:.3g} b={b:.3g} c={c:.3g} x={x:.3g}"
-        res = hyp2f1_detailed((a, b, c), x)
-        # hyp2f1's "euler" route sums the very series _euler_transform_eval
-        # sums, so there the untransformed series is the other route
-        lhs = _series_sum(a, b, c, x)[0] if res.transform == "euler" else res.value
-        rhs = _euler_transform_eval((a, b, c), x)
-        rel = abs(lhs - rhs) / max(abs(lhs), 1e-12)
-        t_eul.add(1e-10 - rel, trial, ctx)
+    for trial, (a, b, c, x) in draws((-2.0, 2.0), (-2.0, 2.0), (0.3, 3.0), (0.0, 0.95)):
+        yield _case("EULER_TRANSFORM", trial, f"a={a:.3g} b={b:.3g} c={c:.3g} x={x:.3g}",
+                    lambda: _euler_margin(a, b, c, x))
 
-    for trial in range(spec.n_trials):
-        a = float(rng.uniform(-1.5, 1.5))
-        c = float(rng.uniform(0.4, 3.0))
-        x = float(rng.uniform(0.0, 0.95))
-        ctx = f"a={a:.3g} c={c:.3g} x={x:.3g}"
-        lhs = hyp2f1((a, a + 0.5, c), x)
-        rhs = _quadratic_transform_eval(a, c, x)
-        rel = abs(lhs - rhs) / max(abs(lhs), 1e-12)
-        t_qud.add(1e-10 - rel, trial, ctx)
+    for trial, (a, c, x) in draws((-1.5, 1.5), (0.4, 3.0), (0.0, 0.95)):
+        yield _case("QUADRATIC_TRANSFORM", trial, f"a={a:.3g} c={c:.3g} x={x:.3g}",
+                    lambda: _rel_margin(1e-10, _quadratic_transform_eval(a, c, x),
+                                        hyp2f1((a, a + 0.5, c), x)))
 
-    deltas = (1e-2, 1e-3, 1e-4, 1e-5)
     for trial in range(spec.n_trials):
         while True:
             a = float(rng.uniform(-1.0, 1.5))
@@ -551,34 +519,26 @@ def check_identities(spec: TrialSpec) -> list[TrialReport]:
             c = a + b + float(rng.uniform(0.25, 2.0))
             if c - a > 0.05 and c - b > 0.05 and c > 0.3:
                 break
-        ctx = f"a={a:.3g} b={b:.3g} c={c:.3g}"
-        limit = _hyp2f1_at_one((a, b, c))
-        gaps = [abs(hyp2f1((a, b, c), 1.0 - d) - limit) for d in deltas]
-        decrease = min(gaps[i] - gaps[i + 1] for i in range(len(gaps) - 1))
-        t_gau.add(decrease, trial, ctx)
+        yield _case("GAUSS_SUMMATION", trial, f"a={a:.3g} b={b:.3g} c={c:.3g}",
+                    lambda: _gauss_margin(a, b, c))
 
-    for trial in range(spec.n_trials):
-        x = float(rng.uniform(0.1, 20.0))
-        lhs = gamma(2.0 * x)
-        rhs = 2.0 ** (2.0 * x - 1.0) / math.sqrt(math.pi) * gamma(x) * gamma(x + 0.5)
-        rel = abs(lhs - rhs) / abs(lhs)
-        t_dup.add(1e-12 - rel, trial, f"x={x:.3g}")
+    for trial, (x,) in draws((0.1, 20.0)):
+        yield _case("DUPLICATION", trial, f"x={x:.3g}", lambda: _rel_margin(
+            1e-12, 2.0 ** (2.0 * x - 1.0) / math.sqrt(math.pi) * gamma(x) * gamma(x + 0.5),
+            gamma(2.0 * x)))
 
-    # the solver's mode sums against the kernel integrals by quadrature
     for trial in range(spec.n_trials):
         fstar, alpha, r, z = _draw_boundary_trial(rng, spec)
-        ctx = f"alpha={alpha:.3g} r={r:.3g} degree={fstar.degree} sup={fstar.sup_norm:.3g}"
-        try:
-            pair = derivative_pair(alpha, fstar, z)
-            spectral = (solve_dirichlet(alpha, fstar, z), pair.d_z, pair.d_zbar)
-            quad = _kernel_integrals(alpha, fstar, z)
-        except (ConvergenceError, IntegrandError):
-            t_dsp.add_inconclusive()
-            continue
-        err = max(abs(s - q) / (1.0 + abs(q)) for s, q in zip(spectral, quad))
-        t_dsp.add(1e-9 - err, trial, ctx)
+        yield _case("DIRICHLET_SPECTRAL", trial, _boundary_context(fstar, alpha, r),
+                    lambda: _spectral_margin(alpha, fstar, z))
 
-    return [t.report() for t in (t_cos, t_mod, t_wal, t_eul, t_qud, t_gau, t_dup, t_dsp)]
+
+def check_identities(spec: TrialSpec) -> list[TrialReport]:
+    """Quadrature-versus-closed-form and transform identity suites.  Each
+    margin is its tolerance less the error, so no slack is added."""
+    ids = ("COSINE_MEAN_SERIES", "MODULUS_POWER_MEAN", "COSINE_POWER_WALLIS", "EULER_TRANSFORM",
+           "QUADRATIC_TRANSFORM", "GAUSS_SUMMATION", "DUPLICATION", "DIRICHLET_SPECTRAL")
+    return _tally(ids, _identity_cases(spec), 0.0)
 
 
 def default_figure_alphas() -> list[float]:

@@ -128,6 +128,17 @@ class TestMLargeAlpha:
         for bound_id in ("M", "M1", "M2", "LC_SP", "SP_LIMIT"):
             with pytest.raises(ConvergenceError, match="float range"):
                 evaluate_bound(bound_id, 0.9, 2000.0, c=0.5 if bound_id == "M1" else None)
+        # the public bounds themselves, which raised a raw OverflowError or
+        # (SP_LIMIT, where c_alpha underflows) ZeroDivisionError
+        for call in (lambda: m_bound(0.5, 2000.0), lambda: m1_bound(0.5, 1500.0, 0.5),
+                     lambda: m2_bound(0.5, 1500.0), lambda: m_prime_bound(0.5, 1500.0),
+                     lambda: lc_schwarz_pick_bound(0.5, 1500.0),
+                     lambda: schwarz_pick_limit_bound(0.5, 1500.0)):
+            with pytest.raises(ConvergenceError, match="float range"):
+                call()
+        # that check keeps the bounds' keyword arguments
+        assert m1_bound(r=0.5, alpha=2.0, c=0.5) == m1_bound(0.5, 2.0, 0.5)
+        assert m_bound(alpha=2.0, r=0.5) == m_bound(0.5, 2.0)
 
 
 class TestSmallRadius:

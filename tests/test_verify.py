@@ -1,13 +1,14 @@
 """Harness behavior: determinism, report semantics, and suite health."""
 
 import cmath
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from alphaharmonic import (BoundaryData, DomainError, IntegrandError,
+from alphaharmonic import (BoundaryData, ConvergenceError, DomainError, IntegrandError,
                            TrialSpec, check_identities, check_proof_machinery,
                            check_schwarz, check_schwarz_pick, derivative_pair,
                            figure1_data, random_boundary, run_suite,
@@ -248,6 +249,63 @@ class TestSuiteReports:
         assert len(routes) == 5 * 200
         assert "euler" not in routes
         assert {"raw", "none", "connection"} <= set(routes)
+
+
+class TestTally:
+    """How every suite counts a trial: checked, inconclusive or violated."""
+
+    def test_nan_margin_is_inconclusive(self, monkeypatch):
+        # a NaN margin used to count as checked and never violated
+        monkeypatch.setattr(verify_module.bnd, "schwarz_bound", lambda r, alpha: math.nan)
+        reports = {r.theorem_id: r for r in check_schwarz(TrialSpec(seed=0, n_trials=10))}
+        assert (reports["SUP_2F1"].n_checked, reports["SUP_2F1"].n_inconclusive) == (0, 10)
+        assert (reports["CENTER_M"].n_checked, reports["CENTER_M"].n_inconclusive) == (10, 0)
+
+    def test_failed_trial_is_counted_once(self, monkeypatch):
+        # CENTER_M's margin came before the failing bound, so each trial used
+        # to count as both checked and inconclusive
+        def fail(r, alpha):
+            raise ConvergenceError("planted")
+
+        monkeypatch.setattr(verify_module.bnd, "schwarz_bound", fail)
+        reports = check_schwarz(TrialSpec(seed=0, n_trials=10))
+        assert [(r.n_checked, r.n_inconclusive) for r in reports] == [(0, 10)] * 5
+
+    def test_bounds_beyond_float_range_are_inconclusive(self):
+        # TrialSpec accepts alpha = 2000, where the bounds leave the float
+        # range; the run used to die with a raw OverflowError
+        spec = TrialSpec(alpha_set=(2000.0,), radius_set=(0.5,))
+        for report in run_suite("schwarz", spec):
+            assert (report.n_checked, report.n_inconclusive) == (0, 100), report.theorem_id
+
+    @pytest.mark.parametrize("theorem_id, route, error, least", [
+        ("COSINE_MEAN_SERIES", "ratio_integral_series", 1e-7, 25),
+        ("MODULUS_POWER_MEAN", "modulus_power_integral", 1e-8, 25),
+        ("COSINE_POWER_WALLIS", "cos_power_integral", 1e-11, 21),
+        ("EULER_TRANSFORM", "hyp2f1_detailed", 1e-9, 25),
+        ("QUADRATIC_TRANSFORM", "hyp2f1", 1e-9, 25),
+        # this row only checks that the gaps to the limit shrink: a 1e-4
+        # error is caught in 15 of these 50 trials, a 1e-6 one in 1
+        ("GAUSS_SUMMATION", "hyp2f1", 1e-4, 10),
+        ("DUPLICATION", "gamma", 1e-11, 25),
+        ("DIRICHLET_SPECTRAL", "solve_dirichlet", 1e-8, 25),
+    ])
+    def test_identity_row_catches_planted_error(self, monkeypatch, theorem_id, route, error,
+                                                least):
+        # the production route scaled by 1 + 10 tol (GAUSS_SUMMATION aside):
+        # each row must flag it against its own tolerance, with no slack on
+        # top; the route is looked up in verify at call time
+        original = getattr(verify_module, route)
+
+        def planted(*args):
+            out = original(*args)
+            if isinstance(out, float | complex):
+                return out * (1.0 + error)
+            return dataclasses.replace(out, value=out.value * (1.0 + error))
+
+        monkeypatch.setattr(verify_module, route, planted)
+        reports = {r.theorem_id: r for r in check_identities(TrialSpec(seed=0, n_trials=50))}
+        assert reports[theorem_id].n_violations >= least
 
 
 class TestKernelIntegrals:

@@ -1,24 +1,18 @@
 """Gamma-family functions and the Gauss hypergeometric series.
 
-Everything here is a pure function of its arguments.  The hypergeometric
-evaluator sums the defining power series
+Everything here is a pure function of its arguments.  One routine,
+`_series_sum`, sums the defining power series
 
     F(a, b; c; x) = sum_n (a)_n (b)_n / ((c)_n n!) x^n,    0 <= x < 1,
 
-in float64 with a rigorous geometric tail bound for stopping.  Series
-predicted to be short (fewer than 48 terms from log(2**-56) / log(x) and
-the burn-in) are summed term by term in Python floats and added by
-math.fsum; the rest in numpy chunks of 64 terms and more.  For
-0.5 < x < 1 it continues F to x -> 1 with the connection formula in
-y = 1.0 - x (DLMF 15.8.4), whose two series converge like y^n; for
-integer c - a - b it takes the logarithmic case of that formula (DLMF
-15.8.10) once y < 0.25, and the Euler/raw series above.  Otherwise it
-applies the Euler transform when the transformed series decays faster.
-The connection formulas are skipped, and the Euler/raw series summed
-instead, for terminating series and for calls where cancellation between
-their terms would cost more than the relative tolerance.  No continuation
-beyond [0, 1) is attempted.  A caller that knows 1 - x more exactly than
-1.0 - x passes it to `_hyp` (`bounds.schwarz_bound` and
+in float64 with a rigorous geometric tail bound for stopping, and
+reports sum |t_n| beside the sum.  One judge, `_two_terms`, accepts a
+value summed from signed parts only where their rounding, magnified by
+the cancellation, stays within the relative tolerance.  The routes, the
+connection formulas near x = 1 (DLMF 15.8.4 and 15.8.10), the Euler
+transform and the raw series, are described at `hyp2f1_detailed`; no
+continuation beyond [0, 1) is attempted.  A caller that knows 1 - x
+more exactly than 1.0 - x passes it to `_hyp` (`bounds.schwarz_bound` and
 `quadrature.modulus_power_integral` do).  The other series the library
 sums are here too: M's factor (`_m_series`) and the solver's seed
 (`_mode_seed`), each from positive series in its caller's exact 1 - x.
@@ -68,8 +62,8 @@ _EPS = 2.0 ** -52
 _SHORT_TERMS = 48
 _SHORT_TOL = 2.0 ** -56
 _LOG_SHORT_TOL = math.log(_SHORT_TOL)
-# Rounding of one connection-formula term (gamma factors, y**s, series
-# sum), in units of _EPS; cancellation between the two terms multiplies it.
+# Rounding of a judged value per unit of its spread (gamma factors, y**s,
+# each term summed), in units of _EPS; cancellation multiplies it.
 _CONNECTION_ULPS = 16.0
 # For integer c - a - b the logarithmic connection formula replaces the raw
 # or Euler series once y = 1 - x < _LOG_SWITCH: it needs 10-40 terms there
@@ -199,7 +193,7 @@ def _digamma(x: float) -> float:
 
 
 def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TOL):
-    """Sum the raw series; returns (value, terms_used).
+    """Sum the raw series; returns (value, terms_used, abs_sum).
 
     Stops once the tail, bounded by `_ratio_bound` with u = max(a, b) and
     v = min(c, 1), is provably below rel_tol * |sum|.  A series predicted
@@ -212,15 +206,20 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
     _SHORT_TERMS terms, are summed on in numpy chunks of 64, 128, ... up to
     _CHUNK terms, testing the tail after each chunk.
 
-    A terminating series is a polynomial whose terms can cancel (5e14-fold
-    for F(13.4, -15; 3.18; 0.974)); its roundoff, up to 2**-52 * sum|terms|,
-    must stay within rel_tol * |sum| or ConvergenceError is raised.
+    It only sums: the caller judges the cancellation (`_two_terms`) by
+    abs_sum = sum |t_n|, the value itself where a, b, c > 0.  It raises
+    ConvergenceError for x that rounds to 1, at the first partial sum that
+    leaves the float range, and after _TERM_CAP terms.
     """
     if x == 0.0:
-        return 1.0, 1
+        return 1.0, 1, 1.0
+    if not x < 1.0:
+        raise ConvergenceError(f"hypergeometric series argument rounds to 1 (a={a}, b={b}, "
+                               f"c={c}, x={x})", iterations=0)
     n_burn = int(max(abs(a), abs(b), abs(c), 1.0)) + 2
     u = max(a, b)
     v = min(c, 1.0)
+    positive = a > 0.0 and b > 0.0 and c > 0.0
     total = term = size = 1.0
     n = 0
     if n_burn + _LOG_SHORT_TOL / math.log(x) < _SHORT_TERMS:
@@ -241,48 +240,39 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
             if abs(term) * near <= abs(total) + 1e-12 and m >= n_burn:
                 q = _ratio_bound(m, x, u, v)
                 if q < 1.0 and abs(term) * q <= (1.0 - q) * _SHORT_TOL * max(abs(total), 1e-12):
-                    return math.fsum(terms), int(m)
+                    total = math.fsum(terms)
+                    return total, int(m), total if positive else math.fsum(map(abs, terms))
         # the chunks go on from t_n (a terminated series settles below)
-        total, size, n = math.fsum(terms), math.fsum(map(abs, terms)), int(m)
+        total, n = math.fsum(terms), int(m)
+        size = total if positive else math.fsum(map(abs, terms))
 
-    ends = _terminates(a, b)
     chunk = 64
-    while term != 0.0 and n < _TERM_CAP:
+    while term != 0.0:  # else a Pochhammer factor hit zero: the series ends
+        if n >= _TERM_CAP:
+            raise ConvergenceError(
+                f"hypergeometric series did not converge within {_TERM_CAP} terms (a={a}, "
+                f"b={b}, c={c}, x={x})", partial=total,
+                error_estimate=abs(term) * x / max(1.0 - x, 1e-300), iterations=n)
         k = min(chunk, _TERM_CAP - n)
         chunk = min(2 * chunk, _CHUNK)
         idx = n + np.arange(k, dtype=float)
         ratios = (idx + a) * (idx + b) / ((idx + c) * (idx + 1.0)) * x
         terms = term * np.cumprod(ratios)
         total += float(terms.sum())
-        if ends:
+        if not positive:
             size += float(np.abs(terms).sum())
         term = float(terms[-1])
         n += k
+        if not math.isfinite(total):
+            raise ConvergenceError(
+                f"hypergeometric series leaves the float range (a={a}, b={b}, c={c}, "
+                f"x={x})", partial=total, iterations=n)
         if term == 0.0 or n < n_burn:
             continue
         q = _ratio_bound(n, x, u, v)
-        if q < 1.0:
-            tail = abs(term) * q / (1.0 - q)
-            if tail <= rel_tol * max(abs(total), 1e-12):
-                return total, n
-
-    if term == 0.0:
-        # a Pochhammer factor hit zero: the series terminates here
-        if ends and size * _EPS > rel_tol * abs(total):
-            raise ConvergenceError(
-                f"terminating hypergeometric series cancels (a={a}, b={b}, "
-                f"c={c}, x={x})", partial=total, error_estimate=size * _EPS,
-                iterations=n)
-        return total, n
-
-    tail = abs(term) * x / max(1.0 - x, 1e-300)
-    raise ConvergenceError(
-        f"hypergeometric series did not converge within {_TERM_CAP} terms "
-        f"(a={a}, b={b}, c={c}, x={x})",
-        partial=total,
-        error_estimate=tail,
-        iterations=n,
-    )
+        if q < 1.0 and abs(term) * q / (1.0 - q) <= rel_tol * max(abs(total), 1e-12):
+            break
+    return total, n, total if positive else size
 
 
 def _ratio_bound(n: float, x: float, u: float, v: float) -> float:
@@ -338,11 +328,12 @@ def _m_series(a: float, x: float, y: float) -> float:
     """
     s = (a + 1.0) / 2.0
     if x > 0.5:
-        f, _ = _series_sum(1.0, s + 0.5, s + 1.0, y)
-        value = _two_terms(beta(s, 0.5) / (2.0 * math.sqrt(x)), -(y ** s / (2.0 * s) * f))
+        t1, g2 = beta(s, 0.5) / (2.0 * math.sqrt(x)), y ** s / (2.0 * s)
+        f, _, f_abs = _series_sum(1.0, s + 0.5, s + 1.0, y)
+        value = _two_terms(t1, -(g2 * f), t1 + g2 * f_abs)
         if value is not None:
             return value
-    f, _ = _series_sum(1.0, s + 0.5, 1.5, x)
+    f, _, _ = _series_sum(1.0, s + 0.5, 1.5, x)
     return y ** s * f
 
 
@@ -367,9 +358,9 @@ def _mode_seed(a: float, k: int, x: float, y: float, scale_k: float) -> float:
         if ya1 < sys.float_info.min:
             raise ConvergenceError(
                 f"spectral seed (1-|z|^2)^(alpha+1) = {y!r}^{a + 1.0!r} underflows")
-        s, _ = _series_sum(k + 1.0 + a, 1.0, k + 1.0, x, rel_tol=_EPS)
+        s = _series_sum(k + 1.0 + a, 1.0, k + 1.0, x, rel_tol=_EPS)[0]
         return scale_k * ya1 * s
-    s, _ = _series_sum(k + 1.0 + a, 1.0, 2.0 + a, y, rel_tol=_EPS)
+    s = _series_sum(k + 1.0 + a, 1.0, 2.0 + a, y, rel_tol=_EPS)[0]
     return x ** -k - scale_k * k / (1.0 + a) * ya1 * s
 
 
@@ -384,9 +375,11 @@ def _connection(a: float, b: float, c: float, y: float):
 
     c - a and c - b are rebuilt from s, so that the poles of the two
     terms at integer s cancel for the rounded s as they do for the exact
-    one.  Both series are summed to machine precision, except that a
-    terminating F(c-a, c-b; ..) (t1 is then 0) is held to _REL_TOL; the
-    two terms are added by `_two_terms`.
+    one.  Both series are summed to machine precision and judged by `_two_terms`
+    with spread |g1| sum|t1_n| + |g2| sum|t2_n|: their terms can change
+    sign and cancel (through (1 - s)_n for the bounds' F, 1 - s = -alpha).
+    None also where a gamma factor overflows or a series leaves the float
+    range.
     """
     s = c - a - b
     if s == round(s):
@@ -396,13 +389,11 @@ def _connection(a: float, b: float, c: float, y: float):
         gc = math.gamma(c)
         g1 = gc * math.gamma(s) * _rgamma(ca) * _rgamma(cb)
         g2 = gc * math.gamma(-s) * _rgamma(a) * _rgamma(b) * y ** s
-    except (OverflowError, ZeroDivisionError):
+        f1, n1, s1 = _series_sum(a, b, 1.0 - s, y, _EPS)
+        f2, n2, s2 = _series_sum(ca, cb, 1.0 + s, y, _EPS)
+    except (OverflowError, ZeroDivisionError, ConvergenceError):
         return None
-    f1, n1 = _series_sum(a, b, 1.0 - s, y, _EPS)
-    # a terminating series ends before its tail test: rel_tol then only sets
-    # its cancellation check, which must run at the returned value's tolerance
-    f2, n2 = _series_sum(ca, cb, 1.0 + s, y, _REL_TOL if _terminates(ca, cb) else _EPS)
-    value = _two_terms(g1 * f1, g2 * f2)
+    value = _two_terms(g1 * f1, g2 * f2, abs(g1) * s1 + abs(g2) * s2)
     return None if value is None else Hyp2F1Result(value, n1 + n2, "connection")
 
 
@@ -499,14 +490,13 @@ def _log_connection(a: float, b: float, c: float, s: float, y: float):
     return None if value is None else Hyp2F1Result(value, m + int(n) + 1, "connection")
 
 
-def _two_terms(t1: float, t2: float, spread: float | None = None) -> float | None:
-    """t1 + t2, or None where the cancellation costs more than _REL_TOL:
-    _CONNECTION_ULPS rounding per term times spread / |t1 + t2|, where
-    spread, by default |t1| + |t2|, bounds the magnitudes the two terms
-    were summed from."""
+def _two_terms(t1: float, t2: float, spread: float) -> float | None:
+    """t1 + t2, or None where its rounding, _CONNECTION_ULPS ulps of spread,
+    exceeds _REL_TOL of |t1 + t2|: the one judge of cancellation.  spread
+    bounds the magnitudes the value was summed from, each series' sum |t_n|
+    times its factor; a single sum passes t2 = 0.  An exact 0.0 is never
+    accepted, as it cannot be told from roundoff."""
     value = t1 + t2
-    if spread is None:
-        spread = abs(t1) + abs(t2)
     if math.isfinite(spread) and value != 0.0 and (
             spread / abs(value) * _CONNECTION_ULPS * _EPS <= _REL_TOL):
         return value
@@ -521,23 +511,21 @@ def hyp2f1_detailed(params, x: float) -> Hyp2F1Result:
 
     For 0.5 < x < 1 the connection formula in y = 1 - x (DLMF 15.8.4) is
     used, transform "connection": two series in y that converge like y^n,
-    so they need a few terms each near x = 1 (3 at x = 1 - 1e-5 for
-    moderate a, b, c) and at most a few hundred near x = 1/2.  For
-    integer c - a - b it takes the logarithmic case (DLMF 15.8.10), also
-    reported as "connection", below y = 0.25 (`_LOG_SWITCH`): |c - a - b|
-    terms plus at most _LOG_TERMS past a burn-in (4-40 in all for the
-    bounds' F(-alpha/2, -alpha/2; 1; x)).  Either formula is skipped for
-    a terminating series, wherever a gamma factor overflows and whenever
-    the rounding of its terms, magnified by their cancellation, would
-    exceed 1e-13; those calls, integer c - a - b from y = 0.25 up, and all
-    x <= 0.5, take the series route below.
-
-    The Euler transform F(a,b;c;x) = (1-x)^(c-a-b) F(c-a, c-b; c; x) is
-    applied whenever (c-a) + (c-b) < a + b, i.e. whenever the transformed
-    series has the faster-decaying coefficients.  A series that terminates
-    (a or b a non-positive integer) is always summed raw: it is a finite
-    polynomial, and rewriting it through the transform trades an exact sum
-    for a cancellation-prone one.
+    a few terms each near x = 1 and at most a few hundred near x = 1/2.
+    For integer c - a - b it takes the logarithmic case (DLMF 15.8.10),
+    also "connection", below y = 0.25 (`_LOG_SWITCH`): |c - a - b| terms
+    plus at most _LOG_TERMS past a burn-in.  Either is skipped for a
+    terminating series, where a gamma factor overflows and where
+    `_two_terms` rejects it: the rounding of every term summed, in either
+    series or between the two, magnified by the cancellation, would exceed
+    1e-13.  Those calls, integer c - a - b from y = 0.25 up, and all
+    x <= 0.5 take the series route: the Euler transform
+    F(a,b;c;x) = (1-x)^(c-a-b) F(c-a, c-b; c; x) wherever
+    (c-a) + (c-b) < a + b (its coefficients decay faster), else the raw
+    series.  A terminating series (a or b a non-positive integer) is always
+    summed raw, an exact polynomial that the transform would make
+    cancellation-prone, and ConvergenceError is raised where `_two_terms`
+    rejects its sum.
 
     Both routes take y = 1.0 - x, exact for x >= 1/2: the value is F at
     the float x (`_hyp` takes a caller's own, more exact, 1 - x).
@@ -559,7 +547,7 @@ def _hyp(a: float, b: float, c: float, x: float, y: float) -> Hyp2F1Result:
         if res is not None:
             return res
     if not terminates and (c - a) + (c - b) < a + b:
-        value, terms = _series_sum(c - a, c - b, c, x)
+        value, terms, _ = _series_sum(c - a, c - b, c, x)
         try:
             value = y ** (c - a - b) * value
         except OverflowError:
@@ -568,7 +556,11 @@ def _hyp(a: float, b: float, c: float, x: float, y: float) -> Hyp2F1Result:
             raise ConvergenceError(f"hypergeometric value leaves the float range (a={a}, "
                                    f"b={b}, c={c}, x={x})", partial=value, iterations=terms)
         return Hyp2F1Result(value, terms, "euler")
-    value, terms = _series_sum(a, b, c, x)
+    value, terms, size = _series_sum(a, b, c, x)
+    if terminates and _two_terms(value, 0.0, size) is None:
+        raise ConvergenceError(
+            f"terminating hypergeometric series cancels (a={a}, b={b}, c={c}, x={x})",
+            partial=value, error_estimate=size * _EPS, iterations=terms)
     return Hyp2F1Result(value, terms, "none")
 
 

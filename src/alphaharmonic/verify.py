@@ -419,7 +419,7 @@ def _gauss_legendre_quarter() -> tuple[np.ndarray, np.ndarray]:
 def _euler_transform_eval(params, x: float) -> float:
     """EULER_TRANSFORM's other side: (1-x)^(c-a-b) F(c-a, c-b; c; x), raw."""
     a, b, c = params
-    value, _ = _series_sum(c - a, c - b, c, x)
+    value = _series_sum(c - a, c - b, c, x)[0]
     return (1.0 - x) ** (c - a - b) * value
 
 
@@ -428,7 +428,7 @@ def _quadratic_transform_eval(a: float, c: float, x: float) -> float:
     ((1 + s)/2)^(-2a) F(2a, 2a-c+1; c; (1 - s)/(1 + s)), s = sqrt(1 - x)."""
     s = math.sqrt(1.0 - x)
     y = (1.0 - s) / (1.0 + s)
-    value, _ = _series_sum(2.0 * a, 2.0 * a - c + 1.0, c, y)
+    value = _series_sum(2.0 * a, 2.0 * a - c + 1.0, c, y)[0]
     return ((1.0 + s) / 2.0) ** (-2.0 * a) * value
 
 

@@ -214,6 +214,25 @@ def test_series_sums_are_named_only_in_specfun_and_verify():
     assert users == {"specfun.py", "verify.py"}
 
 
+def test_one_cancellation_judge():
+    """`specfun._two_terms` alone weighs cancellation: no other function in
+    the package reads `_CONNECTION_ULPS` or compares anything with `_REL_TOL`,
+    so a second cancellation rule cannot creep back."""
+    readers = set()
+    for path in Path(alphaharmonic.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> innermost function around it (ast.walk goes outside in)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                owner.update(dict.fromkeys(ast.walk(fn), getattr(fn, "name", "<lambda>")))
+        for node in ast.walk(tree):
+            compared = isinstance(node, ast.Compare) and "_REL_TOL" in _names_in(node)
+            if compared or (isinstance(node, ast.Name) and node.id == "_CONNECTION_ULPS"
+                            and isinstance(node.ctx, ast.Load)):
+                readers.add(f"{path.stem}.{owner.get(node, '<module>')}")
+    assert readers == {"specfun._two_terms"}
+
+
 _NON_NUMERIC_CALLS = {
     "m_bound alpha": (lambda: bounds.m_bound(0.5, "1"), "alpha"),
     "m_bound bool alpha": (lambda: bounds.m_bound(0.5, True), "alpha"),

@@ -156,6 +156,11 @@ class TestHyp2F1:
         assert info.value.partial is not None
         assert info.value.error_estimate > 0
 
+    def test_sum_beyond_float_range_raises(self):
+        # the raw series' partial sums overflow; the value was inf
+        with pytest.raises(ConvergenceError, match="float range"):
+            hyp2f1_detailed((1000.0, 1000.0, 2000.5), 0.9)
+
     def test_symmetry_bit_for_bit(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -616,9 +621,9 @@ class TestShortRoute:
            x=st.floats(1e-12, 0.6))
     def test_routes_agree_to_a_few_ulps(self, a, b, c, x):
         # positive terms, so a few ulps of the sum bound both roundings
-        value, n = _series_sum(a, b, c, x, _EPS)
+        value, n, _ = _series_sum(a, b, c, x, _EPS)
         with mock.patch.object(specfun_module, "_SHORT_TERMS", 0):
-            chunked, _ = _series_sum(a, b, c, x, _EPS)
+            chunked, _, _ = _series_sum(a, b, c, x, _EPS)
         # also where the first stage gives way to chunks after its terms
         assert abs(value - chunked) <= 4.0 * _EPS * chunked
 
@@ -642,7 +647,7 @@ class TestShortRoute:
         a, b, c, x = 8.5, 5.0, 1.35, 0.32
         n_burn = int(max(a, b, c, 1.0)) + 2
         assert n_burn + specfun_module._LOG_SHORT_TOL / math.log(x) < specfun_module._SHORT_TERMS
-        value, terms = _series_sum(a, b, c, x)
+        value, terms, _ = _series_sum(a, b, c, x)
         assert terms == specfun_module._SHORT_TERMS + 64
         assert rel_err(value, float(mp.hyp2f1(a, b, c, x))) < 1e-13
 
@@ -654,7 +659,7 @@ class TestShortRoute:
         # predicted long: summed in chunks exactly as before the short route
         # (hyp2f1 takes the second, integer c - a - b near x = 1, by the
         # logarithmic connection formula)
-        assert _series_sum(*params, x) == (value, terms)
+        assert _series_sum(*params, x)[:2] == (value, terms)
 
 
 class TestGaussSummation:

@@ -152,9 +152,9 @@ def beta(x: float, y: float) -> float:
     """Beta function B(x, y) for positive real arguments, from math.gamma
     while x + y <= 170 keeps every factor in range, else from lgamma.
 
-    Gamma is taken at s = fl(x + y); where that sum rounds, by d = x + y - s
-    (TwoSum, exact), the result is multiplied by 1 - psi(s) d, the first
-    order of Gamma(s) / Gamma(s + d).
+    Gamma is taken at s = fl(x + y); where that sum rounds, by
+    d = x + y - s (`_round_off`), the result is multiplied by 1 - psi(s) d,
+    the first order of Gamma(s) / Gamma(s + d).
     """
     if not (x > 0 and y > 0):
         raise DomainError(f"beta requires positive arguments, got {x!r}, {y!r}")
@@ -163,11 +163,17 @@ def beta(x: float, y: float) -> float:
         value = math.gamma(x) / math.gamma(s) * math.gamma(y)
     else:
         value = math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(s))
-    y_part = s - x
-    d = (x - (s - y_part)) + (y - y_part)
+    d = _round_off(x, y)
     if d:
         value *= 1.0 - _digamma(s) * d
     return value
+
+
+def _round_off(p: float, q: float) -> float:
+    """p + q - fl(p + q), exactly (TwoSum)."""
+    t = p + q
+    q_part = t - p
+    return (p - (t - q_part)) + (q - q_part)
 
 
 def _digamma(x: float) -> float:
@@ -305,10 +311,13 @@ def _one_minus_abs2(zc: complex) -> float:
     return math.fsum(parts)
 
 
-def _rgamma(z: float) -> float:
-    """1/Gamma(z), exactly 0 at the poles z = 0, -1, -2, ..."""
+def _rgamma(z: float, dz: float = 0.0) -> float:
+    """1/Gamma(z + dz), exactly 0 at the poles z = 0, -1, -2, ...; below 1/2,
+    near those poles, the error dz of a computed z counts to first order."""
     if z <= 0.0 and z == int(z):
         return 0.0
+    if z < 0.5 and dz:
+        return (1.0 - _digamma(z) * dz) / math.gamma(z)
     return 1.0 / math.gamma(z)
 
 
@@ -375,7 +384,8 @@ def _connection(a: float, b: float, c: float, y: float):
 
     c - a and c - b are rebuilt from s, so that the poles of the two
     terms at integer s cancel for the rounded s as they do for the exact
-    one.  Both series are summed to machine precision and judged by `_two_terms`
+    one; the error of that rebuild counts near the poles of 1/G (`_rgamma`).
+    Both series are summed to machine precision and judged by `_two_terms`
     with spread |g1| sum|t1_n| + |g2| sum|t2_n|: their terms can change
     sign and cancel (through (1 - s)_n for the bounds' F, 1 - s = -alpha).
     None also where a gamma factor overflows or a series leaves the float
@@ -385,9 +395,11 @@ def _connection(a: float, b: float, c: float, y: float):
     if s == round(s):
         return _log_connection(a, b, c, s, y) if y < _LOG_SWITCH else None
     ca, cb = b + s, a + s
+    ds = _round_off(c, -a) + _round_off(c - a, -b)  # c - a - b - s
     try:
         gc = math.gamma(c)
-        g1 = gc * math.gamma(s) * _rgamma(ca) * _rgamma(cb)
+        g1 = (gc * math.gamma(s) * _rgamma(ca, ds + _round_off(b, s))
+              * _rgamma(cb, ds + _round_off(a, s)))
         g2 = gc * math.gamma(-s) * _rgamma(a) * _rgamma(b) * y ** s
         f1, n1, s1 = _series_sum(a, b, 1.0 - s, y, _EPS)
         f2, n2, s2 = _series_sum(ca, cb, 1.0 + s, y, _EPS)

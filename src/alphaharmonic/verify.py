@@ -260,6 +260,13 @@ def _draw_trials(spec: TrialSpec) -> tuple:
     return tuple(_draw_boundary_trial(rng, spec) for _ in range(spec.n_trials))
 
 
+def _trial_ids(ids: tuple, alpha: float) -> tuple:
+    """The ids of `ids` that apply to a trial at alpha: all but CENTER_M_PRIME
+    for alpha < 0 and DERIV_COLONNA for alpha != 0."""
+    return tuple(tid for tid in ids if not (tid == "CENTER_M_PRIME" and alpha < 0.0
+                                            or tid == "DERIV_COLONNA" and alpha != 0.0))
+
+
 def _boundary_context(fstar: BoundaryData, alpha: float, r: float) -> str:
     return f"alpha={alpha:.3g} r={r:.3g} degree={fstar.degree} sup={fstar.sup_norm:.3g}"
 
@@ -277,6 +284,7 @@ def check_schwarz(spec: TrialSpec) -> list[TrialReport]:
         for trial, (fstar, alpha, r, z) in enumerate(_schwarz_trials(spec)):
             context = _boundary_context(fstar, alpha, r)
             sup = fstar.sup_norm
+            case_ids = _trial_ids(ids, alpha)
             abs_fz = []
 
             def margins():
@@ -285,13 +293,13 @@ def check_schwarz(spec: TrialSpec) -> list[TrialReport]:
                 lhs = abs(fz - (1.0 - r * r) ** (alpha + 1.0) / (1.0 + r * r) * f0)
                 found = {"CENTER_M": bnd.m_bound(r, alpha) - lhs,
                          "CENTER_M2": bnd.m2_bound(r, alpha) - lhs}
-                if alpha >= 0.0:
+                if "CENTER_M_PRIME" in case_ids:
                     found["CENTER_M_PRIME"] = bnd.m_prime_bound(r, alpha) - lhs
                 found["SUP_2F1"] = bnd.schwarz_bound(r, alpha) * sup - abs(fz)
                 abs_fz.append(abs(fz))
                 return found
 
-            yield trial, context, ids, margins
+            yield trial, context, case_ids, margins
             if abs_fz:
                 yield _case("CENTER_M1", trial, context, lambda: bnd.m1_bound(
                     r, alpha, thm_a_constant(fstar)) * sup - abs_fz[0])
@@ -303,19 +311,23 @@ def check_schwarz_pick(spec: TrialSpec) -> list[TrialReport]:
     """Derivative-norm inequalities on random boundary data."""
     ids = ("DERIV_SP_2F1", "DERIV_SP_LIMIT", "DERIV_LC", "DERIV_COLONNA")
 
-    def margins(fstar, alpha, r, z):
+    def margins(case_ids, fstar, alpha, r, z):
         sup = fstar.sup_norm
         nd = derivative_pair(alpha, fstar, z).norm
         found = {"DERIV_SP_2F1": bnd.schwarz_pick_bound(r, alpha) * sup - nd,
                  "DERIV_SP_LIMIT": bnd.schwarz_pick_limit_bound(r, alpha) * sup - nd,
                  "DERIV_LC": bnd.lc_schwarz_pick_bound(r, alpha) * sup - nd}
-        if alpha == 0.0:
+        if "DERIV_COLONNA" in case_ids:
             found["DERIV_COLONNA"] = bnd.colonna_bound(r) * sup - nd
         return found
 
-    cases = ((trial, _boundary_context(*draw[:3]), ids, functools.partial(margins, *draw))
-             for trial, draw in enumerate(_schwarz_trials(spec)))
-    return _tally(ids, cases, spec.slack)
+    def cases():
+        for trial, draw in enumerate(_schwarz_trials(spec)):
+            case_ids = _trial_ids(ids, draw[1])
+            yield (trial, _boundary_context(*draw[:3]), case_ids,
+                   functools.partial(margins, case_ids, *draw))
+
+    return _tally(ids, cases(), spec.slack)
 
 
 def _rate_function(alpha: float, r: float) -> float:

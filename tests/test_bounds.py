@@ -166,6 +166,13 @@ class TestMNearMinusOne:
         # in x takes over, without which M was 1e-12 off
         assert rel_err(m_bound(r, alpha), float(m_bound_mpmath(r, alpha))) < 1e-13
 
+    def test_argument_rounding_to_one_raises(self):
+        # x = 4r^2/(1+r^2)^2 rounds to 1.0 and the connection terms cancel:
+        # the Euler series in x divided by log(1.0), reported as a value
+        # beyond the float range
+        with pytest.raises(ConvergenceError, match="rounds to 1"):
+            m_bound(0.9999999991, -0.9993)
+
 
 def near_boundary_mpmath(bound_id, r, alpha, c):
     """The bounds built on 1 - r^2, from their formulas at 40 digits at the
@@ -237,6 +244,21 @@ class TestSchwarzBound:
         for a in (-0.5, 0.7, 3.0):
             vals = [schwarz_bound(r, a) for r in np.linspace(0.0, 0.95, 20)]
             assert all(v2 >= v1 - 1e-14 for v1, v2 in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("alpha, r", [(162.428, 0.74123), (146.437, 0.73374)])
+    def test_large_alpha_against_mpmath(self, alpha, r):
+        # the connection formula's first series F(a, a; -alpha; y) cancels
+        # inside; judged by |t1| + |t2| alone it was 141 and 1.7e-2 off
+        with mp.workdps(40):
+            want = mp.hyp2f1(-alpha / 2, -alpha / 2, 1, mp.mpf(r) ** 2)
+        assert rel_err(schwarz_bound(r, alpha), float(want)) < 1e-13
+
+    def test_sum_beyond_float_range_raises_at_once(self):
+        # F(-1000, -1000; 1; 1/4) overflows: its nan terms ran to the
+        # 4,000,000-term cap before the error
+        with pytest.raises(ConvergenceError, match="float range") as info:
+            schwarz_bound(0.5, 2000.0)
+        assert info.value.iterations <= 5000
 
 
 class TestSchwarzPickBounds:

@@ -366,6 +366,12 @@ class TestFigure1:
             a = -0.3 + k * 0.1
         assert [float(line.split(",")[0]) for line in out.strip().split("\n")[1:]] == want
 
+    def test_argument_rounding_to_one_exits_3(self, capsys):
+        code, out, err = run(capsys, ["figure1", "--r", "0.9999999991", "--alpha-min",
+                                      "-0.9993", "--alpha-max", "-0.9993"])
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "rounds to 1" in err
+
     def test_single_point_grid(self, capsys):
         code, out, _ = run(capsys, ["figure1", "--alpha-min", "1", "--alpha-max", "1"])
         assert code == 0

@@ -329,6 +329,27 @@ class TestConnection:
             assert rel_err(res.value, want) < 1e-13, (a, b, c, x)
         assert connection > 100 and fallback > 50
 
+    def test_large_parameters_meet_tolerance_or_fall_back(self):
+        # judged by |t1| + |t2| alone, the cancellation inside the series
+        # (their terms change sign through (1 - s)_n and (c-a)_n) went
+        # unseen: 71 of these values were off, by up to 3e24; with it seen,
+        # 4 stayed off, by up to 7.8e-12, where c - a rebuilt as b + s lies
+        # near a pole of 1/Gamma
+        rng = np.random.default_rng(20261019)
+        connection = 0
+        for _ in range(300):
+            a, b = rng.uniform(-100.0, 100.0, size=2)
+            c, x = rng.uniform(0.1, 100.0), rng.uniform(0.5, 1.0)
+            try:
+                res = hyp2f1_detailed((a, b, c), x)
+            except ConvergenceError:
+                continue
+            if res.transform == "connection":
+                connection += 1
+                want = mp.hyp2f1(a, b, c, mp.mpf(x))
+                assert rel_err(res.value, want) < 1e-13, (a, b, c, x)
+        assert connection >= 100
+
     def test_symmetry_bit_for_bit_near_one(self):
         rng = np.random.default_rng(109)
         for _ in range(200):

@@ -269,7 +269,9 @@ class TestTally:
 
         monkeypatch.setattr(verify_module.bnd, "schwarz_bound", fail)
         reports = check_schwarz(TrialSpec(seed=0, n_trials=10))
-        assert [(r.n_checked, r.n_inconclusive) for r in reports] == [(0, 10)] * 5
+        # two of these trials are at alpha < 0, where CENTER_M_PRIME does not apply
+        assert [(r.n_checked, r.n_inconclusive) for r in reports] == [
+            (0, 10), (0, 10), (0, 8), (0, 10), (0, 10)]
 
     def test_bounds_beyond_float_range_are_inconclusive(self):
         # TrialSpec accepts alpha = 2000, where the bounds leave the float
@@ -277,6 +279,15 @@ class TestTally:
         spec = TrialSpec(alpha_set=(2000.0,), radius_set=(0.5,))
         for report in run_suite("schwarz", spec):
             assert (report.n_checked, report.n_inconclusive) == (0, 100), report.theorem_id
+
+    def test_failed_trial_leaves_inapplicable_ids_alone(self):
+        # the derivative pair leaves the float range at alpha = 2000; DERIV_COLONNA,
+        # stated for alpha = 0 alone, used to count those trials as inconclusive
+        spec = TrialSpec(alpha_set=(2000.0,), radius_set=(0.5,), n_trials=10)
+        counts = {r.theorem_id: (r.n_checked, r.n_inconclusive)
+                  for r in run_suite("schwarz-pick", spec)}
+        assert counts == {"DERIV_SP_2F1": (0, 10), "DERIV_SP_LIMIT": (0, 10),
+                          "DERIV_LC": (0, 10), "DERIV_COLONNA": (0, 0)}
 
     @pytest.mark.parametrize("theorem_id, route, error, least", [
         ("COSINE_MEAN_SERIES", "ratio_integral_series", 1e-7, 25),

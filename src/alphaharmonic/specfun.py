@@ -213,7 +213,8 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
     _CHUNK terms, testing the tail after each chunk.
 
     It only sums: the caller judges the cancellation (`_two_terms`) by
-    abs_sum = sum |t_n|, the value itself where a, b, c > 0.  It raises
+    abs_sum = sum |t_n|, the value itself where no term is negative (c > 0
+    and a, b > 0 or a = b, as for the bounds' F).  It raises
     ConvergenceError for x that rounds to 1, at the first partial sum that
     leaves the float range, and after _TERM_CAP terms.
     """
@@ -225,7 +226,7 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
     n_burn = int(max(abs(a), abs(b), abs(c), 1.0)) + 2
     u = max(a, b)
     v = min(c, 1.0)
-    positive = a > 0.0 and b > 0.0 and c > 0.0
+    positive = c > 0.0 and (a == b or (a > 0.0 and b > 0.0))
     total = term = size = 1.0
     n = 0
     if n_burn + _LOG_SHORT_TOL / math.log(x) < _SHORT_TERMS:

@@ -148,23 +148,18 @@ class BoundaryData:
         np.add.at(bins, ks % n, c)
         return np.fft.ifft(bins, norm="forward")
 
-    def _evaluate_poly(self, theta: np.ndarray) -> np.ndarray:
-        e = np.exp(1j * theta)
+    def evaluate(self, theta):
+        """Value of the trig polynomial at angle(s) theta."""
+        th = np.asarray(theta, dtype=float)
+        e = np.exp(1j * np.atleast_1d(th))
         d = self.degree
-        out = np.full(theta.shape, self.coefficients[d], dtype=complex)
+        out = np.full(e.shape, self.coefficients[d], dtype=complex)
         power = np.ones_like(e)
         for k in range(1, d + 1):
             power = power * e
             out += self.coefficients[d + k] * power
             out += self.coefficients[d - k] * np.conj(power)
-        return out
-
-    def evaluate(self, theta):
-        """Value of the trig polynomial at angle(s) theta."""
-        th = np.asarray(theta, dtype=float)
-        scalar = th.ndim == 0
-        vals = self._evaluate_poly(np.atleast_1d(th))
-        return complex(vals[0]) if scalar else vals
+        return complex(out[0]) if th.ndim == 0 else out
 
     def scaled(self, factor: complex) -> "BoundaryData":
         """Boundary data factor * f, its samples scaled from this grid's."""

@@ -95,9 +95,7 @@ def _eval_checked(f: Callable, theta: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(theta))
     if vals.shape[-1:] != theta.shape:
         vals = np.broadcast_to(vals, theta.shape)
-    finite = np.isfinite(vals) if not np.iscomplexobj(vals) else (
-        np.isfinite(vals.real) & np.isfinite(vals.imag)
-    )
+    finite = np.isfinite(vals)  # for complex values, both parts
     if not finite.all():
         bad = float(theta[np.argmin(finite.reshape(-1, theta.size).all(axis=0))])
         raise IntegrandError(f"integrand is non-finite at theta={bad!r}", theta=bad)
@@ -150,13 +148,9 @@ def cos_power_integral(n: int) -> float:
         raise DomainError(f"power must be non-negative, got {n!r}")
     k, odd = divmod(n, 2)
     out = 1.0
-    if odd:
-        for j in range(1, k + 1):
-            out *= (2.0 * j) / (2.0 * j + 1.0)
-        return out
-    for j in range(1, k + 1):
-        out *= (2.0 * j - 1.0) / (2.0 * j)
-    return out * math.pi / 2.0
+    for j in range(1, k + 1):  # (2j)/(2j+1) for odd n, (2j-1)/(2j) for even
+        out *= (2.0 * j - 1.0 + odd) / (2.0 * j + odd)
+    return out if odd else out * math.pi / 2.0
 
 
 def _binom_times_power(alpha: float, t: float, m_max: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from .kernel import (BoundaryData, _kernel_rows, derivative_pair,
 from .quadrature import (QuadratureConfig, _node_level, cos_power_integral,
                          integrate_periodic, modulus_power_integral,
                          ratio_integral_series)
-from .specfun import (_is_real, _series_sum, alpha_value, gamma, hyp2f1,
+from .specfun import (_is_real, _raw_series, _series_sum, alpha_value, gamma, hyp2f1,
                       hyp2f1_detailed)
 
 __all__ = [
@@ -260,13 +260,6 @@ def _draw_trials(spec: TrialSpec) -> tuple:
     return tuple(_draw_boundary_trial(rng, spec) for _ in range(spec.n_trials))
 
 
-def _trial_ids(ids: tuple, alpha: float) -> tuple:
-    """The ids of `ids` that apply to a trial at alpha: all but CENTER_M_PRIME
-    for alpha < 0 and DERIV_COLONNA for alpha != 0."""
-    return tuple(tid for tid in ids if not (tid == "CENTER_M_PRIME" and alpha < 0.0
-                                            or tid == "DERIV_COLONNA" and alpha != 0.0))
-
-
 def _boundary_context(fstar: BoundaryData, alpha: float, r: float) -> str:
     return f"alpha={alpha:.3g} r={r:.3g} degree={fstar.degree} sup={fstar.sup_norm:.3g}"
 
@@ -284,22 +277,22 @@ def check_schwarz(spec: TrialSpec) -> list[TrialReport]:
         for trial, (fstar, alpha, r, z) in enumerate(_schwarz_trials(spec)):
             context = _boundary_context(fstar, alpha, r)
             sup = fstar.sup_norm
-            case_ids = _trial_ids(ids, alpha)
+            center = {"CENTER_M": bnd.m_bound, "CENTER_M2": bnd.m2_bound}
+            if alpha >= 0.0:  # M_PRIME is stated for alpha >= 0
+                center["CENTER_M_PRIME"] = bnd.m_prime_bound
             abs_fz = []
 
             def margins():
                 f0 = solve_dirichlet(alpha, fstar, 0.0)
                 fz = solve_dirichlet(alpha, fstar, z)
                 lhs = abs(fz - (1.0 - r * r) ** (alpha + 1.0) / (1.0 + r * r) * f0)
-                found = {"CENTER_M": bnd.m_bound(r, alpha) - lhs,
-                         "CENTER_M2": bnd.m2_bound(r, alpha) - lhs}
-                if "CENTER_M_PRIME" in case_ids:
-                    found["CENTER_M_PRIME"] = bnd.m_prime_bound(r, alpha) - lhs
+                found = {tid: bound(r, alpha) - lhs for tid, bound in center.items()}
                 found["SUP_2F1"] = bnd.schwarz_bound(r, alpha) * sup - abs(fz)
                 abs_fz.append(abs(fz))
                 return found
 
-            yield trial, context, case_ids, margins
+            # a failure here leaves CENTER_M1, whose case follows, open too
+            yield trial, context, (*center, "SUP_2F1", "CENTER_M1"), margins
             if abs_fz:
                 yield _case("CENTER_M1", trial, context, lambda: bnd.m1_bound(
                     r, alpha, thm_a_constant(fstar)) * sup - abs_fz[0])
@@ -309,25 +302,22 @@ def check_schwarz(spec: TrialSpec) -> list[TrialReport]:
 
 def check_schwarz_pick(spec: TrialSpec) -> list[TrialReport]:
     """Derivative-norm inequalities on random boundary data."""
-    ids = ("DERIV_SP_2F1", "DERIV_SP_LIMIT", "DERIV_LC", "DERIV_COLONNA")
-
-    def margins(case_ids, fstar, alpha, r, z):
-        sup = fstar.sup_norm
+    def margins(bounds, fstar, alpha, r, z):
         nd = derivative_pair(alpha, fstar, z).norm
-        found = {"DERIV_SP_2F1": bnd.schwarz_pick_bound(r, alpha) * sup - nd,
-                 "DERIV_SP_LIMIT": bnd.schwarz_pick_limit_bound(r, alpha) * sup - nd,
-                 "DERIV_LC": bnd.lc_schwarz_pick_bound(r, alpha) * sup - nd}
-        if "DERIV_COLONNA" in case_ids:
-            found["DERIV_COLONNA"] = bnd.colonna_bound(r) * sup - nd
-        return found
+        return {tid: bound(r, alpha) * fstar.sup_norm - nd for tid, bound in bounds.items()}
 
     def cases():
-        for trial, draw in enumerate(_schwarz_trials(spec)):
-            case_ids = _trial_ids(ids, draw[1])
-            yield (trial, _boundary_context(*draw[:3]), case_ids,
-                   functools.partial(margins, case_ids, *draw))
+        for trial, (fstar, alpha, r, z) in enumerate(_schwarz_trials(spec)):
+            bounds = {"DERIV_SP_2F1": bnd.schwarz_pick_bound,
+                      "DERIV_SP_LIMIT": bnd.schwarz_pick_limit_bound,
+                      "DERIV_LC": bnd.lc_schwarz_pick_bound}
+            if alpha == 0.0:  # COLONNA is stated for harmonic maps
+                bounds["DERIV_COLONNA"] = lambda r, alpha: bnd.colonna_bound(r)
+            yield (trial, _boundary_context(fstar, alpha, r), tuple(bounds),
+                   functools.partial(margins, bounds, fstar, alpha, r, z))
 
-    return _tally(ids, cases(), spec.slack)
+    return _tally(("DERIV_SP_2F1", "DERIV_SP_LIMIT", "DERIV_LC", "DERIV_COLONNA"), cases(),
+                  spec.slack)
 
 
 def _rate_function(alpha: float, r: float) -> float:
@@ -431,7 +421,7 @@ def _gauss_legendre_quarter() -> tuple[np.ndarray, np.ndarray]:
 def _euler_transform_eval(params, x: float) -> float:
     """EULER_TRANSFORM's other side: (1-x)^(c-a-b) F(c-a, c-b; c; x), raw."""
     a, b, c = params
-    value = _series_sum(c - a, c - b, c, x)[0]
+    value = _raw_series(c - a, c - b, c, x)[0]
     return (1.0 - x) ** (c - a - b) * value
 
 
@@ -440,7 +430,7 @@ def _quadratic_transform_eval(a: float, c: float, x: float) -> float:
     ((1 + s)/2)^(-2a) F(2a, 2a-c+1; c; (1 - s)/(1 + s)), s = sqrt(1 - x)."""
     s = math.sqrt(1.0 - x)
     y = (1.0 - s) / (1.0 + s)
-    value = _series_sum(2.0 * a, 2.0 * a - c + 1.0, c, y)[0]
+    value = _raw_series(2.0 * a, 2.0 * a - c + 1.0, c, y)[0]
     return ((1.0 + s) / 2.0) ** (-2.0 * a) * value
 
 

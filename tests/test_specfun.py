@@ -329,6 +329,18 @@ class TestConnection:
             assert rel_err(res.value, want) < 1e-13, (a, b, c, x)
         assert connection > 100 and fallback > 50
 
+    def test_rejected_connection_falls_back_unjudged(self):
+        # records a known loss: the judge rejects this connection value, which
+        # is 6.6e-16 off, and the raw series it falls back to, which nothing
+        # judges, is 2.0e-13 off; choosing the route by sum|t| / |sum t| is
+        # the open step of ROADMAP item 1, and should fail this test
+        params = (2.4209508443565495, -2.953351545902472, 2.1863803186179815)
+        x = 0.6756368335988397
+        res = hyp2f1_detailed(params, x)
+        assert res.transform == "none"
+        err = rel_err(res.value, mp.hyp2f1(*params, mp.mpf(x)))
+        assert 1e-13 < err < 2.5e-13
+
     def test_large_parameters_meet_tolerance_or_fall_back(self):
         # judged by |t1| + |t2| alone, the cancellation inside the series
         # (their terms change sign through (1 - s)_n and (c-a)_n) went
@@ -520,6 +532,16 @@ class TestTerminatingCancellation:
     def test_mild_cancellation_still_returns(self):
         want = float(mp.hyp2f1(-2, 0.7, 1.9, 0.8))
         assert rel_err(hyp2f1((-2.0, 0.7, 1.9), 0.8), want) < 1e-13
+
+    def test_cancelling_euler_polynomial_raises(self):
+        # c - a = -15: the Euler route sums the polynomial F(-15, 13.4; 3.25; 0.4),
+        # whose terms cancel; returned unjudged it was 1.2e-9 off
+        with pytest.raises(ConvergenceError, match="cancels"):
+            hyp2f1((18.25, -10.15, 3.25), 0.4)
+        # c - a = -2 cancels mildly and is returned
+        res = hyp2f1_detailed((5.25, -1.1, 3.25), 0.3)
+        assert res.transform == "euler"
+        assert rel_err(res.value, float(mp.hyp2f1(5.25, -1.1, 3.25, 0.3))) < 1e-13
 
     @pytest.mark.parametrize("alpha", [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21])
     def test_m_bound_odd_alpha_meets_tolerance(self, alpha):

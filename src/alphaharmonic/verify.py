@@ -68,13 +68,6 @@ _LAST_TRIALS = LastCall()
 _DEFAULT_ALPHAS = (-0.9, -0.5, -0.1, 0.0, 0.5, 1.0, 2.0, 3.5, 5.0)
 _DEFAULT_RADII = (0.1, 0.3, 0.5, 0.7, 0.85)
 
-# POCHHAMMER_RATIO_SEQUENCE runs q_n in chunks of _POCHHAMMER_STEPS steps
-# until its relative gap to the limit 2^(alpha/2), about alpha^2 / (16 n)
-# after n steps, is at most _POCHHAMMER_GAP, a tenth of its 1e-2 gate: one
-# chunk up to alpha = 12.6, about alpha^2 / 160 chunks beyond.
-_POCHHAMMER_STEPS = 10_000
-_POCHHAMMER_GAP = 1e-3
-
 # DIRICHLET_SPECTRAL's kernel integrals are analytic, so the trapezoid error
 # falls geometrically and two levels agree only once both are resolved;
 # starting at 64 nodes lets the small radii stop at 128 or 256 nodes.  The
@@ -332,61 +325,48 @@ def _rate_function(alpha: float, r: float) -> float:
     return num / den
 
 
-def _pochhammer_margin(alpha: float, n: np.ndarray, half_n: np.ndarray) -> float:
+def _pochhammer_margin(alpha: float) -> float:
     """POCHHAMMER_RATIO_SEQUENCE: q_0 = 1 times the ratios (1/2 + alpha/4 + n)
-    (1 + alpha/4 + n) / ((1/2 + n)(1 + alpha/2 + n)), alpha-free n and 1/2 + n
-    given.  The least step of q_n in its direction, or 1e-2 less the relative
-    gap of the last q_n to 2^(alpha/2) if smaller; NaN for alpha >= 2048,
-    where that limit leaves the float range."""
+    (1 + alpha/4 + n) / ((1/2 + n)(1 + alpha/2 + n)) = 1 + s / ((1/2 + n)
+    (1 + alpha/2 + n)), s = (1/2 + alpha/4)(1 + alpha/4) - (1 + alpha/2)/2 at
+    every n (the n^2 and n terms cancel): q_n moves in alpha's direction at
+    every step exactly when sign(alpha) s >= 0.  The margin is that, or 1e-2
+    less the relative gap of q_N to its limit 2^(alpha/2), about |s| / N at
+    N = 10^4 max(1, ceil(alpha^2 / 160)), if smaller.  q_N = Gamma(h + 2N) N!
+    / ((2N)! Gamma(h + N)), h = 1 + alpha/2, by Stirling's series through
+    1/(12 z), exact to 1/(360 N^3) (math.lgamma would put 3e-9 into q_N at
+    alpha = 100).  NaN for alpha >= 2048, where the limit leaves the float range."""
     if alpha >= 2048.0:
         return math.nan
-    limit = 2.0 ** (alpha / 2.0)
-    n_chunks = max(1, math.ceil(alpha * alpha / (16.0 * _POCHHAMMER_GAP * _POCHHAMMER_STEPS)))
-    mono, q_last = math.inf, 1.0
-    for chunk in range(n_chunks):
-        if chunk:  # on to the next chunk's n, carrying the last q forward
-            n, half_n = n + _POCHHAMMER_STEPS, half_n + _POCHHAMMER_STEPS
-        ratios = ((0.5 + alpha / 4.0 + n) * (1.0 + alpha / 4.0 + n)
-                  / (half_n * (1.0 + alpha / 2.0 + n)))
-        q = np.cumprod(np.concatenate(([q_last], ratios)))
-        mono = min(mono, float(np.min(np.diff(q) if alpha >= 0.0 else -np.diff(q))))
-        q_last = float(q[-1])
-    return min(mono, 1e-2 - abs(q_last - limit) / limit)
+    d = alpha / 2.0
+
+    def log_rise(x):  # ln Gamma(x + d) - ln Gamma(x)
+        return (x - 0.5) * math.log1p(d / x) + d * math.log(x + d) - d - d / (12.0 * x * (x + d))
+
+    n = 10_000.0 * max(1, math.ceil(alpha * alpha / 160.0))
+    gap = math.expm1(log_rise(2.0 * n + 1.0) - log_rise(n + 1.0) - d * math.log(2.0))
+    s = (0.5 + alpha / 4.0) * (1.0 + alpha / 4.0) - (1.0 + alpha / 2.0) / 2.0
+    return min(s if alpha >= 0.0 else -s, 1e-2 - abs(gap))
 
 
 def _moebius_margins(alphas, radii) -> list:
     """(alpha, r, margin) of MOEBIUS_CONTRACTION for each negative alpha and
-    each radius: 1 - alpha less the max over theta of
-    |(1+alpha)(r^2 - xi) + 1 - r^2| / |1 - xi|, xi = r e^{-i theta}, on a
-    4096-point grid.  With b = 1 + alpha, c = 1 - r^2 and w = r^2 - xi its
-    square is (b^2 |w|^2 + 2bc Re w + c^2) / |1 - xi|^2: one matrix product
-    per radius gives every alpha's values from three alpha-free grids."""
-    negative = [alpha for alpha in alphas if alpha < 0.0]
-    if not negative:
-        return []
-    b = 1.0 + np.array(negative)
-    emith = np.exp(-1j * (2.0 * math.pi * np.arange(4096) / 4096.0))
-    sups = []
-    for r in radii:
-        xi = r * emith
-        w, one_minus_xi = r * r - xi, 1.0 - xi
-        inv = 1.0 / (one_minus_xi.real ** 2 + one_minus_xi.imag ** 2)
-        grid = np.stack([(w.real ** 2 + w.imag ** 2) * inv, w.real * inv, inv])
-        c = 1.0 - r * r
-        coef = np.stack([b * b, 2.0 * c * b, np.full_like(b, c * c)], axis=1)
-        sups.append(np.sqrt(np.max(coef @ grid, axis=1)))
-    return [(alpha, r, (1.0 - alpha) - float(sup[k]))
-            for k, alpha in enumerate(negative) for r, sup in zip(radii, sups)]
+    each radius, alpha-major: 1 - alpha less the max over theta of
+    |(1+alpha)(r^2 - xi) + 1 - r^2| / |1 - xi|, xi = r e^{-i theta}.  Its
+    square is a Moebius function (A - B u) / (C - D u) of u = cos theta with
+    C - D u = |1 - xi|^2 > 0, so monotone on [-1, 1]: the max is at xi = r
+    or xi = -r, and the margin is |alpha| (1 - r)."""
+    return [(alpha, r, (1.0 - alpha) - max(
+                abs(((1.0 + alpha) * (r * r - xi) + 1.0 - r * r) / (1.0 - xi)) for xi in (r, -r)))
+            for alpha in alphas if alpha < 0.0 for r in radii]
 
 
 def check_proof_machinery(spec: TrialSpec) -> list[TrialReport]:
     """Facts used inside the derivative estimates; MOEBIUS_CONTRACTION is strict."""
     def cases():
-        n = np.arange(_POCHHAMMER_STEPS, dtype=float)
-        half_n = 0.5 + n
         for i, alpha in enumerate(spec.alpha_set):
             yield _case("POCHHAMMER_RATIO_SEQUENCE", i, f"alpha={alpha:.3g}",
-                        lambda: _pochhammer_margin(alpha, n, half_n))
+                        lambda: _pochhammer_margin(alpha))
 
         radii = [r for r in spec.radius_set if r != 0.0]
         rates = [(f"alpha={alpha:.3g} r={r:.3g}",

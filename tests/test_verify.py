@@ -20,6 +20,33 @@ from alphaharmonic.verify import (_gauss_legendre_quarter, _kernel_integrals,
                                   total_violations)
 
 
+def _assert_pochhammer_margin(alpha: float) -> float:
+    """POCHHAMMER_RATIO_SEQUENCE's margin at alpha, checked against one
+    cumprod over all N = 10^4 max(1, ceil(alpha^2 / 160)) steps: q_n moves in
+    alpha's direction at every step, the margin's step part is
+    sign(alpha) alpha (alpha + 2) / 16, and its q_N is within 1e-9 relative
+    of the cumprod's."""
+    n = np.arange(10_000 * max(1, math.ceil(alpha * alpha / 160.0)), dtype=float)
+    ratios = ((0.5 + alpha / 4.0 + n) * (1.0 + alpha / 4.0 + n)
+              / ((0.5 + n) * (1.0 + alpha / 2.0 + n)))
+    q = np.concatenate(([1.0], np.cumprod(ratios)))
+    direction = 1.0 if alpha >= 0.0 else -1.0
+    assert np.all(direction * np.diff(q) >= 0.0)
+    limit = 2.0 ** (alpha / 2.0)
+    gap = abs(q[-1] - limit) / limit
+    step = direction * alpha * (alpha + 2.0) / 16.0
+    step_tol = 4.0 * np.finfo(float).eps * (1.0 + abs(alpha)) ** 2
+    spec = TrialSpec(alpha_set=(alpha,), radius_set=(0.5,))
+    reports = {t.theorem_id: t for t in check_proof_machinery(spec)}
+    margin = reports["POCHHAMMER_RATIO_SEQUENCE"].worst_margin
+    assert margin <= step + step_tol and margin <= 1e-2 - gap + 1e-9
+    if step < 1e-2 - gap:
+        assert abs(margin - step) <= step_tol
+    else:
+        assert abs((1e-2 - margin) - gap) <= 1e-9
+    return margin
+
+
 class TestRandomBoundary:
     def test_degree_zero_is_constant(self):
         bd = random_boundary(0, 0, 0.6)
@@ -137,19 +164,21 @@ class TestSuiteReports:
             tol = 1e-15 if r <= 0.9 else 16.0 * eps / (1.0 - r)
             assert abs(reports["MOEBIUS_CONTRACTION"].worst_margin - want) <= tol
 
-    def test_machinery_pochhammer_margin_per_alpha(self):
-        n = np.arange(10_000, dtype=float)
-        for alpha in (-0.9, -0.1, 0.0, 0.5, 2.0, 5.0):
-            ratios = ((0.5 + alpha / 4.0 + n) * (1.0 + alpha / 4.0 + n)
-                      / ((0.5 + n) * (1.0 + alpha / 2.0 + n)))
-            q = np.concatenate(([1.0], np.cumprod(ratios)))
-            diffs = np.diff(q)
-            mono = float(np.min(diffs)) if alpha >= 0.0 else float(np.min(-diffs))
-            limit = 2.0 ** (alpha / 2.0)
-            want = min(mono, 1e-2 - abs(q[-1] - limit) / limit)
-            spec = TrialSpec(alpha_set=(alpha,), radius_set=(0.5,))
+    @pytest.mark.parametrize("alpha", [-0.95, -0.9, -0.5, -0.1, -1e-3])
+    def test_machinery_moebius_margin_closed_form(self, alpha):
+        # the max over theta is 1 - alpha r, at xi = r; near r = 1 the
+        # expression rounds like eps / (1 - r)
+        eps = np.finfo(float).eps
+        for r in (0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.85, 0.9, 0.99, 0.999):
+            spec = TrialSpec(alpha_set=(alpha,), radius_set=(r,))
             reports = {t.theorem_id: t for t in check_proof_machinery(spec)}
-            assert reports["POCHHAMMER_RATIO_SEQUENCE"].worst_margin == want
+            margin = reports["MOEBIUS_CONTRACTION"].worst_margin
+            assert abs(margin - abs(alpha) * (1.0 - r)) <= 4.0 * eps / (1.0 - r)
+
+    def test_machinery_pochhammer_margin_per_alpha(self):
+        # at |alpha| = 0.05 and 0 the step part decides, elsewhere the gap
+        for alpha in (-0.9, -0.1, -0.05, 0.0, 0.05, 0.5, 2.0, 5.0):
+            _assert_pochhammer_margin(alpha)
 
     def test_wallis_margins_per_power(self):
         # one numpy pass per power, as the suite did before its power table
@@ -408,16 +437,7 @@ class TestLargeAlpha:
         reports = {t.theorem_id: t for t in check_proof_machinery(spec)}
         pochhammer = reports["POCHHAMMER_RATIO_SEQUENCE"]
         assert (pochhammer.n_checked, pochhammer.n_violations) == (1, 0)
-        # one cumprod over every step, against the chunks that carry q on
-        n_steps = 10_000 * math.ceil(alpha * alpha / 160.0)
-        n = np.arange(n_steps, dtype=float)
-        ratios = ((0.5 + alpha / 4.0 + n) * (1.0 + alpha / 4.0 + n)
-                  / ((0.5 + n) * (1.0 + alpha / 2.0 + n)))
-        q = np.concatenate(([1.0], np.cumprod(ratios)))
-        limit = 2.0 ** (alpha / 2.0)
-        want = min(float(np.min(np.diff(q))), 1e-2 - abs(q[-1] - limit) / limit)
-        assert abs(pochhammer.worst_margin - want) <= 1e-12
-        assert want > 8e-3
+        assert _assert_pochhammer_margin(alpha) > 8e-3
 
     def test_rate_function_beyond_float_range(self):
         # (1 + alpha r^2)^2 overflows: inconclusive, not an OverflowError

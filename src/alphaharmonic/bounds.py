@@ -9,7 +9,7 @@ which the report ``note`` field records.  A value beyond the float range
 
 SCHWARZ_2F1 is F(-alpha/2, -alpha/2; 1; r^2), SP_2F1 is a lead factor
 over 1 - r^2 times it, and L1_MEAN equals it; all three take F from
-`schwarz_bound`, which keeps its last F (`_memo.LastCall`), so the three
+`_schwarz_f`, which keeps its last F (`_memo.LastCall`), so the three
 at one (r, alpha) sum F once.
 """
 
@@ -86,8 +86,9 @@ _NO_C = object()  # c left out: every bound but M1
 
 
 def _in_float_range(bound):
-    """`bound`, raising ConvergenceError where a power overflows, c_alpha
-    underflows to zero or the value is otherwise not finite.
+    """`bound` at r validated (`_validate_r`) and then alpha as a float
+    (`alpha_value`), raising ConvergenceError where a power overflows,
+    c_alpha underflows to zero or the value is otherwise not finite.
 
     Every public bound returns through it, but for COLONNA, below 6e15 on
     [0, 1), and L1_MEAN, which returns SCHWARZ_2F1's value.
@@ -96,8 +97,9 @@ def _in_float_range(bound):
     """
     @functools.wraps(bound)
     def checked(r, alpha, c=_NO_C):
+        rv, a = _validate_r(r), alpha_value(alpha)
         try:
-            value = bound(r, alpha) if c is _NO_C else bound(r, alpha, c)
+            value = bound(rv, a) if c is _NO_C else bound(rv, a, c)
         except (OverflowError, ZeroDivisionError):
             value = math.inf
         if not math.isfinite(value):
@@ -119,8 +121,6 @@ def _validate_r(r: float) -> float:
 def m1_bound(r: float, alpha, c: float) -> float:
     """Center-mean Schwarz bound; c is the ratio of the boundary modulus
     mean to the sup-norm and must lie in (0, 1]."""
-    r = _validate_r(r)
-    a = alpha_value(alpha)
     if type(c) is not float:
         c = _real("c", c)
     if not (0.0 < c <= 1.0):
@@ -129,21 +129,19 @@ def m1_bound(r: float, alpha, c: float) -> float:
         arc = math.pi / 2.0  # tan(pi/2) limit
     else:
         arc = math.atan((1.0 + r) / (1.0 - r) * math.tan(c * math.pi / 2.0))
-    if a >= 0.0:
-        return 2.0 ** (1.0 + a) / math.pi * arc
-    return 2.0 ** (1.0 - a) / math.pi * ((1.0 - r) * (1.0 + r)) ** a * arc
+    if alpha >= 0.0:
+        return 2.0 ** (1.0 + alpha) / math.pi * arc
+    return 2.0 ** (1.0 - alpha) / math.pi * ((1.0 - r) * (1.0 + r)) ** alpha * arc
 
 
 @_in_float_range
 def m2_bound(r: float, alpha) -> float:
     """Center-value Schwarz bound with arctan leading term; (1-r)^alpha - 1
     is formed by expm1 and log1p, which keep its digits at small r."""
-    r = _validate_r(r)
-    a = alpha_value(alpha)
-    if a >= 0.0:
-        return (2.0 ** (a + 2.0) / math.pi * math.atan(r)
-                - 2.0 ** (a + 1.0) * (1.0 - r) * math.expm1(a * math.log1p(-r)))
-    return 4.0 / math.pi * (1.0 - r) ** a * math.atan(r) + math.expm1(a * math.log1p(-r))
+    if alpha >= 0.0:
+        return (2.0 ** (alpha + 2.0) / math.pi * math.atan(r)
+                - 2.0 ** (alpha + 1.0) * (1.0 - r) * math.expm1(alpha * math.log1p(-r)))
+    return 4.0 / math.pi * (1.0 - r) ** alpha * math.atan(r) + math.expm1(alpha * math.log1p(-r))
 
 
 def colonna_bound(r: float) -> float:
@@ -155,12 +153,10 @@ def colonna_bound(r: float) -> float:
 @_in_float_range
 def lc_schwarz_pick_bound(r: float, alpha) -> float:
     """Power-of-two derivative bound, per unit boundary sup-norm."""
-    r = _validate_r(r)
-    a = alpha_value(alpha)
     one_minus_r2 = (1.0 - r) * (1.0 + r)
-    if a >= 0.0:
-        return (1.0 + a) * 2.0 ** (1.0 + a) / one_minus_r2
-    return 2.0 ** (1.0 - a) / one_minus_r2 ** (1.0 - a)
+    if alpha >= 0.0:
+        return (1.0 + alpha) * 2.0 ** (1.0 + alpha) / one_minus_r2
+    return 2.0 ** (1.0 - alpha) / one_minus_r2 ** (1.0 - alpha)
 
 
 @_in_float_range
@@ -175,69 +171,62 @@ def m_bound(r: float, alpha) -> float:
     difference keeps its digits at small r; the hypergeometric factor
     comes from `specfun._m_series` for every alpha.
     """
-    r = _validate_r(r)
-    a = alpha_value(alpha)
-    if a == 0.0:
-        return 2.0 ** (a + 2.0) / math.pi * math.atan(r)
+    if alpha == 0.0:
+        return 2.0 ** (alpha + 2.0) / math.pi * math.atan(r)
     one_plus_r2 = 1.0 + r * r
     one_minus_r2 = (1.0 - r) * (1.0 + r)
-    first = one_minus_r2 * (1.0 + r) ** a * abs(math.expm1(a * math.log1p(-r))) / one_plus_r2
+    first = (one_minus_r2 * (1.0 + r) ** alpha * abs(math.expm1(alpha * math.log1p(-r)))
+             / one_plus_r2)
     x = 4.0 * r * r / (one_plus_r2 * one_plus_r2)
     # 1 - x = ((1 - r^2) / (1 + r^2))^2, free of the cancellation in 1.0 - x
     d = one_minus_r2 / one_plus_r2
-    f = _m_series(a, x, d * d)
-    if a >= 0.0:
-        second = 2.0 ** (2.0 + a / 2.0) * r * one_plus_r2 ** (a / 2.0 - 1.0) / math.pi * f
+    f = _m_series(alpha, x, d * d)
+    if alpha >= 0.0:
+        second = 2.0 ** (2.0 + alpha / 2.0) * r * one_plus_r2 ** (alpha / 2.0 - 1.0) / math.pi * f
     else:
-        second = 4.0 * r / math.pi * one_plus_r2 ** (a / 2.0 - 1.0) * f
+        second = 4.0 * r / math.pi * one_plus_r2 ** (alpha / 2.0 - 1.0) * f
     return first + second
 
 
 @_in_float_range
 def m_prime_bound(r: float, alpha) -> float:
     """Piecewise-elementary majorant of the hypergeometric Schwarz bound."""
-    r = _validate_r(r)
-    a = alpha_value(alpha)
-    if a < 0.0:
-        raise DomainError(f"this bound is stated for alpha >= 0, got {a!r}")
-    if a >= 2.0:
-        return 2.0 ** (1.0 + a) * r * (1.0 / math.pi + a)
-    if a >= 1.0:
-        return r * (2.0 ** (2.0 + a / 2.0) / math.pi + 2.0 ** (1.0 + a) * a)
-    return 2.0 ** (1.0 + a / 2.0) * r + 2.0 ** (1.0 + a) * (1.0 - r) * r ** a
+    if alpha < 0.0:
+        raise DomainError(f"this bound is stated for alpha >= 0, got {alpha!r}")
+    if alpha >= 2.0:
+        return 2.0 ** (1.0 + alpha) * r * (1.0 / math.pi + alpha)
+    if alpha >= 1.0:
+        return r * (2.0 ** (2.0 + alpha / 2.0) / math.pi + 2.0 ** (1.0 + alpha) * alpha)
+    return 2.0 ** (1.0 + alpha / 2.0) * r + 2.0 ** (1.0 + alpha) * (1.0 - r) * r ** alpha
+
+
+def _schwarz_f(r: float, alpha: float) -> float:
+    """F(-alpha/2, -alpha/2; 1; r^2) at validated r and alpha, summed in the
+    exact 1 - r^2 = (1 - r)(1 + r) once for consecutive calls at one r and
+    alpha, bit for bit, whether from SCHWARZ_2F1, SP_2F1 or L1_MEAN."""
+    return _LAST_F(_R_ALPHA_BITS(r, alpha), _hyp, -alpha / 2.0, -alpha / 2.0, 1.0, r * r,
+                   (1.0 - r) * (1.0 + r)).value
 
 
 @_in_float_range
 def schwarz_bound(r: float, alpha) -> float:
-    """Sup bound F(-alpha/2, -alpha/2; 1; r^2), per unit boundary sup-norm.
-
-    F is summed in the exact 1 - r^2 = (1 - r)(1 + r), not at 1.0 - r * r,
-    and once for consecutive calls at the same r and alpha, bit for bit,
-    whether they come from here, `schwarz_pick_bound` or `l1_mean_kernel`.
-    """
-    r = _validate_r(r)
-    a = alpha_value(alpha)
-    return _LAST_F(_R_ALPHA_BITS(r, a), _hyp, -a / 2.0, -a / 2.0, 1.0, r * r,
-                   (1.0 - r) * (1.0 + r)).value
+    """Sup bound F(-alpha/2, -alpha/2; 1; r^2), per unit boundary sup-norm."""
+    return _schwarz_f(r, alpha)
 
 
 @_in_float_range
 def schwarz_pick_bound(r: float, alpha) -> float:
     """Hypergeometric derivative bound, per unit boundary sup-norm."""
-    r = _validate_r(r)
-    a = alpha_value(alpha)
-    lead = 2.0 * (1.0 + a) if a >= 0.0 else 2.0
-    return lead / ((1.0 - r) * (1.0 + r)) * schwarz_bound(r, a)
+    lead = 2.0 * (1.0 + alpha) if alpha >= 0.0 else 2.0
+    return lead / ((1.0 - r) * (1.0 + r)) * _schwarz_f(r, alpha)
 
 
 @_in_float_range
 def schwarz_pick_limit_bound(r: float, alpha) -> float:
     """Limit form of the derivative bound with the hypergeometric factor
     replaced by its boundary value 1/c_alpha."""
-    r = _validate_r(r)
-    a = alpha_value(alpha)
-    lead = 2.0 * (1.0 + a) if a >= 0.0 else 2.0
-    return lead / c_alpha(a) / ((1.0 - r) * (1.0 + r))
+    lead = 2.0 * (1.0 + alpha) if alpha >= 0.0 else 2.0
+    return lead / c_alpha(alpha) / ((1.0 - r) * (1.0 + r))
 
 
 def l1_mean_kernel(alpha, r: float) -> float:

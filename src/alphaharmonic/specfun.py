@@ -213,10 +213,10 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
     _CHUNK terms, testing the tail after each chunk.
 
     It only sums: the caller judges the cancellation (`_two_terms`) by
-    abs_sum = sum |t_n|, the value itself where no term is negative (c > 0
-    and a, b > 0 or a = b, as for the bounds' F).  It raises
-    ConvergenceError for x that rounds to 1, at the first partial sum that
-    leaves the float range, and after _TERM_CAP terms.
+    abs_sum = sum |t_n|, the value itself where no term is negative
+    (`_positive`, as for the bounds' F).  It raises ConvergenceError for x
+    that rounds to 1, at the first partial sum that leaves the float range,
+    and after _TERM_CAP terms.
     """
     if x == 0.0:
         return 1.0, 1, 1.0
@@ -226,7 +226,7 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
     n_burn = int(max(abs(a), abs(b), abs(c), 1.0)) + 2
     u = max(a, b)
     v = min(c, 1.0)
-    positive = c > 0.0 and (a == b or (a > 0.0 and b > 0.0))
+    positive = _positive(a, b, c)
     total = term = size = 1.0
     n = 0
     if n_burn + _LOG_SHORT_TOL / math.log(x) < _SHORT_TERMS:
@@ -280,6 +280,11 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
         if q < 1.0 and abs(term) * q / (1.0 - q) <= rel_tol * max(abs(total), 1e-12):
             break
     return total, n, total if positive else size
+
+
+def _positive(a: float, b: float, c: float) -> bool:
+    """Whether no term of F(a, b; c; x) is negative: c > 0 and a, b > 0 or a = b."""
+    return c > 0.0 and (a == b or (a > 0.0 and b > 0.0))
 
 
 def _ratio_bound(n: float, x: float, u: float, v: float) -> float:
@@ -538,7 +543,9 @@ def hyp2f1_detailed(params, x: float) -> Hyp2F1Result:
     x <= 0.5 take the series route: the Euler transform
     F(a,b;c;x) = (1-x)^(c-a-b) F(c-a, c-b; c; x) wherever
     (c-a) + (c-b) < a + b (its coefficients decay faster), else the raw
-    series.  A terminating series (a or b a non-positive integer) is always
+    series, also where only the Euler series has negative terms
+    (`_positive`): that sum is not judged, and it can cancel.  A
+    terminating series (a or b a non-positive integer) is always
     summed raw, an exact polynomial that the transform would make
     cancellation-prone.  ConvergenceError is raised where `_two_terms`
     rejects the sum of a terminating series, raw or Euler (c - a or c - b
@@ -563,7 +570,8 @@ def _hyp(a: float, b: float, c: float, x: float, y: float) -> Hyp2F1Result:
         res = _connection(a, b, c, y)
         if res is not None:
             return res
-    if terminates or (c - a) + (c - b) >= a + b:
+    if terminates or (c - a) + (c - b) >= a + b or (
+            _positive(a, b, c) and not _positive(c - a, c - b, c)):
         return Hyp2F1Result(*_raw_series(a, b, c, x), "none")
     value, terms = _raw_series(c - a, c - b, c, x)
     try:

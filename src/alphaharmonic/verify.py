@@ -377,8 +377,7 @@ def check_proof_machinery(spec: TrialSpec) -> list[TrialReport]:
         for i, (context, margin) in enumerate(rates):
             yield _case("RATE_FUNCTION", i, context, lambda: margin)
 
-        moebius = _moebius_margins(spec.alpha_set, spec.radius_set)
-        for i, (alpha, r, margin) in enumerate(moebius):
+        for i, (alpha, r, margin) in enumerate(_moebius_margins(spec.alpha_set, spec.radius_set)):
             yield _case("MOEBIUS_CONTRACTION", i, f"alpha={alpha:.3g} r={r:.3g}", lambda: margin)
 
     return _tally(("POCHHAMMER_RATIO_SEQUENCE", "RATE_FUNCTION", "MOEBIUS_CONTRACTION"),

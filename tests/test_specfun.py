@@ -253,9 +253,37 @@ class TestTransforms:
 
     def test_auto_transform_engages(self):
         # (c-a) + (c-b) < a+b here, so the faster route must be chosen
-        res = hyp2f1_detailed((2.0, 2.5, 1.2), 0.5)
+        res = hyp2f1_detailed((2.0, 2.5, 3.0), 0.5)
         assert res.transform == "euler"
-        assert rel_err(res.value, float(mp.hyp2f1(2.0, 2.5, 1.2, 0.5))) < 1e-11
+        assert rel_err(res.value, float(mp.hyp2f1(2.0, 2.5, 3.0, 0.5))) < 1e-11
+        # the Euler series' (-0.8)_n (-1.3)_n change sign, the raw terms do not
+        assert hyp2f1_detailed((2.0, 2.5, 1.2), 0.5).transform == "none"
+
+
+class TestPositiveRawSeries:
+    """Where every raw term is positive and the Euler series' terms are not,
+    the raw series is summed: the Euler series' cancellation went unjudged."""
+
+    @pytest.mark.parametrize("params, x", [
+        ((38.8, 0.37, 11.85), 0.46),  # the Euler value was 5.5e-7 off
+        ((37.75, 0.82, 13.6), 0.45),  # 8.9e-9 off
+        ((38.9, 0.37, 11.9), 0.46),  # c - a = -27: the Euler polynomial raised
+        ((38.887054150752576, 0.3678956304451192, 11.873020041506681),
+         0.4642368172444511),  # 2.1e-6 off, the worst of 3,000 draws
+    ])
+    def test_examples(self, params, x):
+        res = hyp2f1_detailed(params, x)
+        assert res.transform == "none"
+        assert rel_err(res.value, mp.hyp2f1(*params, mp.mpf(x))) < 1e-13
+
+    def test_sweep(self):
+        # by the Euler series 14 of these missed 1e-13 or raised
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            a, b, c = (float(v) for v in rng.uniform(0.1, 40.0, 3))
+            x = float(rng.uniform(0.3, 0.5))
+            want = mp.hyp2f1(a, b, c, mp.mpf(x))
+            assert rel_err(hyp2f1((a, b, c), x), want) < 1e-13, (a, b, c, x)
 
 
 def _draw_triple(rng, family):
@@ -475,7 +503,10 @@ class TestLogConnection:
         assert hyp2f1_detailed((-0.5, -0.5, 1.0), below).transform == "connection"
         assert hyp2f1_detailed((-0.5, -0.5, 1.0), above).transform == "none"
         # c - a - b = -2: the Euler series above the switch
-        assert hyp2f1_detailed((1.25, 1.75, 1.0), above).transform == "euler"
+        assert hyp2f1_detailed((2.5, 2.5, 3.0), above).transform == "euler"
+        assert hyp2f1_detailed((2.5, 2.5, 3.0), below).transform == "connection"
+        # the raw series above it where only the Euler terms change sign
+        assert hyp2f1_detailed((1.25, 1.75, 1.0), above).transform == "none"
         assert hyp2f1_detailed((1.25, 1.75, 1.0), below).transform == "connection"
         # terminating series stay raw
         assert hyp2f1_detailed((-2.0, -2.0, 1.0), below).transform == "none"

@@ -233,13 +233,13 @@ def test_one_cancellation_judge():
     assert readers == {"specfun._two_terms"}
 
 
-
 def test_verify_names_no_cumprod():
     """The proof-machinery facts are checked by their closed forms, so
     verify.py never names `cumprod`: the brute-force product of the
     Pochhammer ratios lives only in the tests, as their reference."""
     path = Path(alphaharmonic.__file__).parent / "verify.py"
     assert "cumprod" not in _names_in(ast.parse(path.read_text(encoding="utf-8")))
+
 
 _NON_NUMERIC_CALLS = {
     "m_bound alpha": (lambda: bounds.m_bound(0.5, "1"), "alpha"),

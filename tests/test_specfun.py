@@ -262,7 +262,7 @@ class TestTransforms:
 
 class TestPositiveRawSeries:
     """Where every raw term is positive and the Euler series' terms are not,
-    the raw series is summed: the Euler series' cancellation went unjudged."""
+    the raw series is summed, since the Euler sum is not judged and can cancel."""
 
     @pytest.mark.parametrize("params, x", [
         ((38.8, 0.37, 11.85), 0.46),  # the Euler value was 5.5e-7 off

@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import bisect
 import csv
+import functools
 import io
 import json
 import math
+import re
 import sys
-
-import numpy as np
 
 from .bounds import BOUND_IDS, evaluate_bound
 from .errors import ConvergenceError, DomainError, IntegrandError
@@ -40,8 +40,21 @@ _MAX_INCONCLUSIVE_RATE = 0.01
 _MAX_FIGURE_POINTS = 100_000
 
 
+# A leading minus on any float literal that float() reads (exponent, inf,
+# nan, digit underscores), matched ignoring case: argparse's own pattern
+# has no exponent, so "--alpha -1e-3" would read as a missing value
+# followed by an option.
+_NEGATIVE_NUMBER = (r"-(?:(?:\d[\d_]*(?:\.[\d_]*)?|\.\d[\d_]*)(?:e[-+]?\d[\d_]*)?"
+                    r"|inf|infinity|nan)\Z")
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with code 1."""
+    """argparse parser whose usage errors exit with code 1 and which reads
+    every negative float literal as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(_NEGATIVE_NUMBER, re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -110,10 +123,8 @@ def _cmd_bounds(args) -> int:
     for bound_id in ids:
         if bound_id == "M_PRIME" and args.id == "all" and args.alpha < 0:
             continue  # stated for alpha >= 0 only
-        # at huge alpha series terms overflow; the error says so in one line
-        with np.errstate(all="ignore"):
-            rep = evaluate_bound(bound_id, args.r, args.alpha,
-                                 c=args.c if bound_id == "M1" else None)
+        rep = evaluate_bound(bound_id, args.r, args.alpha,
+                             c=args.c if bound_id == "M1" else None)
         rows.append({"bound_id": rep.bound_id, "r": rep.r, "alpha": rep.alpha,
                      "aux": rep.aux, "value": rep.value})
     _emit(rows, args.format, args.out)
@@ -233,10 +244,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser `main` uses, built at its first call and kept: parsing
+    leaves no state in it, and building it costs more than most commands."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

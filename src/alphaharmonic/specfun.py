@@ -254,31 +254,33 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
         size = total if positive else math.fsum(map(abs, terms))
 
     chunk = 64
-    while term != 0.0:  # else a Pochhammer factor hit zero: the series ends
-        if n >= _TERM_CAP:
-            raise ConvergenceError(
-                f"hypergeometric series did not converge within {_TERM_CAP} terms (a={a}, "
-                f"b={b}, c={c}, x={x})", partial=total,
-                error_estimate=abs(term) * x / max(1.0 - x, 1e-300), iterations=n)
-        k = min(chunk, _TERM_CAP - n)
-        chunk = min(2 * chunk, _CHUNK)
-        idx = n + np.arange(k, dtype=float)
-        ratios = (idx + a) * (idx + b) / ((idx + c) * (idx + 1.0)) * x
-        terms = term * np.cumprod(ratios)
-        total += float(terms.sum())
-        if not positive:
-            size += float(np.abs(terms).sum())
-        term = float(terms[-1])
-        n += k
-        if not math.isfinite(total):
-            raise ConvergenceError(
-                f"hypergeometric series leaves the float range (a={a}, b={b}, c={c}, "
-                f"x={x})", partial=total, iterations=n)
-        if term == 0.0 or n < n_burn:
-            continue
-        q = _ratio_bound(n, x, u, v)
-        if q < 1.0 and abs(term) * q / (1.0 - q) <= rel_tol * max(abs(total), 1e-12):
-            break
+    # an overflowing term or chunk sum is caught below as a non-finite total
+    with np.errstate(over="ignore", invalid="ignore"):
+        while term != 0.0:  # else a Pochhammer factor hit zero: the series ends
+            if n >= _TERM_CAP:
+                raise ConvergenceError(
+                    f"hypergeometric series did not converge within {_TERM_CAP} terms (a={a}, "
+                    f"b={b}, c={c}, x={x})", partial=total,
+                    error_estimate=abs(term) * x / max(1.0 - x, 1e-300), iterations=n)
+            k = min(chunk, _TERM_CAP - n)
+            chunk = min(2 * chunk, _CHUNK)
+            idx = n + np.arange(k, dtype=float)
+            ratios = (idx + a) * (idx + b) / ((idx + c) * (idx + 1.0)) * x
+            terms = term * np.cumprod(ratios)
+            total += float(terms.sum())
+            if not positive:
+                size += float(np.abs(terms).sum())
+            term = float(terms[-1])
+            n += k
+            if not math.isfinite(total):
+                raise ConvergenceError(
+                    f"hypergeometric series leaves the float range (a={a}, b={b}, c={c}, "
+                    f"x={x})", partial=total, iterations=n)
+            if term == 0.0 or n < n_burn:
+                continue
+            q = _ratio_bound(n, x, u, v)
+            if q < 1.0 and abs(term) * q / (1.0 - q) <= rel_tol * max(abs(total), 1e-12):
+                break
     return total, n, total if positive else size
 
 

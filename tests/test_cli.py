@@ -1,11 +1,18 @@
 """Command-line surface: exit codes, formats, determinism."""
 
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from alphaharmonic.cli import main
+import alphaharmonic
+from alphaharmonic import cli
+from alphaharmonic.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -400,3 +407,117 @@ class TestUsage:
     def test_unknown_command_exits_1(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])
         assert code == 1
+
+
+_SUBCOMMANDS = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _argv_with(command: str, flag: str, value: str) -> list:
+    """A command line that sets flag to value and every other required
+    option to something it parses."""
+    argv = [command]
+    for action in _SUBCOMMANDS[command]._actions:
+        if action.required and action.option_strings[0] != flag:
+            argv += [action.option_strings[0],
+                     action.choices[0] if action.choices else "0.5"]
+    return argv + [flag, value]
+
+
+class TestNegativeNumbers:
+    @pytest.mark.parametrize("command,action",
+                             [(name, action) for name, p in _SUBCOMMANDS.items()
+                              for action in p._actions if action.type is float],
+                             ids=lambda v: v if isinstance(v, str) else v.dest)
+    @pytest.mark.parametrize("value", ["-1e-3", "-9.5E-1"])
+    def test_every_float_flag_reads_exponent_notation(self, command, action, value):
+        args = cli._parser().parse_args(_argv_with(command, action.option_strings[0], value))
+        assert getattr(args, action.dest) == float(value)
+
+    @pytest.mark.parametrize("text", ["-1", "-1.", "-.5", "-1e5", "-1E-05", "-1.5e+3",
+                                      "-1_000.0_1e1_0", "-inf", "-INF", "-Infinity", "-nan",
+                                      format(-1e-5, ".17g")])  # as the CLI prints it
+    def test_reads_negative_float_literals(self, text):
+        args = cli._parser().parse_args(["bounds", "--id", "M", "--r", "0.5", "--alpha", text])
+        assert repr(args.alpha) == repr(float(text))
+
+    @pytest.mark.parametrize("text", ["-h", "-e3", "-1e", "-.", "-1e-3x", "-infx", "--1"])
+    def test_other_dash_words_stay_options(self, capsys, text):
+        code, _, err = run(capsys, ["bounds", "--id", "M", "--r", "0.5", "--alpha", text])
+        assert code != 0 and "argument --alpha: expected one argument" in err
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["bounds", "--id", "M", "--r", "0.5", "--alpha", "-1e-3"], 0),
+        (["bounds", "--id", "M", "--r", "0.5", "--alpha", "-9.5E-1"], 0),
+        (["figure1", "--alpha-min", "-9.5e-1", "--alpha-max", "-9e-1"], 0),
+        (["bounds", "--id", "M", "--r", "0.5", "--alpha", "-inf"], 2),
+    ])
+    def test_exit_codes(self, capsys, argv, expected):
+        code, _, err = run(capsys, argv)
+        assert code == expected, err
+
+
+@pytest.fixture()
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def _fresh_process(*args):
+    """Python run with args in a new process that imports this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(alphaharmonic.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, check=False)
+
+
+class TestParserReuse:
+    def test_built_once_across_calls(self, capsys, monkeypatch, fresh_parser):
+        built = []
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for argv in (["eval2f1", "--a", "1", "--b", "1", "--c", "2", "--x", "0.5"],
+                     ["bounds", "--id", "all", "--r", "0.5"],
+                     ["figure1", "--alpha-max", "0"],
+                     ["verify", "--suite", "machinery", "--trials", "4"],
+                     ["frobnicate"],
+                     ["bounds", "--id", "M", "--r", "0.5", "--alpha", "-1e-3"]):
+            main(argv)
+        capsys.readouterr()
+        assert len(built) == 1
+
+    def test_not_built_at_import(self):
+        code = ("import alphaharmonic.cli as c; "
+                "assert c._parser.cache_info().currsize == 0")
+        assert _fresh_process("-c", code).returncode == 0
+
+    def test_reuse_matches_fresh_processes(self, capsys, tmp_path, monkeypatch, fresh_parser):
+        """Each call through the kept parser writes what a new process
+        writes for the same command line, byte for byte."""
+        monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+        sequence = [
+            ["bounds", "--id", "nope", "--r", "0.5"],
+            ["bounds", "--id", "all", "--r", "0.9", "--alpha", "0.5", "--c", "0.5"],
+            ["figure1", "--format", "json"],
+            ["verify", "--suite", "machinery"],
+            ["bounds", "--id", "all", "--r", "0.9", "--alpha", "0.5", "--c", "0.5"],
+        ]
+        for i, argv in enumerate(sequence):
+            paths = [tmp_path / f"{i}-{who}.out" for who in ("here", "fresh")]
+            out_args = [[] if i == 0 else ["--out", str(p)] for p in paths]
+            code, out, err = run(capsys, argv + out_args[0])
+            fresh = _fresh_process("-m", "alphaharmonic", *argv, *out_args[1])
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            assert code == (0 if i else 1), argv
+            if i:
+                assert paths[0].read_bytes() == paths[1].read_bytes(), argv
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"]])
+    def test_help_repeats(self, capsys, argv, fresh_parser):
+        first = run(capsys, argv)
+        assert first[0] == 0 and first[1].startswith("usage: alphaharm")
+        assert run(capsys, argv) == first

@@ -113,7 +113,7 @@ def _validate_r(r: float) -> float:
     if type(r) is not float:
         r = _real("r", r)
     if not (0.0 <= r < 1.0):
-        raise DomainError(f"radius must lie in [0, 1), got {r!r}")
+        raise DomainError(f"r must lie in [0, 1), got {r!r}")
     return r
 
 
@@ -192,7 +192,7 @@ def m_bound(r: float, alpha) -> float:
 def m_prime_bound(r: float, alpha) -> float:
     """Piecewise-elementary majorant of the hypergeometric Schwarz bound."""
     if alpha < 0.0:
-        raise DomainError(f"this bound is stated for alpha >= 0, got {alpha!r}")
+        raise DomainError(f"alpha must be >= 0 for this bound, got {alpha!r}")
     if alpha >= 2.0:
         return 2.0 ** (1.0 + alpha) * r * (1.0 / math.pi + alpha)
     if alpha >= 1.0:
@@ -269,5 +269,6 @@ def evaluate_bound(bound_id: str, r: float, alpha, c: float | None = None) -> Bo
     evaluator = _EVALUATORS.get(bound_id)
     if evaluator is None:
         raise DomainError(f"unknown bound id {bound_id!r}")
+    value = evaluator(r, a, c)  # validates r, and c for M1, before float() reads them
     return BoundReport(bound_id, float(r), a, float(c) if bound_id == "M1" else None,
-                       evaluator(r, a, c), _NOTES.get(bound_id, _NOTE_LINEAR))
+                       value, _NOTES.get(bound_id, _NOTE_LINEAR))

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -51,7 +50,8 @@ import numpy as np
 
 from ._memo import LastCall
 from .errors import ConvergenceError, DomainError
-from .specfun import _mode_seed, _one_minus_abs2, alpha_value
+from .specfun import (_count, _is_real, _mode_seed, _one_minus_abs2, _positive_real,
+                      alpha_value, disk_point_value)
 
 _LAST_SPECTRAL = LastCall()
 _POINT_BITS = struct.Struct("3d").pack
@@ -65,18 +65,6 @@ __all__ = [
     "derivative_pair",
     "alpha_laplacian_residual",
 ]
-
-
-def disk_point_value(z) -> complex:
-    """z as a complex number, validated: a number (bools excluded) strictly
-    inside the unit disk."""
-    if type(z) is not complex and (not isinstance(z, numbers.Complex)
-                                   or isinstance(z, bool)):
-        raise DomainError(f"z must be a number, got {z!r}")
-    zc = complex(z)
-    if not zc.real * zc.real + zc.imag * zc.imag < 1.0:
-        raise DomainError(f"point {zc!r} is not inside the unit disk")
-    return zc
 
 
 class BoundaryData:
@@ -94,10 +82,15 @@ class BoundaryData:
     __slots__ = ("coefficients", "degree", "samples", "sup_norm")
 
     def __init__(self, coefficients):
-        coeffs = np.array(coefficients, dtype=complex)
-        if coeffs.ndim != 1 or coeffs.size % 2 != 1:
+        try:
+            given = np.asarray(coefficients)
+        except ValueError:  # ragged nesting
+            given = None
+        if given is None or given.ndim != 1 or given.size % 2 != 1:
             raise DomainError("coefficients must be a 1-D array of odd length (indices -d..d)")
-        self._set(coeffs, None)
+        if given.dtype.kind not in "iufc":  # no strings or bools read as numbers
+            raise DomainError(f"coefficients must be numbers, got dtype {given.dtype.name}")
+        self._set(np.array(given, dtype=complex), None)
 
     def _set(self, coeffs: np.ndarray, samples: np.ndarray | None) -> None:
         """Store coefficients and samples (computed when None), with checks."""
@@ -170,26 +163,13 @@ class BoundaryData:
         return out
 
     @classmethod
-    def constant(cls, value: complex) -> "BoundaryData":
-        return cls(np.array([value], dtype=complex))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "coefficients": [[float(c.real), float(c.imag)] for c in self.coefficients],
-        }
-
-    @classmethod
     def from_json_dict(cls, data: dict) -> "BoundaryData":
         if not isinstance(data, dict):
             raise DomainError("boundary data must be a JSON object")
-        d = data["degree"]
-        if not _is_number(d, int):
-            raise DomainError(f"degree must be an integer, got {d!r}")
+        d = _count("degree", data["degree"], 0)
         pairs = data["coefficients"]
         if not (isinstance(pairs, list) and all(
-                isinstance(p, list) and len(p) == 2 and all(_is_number(v, (int, float)) for v in p)
-                for p in pairs)):
+                isinstance(p, list) and len(p) == 2 and all(map(_is_real, p)) for p in pairs)):
             raise DomainError("coefficients must be a list of [re, im] number pairs")
         if len(pairs) != 2 * d + 1:
             raise DomainError(f"expected {2 * d + 1} coefficients for degree {d}, got {len(pairs)}")
@@ -198,11 +178,6 @@ class BoundaryData:
         except OverflowError:  # a JSON integer beyond the float range
             raise DomainError("coefficients must be finite") from None
         return cls(coeffs)
-
-
-def _is_number(v, types) -> bool:
-    """JSON number of the given types (bool, a subclass of int, excluded)."""
-    return isinstance(v, types) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -323,8 +298,7 @@ def alpha_laplacian_residual(alpha, fstar: BoundaryData, z, h: float) -> float:
     """
     a = alpha_value(alpha)
     zc = disk_point_value(z)
-    if not h > 0:
-        raise DomainError(f"step size must be positive, got {h!r}")
+    h = _positive_real("h", h)
     if not abs(zc) + 2.0 * h < 1.0:
         raise DomainError(f"stencil around {zc!r} with step {h!r} leaves the unit disk")
 

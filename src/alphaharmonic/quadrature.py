@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, IntegrandError
-from . import specfun
+from .specfun import _count, _hyp, _one_minus_abs2, _positive_real, _real, disk_point_value
 
 __all__ = [
     "QuadratureConfig",
@@ -30,10 +30,6 @@ __all__ = [
 ]
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     n_initial: int = 256
@@ -42,12 +38,14 @@ class QuadratureConfig:
     abs_tol: float = 1e-14
 
     def __post_init__(self):
-        if not (_is_pow2(self.n_initial) and _is_pow2(self.n_max)):
-            raise DomainError("n_initial and n_max must be powers of two")
+        for name in ("n_initial", "n_max"):
+            n = _count(name, getattr(self, name), 1)
+            if n & (n - 1):
+                raise DomainError(f"{name} must be a power of two, got {n!r}")
         if self.n_initial > self.n_max:
             raise DomainError("n_initial must not exceed n_max")
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("tolerances must be positive")
+        _positive_real("rel_tol", self.rel_tol)
+        _positive_real("abs_tol", self.abs_tol)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -144,9 +142,7 @@ def _as_scalar(v):
 
 def cos_power_integral(n: int) -> float:
     """Integral of cos^n over [0, pi/2] via the double-factorial formula."""
-    if n < 0:
-        raise DomainError(f"power must be non-negative, got {n!r}")
-    k, odd = divmod(n, 2)
+    k, odd = divmod(_count("n", n, 0), 2)
     out = 1.0
     for j in range(1, k + 1):  # (2j)/(2j+1) for odd n, (2j-1)/(2j) for even
         out *= (2.0 * j - 1.0 + odd) / (2.0 * j + odd)
@@ -182,10 +178,13 @@ def ratio_integral_series(a: float, b: float, alpha: float, beta: float) -> floa
     coefficient over 4^n.  The truncation grows until the last outer terms
     fall below 1e-14 of the running sum (outer cap 50000).
     """
-    if not (abs(a) < 1.0 and abs(b) < 1.0):
-        raise DomainError(f"require |a| < 1 and |b| < 1, got a={a!r}, b={b!r}")
-    if alpha < 0 or beta < 0:
-        raise DomainError(f"require alpha, beta >= 0, got {alpha!r}, {beta!r}")
+    a, b, alpha, beta = _real("a", a), _real("b", b), _real("alpha", alpha), _real("beta", beta)
+    for name, v in (("a", a), ("b", b)):
+        if not abs(v) < 1.0:
+            raise DomainError(f"{name} must lie in (-1, 1), got {v!r}")
+    for name, v in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 <= v < math.inf:
+            raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
 
     cap = 50_000
     n_outer = 64
@@ -212,12 +211,11 @@ def modulus_power_integral(z: complex, beta: float) -> float:
     Equals (1-|z|^2)^(1-2 beta) * F(1-beta, 1-beta; 1; |z|^2), with F
     taken in the correctly rounded 1 - |z|^2.
     """
-    zc = complex(z)
-    r2 = zc.real * zc.real + zc.imag * zc.imag
-    if not r2 < 1.0:
-        raise DomainError(f"point must lie inside the unit disk, got |z|^2={r2!r}")
+    zc = disk_point_value(z)
+    if type(beta) is not float:
+        beta = _real("beta", beta)
     if not 0.0 <= beta < math.inf:
-        raise DomainError(f"require finite beta >= 0, got {beta!r}")
-    y = specfun._one_minus_abs2(zc)
-    f = specfun._hyp(1.0 - beta, 1.0 - beta, 1.0, r2, y).value
+        raise DomainError(f"beta must be finite and >= 0, got {beta!r}")
+    y = _one_minus_abs2(zc)
+    f = _hyp(1.0 - beta, 1.0 - beta, 1.0, zc.real * zc.real + zc.imag * zc.imag, y).value
     return y ** (1.0 - 2.0 * beta) * f

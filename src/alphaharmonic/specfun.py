@@ -16,6 +16,10 @@ more exactly than 1.0 - x passes it to `_hyp` (`bounds.schwarz_bound` and
 `quadrature.modulus_power_integral` do).  The other series the library
 sums are here too: M's factor (`_m_series`) and the solver's seed
 (`_mode_seed`), each from positive series in its caller's exact 1 - x.
+
+This module is also the library's one argument gate: `_real`, `_count`,
+`_positive_real`, `alpha_value` and `disk_point_value` turn a public
+argument into a float, int or complex, or raise DomainError naming it.
 """
 
 from __future__ import annotations
@@ -111,18 +115,51 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
-def _validate_params(a, b, c) -> tuple[float, float, float]:
-    """(a, b, c) as floats: all finite, c not near a non-positive integer."""
+def _count(name: str, value, least: int) -> int:
+    """value as an int, or DomainError naming it unless it is an integer
+    (bools excluded) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
+def _positive_real(name: str, value) -> float:
+    """value as a float, or DomainError naming it unless it is finite and > 0."""
+    v = value if type(value) is float else _real(name, value)
+    if not 0.0 < v < math.inf:
+        raise DomainError(f"{name} must be finite and > 0, got {v!r}")
+    return v
+
+
+def disk_point_value(z) -> complex:
+    """z as a complex number, validated: a number (bools excluded) strictly
+    inside the unit disk."""
+    if type(z) is not complex and (not isinstance(z, numbers.Complex)
+                                   or isinstance(z, bool)):
+        raise DomainError(f"z must be a number, got {z!r}")
+    zc = complex(z)
+    if not zc.real * zc.real + zc.imag * zc.imag < 1.0:
+        raise DomainError(f"z must lie inside the unit disk, got {zc!r}")
+    return zc
+
+
+def _validate_params(params) -> tuple[float, float, float]:
+    """params (a, b, c) as floats: all finite, c not near a non-positive integer."""
+    try:
+        a, b, c = params
+    except (TypeError, ValueError):
+        raise DomainError(f"params must be three numbers (a, b, c), got {params!r}") from None
     if not (type(a) is float and type(b) is float and type(c) is float):
         a, b, c = _real("a", a), _real("b", b), _real("c", c)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise DomainError(f"parameters must be finite, got a={a!r}, b={b!r}, c={c!r}")
+        raise DomainError(f"params must be finite, got a={a!r}, b={b!r}, c={c!r}")
     if c <= 0.5:
         k = round(c)
         if k <= 0 and abs(c - k) <= _BAD_C_TOL:
-            raise DomainError(
-                f"c={c!r} is (within {_BAD_C_TOL}) a non-positive integer"
-            )
+            raise DomainError(f"c must not lie within {_BAD_C_TOL} of a non-positive "
+                              f"integer, got {c!r}")
     return a, b, c
 
 
@@ -142,22 +179,26 @@ class Hyp2F1Result:
 
 
 def gamma(x: float) -> float:
-    """Gamma function for positive real arguments."""
-    if not x > 0:
-        raise DomainError(f"gamma requires x > 0, got {x!r}")
-    return math.gamma(x)
+    """Gamma function for positive finite arguments; ConvergenceError where
+    the value leaves the float range (x above about 171.6)."""
+    x = _positive_real("x", x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise ConvergenceError(f"gamma({x!r}) leaves the float range") from None
 
 
 def beta(x: float, y: float) -> float:
-    """Beta function B(x, y) for positive real arguments, from math.gamma
+    """Beta function B(x, y) for positive finite arguments, from math.gamma
     while x + y <= 170 keeps every factor in range, else from lgamma.
 
     Gamma is taken at s = fl(x + y); where that sum rounds, by
     d = x + y - s (`_round_off`), the result is multiplied by 1 - psi(s) d,
     the first order of Gamma(s) / Gamma(s + d).
     """
-    if not (x > 0 and y > 0):
-        raise DomainError(f"beta requires positive arguments, got {x!r}, {y!r}")
+    if not (type(x) is float and type(y) is float
+            and 0.0 < x < math.inf and 0.0 < y < math.inf):
+        x, y = _positive_real("x", x), _positive_real("y", y)
     s = x + y
     if s <= 170.0:  # dividing first, tiny x and y cannot overflow a product
         value = math.gamma(x) / math.gamma(s) * math.gamma(y)
@@ -556,11 +597,11 @@ def hyp2f1_detailed(params, x: float) -> Hyp2F1Result:
     Both routes take y = 1.0 - x, exact for x >= 1/2: the value is F at
     the float x (`_hyp` takes a caller's own, more exact, 1 - x).
     """
-    a, b, c = _validate_params(*params)
+    a, b, c = _validate_params(params)
     if type(x) is not float:
         x = _real("x", x)
     if not 0.0 <= x < 1.0:
-        raise DomainError(f"series argument must lie in [0, 1), got {x!r}")
+        raise DomainError(f"x must lie in [0, 1), got {x!r}")
     return _hyp(min(a, b), max(a, b), c, x, 1.0 - x)
 
 

@@ -108,7 +108,7 @@ def test_criterion_03_trig_integral_identities():
 
 def test_criterion_04_solver_exactness():
     with _Criterion("criterion 4: solver reproduces exact extensions"):
-        one = BoundaryData.constant(1.0)
+        one = BoundaryData([1.0])
         eik = BoundaryData([0.0, 0.0, 1.0])
         cosb = BoundaryData([0.5, 0.0, 0.5])
         combos = [(a, z) for a in (-0.5, 0.0, 1.0, 2.0, 5.0)

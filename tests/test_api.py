@@ -9,6 +9,7 @@ import argparse
 import ast
 import inspect
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,10 @@ EXPORTS = frozenset({
 # Exported functions that no module of the library calls: the kernel and
 # the weighted Laplacian's residual are the paper's own objects.
 UNCALLED_EXPORTS = frozenset({"poisson_kernel", "alpha_laplacian_residual"})
+# Public methods of exported classes that no module of the library calls:
+# `BoundaryData.evaluate`, the Fourier series summed directly, is the tests'
+# reference sampler.
+UNCALLED_METHODS = frozenset({"BoundaryData.evaluate"})
 
 # Parameters as written in a def: "*name" is keyword-only, "name=repr" has
 # a default.  DomainError is absent: it inherits ValueError's signature,
@@ -57,7 +62,7 @@ SIGNATURES = {
     "QuadratureResult": ("value", "error_estimate", "nodes_used", "converged"),
     "TrialReport": ("theorem_id", "n_checked", "n_violations", "n_inconclusive",
                     "worst_margin", "details=<factory>", "informational=False"),
-    "TrialSpec": ("seed=0", "n_trials=100", "max_degree=8",
+    "TrialSpec": ("seed=0", "n_trials=100",
                   "alpha_set=(-0.9, -0.5, -0.1, 0.0, 0.5, 1.0, 2.0, 3.5, 5.0)",
                   "radius_set=(0.1, 0.3, 0.5, 0.7, 0.85)", "slack=1e-09"),
     "ViolationDetail": ("trial", "margin", "context"),
@@ -183,8 +188,9 @@ def _names_in(node) -> set:
 def test_every_exported_function_is_called_in_the_library():
     """Each exported function is named in the library's code outside its
     own def, its module's __all__ and __init__.py, unless it is one of
-    the paper's objects listed in UNCALLED_EXPORTS; a routine only tests
-    use does not belong in the public API."""
+    the paper's objects listed in UNCALLED_EXPORTS, and so is each public
+    method of an exported class, but those in UNCALLED_METHODS; a routine
+    only tests use does not belong in the public API."""
     named = set()
     for path in Path(alphaharmonic.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
@@ -199,6 +205,26 @@ def test_every_exported_function_is_called_in_the_library():
             named |= names
     functions = {n for n in EXPORTS if inspect.isfunction(getattr(alphaharmonic, n))}
     assert functions - named == UNCALLED_EXPORTS
+    classes = [c for c in map(vars(alphaharmonic).get, EXPORTS) if inspect.isclass(c)]
+    methods = {f"{c.__name__}.{m}" for c in classes for m in vars(c)
+               if not m.startswith("_") and callable(getattr(c, m))}
+    assert {m for m in methods if m.split(".")[1] not in named} == UNCALLED_METHODS
+
+
+def test_number_checks_live_in_specfun():
+    """specfun is the one argument gate: no other module names the abstract
+    number types `numbers.Real`, `numbers.Integral` or `numbers.Complex`."""
+    users = set()
+    for path in Path(alphaharmonic.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {a.name for n in ast.walk(tree)
+                    if isinstance(n, ast.ImportFrom) and n.module == "numbers" for a in n.names}
+        if imported & {"Real", "Integral", "Complex"} or any(
+                isinstance(n, ast.Attribute) and n.attr in ("Real", "Integral", "Complex")
+                and getattr(n.value, "id", None) == "numbers" for n in ast.walk(tree)):
+            users.add(path.name)
+    assert users == {"specfun.py"}
+    assert not hasattr(kernel, "_is_number") and not hasattr(verify, "_check_count")
 
 
 def test_series_sums_are_named_only_in_specfun_and_verify():
@@ -251,17 +277,58 @@ _NON_NUMERIC_CALLS = {
     "hyp2f1 x": (lambda: specfun.hyp2f1((1, 1, 2), "x"), "x"),
     "hyp2f1 string x": (lambda: specfun.hyp2f1((1, 1, 2), "0.5"), "x"),
     "solve_dirichlet z": (lambda: kernel.solve_dirichlet(
-        0.5, kernel.BoundaryData.constant(1), "0.3"), "z"),
+        0.5, kernel.BoundaryData([1]), "0.3"), "z"),
     "solve_dirichlet alpha": (lambda: kernel.solve_dirichlet(
-        "x", kernel.BoundaryData.constant(1), 0.3), "alpha"),
+        "x", kernel.BoundaryData([1]), 0.3), "alpha"),
     "disk_point_value bool": (lambda: kernel.disk_point_value(False), "z"),
+    "gamma string x": (lambda: specfun.gamma("2"), "x"),
+    "gamma complex x": (lambda: specfun.gamma(1j), "x"),
+    "gamma bool x": (lambda: specfun.gamma(True), "x"),
+    "beta string x": (lambda: specfun.beta("1", 2.0), "x"),
+    "beta bool x": (lambda: specfun.beta(True, 1.0), "x"),
+    "beta infinite x": (lambda: specfun.beta(math.inf, 1.0), "x"),
+    "cos_power_integral bool n": (lambda: quadrature.cos_power_integral(True), "n"),
+    "cos_power_integral float n": (lambda: quadrature.cos_power_integral(2.5), "n"),
+    "cos_power_integral string n": (lambda: quadrature.cos_power_integral("3"), "n"),
+    "modulus_power_integral string z": (
+        lambda: quadrature.modulus_power_integral("x", 1.0), "z"),
+    "modulus_power_integral string beta": (
+        lambda: quadrature.modulus_power_integral(0.5, "1"), "beta"),
+    "modulus_power_integral bool beta": (
+        lambda: quadrature.modulus_power_integral(0.5, True), "beta"),
+    "ratio_integral_series nan alpha": (
+        lambda: quadrature.ratio_integral_series(0.5, 0.1, math.nan, 1.0), "alpha"),
+    "ratio_integral_series inf alpha": (
+        lambda: quadrature.ratio_integral_series(0.5, 0.1, math.inf, 1.0), "alpha"),
+    "ratio_integral_series nan beta": (
+        lambda: quadrature.ratio_integral_series(0.5, 0.1, 1.0, math.nan), "beta"),
+    "ratio_integral_series inf beta": (
+        lambda: quadrature.ratio_integral_series(0.5, 0.1, 1.0, math.inf), "beta"),
+    "ratio_integral_series string a": (
+        lambda: quadrature.ratio_integral_series("0.5", 0.1, 1.0, 1.0), "a"),
+    "alpha_laplacian_residual string h": (lambda: kernel.alpha_laplacian_residual(
+        1.0, kernel.BoundaryData([1]), 0.1, "0.01"), "h"),
+    "evaluate_bound string r": (lambda: bounds.evaluate_bound("M", "abc", 0.5), "r"),
+    "evaluate_bound string c": (lambda: bounds.evaluate_bound("M1", 0.5, 0.5, "x"), "c"),
+    "evaluate_bound complex r": (lambda: bounds.evaluate_bound("M", 1j, 0.5), "r"),
+    "hyp2f1 two params": (lambda: specfun.hyp2f1((1, 2), 0.5), "params"),
+    "hyp2f1 scalar params": (lambda: specfun.hyp2f1(5, 0.5), "params"),
+    "BoundaryData strings": (lambda: kernel.BoundaryData(["1", "2", "3"]), "coefficients"),
+    "BoundaryData bools": (lambda: kernel.BoundaryData([True, False, True]), "coefficients"),
+    "QuadratureConfig float n_initial": (
+        lambda: quadrature.QuadratureConfig(n_initial=256.0), "n_initial"),
+    "QuadratureConfig string rel_tol": (
+        lambda: quadrature.QuadratureConfig(rel_tol="1"), "rel_tol"),
+    "QuadratureConfig bool counts": (
+        lambda: quadrature.QuadratureConfig(n_initial=True, n_max=True), "n_initial"),
 }
 
 
 @pytest.mark.parametrize("call", sorted(_NON_NUMERIC_CALLS))
 def test_non_numeric_input_raises_domain_error_naming_it(call):
-    """Strings and bools are not numbers: every entry point rejects them
-    with a DomainError that names the argument, never parses them."""
+    """Strings and bools are not numbers, and NaN or inf lie outside every
+    domain here: each entry point rejects them with a DomainError that
+    names the argument, never parses them."""
     fn, name = _NON_NUMERIC_CALLS[call]
     with pytest.raises(alphaharmonic.DomainError, match=f"^{name} must be"):
         fn()

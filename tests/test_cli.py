@@ -335,6 +335,11 @@ class TestFigure1:
         code, _, _ = run(capsys, ["figure1", "--alpha-min", "-2"])
         assert code == 2
 
+    def test_radius_outside_the_disk_exits_2(self, capsys):
+        code, out, err = run(capsys, ["figure1", "--r", "1.5"])
+        assert (code, out) == (2, "")
+        assert err == "domain error: --r must lie in [0, 1), got 1.5\n"
+
     @pytest.mark.parametrize("flags", [
         ["--alpha-max", "nan"], ["--alpha-max", "inf"], ["--alpha-min", "nan"],
         ["--alpha-min", "inf"], ["--step", "nan"], ["--step", "inf"],

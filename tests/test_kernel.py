@@ -43,7 +43,7 @@ class TestDiskPoint:
 
 class TestBoundaryData:
     def test_constant(self):
-        bd = BoundaryData.constant(0.7)
+        bd = BoundaryData([0.7])
         assert bd.degree == 0
         assert bd.sup_norm == pytest.approx(0.7)
         assert bd.evaluate(1.234) == pytest.approx(0.7)
@@ -86,7 +86,8 @@ class TestBoundaryData:
 
     def test_json_roundtrip(self):
         bd = random_boundary(6, 3, 0.5)
-        again = BoundaryData.from_json_dict(bd.to_json_dict())
+        pairs = [[c.real, c.imag] for c in bd.coefficients.tolist()]
+        again = BoundaryData.from_json_dict({"degree": 3, "coefficients": pairs})
         assert np.allclose(again.coefficients, bd.coefficients, atol=1e-16)
 
     def test_json_wrong_count_rejected(self):
@@ -125,6 +126,12 @@ class TestBoundaryData:
                     bd.scaled(0.5).samples):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+
+    @pytest.mark.parametrize("coefficients", [[1.0, 2.0], [[1.0]], [[0.0, 1.0, 0.0]],
+                                              [[1.0, 2.0], [3.0]]])
+    def test_even_length_or_2d_rejected(self, coefficients):
+        with pytest.raises(DomainError, match="1-D array of odd length"):
+            BoundaryData(coefficients)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_non_finite_coefficients_rejected(self, bad):
@@ -246,7 +253,7 @@ class TestSolver:
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("z", [0.0, 0.3, 0.8j])
     def test_normalization(self, alpha, z):
-        assert solve_dirichlet(alpha, BoundaryData.constant(1.0), z) == pytest.approx(
+        assert solve_dirichlet(alpha, BoundaryData([1.0]), z) == pytest.approx(
             1.0, abs=1e-10)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 2.0, 5.0])
@@ -261,7 +268,7 @@ class TestSolver:
         assert got == pytest.approx(0.5, abs=1e-10)
 
     def test_normalization_grid(self):
-        one = BoundaryData.constant(1.0)
+        one = BoundaryData([1.0])
         for a in (-0.5, 0.0, 1.0, 2.0, 5.0):
             for r in (0.0, 0.25, 0.5, 0.75, 0.9):
                 assert solve_dirichlet(a, one, r) == pytest.approx(1.0, abs=1e-10)
@@ -367,6 +374,11 @@ class TestSpectralRoute:
         # (1 - |z|^2)^(alpha+1) underflows: raise rather than return 0
         with pytest.raises(ConvergenceError):
             solve_dirichlet(1000.0, random_boundary(3, 20, 1.0), 0.8)
+
+    def test_overflowing_value_raises(self):
+        # finite data and seed, but the sum of the modes leaves the float range
+        with pytest.raises(ConvergenceError, match="overflows"):
+            solve_dirichlet(3.0, BoundaryData(np.full(17, 5e306)), 0.5)
 
     def test_runs_no_quadrature(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -482,7 +494,7 @@ class TestKernelDerivatives:
 
 class TestDerivativePair:
     def test_constant_data(self):
-        one = BoundaryData.constant(1.0)
+        one = BoundaryData([1.0])
         pair = derivative_pair(1.5, one, 0.4 + 0.1j)
         assert abs(pair.d_z) < 1e-12
         assert abs(pair.d_zbar) < 1e-12
@@ -531,7 +543,7 @@ class TestDerivativePair:
 
 class TestLaplacianResidual:
     def test_constant_data(self):
-        one = BoundaryData.constant(1.0)
+        one = BoundaryData([1.0])
         assert alpha_laplacian_residual(1.5, one, 0.3 + 0.1j, 1e-3) < 1e-6
 
     def test_classical_harmonic(self):
@@ -553,7 +565,12 @@ class TestLaplacianResidual:
         assert order1 > 1.8
         assert order2 > 1.8
 
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+    def test_non_positive_step_rejected(self, h):
+        with pytest.raises(DomainError, match="^h must be"):
+            alpha_laplacian_residual(1.0, BoundaryData([1.0]), 0.3, h)
+
     def test_stencil_leaving_disk_rejected(self):
-        one = BoundaryData.constant(1.0)
+        one = BoundaryData([1.0])
         with pytest.raises(DomainError):
             alpha_laplacian_residual(1.0, one, 0.995, 4e-3)

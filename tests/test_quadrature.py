@@ -26,6 +26,12 @@ class TestConfig:
         with pytest.raises(DomainError):
             QuadratureConfig(n_initial=1024, n_max=512)
 
+    @pytest.mark.parametrize("kwargs", [{"rel_tol": 0.0}, {"abs_tol": -1e-14},
+                                        {"rel_tol": math.nan}, {"abs_tol": math.inf}])
+    def test_rejects_non_positive_or_non_finite_tolerance(self, kwargs):
+        with pytest.raises(DomainError, match=f"^{next(iter(kwargs))} must be"):
+            QuadratureConfig(**kwargs)
+
 
 class TestIntegratePeriodic:
     def test_constant(self):

@@ -466,6 +466,16 @@ class TestLogConnection:
         assert res.transform != "connection" or rel_err(res.value, want) < 1e-14
         assert rel_err(res.value, want) < 1e-13
 
+    def test_long_log_series_gives_up(self):
+        # the log series needs 72 terms past the burn-in here, beyond
+        # _LOG_TERMS: it gives up and the raw series is summed
+        a, b, c, x = 50.0, -2.5, 47.5, 0.76
+        assert specfun_module._log_connection(b, a, c, 0.0, 1.0 - x) is None
+        res = hyp2f1_detailed((a, b, c), x)
+        assert res.transform == "none"
+        with mp.workdps(40):
+            assert rel_err(res.value, mp.hyp2f1(a, b, c, mp.mpf(x))) < 1e-13
+
     @pytest.mark.parametrize("alpha", [1.0, 3.0, 5.0])
     def test_bounds_near_one(self, alpha):
         for r in (0.99, 0.999, 0.99999, 0.9999999, 1.0 - 1e-12):

@@ -76,7 +76,7 @@ class TestRandomBoundary:
 
 class TestThmAConstant:
     def test_constant_data(self):
-        assert thm_a_constant(BoundaryData.constant(1.0)) == pytest.approx(
+        assert thm_a_constant(BoundaryData([1.0])) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_unimodular_data(self):
@@ -89,7 +89,7 @@ class TestThmAConstant:
 
     def test_zero_data_rejected(self):
         with pytest.raises(DomainError):
-            thm_a_constant(BoundaryData.constant(0.0))
+            thm_a_constant(BoundaryData([0.0]))
 
     def test_always_in_unit_interval(self):
         for seed in range(20):
@@ -221,11 +221,11 @@ class TestSuiteReports:
             TrialSpec(alpha_set=(0.5, alpha))
 
     @pytest.mark.parametrize("kwargs", [
-        {"alpha_set": ()}, {"radius_set": ()}, {"n_trials": 2.5}, {"max_degree": 2.5},
+        {"alpha_set": ()}, {"radius_set": ()}, {"n_trials": 2.5},
     ])
     def test_spec_rejects_malformed_sets_and_counts(self, kwargs):
-        # these used to escape as numpy's "a cannot be empty" ValueError, a
-        # TypeError from range, or (max_degree) silent truncation
+        # these used to escape as numpy's "a cannot be empty" ValueError or
+        # a TypeError from range
         with pytest.raises(DomainError, match=next(iter(kwargs))):
             TrialSpec(**kwargs)
 

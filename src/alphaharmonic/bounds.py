@@ -263,6 +263,8 @@ def evaluate_bound(bound_id: str, r: float, alpha, c: float | None = None) -> Bo
     A value beyond the float range (alpha of about a thousand or more)
     raises ConvergenceError.
     """
+    if not isinstance(bound_id, str):  # a list is not even hashable
+        raise DomainError(f"bound_id must be a string, got {bound_id!r}")
     a = alpha_value(alpha)
     if bound_id == "M1" and c is None:
         raise DomainError("M1 requires the auxiliary parameter c")

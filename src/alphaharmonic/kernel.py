@@ -22,15 +22,19 @@ x = |z|^2,
     e^{-ik theta} ->  A_k(x) zbar^k,
     A_k(x) = ((alpha+1)_k / k!) F(-alpha, k; k+1; x)        (k >= 1).
 
-All A_k come from one seed A_{d+1} and the downward recurrence
+All A_k come from one seed A_{d+1} (`specfun._mode_seed`: a series with
+positive terms, or near |z| = 1 a closed form of d + 1 positive terms) and
+the downward recurrence
 A_k = x A_{k+1} + ((alpha+1)_k / k!) (1-x)^(alpha+1), whose two terms are
 positive, so no F is ever summed as a cancelling series (at integer alpha
 F(-alpha, k; k+1; x) is an alternating polynomial).  Their derivatives
 need no second family: x F_k' = k((1-x)^alpha - F_k), and by the same
 recurrence A_k' = k(((alpha+1)_k / k!) (1-x)^alpha - A_{k+1}).
 
-One pass of that sum (`_spectral`) yields the value and both Wirtinger
-derivatives together, and its last result is kept (`_memo.LastCall`), so
+One pass of that recurrence (`_spectral`) yields the value and both
+Wirtinger derivatives together, the three mode sums taken by Horner's
+rule in zbar as k runs down, and its last result is kept
+(`_memo.LastCall`), so
 `solve_dirichlet` followed by `derivative_pair` at one point, for one
 alpha and one set of coefficients, sums the modes once.
 
@@ -241,21 +245,28 @@ def _spectral(a: float, fstar: BoundaryData, zc: complex):
     for k in range(1, d + 2):
         scale.append(scale[-1] * (a + k) / k)
     big_a = _mode_seed(a, d + 1, x, y, scale[d + 1])
-    g = h = 0j
-    zbk = zb ** d
+    # the three sums over k = d..1 by Horner in zbar, each one power short
+    fb = g = h = 0j
     for k in range(d, 0, -1):
         ck = c[d - k]
         d_big_a = k * (scale[k] * ya - big_a)
         big_a = x * big_a + scale[k] * ya1
-        zbk1 = zb ** (k - 1)
-        f += ck * big_a * zbk
-        g += ck * d_big_a * zbk
-        h += ck * k * big_a * zbk1
-        zbk = zbk1
-    out = (f, f_z + g * zb, g * zc + h)
+        fb = fb * zb + ck * big_a
+        g = g * zb + ck * d_big_a
+        h = h * zb + ck * k * big_a
+    g *= zb
+    out = (f + fb * zb, f_z + g * zb, g * zc + h)
     if not all(map(cmath.isfinite, out)):
         raise ConvergenceError(f"spectral evaluation at z={zc!r} overflows for alpha={a!r}")
     return out
+
+
+def _boundary(fstar) -> BoundaryData:
+    """fstar, or DomainError unless it is BoundaryData: the type gate of
+    every public function that takes boundary data."""
+    if not isinstance(fstar, BoundaryData):
+        raise DomainError(f"fstar must be BoundaryData, got {fstar!r}")
+    return fstar
 
 
 def _spectral_at(a: float, fstar: BoundaryData, zc: complex):
@@ -268,13 +279,13 @@ def _spectral_at(a: float, fstar: BoundaryData, zc: complex):
 def solve_dirichlet(alpha, fstar: BoundaryData, z) -> complex:
     """Weighted-harmonic extension of fstar evaluated at z.
 
-    Summed mode by mode (see the module docstring): one positive seed
-    series for A_{d+1}, then the downward recurrence to A_1, shared with
-    `derivative_pair` at the same point.  Raises ConvergenceError if the
-    seed does not converge or the result leaves the float range (only for
-    very large alpha).
+    Summed mode by mode (see the module docstring): one seed A_{d+1}, a
+    positive series or its closed form, then the downward recurrence to
+    A_1, shared with `derivative_pair` at the same point.  Raises
+    ConvergenceError if the seed does not converge or the result leaves
+    the float range (only for very large alpha).
     """
-    return _spectral_at(alpha_value(alpha), fstar, disk_point_value(z))[0]
+    return _spectral_at(alpha_value(alpha), _boundary(fstar), disk_point_value(z))[0]
 
 
 def derivative_pair(alpha, fstar: BoundaryData, z) -> DerivativePair:
@@ -284,7 +295,7 @@ def derivative_pair(alpha, fstar: BoundaryData, z) -> DerivativePair:
     A_k' = k(((alpha+1)_k / k!) (1-x)^alpha - A_{k+1}) from the same
     recurrence, so no further hypergeometric family is summed.
     """
-    _, d_z, d_zbar = _spectral_at(alpha_value(alpha), fstar, disk_point_value(z))
+    _, d_z, d_zbar = _spectral_at(alpha_value(alpha), _boundary(fstar), disk_point_value(z))
     return DerivativePair(d_z=d_z, d_zbar=d_zbar)
 
 
@@ -297,6 +308,7 @@ def alpha_laplacian_residual(alpha, fstar: BoundaryData, z, h: float) -> float:
     Requires |z| + 2h < 1.
     """
     a = alpha_value(alpha)
+    fstar = _boundary(fstar)
     zc = disk_point_value(z)
     h = _positive_real("h", h)
     if not abs(zc) + 2.0 * h < 1.0:

@@ -14,8 +14,9 @@ transform and the raw series, are described at `hyp2f1_detailed`; no
 continuation beyond [0, 1) is attempted.  A caller that knows 1 - x
 more exactly than 1.0 - x passes it to `_hyp` (`bounds.schwarz_bound` and
 `quadrature.modulus_power_integral` do).  The other series the library
-sums are here too: M's factor (`_m_series`) and the solver's seed
-(`_mode_seed`), each from positive series in its caller's exact 1 - x.
+sums are here too: M's factor (`_m_series`), from positive series in its
+caller's exact 1 - x, and the solver's seed (`_mode_seed`), from a
+positive series or its closed form.
 
 This module is also the library's one argument gate: `_real`, `_count`,
 `_positive_real`, `alpha_value` and `disk_point_value` turn a public
@@ -24,6 +25,7 @@ argument into a float, int or complex, or raise DomainError naming it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import sys
@@ -46,7 +48,15 @@ __all__ = [
 # denominators (c)_n are not usable in float arithmetic near a pole.
 _BAD_C_TOL = 1e-12
 
+# The longest numpy pass of `_series_sum`, and its index m = 0, 1, ...,
+# _CHUNK - 1 as floats, read-only, on which every pass builds its ratios.
 _CHUNK = 4096
+_INDEX = np.arange(_CHUNK, dtype=float)
+_INDEX.flags.writeable = False
+# A pass whose terms and sums provably stay below e**_LOG_SAFE runs
+# without np.errstate, which costs more than that check (about 4 us).
+_LOG_SAFE = 700.0
+_NO_ERRSTATE = contextlib.nullcontext()
 
 # The connection routes near x = 1 need a few hundred terms at most.  The
 # cap serves the raw and Euler series that remain for x -> 1 when the
@@ -59,13 +69,16 @@ _TERM_CAP = 4_000_000
 _REL_TOL = 1e-13
 
 _EPS = 2.0 ** -52
-# Series predicted to need fewer terms than _SHORT_TERMS are summed term by
-# term in Python floats, which below it is cheaper than one 64-term numpy
-# chunk, until their tail is at most _SHORT_TOL * |sum|: far enough below
-# an ulp that truncation adds no error beside the rounding of the terms.
+# Series predicted to need fewer terms than _SHORT_TERMS are summed in
+# Python floats, which below it costs less than one numpy pass, until
+# their tail is at most _SHORT_TOL * |sum|: far enough below an ulp that
+# truncation adds no error beside the rounding of the terms.
 _SHORT_TERMS = 48
 _SHORT_TOL = 2.0 ** -56
 _LOG_SHORT_TOL = math.log(_SHORT_TOL)
+# A numpy pass is sized to bring the tail to _PASS_AIM of the tolerance
+# it is tested against, so that a prediction a little short still passes.
+_PASS_AIM = 0.25
 # Rounding of a judged value per unit of its spread (gamma factors, y**s,
 # each term summed), in units of _EPS; cancellation multiplies it.
 _CONNECTION_ULPS = 16.0
@@ -87,9 +100,9 @@ _LOG_SWITCH = 0.25
 # after _LOG_TERMS terms; below _LOG_SWITCH it needs at most 35 for
 # a, b in [-3, 3] and |c - a - b| <= 3, 58 for [-12, 12] and 25.
 _LOG_TERMS = 64
-# `_mode_seed` sums seeds A_K with K (1 - x) at most this in 1 - x, where
-# their leading term x^(-K) is at most 2; larger K (1 - x) in x, which
-# needs O(1 / (1 - x)) terms.
+# `_mode_seed` takes seeds A_K with K (1 - x) at most this from their
+# K-term closed form, where x^(-K) is at most 2; larger K (1 - x) from a
+# series in x, which needs O(1 / (1 - x)) terms.
 _SEED_SWITCH = 0.5
 # Bernoulli terms B_2k / (2k) of the digamma's asymptotic series, k = 1..7:
 # at x >= 10 the first term left out, B_16 / (16 x^16), is below 5e-17.
@@ -242,16 +255,18 @@ def _digamma(x: float) -> float:
 def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TOL):
     """Sum the raw series; returns (value, terms_used, abs_sum).
 
-    Stops once the tail, bounded by `_ratio_bound` with u = max(a, b) and
-    v = min(c, 1), is provably below rel_tol * |sum|.  A series predicted
-    (n_burn + log(2**-56) / log(x)) to need fewer than _SHORT_TERMS terms
-    is first summed term by term in Python floats, testing the tail after
-    every term and stopping once it is at most 2**-56 * |sum|, whatever
-    rel_tol; the terms are added by math.fsum.  That costs less than one
-    numpy chunk and is as accurate as the chunk, which sums to machine
-    precision.  Longer series, and a short one still going after
-    _SHORT_TERMS terms, are summed on in numpy chunks of 64, 128, ... up to
-    _CHUNK terms, testing the tail after each chunk.
+    Stops once the tail, bounded by `_ratio_bound`, is provably below a
+    tolerance times |sum|.  The count of terms is predicted first
+    (`_predicted_terms`).  A series predicted to need fewer than
+    _SHORT_TERMS terms for a tail of 2**-56 |sum| is summed that far in
+    Python floats, added by math.fsum, and only then tested, against 2**-56
+    whatever rel_tol: less work than one numpy pass, and as accurate.  It
+    goes on in Python floats as far as the tail bound asks while it stays
+    below _SHORT_TERMS terms.  Every other series is summed in numpy passes
+    over `_INDEX`, each tested against rel_tol: the first as long as
+    predicted for a tail of _PASS_AIM rel_tol, each later one as long as the
+    tail bound asks for that, up to _CHUNK terms a pass (`_pass`).  No stage
+    runs past the last term of a polynomial.
 
     It only sums: the caller judges the cancellation (`_two_terms`) by
     abs_sum = sum |t_n|, the value itself where no term is negative
@@ -265,64 +280,136 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
         raise ConvergenceError(f"hypergeometric series argument rounds to 1 (a={a}, b={b}, "
                                f"c={c}, x={x})", iterations=0)
     n_burn = int(max(abs(a), abs(b), abs(c), 1.0)) + 2
-    u = max(a, b)
-    v = min(c, 1.0)
     positive = _positive(a, b, c)
+    n_end = _TERM_CAP  # a polynomial's count of terms, its first zero term's index
+    if a <= 0.0 and a == int(a) and a > -_TERM_CAP:
+        n_end = int(-a) + 1
+    if b <= 0.0 and b == int(b) and b > -n_end:
+        n_end = int(-b) + 1
+    log_x = math.log(x)
+    predicted = _predicted_terms(a, b, c, x, log_x, _LOG_SHORT_TOL, n_burn, n_end)
+    short = predicted < _SHORT_TERMS or n_end < _SHORT_TERMS
+    k = math.ceil(predicted if short else _predicted_terms(
+        a, b, c, x, log_x, math.log(_PASS_AIM * rel_tol), n_burn, n_end))
+    one = b if a == 1.0 else a if b == 1.0 else None  # ratios x (m + one) / (m + c)
     total = term = size = 1.0
+    terms = [1.0]
     n = 0
-    if n_burn + _LOG_SHORT_TOL / math.log(x) < _SHORT_TERMS:
-        # |term| * near <= |total| + 1e-12 is necessary for the tail test
-        # (q >= x), and cheaper
-        near = x / ((1.0 - x) * _SHORT_TOL)
-        terms = [1.0]
-        m = 0.0
-        while m < _SHORT_TERMS:
-            # grouped (.. + a) * (.. + b) first so that swapping a and b
-            # reproduces the result bit for bit
-            term *= (m + a) * (m + b) / ((m + c) * (m + 1.0)) * x
-            m += 1.0
-            total += term
-            terms.append(term)
-            if term == 0.0:
-                break
-            if abs(term) * near <= abs(total) + 1e-12 and m >= n_burn:
-                q = _ratio_bound(m, x, u, v)
-                if q < 1.0 and abs(term) * q <= (1.0 - q) * _SHORT_TOL * max(abs(total), 1e-12):
-                    total = math.fsum(terms)
-                    return total, int(m), total if positive else math.fsum(map(abs, terms))
-        # the chunks go on from t_n (a terminated series settles below)
-        total, n = math.fsum(terms), int(m)
-        size = total if positive else math.fsum(map(abs, terms))
-
-    chunk = 64
-    # an overflowing term or chunk sum is caught below as a non-finite total
-    with np.errstate(over="ignore", invalid="ignore"):
-        while term != 0.0:  # else a Pochhammer factor hit zero: the series ends
-            if n >= _TERM_CAP:
-                raise ConvergenceError(
-                    f"hypergeometric series did not converge within {_TERM_CAP} terms (a={a}, "
-                    f"b={b}, c={c}, x={x})", partial=total,
-                    error_estimate=abs(term) * x / max(1.0 - x, 1e-300), iterations=n)
-            k = min(chunk, _TERM_CAP - n)
-            chunk = min(2 * chunk, _CHUNK)
-            idx = n + np.arange(k, dtype=float)
-            ratios = (idx + a) * (idx + b) / ((idx + c) * (idx + 1.0)) * x
-            terms = term * np.cumprod(ratios)
-            total += float(terms.sum())
-            if not positive:
-                size += float(np.abs(terms).sum())
-            term = float(terms[-1])
-            n += k
-            if not math.isfinite(total):
-                raise ConvergenceError(
-                    f"hypergeometric series leaves the float range (a={a}, b={b}, c={c}, "
-                    f"x={x})", partial=total, iterations=n)
-            if term == 0.0 or n < n_burn:
-                continue
-            q = _ratio_bound(n, x, u, v)
-            if q < 1.0 and abs(term) * q / (1.0 - q) <= rel_tol * max(abs(total), 1e-12):
-                break
+    while True:
+        k = min(k, _CHUNK, n_end - n)
+        if short:
+            if one is None:
+                for m in range(n, n + k):
+                    # grouped (.. + a) * (.. + b) first so that swapping a and
+                    # b reproduces the result bit for bit
+                    term *= (m + a) * (m + b) / ((m + c) * (m + 1.0)) * x
+                    terms.append(term)
+            else:
+                for m in range(n, n + k):
+                    term *= (m + one) / (m + c) * x
+                    terms.append(term)
+            total = math.fsum(terms)
+            size = total if positive else math.fsum(map(abs, terms))
+        else:
+            total, term, size = _pass(a, b, c, x, one, n, k, term, total, size, positive)
+        n += k
+        if not math.isfinite(total):
+            raise ConvergenceError(
+                f"hypergeometric series leaves the float range (a={a}, b={b}, c={c}, "
+                f"x={x})", partial=total, iterations=n)
+        if term == 0.0:  # a Pochhammer factor hit zero: the series ends
+            break
+        # only a burn-in longer than a pass leaves n below it
+        q = _ratio_bound(n, x, a, b, c) if n >= n_burn else 1.0
+        floor = (_SHORT_TOL if short else rel_tol) * max(abs(total), 1e-12)
+        if q < 1.0 and abs(term) * q <= (1.0 - q) * floor:
+            break
+        if n >= _TERM_CAP:
+            raise ConvergenceError(
+                f"hypergeometric series did not converge within {_TERM_CAP} terms (a={a}, "
+                f"b={b}, c={c}, x={x})", partial=total,
+                error_estimate=abs(term) * x / max(1.0 - x, 1e-300), iterations=n)
+        if q < 1.0:  # until |t_n| q^k q / (1 - q) <= _PASS_AIM floor
+            k = int(math.log(_PASS_AIM * floor * (1.0 - q) / (abs(term) * q)) / math.log(q)) + 1
+        else:  # past the burn-in and where x ((m + max(a, b)) / (m + min(c, 1)))^2,
+            # which bounds q, falls below 1, then a predicted run
+            root_x = math.sqrt(x)
+            past = max((max(a, b) * root_x - min(c, 1.0)) / (1.0 - root_x), n_burn)
+            k = int(past - n + predicted) + 1
+        short = short and n + k <= _SHORT_TERMS
     return total, n, total if positive else size
+
+
+def _pass(a: float, b: float, c: float, x: float, one: float | None, n: int, k: int,
+          term: float, total: float, size: float, positive: bool) -> tuple[float, float, float]:
+    """`_series_sum`'s numpy pass: the k terms after t_n = term built from
+    ratios x (m+a)(m+b) / ((m+c)(m+1)), or x (m+one) / (m+c) where a or b
+    is one, and added to total (and to size, their sum of |t|, unless
+    positive); returns (total, t_(n+k), size).
+
+    Terms of one sign are added by numpy's pairwise sum, terms that change
+    sign by math.fsum, as their cancellation magnifies every rounding.
+    Once every m + c > 0, |t_m| <= |t_n| prod_j x ((j + w) / (j + v))^2
+    over j = n..m-1, w = max(|a|, |b|), v = min(c, 1), whose logarithm
+    log(1 + d) <= d bounds: where that rules overflow out, numpy's warnings
+    are left on, as silencing them costs more than the check.
+    """
+    w = abs(a) if abs(a) > abs(b) else abs(b)
+    v = c if c < 1.0 else 1.0
+    quiet = n + c <= 0.0 or math.log(abs(total) + k * abs(term)) + (
+        2.0 * (w - v) * (1.0 / (n + v) + math.log((n + k - 1.0 + v) / (n + v)))
+        if w > v else 0.0) > _LOG_SAFE
+    with np.errstate(over="ignore", invalid="ignore") if quiet else _NO_ERRSTATE:
+        index = _INDEX[:k]
+        if one is None:
+            ratios = (index + (n + a)) * (index + (n + b))
+            ratios /= (index + (n + c)) * (index + (n + 1.0))
+        else:
+            ratios = index + (n + one)
+            ratios /= index + (n + c)
+        ratios *= x
+        np.cumprod(ratios, out=ratios)
+        if term != 1.0:
+            ratios *= term
+        if positive:
+            total += float(ratios.sum())
+        else:
+            size += float(np.abs(ratios).sum())
+    if not positive:  # exactly: where terms cancel, every ulp of them counts
+        chunk = ratios.tolist()
+        chunk.append(total)
+        try:
+            total = math.fsum(chunk)
+        except (OverflowError, ValueError):  # inf - inf, or past the float range
+            total = math.inf
+    return total, float(ratios[-1]), size
+
+
+def _predicted_terms(a: float, b: float, c: float, x: float, log_x: float, log_tol: float,
+                     n_burn: int, n_end: int) -> float:
+    """How many terms `_series_sum` predicts for a tail of exp(log_tol) |sum|.
+
+    Past the burn-in t_n ~ C n^e x^n, C = G(c) / (G(a) G(b)),
+    e = a + b - c - 1 (DLMF 5.11.12).  For e > 0 the sum grows like
+    C G(e+1) (1 - x)^-(e+1) and the tail like t_n / (1 - x): log_tol / log(x)
+    terms, plus e log(n (1 - x)) / -log(x) more (leaving G(e+1) out errs
+    long, which costs less than a second pass).  For e < -1 the sum stays
+    of order one while C n^e cuts the terms short: n solves
+    n log(x) + e log(n) = log_tol + log(1 - x) - log(C), iterated twice from
+    n = log_tol / log(x), above the root, to below and then above it.
+    Never fewer than n_burn; C is not formed for a polynomial (n_end
+    terms, capped by the caller) nor beyond the term cap.
+    """
+    n = log_tol / log_x
+    e = a + b - c - 1.0
+    if e > 0.0 and n * (1.0 - x) > 1.0:
+        n -= e * math.log(n * (1.0 - x)) / log_x
+    elif e < -1.0 and n_end == _TERM_CAP and n_burn < _TERM_CAP:
+        rhs = log_tol + math.log1p(-x) - math.lgamma(c) + math.lgamma(a) + math.lgamma(b)
+        n = rhs / log_x
+        for _ in range(2):
+            n = (rhs - e * math.log(n if n > 1.0 else 1.0)) / log_x
+    return n if n > n_burn else n_burn
 
 
 def _positive(a: float, b: float, c: float) -> bool:
@@ -330,14 +417,18 @@ def _positive(a: float, b: float, c: float) -> bool:
     return c > 0.0 and (a == b or (a > 0.0 and b > 0.0))
 
 
-def _ratio_bound(n: float, x: float, u: float, v: float) -> float:
-    """q(n) = x max(1, (n+u)/(n+v))^2, a bound on every term ratio
-    x (m+a)(m+b) / ((m+c)(m+1)) from m = n on, past the burn-in where all
-    four factors are positive, for u >= max(a, b) and v <= min(c, 1):
-    (m+a)(m+b) <= (m+u)^2 and (m+c)(m+1) >= (m+v)^2.  It decreases to x, so
-    a geometric tail test |t_n| q / (1 - q) <= tol always ends for x < 1."""
-    growth = (n + u) / (n + v)
-    return x * growth * growth if growth > 1.0 else x
+def _ratio_bound(n: float, x: float, a: float, b: float, c: float) -> float:
+    """q(n), a bound on every term ratio x (m+a)(m+b) / ((m+c)(m+1)) from
+    m = n on, past the burn-in where all four factors are positive.  Each
+    quotient (m+p) / (m+r) tends to 1 monotonically, from above where
+    p > r, so it is at most max(n+p, n+r) / (n+r); q is x times the smaller
+    product of two such bounds, pairing a with c or with 1.  It decreases
+    to x, so a geometric tail test |t_n| q / (1 - q) <= tol always ends for
+    x < 1."""
+    na, nb, nc, n1 = n + a, n + b, n + c, n + 1.0
+    ac_b1 = (na if na > nc else nc) * (nb if nb > n1 else n1)
+    a1_bc = (na if na > n1 else n1) * (nb if nb > nc else nc)
+    return x * (ac_b1 if ac_b1 < a1_bc else a1_bc) / (nc * n1)
 
 
 def _terminates(a: float, b: float) -> bool:
@@ -402,27 +493,28 @@ def _mode_seed(a: float, k: int, x: float, y: float, scale_k: float) -> float:
     """`kernel._spectral`'s seed A_k = scale_k F(-a, k; k+1; x), y = 1 - x,
     scale_k = (a+1)_k / k!.
 
-    Summed to machine precision from series with positive terms only, never
-    from the alternating one.  Far from x = 1 the Euler transform
-        F(-a, k; k+1; x) = y^(a+1) F(k+1+a, 1; k+1; x);
-    near it the connection formula (DLMF 15.8.4), whose first series here
-    is F(-a, k; -a; y) = x^(-k) and whose gamma ratios reduce to scale_k
-    and -k/(a+1):
-        A_k = x^(-k) - scale_k k/(a+1) y^(a+1) F(k+1+a, 1; 2+a; y).
-    The seed is held to absolute accuracy, a few ulps of x^(-k) <= 2,
-    all the solver needs, as it adds A_k to terms of order 1: near a = -1,
-    where the two terms cancel (7.3e-11 relative at a = -0.99999), the
-    formula is kept rather than traded for the O(1 / y)-term series in x.
+    Never from the alternating series.  Far from x = 1 the Euler transform
+        F(-a, k; k+1; x) = y^(a+1) F(k+1+a, 1; k+1; x),
+    a series with positive terms summed to machine precision.  Near it
+    (k y <= _SEED_SWITCH, where x^(-k) <= 2) the closed form: with
+    b = a + 1, F(-a, k; k+1; x) = k x^(-k) B_x(k, b) (DLMF 8.17.7) and,
+    k being an integer, I_x(k, b) = 1 - y^b sum_{j<k} (b)_j x^j / j!, so
+        A_k = -expm1(b ln y + log1p(sum_{j=1}^{k-1} (b)_j x^j / j!)) x^(-k),
+    k terms, all positive, and no cancellation beyond the expm1: a few ulps
+    relative for every a > -1.
     """
-    ya1 = y ** (a + 1.0)
+    b = a + 1.0
     if k * y > _SEED_SWITCH:
+        ya1 = y ** b
         if ya1 < sys.float_info.min:
             raise ConvergenceError(
-                f"spectral seed (1-|z|^2)^(alpha+1) = {y!r}^{a + 1.0!r} underflows")
-        s = _series_sum(k + 1.0 + a, 1.0, k + 1.0, x, rel_tol=_EPS)[0]
-        return scale_k * ya1 * s
-    s = _series_sum(k + 1.0 + a, 1.0, 2.0 + a, y, rel_tol=_EPS)[0]
-    return x ** -k - scale_k * k / (1.0 + a) * ya1 * s
+                f"spectral seed (1-|z|^2)^(alpha+1) = {y!r}^{b!r} underflows")
+        return scale_k * ya1 * _series_sum(k + 1.0 + a, 1.0, k + 1.0, x, rel_tol=_EPS)[0]
+    term = partial = 0.0 if k == 1 else b * x
+    for j in range(2, k):
+        term *= (b + (j - 1)) / j * x
+        partial += term
+    return -math.expm1(b * math.log(y) + math.log1p(partial)) * x ** -k
 
 
 def _connection(a: float, b: float, c: float, y: float):
@@ -482,8 +574,8 @@ def _log_connection(a: float, b: float, c: float, s: float, y: float):
 
     The log series stops, like `_series_sum`'s first stage, once its tail is
     at most 2**-56 times its sum.  Past the burn-in (every psi argument
-    >= 1) the term ratio is at most q = `_ratio_bound`(n, y, b + m, 1), and
-    each bracket at step k >= n at most
+    >= 1) the term ratio is at most q = `_ratio_bound`(n, y, a + m, b + m,
+    m + 1), and each bracket at step k >= n at most
     B_k = |ln y| + 4 ln(k + w), w = max(b, 1) + m + 2, since
     |psi(z)| <= ln(z + 2) for z >= 1; ln(n+j+w) <= ln(n+w) + j/(n+w) then
     bounds the tail by |t_n| q/(1-q) (B_n + 4 / ((n+w)(1-q))).
@@ -537,7 +629,7 @@ def _log_connection(a: float, b: float, c: float, s: float, y: float):
         size += abs(term) * (abs(ly) + abs(p1) + abs(p2) + abs(pa) + abs(pb))
         if n < n_burn:
             continue
-        q = _ratio_bound(n, y, bm, 1.0)
+        q = _ratio_bound(n, y, am, bm, m1)
         if q < 1.0:
             nw = n + w
             bracket = abs(ly) + 4.0 * math.log(nw) + 4.0 / (nw * (1.0 - q))

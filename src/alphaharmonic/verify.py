@@ -25,7 +25,7 @@ import numpy as np
 from . import bounds as bnd
 from ._memo import LastCall
 from .errors import ConvergenceError, DomainError, IntegrandError
-from .kernel import (BoundaryData, _kernel_rows, derivative_pair,
+from .kernel import (BoundaryData, _boundary, _kernel_rows, derivative_pair,
                      solve_dirichlet)
 from .quadrature import (QuadratureConfig, _node_level, cos_power_integral,
                          integrate_periodic, modulus_power_integral,
@@ -184,7 +184,7 @@ def thm_a_constant(fstar: BoundaryData) -> float:
     constant-modulus data the computed quotient can land epsilon above it,
     so the result is capped at 1.
     """
-    if fstar.sup_norm == 0.0:
+    if _boundary(fstar).sup_norm == 0.0:
         raise DomainError("boundary data is identically zero")
 
     def integrand(theta):

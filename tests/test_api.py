@@ -12,6 +12,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import alphaharmonic
@@ -321,14 +322,21 @@ _NON_NUMERIC_CALLS = {
         lambda: quadrature.QuadratureConfig(rel_tol="1"), "rel_tol"),
     "QuadratureConfig bool counts": (
         lambda: quadrature.QuadratureConfig(n_initial=True, n_max=True), "n_initial"),
+    "solve_dirichlet list fstar": (lambda: kernel.solve_dirichlet(0.5, [1.0], 0.3), "fstar"),
+    "derivative_pair None fstar": (lambda: kernel.derivative_pair(0.5, None, 0.3), "fstar"),
+    "alpha_laplacian_residual array fstar": (lambda: kernel.alpha_laplacian_residual(
+        1.0, np.ones(3), 0.1, 0.01), "fstar"),
+    "thm_a_constant None": (lambda: verify.thm_a_constant(None), "fstar"),
+    "evaluate_bound list id": (lambda: bounds.evaluate_bound(["M"], 0.5, 0.5), "bound_id"),
 }
 
 
 @pytest.mark.parametrize("call", sorted(_NON_NUMERIC_CALLS))
 def test_non_numeric_input_raises_domain_error_naming_it(call):
-    """Strings and bools are not numbers, and NaN or inf lie outside every
-    domain here: each entry point rejects them with a DomainError that
-    names the argument, never parses them."""
+    """Strings and bools are not numbers, NaN or inf lie outside every
+    domain here, and a list or None is neither boundary data nor a bound
+    id: each entry point rejects them with a DomainError that names the
+    argument, never parses them."""
     fn, name = _NON_NUMERIC_CALLS[call]
     with pytest.raises(alphaharmonic.DomainError, match=f"^{name} must be"):
         fn()

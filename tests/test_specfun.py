@@ -4,6 +4,7 @@ Frozen expected values were computed with mpmath at 30 digits; mpmath is
 also used directly as an independent high-precision oracle where noted.
 """
 
+import contextlib
 import math
 from unittest import mock
 
@@ -27,6 +28,21 @@ mp.mp.dps = 30
 
 def rel_err(got, want):
     return abs(got - want) / max(abs(want), 1e-300)
+
+
+@contextlib.contextmanager
+def _count_passes():
+    """The sizes of the numpy passes `_series_sum` makes meanwhile: each
+    pass calls numpy's cumprod once, on its ratios."""
+    sizes = []
+    cumprod = np.cumprod
+
+    def counting(ratios, *args, **kwargs):
+        sizes.append(ratios.size)
+        return cumprod(ratios, *args, **kwargs)
+
+    with mock.patch.object(specfun_module.np, "cumprod", counting):
+        yield sizes
 
 
 class TestGammaBeta:
@@ -358,16 +374,17 @@ class TestConnection:
         assert connection > 100 and fallback > 50
 
     def test_rejected_connection_falls_back_unjudged(self):
-        # records a known loss: the judge rejects this connection value, which
-        # is 6.6e-16 off, and the raw series it falls back to, which nothing
-        # judges, is 2.0e-13 off; choosing the route by sum|t| / |sum t| is
-        # the open step of ROADMAP item 1, and should fail this test
+        # the judge rejects this connection value, which is 6.6e-16 off, and
+        # the raw series it falls back to is not judged; summed by numpy's
+        # pairwise sum that series was 2.0e-13 off, added exactly (math.fsum,
+        # as for every series whose terms change sign) it is 3e-14 off.
+        # Choosing the route by sum|t| / |sum t| is the open step of ROADMAP
+        # item 2
         params = (2.4209508443565495, -2.953351545902472, 2.1863803186179815)
         x = 0.6756368335988397
         res = hyp2f1_detailed(params, x)
         assert res.transform == "none"
-        err = rel_err(res.value, mp.hyp2f1(*params, mp.mpf(x)))
-        assert 1e-13 < err < 2.5e-13
+        assert rel_err(res.value, mp.hyp2f1(*params, mp.mpf(x))) < 1e-13
 
     def test_large_parameters_meet_tolerance_or_fall_back(self):
         # judged by |t1| + |t2| alone, the cancellation inside the series
@@ -663,10 +680,10 @@ SWEEP_FAMILIES = ("schwarz", "m_series", "mode_seed", "euler", "quadratic")
 
 
 class TestShortRoute:
-    """Series predicted short are summed term by term (`_series_sum`'s
-    first stage), the rest in numpy chunks.  The chunked stage alone
-    (`_SHORT_TERMS` patched to 0), which sums any series to machine
-    precision, is the reference for the short one."""
+    """Series predicted short are summed in Python floats (`_series_sum`'s
+    first stage), the rest in numpy passes.  The numpy passes alone
+    (`_SHORT_TERMS` patched to 0), which sum any series to machine
+    precision, are the reference for the short route."""
 
     def test_sweep_no_worse_than_chunked_route(self):
         # x across the 0.5 switch to the connection formula and the 1 - x
@@ -726,24 +743,112 @@ class TestShortRoute:
         assert rel_err(res.value, float(mp.hyp2f1(-2, 0.7, 1.9, 0.3))) < 4 * _EPS
 
     def test_misprediction_passes_to_chunks(self):
-        # predicted 43 terms, but terms grow like n^(a+b-c-1) first: the
-        # 48 short terms are followed by one 64-term chunk
-        a, b, c, x = 8.5, 5.0, 1.35, 0.32
-        n_burn = int(max(a, b, c, 1.0)) + 2
-        assert n_burn + specfun_module._LOG_SHORT_TOL / math.log(x) < specfun_module._SHORT_TERMS
-        value, terms, _ = _series_sum(a, b, c, x)
-        assert terms == specfun_module._SHORT_TERMS + 64
+        # predicted 44.5 terms for 2**-56, but the terms change sign and
+        # their sum is small: the 45 Python-float terms are followed by one
+        # numpy pass, as long as the tail bound asks (4 terms)
+        a, b, c, x = 1.66, -1.4, 0.86, 0.48
+        n_burn = int(max(abs(a), abs(b), abs(c), 1.0)) + 2
+        predicted = specfun_module._predicted_terms(
+            a, b, c, x, math.log(x), specfun_module._LOG_SHORT_TOL, n_burn,
+            specfun_module._TERM_CAP)
+        assert 44.0 < predicted < specfun_module._SHORT_TERMS
+        with _count_passes() as sizes:
+            value, terms, _ = _series_sum(a, b, c, x)
+        assert (terms, sizes) == (49, [4])
+        assert value == -0.08985608124628595
         assert rel_err(value, float(mp.hyp2f1(a, b, c, x))) < 1e-13
 
-    @pytest.mark.parametrize("params, x, value, terms", [
-        ((0.25, 0.75, 1.5), 0.5, 1.082392200292394, 64),
-        ((-0.5, -0.5, 1.0), 0.999 ** 2, 1.2726042763383305, 8128),
-    ])
-    def test_long_series_unchanged(self, params, x, value, terms):
-        # predicted long: summed in chunks exactly as before the short route
-        # (hyp2f1 takes the second, integer c - a - b near x = 1, by the
-        # logarithmic connection formula)
-        assert _series_sum(*params, x)[:2] == (value, terms)
+    @pytest.mark.parametrize("params, x, value, terms, passes", [
+        ((0.25, 0.75, 1.5), 0.5, 1.082392200292394, 47, []),
+        ((-0.5, -0.5, 1.0), 0.999 ** 2, 1.272604276338316, 4902, [4096, 806]),
+    ], ids=["short-at-half", "long-near-one"])
+    def test_long_series_unchanged(self, params, x, value, terms, passes):
+        # the first is predicted short (46.4 terms) and summed in Python
+        # floats; the second, predicted long, takes a full pass and one as
+        # long as its tail bound asks (hyp2f1 takes the second, integer
+        # c - a - b near x = 1, by the logarithmic connection formula)
+        with _count_passes() as sizes:
+            assert _series_sum(*params, x)[:2] == (value, terms)
+        assert sizes == passes
+        assert rel_err(value, float(mp.hyp2f1(*params, mp.mpf(x)))) < 1e-13
+
+
+class TestOnePass:
+    """Each series costs one numpy pass where its term count is predicted
+    well, and no pass runs past the last term of a polynomial; counted by
+    wrapping numpy's cumprod, which every pass calls once."""
+
+    @pytest.mark.parametrize("k", range(1, 18))
+    def test_seed_series_at_radius_099_takes_one_pass(self, k):
+        x = 0.99 ** 2
+        for alpha in (-0.99999, -0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 3.5, 5.0):
+            with _count_passes() as sizes:
+                value, terms, _ = _series_sum(k + 1.0 + alpha, 1.0, k + 1.0, x, _EPS)
+            assert len(sizes) == 1 and sizes[0] == terms, (k, alpha, sizes)
+        # the seed itself takes its closed form there: no series at all
+        y = 1.0 - x
+        for alpha in (-0.9, 2.0, 5.0):
+            scale_k = math.exp(math.lgamma(alpha + 1.0 + k) - math.lgamma(alpha + 1.0)
+                               - math.lgamma(k + 1.0))
+            with _count_passes() as sizes:
+                _mode_seed(alpha, k, x, y, scale_k)
+            assert sizes == []
+
+    def test_seeds_of_the_far_branch_take_one_pass(self):
+        # k (1 - x) > 1/2: the series in x, at most one numpy pass each
+        for k in (1, 4, 9, 17):
+            for r in (0.3, 0.6, 0.8, 0.9, 0.95):
+                x = r * r
+                if k * (1.0 - x) <= 0.5:
+                    continue
+                for alpha in (-0.99, 0.5, 5.0):
+                    scale_k = math.exp(math.lgamma(alpha + 1.0 + k) - math.lgamma(alpha + 1.0)
+                                       - math.lgamma(k + 1.0))
+                    with _count_passes() as sizes:
+                        _mode_seed(alpha, k, x, 1.0 - x, scale_k)
+                    assert len(sizes) <= 1, (k, r, alpha, sizes)
+
+    def test_polynomial_builds_no_ratio_past_its_last_term(self):
+        # SCHWARZ_2F1 at alpha = 4 is the 3-term polynomial F(-2, -2; 1; r^2),
+        # predicted at about 19,000 terms for r = 0.999
+        with _count_passes() as sizes:
+            res = hyp2f1_detailed((-2.0, -2.0, 1.0), 0.999 ** 2)
+            value = schwarz_bound(0.999, 4.0)
+        assert (res.transform, res.terms_used, sizes) == ("none", 3, [])
+        assert rel_err(value, float(mp.hyp2f1(-2, -2, 1, mp.mpf(0.999) ** 2))) < 1e-13
+        # a polynomial too long for Python floats (positive terms, as both
+        # (-100)_n and (-100.5)_n alternate): one pass, up to its zero term
+        with _count_passes() as sizes:
+            value, terms, _ = _series_sum(-100.0, -100.5, 1.5, 0.9)
+        assert (terms, sizes) == (101, [101])
+        assert rel_err(value, float(mp.hyp2f1(-100, -100.5, 1.5, 0.9))) < 1e-13
+
+
+class TestClosedFormSeed:
+    def test_sweep_against_mpmath(self):
+        # k (1 - x) <= 1/2: A_k from its k-term closed form; alpha from
+        # -0.99999 to 5, k <= 17, 1 - |z| down to 1e-7, y exact as the solver
+        # forms it and x = 1 - y
+        rng = np.random.default_rng(20261019)
+        worst, draws = 0.0, 0
+        while draws < 300:
+            alpha = (-1.0 + 10.0 ** rng.uniform(-5.0, 0.0) if rng.random() < 0.3
+                     else rng.uniform(-0.99999, 5.0))
+            k = int(rng.integers(1, 18))
+            y = 10.0 ** rng.uniform(-7.0, math.log10(0.5 / k))
+            x = 1.0 - y
+            scale_k = math.exp(math.lgamma(alpha + 1.0 + k) - math.lgamma(alpha + 1.0)
+                               - math.lgamma(k + 1.0))
+            with _count_passes() as sizes:
+                got = _mode_seed(alpha, k, x, y, scale_k)
+            assert sizes == []
+            with mp.workdps(40):
+                want = (mp.rf(mp.mpf(alpha) + 1, k) / mp.factorial(k)
+                        * mp.hyp2f1(-mp.mpf(alpha), k, k + 1, 1 - mp.mpf(y)))
+            worst = max(worst, rel_err(got, want))
+            draws += 1
+        # measured 2.7e-15; the connection formula it replaced was 1.3e-10 off
+        assert worst < 1e-14
 
 
 class TestGaussSummation:

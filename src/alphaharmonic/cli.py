@@ -131,10 +131,9 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    spec = TrialSpec(seed=args.seed, n_trials=args.trials)
-    reports = run_suite(args.suite, spec)
-    rows = [{
+def _report_rows(reports) -> list[dict]:
+    """The rows `verify` emits for its reports."""
+    return [{
         "theorem_id": r.theorem_id,
         "n_checked": r.n_checked,
         "n_violations": r.n_violations,
@@ -142,7 +141,11 @@ def _cmd_verify(args) -> int:
         "worst_margin": r.worst_margin if math.isfinite(r.worst_margin) else None,
         "informational": r.informational,
     } for r in reports]
-    _emit(rows, args.format, args.out)
+
+
+def _cmd_verify(args) -> int:
+    reports = run_suite(args.suite, TrialSpec(seed=args.seed, n_trials=args.trials))
+    _emit(_report_rows(reports), args.format, args.out)
     if total_violations(reports) > 0:
         worst = min((r.worst_margin for r in reports if not r.informational),
                     default=float("inf"))

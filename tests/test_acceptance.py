@@ -8,11 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from alphaharmonic import (QuadratureConfig, TrialSpec, c_alpha,
+from alphaharmonic import (QuadratureConfig, c_alpha,
                            alpha_laplacian_residual, derivative_pair, gamma,
                            hyp2f1, integrate_periodic, l1_mean_kernel,
                            modulus_power_integral, random_boundary,
-                           ratio_integral_series, run_suite, solve_dirichlet)
+                           ratio_integral_series, solve_dirichlet)
 from alphaharmonic.cli import main as cli_main
 from alphaharmonic.kernel import BoundaryData, _kernel_rows
 from alphaharmonic.verify import (_euler_transform_eval,
@@ -121,14 +121,10 @@ def test_criterion_04_solver_exactness():
             assert abs(solve_dirichlet(0.0, cosb, z) - complex(z).real) <= 1e-10
 
 
-def test_criterion_05_inequality_suites():
+def test_criterion_05_inequality_suites(criterion5_reports):
     with _Criterion("criterion 5: zero violations across all suites, seeds 0-9"):
-        t0 = time.perf_counter()
-        all_reports = []
-        for seed in range(10):
-            spec = TrialSpec(seed=seed, n_trials=1000, slack=1e-9)
-            all_reports.extend(run_suite("all", spec))
-        elapsed = time.perf_counter() - t0
+        by_seed, elapsed = criterion5_reports
+        all_reports = [rep for reports in by_seed.values() for rep in reports]
         per_theorem = {}
         for rep in all_reports:
             agg = per_theorem.setdefault(rep.theorem_id,

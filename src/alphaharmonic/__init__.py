@@ -6,8 +6,7 @@ Schwarz-Pick-type bounds, and an empirical verification harness.
 """
 
 from .errors import ConvergenceError, DomainError, IntegrandError
-from .specfun import (Hyp2F1Result, beta, c_alpha, gamma, hyp2f1,
-                      hyp2f1_detailed)
+from .specfun import Hyp2F1Result, beta, c_alpha, hyp2f1, hyp2f1_detailed
 from .quadrature import (QuadratureConfig, QuadratureResult,
                          cos_power_integral, integrate_periodic,
                          modulus_power_integral, ratio_integral_series)

@@ -176,8 +176,6 @@ def _grid_count(lo: float, hi: float, step: float) -> int:
 def _cmd_figure1(args) -> int:
     if not args.alpha_min > -1.0:
         raise DomainError(f"--alpha-min must exceed -1, got {args.alpha_min!r}")
-    if not (0.0 <= args.r < 1.0):
-        raise DomainError(f"--r must lie in [0, 1), got {args.r!r}")
     if not 0 < args.step < math.inf:
         raise DomainError(f"--step must be positive and finite, got {args.step!r}")
     if not args.alpha_min <= args.alpha_max < math.inf:

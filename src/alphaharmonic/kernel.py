@@ -9,14 +9,14 @@ with the kernel P(w) = (1-|w|^2)^(alpha+1) / ((1-w)(1-wbar)^(alpha+1)).
 The real-exponent power of (1-wbar) uses the principal logarithm, which
 is well defined on the disk because Re(1-wbar) > 0 there.
 
-Boundary data is a finite Fourier series (trig polynomial) stored with a
-sample grid that keeps sup-norms computable.  On any equispaced grid, the
-sample grid and every quadrature level alike, its values come from one
-inverse FFT of the coefficients (`BoundaryData._on_grid`); `evaluate`
-sums the series at arbitrary angles.  For such data the integral has a
-closed form mode by mode, and that is the production route of
-`solve_dirichlet`, `derivative_pair` and `alpha_laplacian_residual`: with
-x = |z|^2,
+Boundary data is a finite Fourier series (trig polynomial) stored with its
+sup-norm, the one derived quantity every bound is stated against.  On any
+equispaced grid, the one its sup-norm is taken over and every quadrature
+level alike, its values come from one inverse FFT of the coefficients
+(`BoundaryData._on_grid`); `evaluate` sums the series at arbitrary angles.
+For such data the integral has a closed form mode by mode, and that is
+the production route of `solve_dirichlet`, `derivative_pair` and
+`alpha_laplacian_residual`: with x = |z|^2,
 
     e^{ik theta}  ->  z^k                                   (k >= 0),
     e^{-ik theta} ->  A_k(x) zbar^k,
@@ -72,18 +72,18 @@ __all__ = [
 
 
 class BoundaryData:
-    """Trig-polynomial boundary data with a sample grid.
+    """Trig-polynomial boundary data and its sup-norm.
 
     ``coefficients`` holds the 2d+1 finite Fourier coefficients for
-    frequencies -d..d, copied from the argument.  ``samples`` are the
-    values on an equispaced grid whose power-of-two size is at least 4d+4,
-    computed by one inverse FFT (`_on_grid`), and ``sup_norm`` is the
-    maximum modulus over that grid.  Both arrays are read-only and no
-    attribute can be rebound, so ``sup_norm`` and ``samples`` always
-    describe ``coefficients``.
+    frequencies -d..d, copied from the argument and read-only.
+    ``sup_norm`` is the maximum modulus over an equispaced grid whose
+    power-of-two size is at least 4d+4, sampled by one inverse FFT
+    (`_on_grid`) when the data is built; the samples are not kept.  No
+    attribute can be rebound, so ``sup_norm`` always describes
+    ``coefficients``.
     """
 
-    __slots__ = ("coefficients", "degree", "samples", "sup_norm")
+    __slots__ = ("coefficients", "degree", "sup_norm")
 
     def __init__(self, coefficients):
         try:
@@ -96,22 +96,20 @@ class BoundaryData:
             raise DomainError(f"coefficients must be numbers, got dtype {given.dtype.name}")
         self._set(np.array(given, dtype=complex), None)
 
-    def _set(self, coeffs: np.ndarray, samples: np.ndarray | None) -> None:
-        """Store coefficients and samples (computed when None), with checks."""
+    def _set(self, coeffs: np.ndarray, sup_norm: float | None) -> None:
+        """Store coefficients and sup_norm (sampled when None), with checks."""
         if not np.isfinite(coeffs).all():
             raise DomainError("coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "degree", coeffs.size // 2)
-        # finite coefficients can still sum past the float range
-        with np.errstate(over="ignore", invalid="ignore"):
-            if samples is None:
-                samples = self._on_grid(self._grid_size(self.degree), 0.0)
-            object.__setattr__(self, "samples", samples)
-            object.__setattr__(self, "sup_norm", float(np.max(np.abs(samples))))
-        if not math.isfinite(self.sup_norm):
+        if sup_norm is None:
+            # finite coefficients can still sum past the float range
+            with np.errstate(over="ignore", invalid="ignore"):
+                sup_norm = float(np.max(np.abs(self._on_grid(self._grid_size(self.degree), 0.0))))
+        if not math.isfinite(sup_norm):
             raise DomainError("boundary values overflow the float range")
+        object.__setattr__(self, "sup_norm", sup_norm)
         coeffs.flags.writeable = False
-        samples.flags.writeable = False
 
     def _frozen(self, name, *value):
         raise AttributeError(f"BoundaryData is immutable: cannot change {name!r}")
@@ -119,7 +117,7 @@ class BoundaryData:
     __setattr__ = __delattr__ = _frozen
 
     def __getstate__(self):  # copy and pickle, whose default sets the slots
-        return self.coefficients, self.samples
+        return self.coefficients, self.sup_norm
 
     def __setstate__(self, state):
         self._set(*state)
@@ -129,18 +127,18 @@ class BoundaryData:
         need = max(4 * degree + 4, 4)
         return 1 << (need - 1).bit_length()
 
-    def _on_grid(self, n: int, offset: float) -> np.ndarray:
-        """Values at theta_j = 2pi (j + offset) / n, j = 0..n-1.
+    def _on_grid(self, n: int, shift: float) -> np.ndarray:
+        """Values at theta_j = shift + 2pi j / n, j = 0..n-1.
 
-        Coefficient c_k, times the phase e^{2pi i k offset / n}, goes to bin
-        k mod n, and one unnormalised inverse FFT sums the bins; frequencies
-        that alias onto one bin add up there, so every n is exact.
+        Coefficient c_k, times the phase e^{i k shift}, goes to bin k mod n,
+        and one unnormalised inverse FFT sums the bins; frequencies that
+        alias onto one bin add up there, so every n is exact.
         """
         d = self.degree
         ks = np.arange(-d, d + 1)
         c = self.coefficients
-        if offset:
-            c = c * np.exp((2j * math.pi * offset / n) * ks)
+        if shift:
+            c = c * np.exp((1j * shift) * ks)
         bins = np.zeros(n, dtype=complex)
         np.add.at(bins, ks % n, c)
         return np.fft.ifft(bins, norm="forward")
@@ -159,11 +157,12 @@ class BoundaryData:
         return complex(out[0]) if th.ndim == 0 else out
 
     def scaled(self, factor: complex) -> "BoundaryData":
-        """Boundary data factor * f, its samples scaled from this grid's."""
+        """Boundary data factor * f, with sup-norm |factor| times this one's:
+        no second sampling."""
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs, samples = self.coefficients * factor, self.samples * factor
+            coeffs = self.coefficients * factor
         out = object.__new__(BoundaryData)
-        out._set(coeffs, samples)
+        out._set(coeffs, abs(complex(factor)) * self.sup_norm)
         return out
 
     @classmethod

@@ -4,9 +4,9 @@ The engine computes circle means (1/2pi) * integral over [0, 2pi) by the
 composite trapezoidal rule on equispaced nodes, doubling the node count
 until two successive levels agree.  For the analytic periodic integrands
 used throughout this package the rule is spectrally accurate.  Every
-level's nodes are theta_j = 2pi (j + offset) / n with offset 0 or 1/2,
-and `_node_level` recovers (n, offset) from them, so an integrand can
-sample a trig polynomial there by one inverse FFT.
+level's nodes are equispaced, theta_j = theta_0 + 2pi j / n, so an
+integrand can sample a trig polynomial there by one inverse FFT from
+its node count and first node alone.
 """
 
 from __future__ import annotations
@@ -77,16 +77,6 @@ class QuadratureResult:
 def _nodes(n: int, offset: float) -> np.ndarray:
     """The level's nodes theta_j = 2pi (j + offset) / n, j = 0..n-1."""
     return 2.0 * math.pi * (np.arange(n) + offset) / n
-
-
-def _node_level(theta: np.ndarray) -> tuple[int, float]:
-    """(n, offset) of a node array built by `_nodes`, the inverse of its
-    formula for the arrays `integrate_periodic` passes its integrand."""
-    n = theta.size
-    offset = 0.0 if theta[0] == 0.0 else 0.5
-    if theta[0] != 2.0 * math.pi * offset / n:
-        raise DomainError("angles are not the nodes of a quadrature level")
-    return n, offset
 
 
 def _eval_checked(f: Callable, theta: np.ndarray) -> np.ndarray:

@@ -37,7 +37,6 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "Hyp2F1Result",
-    "gamma",
     "beta",
     "hyp2f1",
     "hyp2f1_detailed",
@@ -189,16 +188,6 @@ class Hyp2F1Result:
     value: float
     terms_used: int
     transform: str  # "none", "euler" or "connection"
-
-
-def gamma(x: float) -> float:
-    """Gamma function for positive finite arguments; ConvergenceError where
-    the value leaves the float range (x above about 171.6)."""
-    x = _positive_real("x", x)
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        raise ConvergenceError(f"gamma({x!r}) leaves the float range") from None
 
 
 def beta(x: float, y: float) -> float:

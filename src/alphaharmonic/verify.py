@@ -27,10 +27,9 @@ from ._memo import LastCall
 from .errors import ConvergenceError, DomainError, IntegrandError
 from .kernel import (BoundaryData, _boundary, _kernel_rows, derivative_pair,
                      solve_dirichlet)
-from .quadrature import (QuadratureConfig, _node_level, cos_power_integral,
-                         integrate_periodic, modulus_power_integral,
-                         ratio_integral_series)
-from .specfun import (_count, _is_real, _raw_series, _series_sum, alpha_value, gamma,
+from .quadrature import (QuadratureConfig, cos_power_integral, integrate_periodic,
+                         modulus_power_integral, ratio_integral_series)
+from .specfun import (_count, _is_real, _raw_series, _series_sum, alpha_value, c_alpha,
                       hyp2f1, hyp2f1_detailed)
 
 __all__ = [
@@ -160,8 +159,8 @@ def random_boundary(seed: int, degree: int, target_sup_norm: float = 1.0) -> Bou
     """Seeded trig polynomial rescaled to the requested grid sup-norm.
 
     Coefficients are complex Gaussian; the same seed always yields the
-    same data.  The polynomial is sampled once: the rescaled data scales
-    the raw data's samples.
+    same data.  The polynomial is sampled once: the rescaled data's
+    sup-norm is the raw one's times the factor.
     """
     _count("seed", seed, 0)
     _count("degree", degree, 0)
@@ -188,7 +187,7 @@ def thm_a_constant(fstar: BoundaryData) -> float:
         raise DomainError("boundary data is identically zero")
 
     def integrand(theta):
-        return np.abs(fstar._on_grid(*_node_level(theta)))
+        return np.abs(fstar._on_grid(theta.size, theta[0]))
 
     mean = integrate_periodic(integrand).unwrap("boundary-mean quadrature")
     return min(float(mean) / fstar.sup_norm, 1.0)
@@ -205,7 +204,7 @@ def _kernel_integrals(alpha: float, fstar: BoundaryData, z: complex) -> tuple:
     are silenced.
     """
     def integrand(theta):
-        return np.stack(_kernel_rows(alpha, z, theta)) * fstar._on_grid(*_node_level(theta))
+        return np.stack(_kernel_rows(alpha, z, theta)) * fstar._on_grid(theta.size, theta[0])
 
     with np.errstate(all="ignore"):
         res = integrate_periodic(integrand, _KERNEL_QUADRATURE)
@@ -411,6 +410,13 @@ def _hyp2f1_at_one(params) -> float:
                     - math.lgamma(c - a) - math.lgamma(c - b))
 
 
+def _c_alpha_duplication(alpha: float) -> float:
+    """DUPLICATION's other side: c_alpha = sqrt(pi) Gamma(1 + alpha/2) /
+    (2^alpha Gamma((1 + alpha)/2)), by the duplication formula, in lgamma."""
+    return math.exp(0.5 * math.log(math.pi) + math.lgamma(1.0 + alpha / 2.0)
+                    - alpha * math.log(2.0) - math.lgamma((1.0 + alpha) / 2.0))
+
+
 def _rel_margin(tol: float, value, reference) -> float:
     """tol less the error of value relative to reference (floored at 1e-12)."""
     return tol - abs(value - reference) / max(abs(reference), 1e-12)
@@ -493,10 +499,10 @@ def _identity_cases(spec: TrialSpec):
         yield _case("GAUSS_SUMMATION", trial, f"a={a:.3g} b={b:.3g} c={c:.3g}",
                     lambda: _gauss_margin(a, b, c))
 
-    for trial, (x,) in draws((0.1, 20.0)):
-        yield _case("DUPLICATION", trial, f"x={x:.3g}", lambda: _rel_margin(
-            1e-12, 2.0 ** (2.0 * x - 1.0) / math.sqrt(math.pi) * gamma(x) * gamma(x + 0.5),
-            gamma(2.0 * x)))
+    for trial, (u,) in draws((0.0, 1.0)):
+        alpha = 40.0 - 41.0 * u  # in (-1, 40]
+        yield _case("DUPLICATION", trial, f"alpha={alpha:.3g}", lambda: _rel_margin(
+            1e-12, c_alpha(alpha), _c_alpha_duplication(alpha)))
 
     for trial in range(spec.n_trials):
         fstar, alpha, r, z = _draw_boundary_trial(rng, spec)

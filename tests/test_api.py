@@ -29,7 +29,7 @@ EXPORTS = frozenset({
     "c_alpha", "check_identities", "check_proof_machinery",
     "check_schwarz", "check_schwarz_pick", "colonna_bound",
     "cos_power_integral", "derivative_pair", "evaluate_bound",
-    "figure1_data", "gamma", "hyp2f1", "hyp2f1_detailed",
+    "figure1_data", "hyp2f1", "hyp2f1_detailed",
     "integrate_periodic", "l1_mean_kernel",
     "lc_schwarz_pick_bound", "m1_bound", "m2_bound", "m_bound",
     "m_prime_bound", "modulus_power_integral", "poisson_kernel",
@@ -81,7 +81,6 @@ SIGNATURES = {
     "disk_point_value": ("z",),
     "evaluate_bound": ("bound_id", "r", "alpha", "c=None"),
     "figure1_data": ("r=0.99", "alphas=None"),
-    "gamma": ("x",),
     "hyp2f1": ("params", "x"),
     "hyp2f1_detailed": ("params", "x"),
     "inconclusive_rate": ("reports",),
@@ -282,9 +281,6 @@ _NON_NUMERIC_CALLS = {
     "solve_dirichlet alpha": (lambda: kernel.solve_dirichlet(
         "x", kernel.BoundaryData([1]), 0.3), "alpha"),
     "disk_point_value bool": (lambda: kernel.disk_point_value(False), "z"),
-    "gamma string x": (lambda: specfun.gamma("2"), "x"),
-    "gamma complex x": (lambda: specfun.gamma(1j), "x"),
-    "gamma bool x": (lambda: specfun.gamma(True), "x"),
     "beta string x": (lambda: specfun.beta("1", 2.0), "x"),
     "beta bool x": (lambda: specfun.beta(True, 1.0), "x"),
     "beta infinite x": (lambda: specfun.beta(math.inf, 1.0), "x"),

@@ -338,7 +338,7 @@ class TestFigure1:
     def test_radius_outside_the_disk_exits_2(self, capsys):
         code, out, err = run(capsys, ["figure1", "--r", "1.5"])
         assert (code, out) == (2, "")
-        assert err == "domain error: --r must lie in [0, 1), got 1.5\n"
+        assert err == "domain error: r must lie in [0, 1), got 1.5\n"
 
     @pytest.mark.parametrize("flags", [
         ["--alpha-max", "nan"], ["--alpha-max", "inf"], ["--alpha-min", "nan"],

@@ -1,9 +1,9 @@
 """CLI outputs against the goldens in tests/golden/ (see write_goldens.py).
 
 On the host that wrote a file every line must match exactly; elsewhere
-floats may differ by `write_goldens.ULPS` ulps.  A failure lists every
-line that moved; if the move is intended, rerun the writer and say why
-in CHANGES.md.
+floats may differ by `write_goldens.ULPS` ulps.  A failure lists the
+lines that moved, for up to 40 commands; if the move is intended, rerun
+the writer and say why in CHANGES.md.
 """
 
 import math
@@ -15,9 +15,9 @@ from write_goldens import (COMMANDS, GOLDEN_DIR, VERIFY_SEEDS, host_fingerprint,
                            read_file, render_reports, run_command, verify_command)
 
 
-def _check(name: str, got: dict, exact: bool | None = None) -> list[str]:
+def _check(name: str, got: dict) -> list[str]:
     host, want = read_file(GOLDEN_DIR / f"{name}.txt")
-    return moved(want, got, exact=host == host_fingerprint() if exact is None else exact)
+    return moved(want, got, exact=host == host_fingerprint())
 
 
 def _report(found: list[str]) -> str:

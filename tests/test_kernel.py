@@ -4,6 +4,7 @@ import cmath
 import copy
 import math
 import pickle
+import struct
 import warnings
 
 import mpmath
@@ -50,30 +51,43 @@ class TestBoundaryData:
 
     def test_grid_size_power_of_two(self):
         for d, n in ((0, 4), (1, 8), (3, 16), (8, 64)):
-            bd = BoundaryData(np.zeros(2 * d + 1) + 1.0)
-            assert bd.samples.size == n
+            assert BoundaryData._grid_size(d) == n
 
     def test_samples_consistent_with_coefficients(self):
-        bd = random_boundary(3, 6, 1.0)
-        n = bd.samples.size
+        # the sup-norm's grid, summed term by term, gives the same maximum
+        bd = BoundaryData(random_boundary(3, 6, 1.0).coefficients)
+        n = bd._grid_size(6)
         angles = 2.0 * math.pi * np.arange(n) / n
-        assert np.max(np.abs(bd.evaluate(angles) - bd.samples)) < 1e-12
+        assert abs(np.max(np.abs(bd.evaluate(angles))) - bd.sup_norm) < 1e-12
 
     def test_attributes_cannot_be_rebound(self):
-        # a rebound coefficients array used to leave sup_norm and samples
-        # describing the old data
+        # a rebound coefficients array used to leave sup_norm describing
+        # the old data
         bd = random_boundary(1, 2, 1.0)
         before = solve_dirichlet(0.5, bd, 0.3)
         for name, value in (("coefficients", np.zeros(5, complex)), ("degree", 0),
-                            ("samples", np.zeros(16, complex)), ("sup_norm", 7.0)):
+                            ("sup_norm", 7.0)):
             with pytest.raises(AttributeError):
                 setattr(bd, name, value)
             with pytest.raises(AttributeError):
                 delattr(bd, name)
         assert solve_dirichlet(0.5, bd, 0.3) == before
+        assert not hasattr(bd, "samples")
         for again in (copy.deepcopy(bd), pickle.loads(pickle.dumps(bd))):
-            assert np.array_equal(again.samples, bd.samples)
-            assert again.sup_norm == bd.sup_norm and not again.samples.flags.writeable
+            assert np.array_equal(again.coefficients, bd.coefficients)
+            assert again.sup_norm == bd.sup_norm and not again.coefficients.flags.writeable
+
+    def test_copies_keep_a_scaled_sup_norm(self):
+        # a scaled sup-norm can sit an ulp from a resampled one; a copy
+        # carries it rather than sampling again
+        for s in range(100):
+            bd = random_boundary(s, 5, 0.7)
+            if BoundaryData(bd.coefficients).sup_norm != bd.sup_norm:
+                break
+        else:
+            pytest.fail("no scaled sup-norm differs from its resampled value")
+        for again in (copy.copy(bd), copy.deepcopy(bd), pickle.loads(pickle.dumps(bd))):
+            assert struct.pack("d", again.sup_norm) == struct.pack("d", bd.sup_norm)
 
     def test_rotation(self):
         # c_k e^{ik phi}, k = -d..d, are the coefficients of f(theta + phi)
@@ -122,8 +136,8 @@ class TestBoundaryData:
 
     def test_arrays_are_read_only(self):
         bd = random_boundary(4, 3, 1.0)
-        for arr in (bd.coefficients, bd.samples, bd.scaled(0.5).coefficients,
-                    bd.scaled(0.5).samples):
+        for arr in (bd.coefficients, bd.scaled(0.5).coefficients,
+                    copy.deepcopy(bd).coefficients, pickle.loads(pickle.dumps(bd)).coefficients):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
@@ -139,8 +153,8 @@ class TestBoundaryData:
             BoundaryData([1.0, bad, 0.5])
 
     @pytest.mark.parametrize("coefficients", [
-        [1e308] * 3,  # the samples' sum overflows
-        [complex(1.5e308, 1.5e308)],  # finite samples, modulus overflows
+        [1e308] * 3,  # the grid values' sum overflows
+        [complex(1.5e308, 1.5e308)],  # finite grid values, modulus overflows
     ])
     def test_overflowing_samples_rejected(self, coefficients):
         with warnings.catch_warnings():
@@ -161,24 +175,42 @@ class TestOnGrid:
         bd = BoundaryData(coeffs)
         n = 1 << log_n
         theta = 2.0 * math.pi * (np.arange(n) + offset) / n
-        err = np.max(np.abs(bd._on_grid(n, offset) - bd.evaluate(theta)))
+        err = np.max(np.abs(bd._on_grid(n, theta[0]) - bd.evaluate(theta)))
         assert err <= 1e-13 * np.sum(np.abs(coeffs))
+
+    def test_first_node_shift_at_every_quadrature_level(self):
+        # verify's integrands sample fstar at a level's nodes from their
+        # count and first node; on both node sets of every level
+        # `integrate_periodic` visits up to 1024 nodes that is fstar there,
+        # and its phase is bit for bit the e^{2pi i k offset / n} of the
+        # level's offset
+        for degree in (0, 3, 16):
+            bd = random_boundary(degree, degree, 1.0)
+            ks = np.arange(-degree, degree + 1)
+            for n, offset in [(1 << k, offset) for k in range(11) for offset in (0.0, 0.5)]:
+                theta = quadrature_module._nodes(n, offset)
+                got = bd._on_grid(theta.size, theta[0])
+                assert np.max(np.abs(got - bd.evaluate(theta))) <= 1e-12 * (1.0 + bd.sup_norm)
+                assert np.array_equal(np.exp((1j * theta[0]) * ks),
+                                      np.exp((2j * math.pi * offset / n) * ks))
 
     def test_samples_are_the_offset_zero_grid(self):
         bd = BoundaryData(random_boundary(11, 7, 0.8).coefficients)
-        assert np.array_equal(bd.samples, bd._on_grid(bd.samples.size, 0.0))
+        assert bd.sup_norm == np.max(np.abs(bd._on_grid(bd._grid_size(7), 0.0)))
 
-    def test_scaled_reuses_samples(self):
+    def test_scaled_scales_sup_norm(self):
         for s in range(50):
             rng = np.random.default_rng(s)
             d = int(rng.integers(0, 17))
             coeffs = rng.standard_normal(2 * d + 1) + 1j * rng.standard_normal(2 * d + 1)
             factor = complex(rng.standard_normal(), rng.standard_normal())
-            got = BoundaryData(coeffs).scaled(factor)
+            raw = BoundaryData(coeffs)
+            got = raw.scaled(factor)
             fresh = BoundaryData(coeffs * factor)
             assert np.array_equal(got.coefficients, fresh.coefficients)
-            assert np.max(np.abs(got.samples - fresh.samples)) <= 1e-15 * fresh.sup_norm
-            assert got.sup_norm == np.max(np.abs(got.samples))
+            assert got.sup_norm == abs(factor) * raw.sup_norm
+            assert abs(got.sup_norm - fresh.sup_norm) <= 1e-15 * fresh.sup_norm
+        assert raw.scaled(-2.0).sup_norm == 2.0 * raw.sup_norm
 
     def test_scaled_rejects_overflow(self):
         with warnings.catch_warnings():

@@ -8,7 +8,6 @@ import pytest
 from alphaharmonic import (ConvergenceError, DomainError, IntegrandError,
                            QuadratureConfig, cos_power_integral, integrate_periodic,
                            modulus_power_integral, ratio_integral_series)
-from alphaharmonic.quadrature import _node_level
 
 
 def rel_err(got, want):
@@ -134,20 +133,21 @@ class TestStackedIntegrands:
 
 class TestNodeLevel:
     def test_inverts_every_level(self):
+        # a level's node count and first node give its offset, 0 or 1/2,
+        # and with it every node: integrands sample a trig polynomial there
         seen = []
 
         def f(th):
-            seen.append((th.copy(), _node_level(th)))
+            seen.append(th.copy())
             return 1.0 + th  # not periodic: runs to n_max
 
         integrate_periodic(f, QuadratureConfig(n_initial=1, n_max=1024))
         assert len(seen) == 11
-        for th, (n, offset) in seen:
+        for th in seen:
+            n = th.size
+            offset = th[0] * n / (2.0 * math.pi)
+            assert offset in (0.0, 0.5)
             assert np.array_equal(th, 2.0 * math.pi * (np.arange(n) + offset) / n)
-
-    def test_rejects_other_angles(self):
-        with pytest.raises(DomainError):
-            _node_level(np.linspace(0.1, 1.0, 8))
 
 
 class TestUnwrap:

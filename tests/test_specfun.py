@@ -15,13 +15,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import alphaharmonic.specfun as specfun_module
-from alphaharmonic import (ConvergenceError, DomainError, beta, c_alpha, gamma,
+from alphaharmonic import (ConvergenceError, DomainError, beta, c_alpha,
                            hyp2f1, hyp2f1_detailed, m_bound, schwarz_bound,
                            schwarz_pick_bound)
 from alphaharmonic.specfun import (_EPS, _digamma, _m_series, _mode_seed, _series_sum,
                                    alpha_value)
-from alphaharmonic.verify import (_euler_transform_eval, _hyp2f1_at_one,
-                                  _quadratic_transform_eval)
+from alphaharmonic.verify import (_c_alpha_duplication, _euler_transform_eval,
+                                  _hyp2f1_at_one, _quadratic_transform_eval)
 
 mp.mp.dps = 30
 
@@ -46,33 +46,11 @@ def _count_passes():
 
 
 class TestGammaBeta:
-    def test_gamma_one(self):
-        assert gamma(1.0) == 1.0
-
-    def test_gamma_half(self):
-        # oracle: sqrt(pi) from the integral definition
-        assert rel_err(gamma(0.5), 1.7724538509055160273) < 1e-13
-
-    def test_gamma_five(self):
-        assert gamma(5.0) == 24.0
-
-    def test_gamma_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            gamma(0.0)
-        with pytest.raises(DomainError):
-            gamma(-1.5)
-
-    def test_gamma_recursion(self):
-        rng = np.random.default_rng(42)
-        for x in rng.uniform(0.1, 40.0, size=1000):
-            assert rel_err(gamma(x + 1.0), x * gamma(x)) < 1e-12
-
     def test_duplication_formula(self):
+        # c_alpha against verify's DUPLICATION reference over the row's alphas
         rng = np.random.default_rng(3)
-        for x in rng.uniform(0.1, 20.0, size=500):
-            lhs = gamma(2.0 * x)
-            rhs = 2.0 ** (2.0 * x - 1.0) / math.sqrt(math.pi) * gamma(x) * gamma(x + 0.5)
-            assert rel_err(lhs, rhs) < 1e-12
+        for alpha in 40.0 - 41.0 * rng.uniform(0.0, 1.0, size=500):
+            assert rel_err(c_alpha(alpha), _c_alpha_duplication(alpha)) < 1e-12
 
     def test_beta_ones(self):
         assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
@@ -88,7 +66,8 @@ class TestGammaBeta:
         rng = np.random.default_rng(11)
         for _ in range(200):
             x, y = rng.uniform(0.1, 20.0, size=2)
-            assert rel_err(beta(x, y), gamma(x) * gamma(y) / gamma(x + y)) < 1e-12
+            want = math.gamma(x) * math.gamma(y) / math.gamma(x + y)
+            assert rel_err(beta(x, y), want) < 1e-12
 
     def test_beta_half_matches_mpmath(self):
         # B(s, 1/2), s = (alpha + 1)/2, is M's connection term, which
@@ -907,8 +886,8 @@ class TestNormalizationConstant:
         # duplication-formula identity for the reciprocal
         for alpha in np.linspace(-0.99, 10.0, 120):
             lhs = 1.0 / c_alpha(alpha)
-            rhs = (2.0 ** alpha * gamma(0.5 + alpha / 2.0)
-                   / (math.sqrt(math.pi) * gamma(1.0 + alpha / 2.0)))
+            rhs = (2.0 ** alpha * math.gamma(0.5 + alpha / 2.0)
+                   / (math.sqrt(math.pi) * math.gamma(1.0 + alpha / 2.0)))
             assert rel_err(lhs, rhs) < 1e-12
 
     def test_reciprocal_below_power_of_two(self):

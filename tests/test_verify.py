@@ -327,7 +327,7 @@ class TestTally:
         # this row only checks that the gaps to the limit shrink: a 1e-4
         # error is caught in 15 of these 50 trials, a 1e-6 one in 1
         ("GAUSS_SUMMATION", "hyp2f1", 1e-4, 10),
-        ("DUPLICATION", "gamma", 1e-11, 25),
+        ("DUPLICATION", "c_alpha", 1e-11, 25),
         ("DIRICHLET_SPECTRAL", "solve_dirichlet", 1e-8, 25),
     ])
     def test_identity_row_catches_planted_error(self, monkeypatch, theorem_id, route, error,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._memo import LastCall
 from .errors import ConvergenceError, DomainError
@@ -68,8 +68,7 @@ _NOTES = {
 }
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class _BoundFields(NamedTuple):
     bound_id: str
     r: float
     alpha: float
@@ -77,9 +76,22 @@ class BoundReport:
     value: float
     note: str = _NOTE_LINEAR
 
-    def __post_init__(self):
-        if not self.value >= 0.0:
-            raise DomainError(f"bound value must be non-negative, got {self.value!r}")
+
+class BoundReport(_BoundFields):
+    """One bound evaluated at (r, alpha), with M1's c as ``aux``: an
+    immutable named tuple, as every per-call result is.  A negative or NaN
+    value raises DomainError, also through `_make` and `_replace`."""
+
+    __slots__ = ()
+
+    def __new__(cls, bound_id, r, alpha, aux, value, note=_NOTE_LINEAR):
+        if not value >= 0.0:
+            raise DomainError(f"bound value must be non-negative, got {value!r}")
+        return tuple.__new__(cls, (bound_id, r, alpha, aux, value, note))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 _NO_C = object()  # c left out: every bound but M1

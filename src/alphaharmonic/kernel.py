@@ -48,14 +48,14 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ._memo import LastCall
 from .errors import ConvergenceError, DomainError
-from .specfun import (_count, _is_real, _mode_seed, _one_minus_abs2, _positive_real,
-                      alpha_value, disk_point_value)
+from .specfun import (_complex, _count, _is_real, _mode_seed, _one_minus_abs2,
+                      _positive_real, alpha_value, disk_point_value)
 
 _LAST_SPECTRAL = LastCall()
 _POINT_BITS = struct.Struct("3d").pack
@@ -105,7 +105,7 @@ class BoundaryData:
         if sup_norm is None:
             # finite coefficients can still sum past the float range
             with np.errstate(over="ignore", invalid="ignore"):
-                sup_norm = float(np.max(np.abs(self._on_grid(self._grid_size(self.degree), 0.0))))
+                sup_norm = float(np.abs(self._on_grid(self._grid_size(self.degree), 0.0)).max())
         if not math.isfinite(sup_norm):
             raise DomainError("boundary values overflow the float range")
         object.__setattr__(self, "sup_norm", sup_norm)
@@ -159,10 +159,11 @@ class BoundaryData:
     def scaled(self, factor: complex) -> "BoundaryData":
         """Boundary data factor * f, with sup-norm |factor| times this one's:
         no second sampling."""
+        factor = _complex("factor", factor)
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = self.coefficients * factor
         out = object.__new__(BoundaryData)
-        out._set(coeffs, abs(complex(factor)) * self.sup_norm)
+        out._set(coeffs, abs(factor) * self.sup_norm)
         return out
 
     @classmethod
@@ -183,16 +184,28 @@ class BoundaryData:
         return cls(coeffs)
 
 
-@dataclass(frozen=True)
-class DerivativePair:
-    """Wirtinger derivatives of a solution at a point, plus their norm sum."""
-
+class _DerivativeFields(NamedTuple):
     d_z: complex
     d_zbar: complex
-    norm: float = field(init=False)
+    norm: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "norm", abs(self.d_z) + abs(self.d_zbar))
+
+class DerivativePair(_DerivativeFields):
+    """Wirtinger derivatives of a solution at a point, plus their norm sum
+    |d_z| + |d_zbar|, derived when the pair is built: an immutable named
+    tuple, as every per-call result is."""
+
+    __slots__ = ()
+
+    def __new__(cls, d_z, d_zbar):
+        return tuple.__new__(cls, (d_z, d_zbar, abs(d_z) + abs(d_zbar)))
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return self[:2]
+
+    def _replace(self, **changes):
+        """A copy with d_z or d_zbar changed and its norm derived again."""
+        return DerivativePair(**{"d_z": self.d_z, "d_zbar": self.d_zbar, **changes})
 
 
 def poisson_kernel(alpha, z) -> complex:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,9 +51,10 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    """A circle mean, or a tuple of row means for a stacked integrand."""
+class QuadratureResult(NamedTuple):
+    """A circle mean, or a tuple of row means for a stacked integrand, with
+    its error estimate, node count and whether it converged: an immutable
+    named tuple, as every per-call result is."""
 
     value: complex | float | tuple
     error_estimate: float | tuple

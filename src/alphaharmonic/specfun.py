@@ -19,8 +19,8 @@ caller's exact 1 - x, and the solver's seed (`_mode_seed`), from a
 positive series or its closed form.
 
 This module is also the library's one argument gate: `_real`, `_count`,
-`_positive_real`, `alpha_value` and `disk_point_value` turn a public
-argument into a float, int or complex, or raise DomainError naming it.
+`_positive_real`, `_complex`, `alpha_value` and `disk_point_value` turn a
+public argument into a float, int or complex, or raise DomainError naming it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import contextlib
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,13 +145,19 @@ def _positive_real(name: str, value) -> float:
     return v
 
 
+def _complex(name: str, value) -> complex:
+    """value as a complex, or DomainError naming it if it is not a number;
+    bools are not."""
+    if type(value) is not complex and (not isinstance(value, numbers.Complex)
+                                       or isinstance(value, bool)):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    return complex(value)
+
+
 def disk_point_value(z) -> complex:
     """z as a complex number, validated: a number (bools excluded) strictly
     inside the unit disk."""
-    if type(z) is not complex and (not isinstance(z, numbers.Complex)
-                                   or isinstance(z, bool)):
-        raise DomainError(f"z must be a number, got {z!r}")
-    zc = complex(z)
+    zc = _complex("z", z)
     if not zc.real * zc.real + zc.imag * zc.imag < 1.0:
         raise DomainError(f"z must lie inside the unit disk, got {zc!r}")
     return zc
@@ -183,8 +189,10 @@ def alpha_value(alpha) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class Hyp2F1Result:
+class Hyp2F1Result(NamedTuple):
+    """One hypergeometric value, the series terms summed for it and its
+    route: an immutable named tuple, as every per-call result is."""
+
     value: float
     terms_used: int
     transform: str  # "none", "euler" or "connection"

@@ -216,8 +216,9 @@ def _draw_boundary_trial(rng: np.random.Generator, spec: TrialSpec):
     target = float(rng.uniform(0.2, 1.0))
     sub_seed = int(rng.integers(0, 2**62))
     fstar = random_boundary(sub_seed, degree, target)
-    alpha = float(rng.choice(np.asarray(spec.alpha_set, dtype=float)))
-    r = float(rng.choice(np.asarray(spec.radius_set, dtype=float)))
+    # an index drawn by integers is the draw, and the next state, of rng.choice
+    alpha = float(spec.alpha_set[rng.integers(len(spec.alpha_set))])
+    r = float(spec.radius_set[rng.integers(len(spec.radius_set))])
     phi = float(rng.uniform(0.0, 2.0 * math.pi))
     z = r * cmath.exp(1j * phi)
     return fstar, alpha, r, z
@@ -457,8 +458,9 @@ def _identity_cases(spec: TrialSpec):
     rng = np.random.default_rng(spec.seed)
 
     def draws(*ranges):  # per trial, one uniform draw in each range
-        for trial in range(spec.n_trials):
-            yield trial, [float(rng.uniform(lo, hi)) for lo, hi in ranges]
+        # one call for the row, filled trial by trial, draws the scalar calls' stream
+        lows, highs = zip(*ranges)
+        return enumerate(rng.uniform(lows, highs, size=(spec.n_trials, len(ranges))).tolist())
 
     for trial, (a, b, al, be) in draws((-0.95, 0.95), (-0.95, 0.95), (0.0, 4.0), (0.0, 4.0)):
         context = f"a={a:.3g} b={b:.3g} alpha={al:.3g} beta={be:.3g}"

@@ -7,9 +7,11 @@ knob included) has to update these tables, and so has to say so.
 
 import argparse
 import ast
+import copy
 import inspect
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +326,12 @@ _NON_NUMERIC_CALLS = {
         1.0, np.ones(3), 0.1, 0.01), "fstar"),
     "thm_a_constant None": (lambda: verify.thm_a_constant(None), "fstar"),
     "evaluate_bound list id": (lambda: bounds.evaluate_bound(["M"], 0.5, 0.5), "bound_id"),
+    "BoundaryData.scaled string factor": (
+        lambda: kernel.BoundaryData([1.0, 0.5, 1.0]).scaled("2"), "factor"),
+    "BoundaryData.scaled None factor": (
+        lambda: kernel.BoundaryData([1.0, 0.5, 1.0]).scaled(None), "factor"),
+    "BoundaryData.scaled bool factor": (
+        lambda: kernel.BoundaryData([1.0, 0.5, 1.0]).scaled(True), "factor"),
 }
 
 
@@ -336,3 +344,71 @@ def test_non_numeric_input_raises_domain_error_naming_it(call):
     fn, name = _NON_NUMERIC_CALLS[call]
     with pytest.raises(alphaharmonic.DomainError, match=f"^{name} must be"):
         fn()
+
+
+# Every per-call result with one instance of it: an immutable named tuple.
+_RECORDS = {
+    "BoundReport": lambda: bounds.evaluate_bound("M1", 0.5, 1.0, 0.25),
+    "Hyp2F1Result": lambda: specfun.hyp2f1_detailed((0.5, 0.5, 1.0), 0.75),
+    "DerivativePair": lambda: kernel.derivative_pair(
+        1.0, kernel.BoundaryData([0.5, 1.0, 0.25j]), 0.3 + 0.2j),
+    "QuadratureResult": lambda: quadrature.integrate_periodic(lambda t: np.cos(t) ** 2),
+}
+_RECORD_FIELDS = {
+    "BoundReport": ("bound_id", "r", "alpha", "aux", "value", "note"),
+    "Hyp2F1Result": ("value", "terms_used", "transform"),
+    "DerivativePair": ("d_z", "d_zbar", "norm"),
+    "QuadratureResult": ("value", "error_estimate", "nodes_used", "converged"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+class TestRecords:
+    """The per-call results are immutable named tuples: their fields, in
+    order, cannot be rebound, and copies and pickles are equal records."""
+
+    def test_fields_in_order(self, name):
+        record = _RECORDS[name]()
+        assert type(record) is getattr(alphaharmonic, name)
+        assert isinstance(record, tuple)
+        assert record._fields == _RECORD_FIELDS[name]
+        assert tuple(record) == tuple(getattr(record, f) for f in _RECORD_FIELDS[name])
+        assert repr(record).startswith(f"{name}({_RECORD_FIELDS[name][0]}=")
+
+    def test_fields_cannot_be_set(self, name):
+        record = _RECORDS[name]()
+        for field in _RECORD_FIELDS[name]:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0.0)
+        with pytest.raises(AttributeError):
+            record.extra = 0.0
+
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_equal_records(self, name, round_trip):
+        record = _RECORDS[name]()
+        again = round_trip(record)
+        assert type(again) is type(record)
+        assert again == record
+
+
+class TestDerivedFields:
+    def test_norm_follows_the_derivatives(self):
+        pair = kernel.DerivativePair(3 + 4j, -1j)
+        assert pair.norm == 6.0
+        moved = pair._replace(d_zbar=2.0)
+        assert moved == (3 + 4j, 2.0, 7.0)
+        with pytest.raises(TypeError):
+            pair._replace(norm=1.0)
+        with pytest.raises(TypeError):  # norm is derived, never given
+            kernel.DerivativePair(1j, 1j, 2.0)
+
+    def test_bound_value_is_checked_on_every_build(self):
+        report = bounds.evaluate_bound("SCHWARZ_2F1", 0.5, 1.0)
+        assert report._replace(value=2.0).value == 2.0
+        for build in (lambda: report._replace(value=-1.0),
+                      lambda: bounds.BoundReport._make((*report[:4], math.nan)),
+                      lambda: bounds.BoundReport("M", 0.5, 1.0, None, -0.5)):
+            with pytest.raises(alphaharmonic.DomainError, match="non-negative"):
+                build()

@@ -1,7 +1,6 @@
 """Harness behavior: determinism, report semantics, and suite health."""
 
 import cmath
-import dataclasses
 import math
 import warnings
 
@@ -72,6 +71,91 @@ class TestRandomBoundary:
             random_boundary(0, 2, 0.0)
         with pytest.raises(DomainError):
             random_boundary(0, 2, 1.5)
+
+
+def _old_boundary_trial(rng, spec):
+    """A trial drawn as it was with rng.choice and a sampled raw polynomial."""
+    degree = int(rng.integers(0, 9))
+    target = float(rng.uniform(0.2, 1.0))
+    sub = np.random.default_rng(int(rng.integers(0, 2**62)))
+    raw = BoundaryData(sub.standard_normal(2 * degree + 1)
+                       + 1j * sub.standard_normal(2 * degree + 1))
+    factor = target / raw.sup_norm
+    alpha = float(rng.choice(np.asarray(spec.alpha_set, dtype=float)))
+    r = float(rng.choice(np.asarray(spec.radius_set, dtype=float)))
+    z = r * cmath.exp(1j * float(rng.uniform(0.0, 2.0 * math.pi)))
+    return raw.coefficients * factor, factor * raw.sup_norm, alpha, r, z
+
+
+def _same_bits(got, want) -> bool:
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestDraws:
+    """Certify's draws take whole rows or an index from the generator, and
+    equal, bit for bit, the scalar calls and rng.choice they replace."""
+
+    SPEC = TrialSpec(seed=17, n_trials=60, alpha_set=(-0.5, 0, 1, 2.5, 7.0),
+                     radius_set=(0.1, 0.45, 0.9))
+
+    def test_boundary_trials_match_rng_choice(self):
+        rng = np.random.default_rng(self.SPEC.seed)
+        old_rng = np.random.default_rng(self.SPEC.seed)
+        for _ in range(self.SPEC.n_trials):
+            fstar, alpha, r, z = verify_module._draw_boundary_trial(rng, self.SPEC)
+            coeffs, sup, *rest = _old_boundary_trial(old_rng, self.SPEC)
+            assert _same_bits(fstar.coefficients, coeffs) and _same_bits(fstar.sup_norm, sup)
+            assert _same_bits((alpha, r, z), rest)
+        assert rng.bit_generator.state == old_rng.bit_generator.state
+
+    def test_identity_rows_match_scalar_draws(self, monkeypatch):
+        # each drawn route records its arguments and returns a harmless 0
+        got = []
+
+        def recorder(name):
+            return lambda *args: got.append((name, args)) or 0.0
+
+        for name in ("ratio_integral_series", "modulus_power_integral", "_euler_margin",
+                     "_quadratic_transform_eval", "_gauss_margin", "c_alpha",
+                     "_spectral_margin", "_mean_margin", "hyp2f1"):
+            monkeypatch.setattr(verify_module, name, recorder(name))
+        for _, _, _, margins in verify_module._identity_cases(self.SPEC):
+            margins()
+
+        rng = np.random.default_rng(self.SPEC.seed)
+        n = self.SPEC.n_trials
+
+        def row(*ranges):
+            return [[float(rng.uniform(lo, hi)) for lo, hi in ranges] for _ in range(n)]
+
+        want = [("ratio_integral_series", tuple(v))
+                for v in row((-0.95, 0.95), (-0.95, 0.95), (0.0, 4.0), (0.0, 4.0))]
+        want += [("modulus_power_integral", (r * cmath.exp(1j * phi), be))
+                 for r, phi, be in row((0.0, 0.9), (0.0, 2.0 * math.pi), (0.0, 3.0))]
+        want += [("_euler_margin", tuple(v))
+                 for v in row((-2.0, 2.0), (-2.0, 2.0), (0.3, 3.0), (0.0, 0.95))]
+        want += [("_quadratic_transform_eval", tuple(v))
+                 for v in row((-1.5, 1.5), (0.4, 3.0), (0.0, 0.95))]
+        for _ in range(n):
+            while True:
+                a, b = float(rng.uniform(-1.0, 1.5)), float(rng.uniform(-1.0, 1.5))
+                c = a + b + float(rng.uniform(0.25, 2.0))
+                if c - a > 0.05 and c - b > 0.05 and c > 0.3:
+                    break
+            want.append(("_gauss_margin", (a, b, c)))
+        want += [("c_alpha", (40.0 - 41.0 * u,)) for (u,) in row((0.0, 1.0))]
+        for _ in range(n):
+            coeffs, _, alpha, _, z = _old_boundary_trial(rng, self.SPEC)
+            want.append(("_spectral_margin", (alpha, coeffs, z)))
+
+        drawn = [(name, args) for name, args in got
+                 if name not in ("_mean_margin", "hyp2f1")]
+        drawn = [(name, (args[0], args[1].coefficients, args[2]))
+                 if name == "_spectral_margin" else (name, args) for name, args in drawn]
+        assert len(drawn) == len(want)
+        for (name, args), (want_name, want_args) in zip(drawn, want):
+            assert name == want_name
+            assert all(map(_same_bits, args, want_args)), (name, args, want_args)
 
 
 class TestThmAConstant:
@@ -341,7 +425,7 @@ class TestTally:
             out = original(*args)
             if isinstance(out, float | complex):
                 return out * (1.0 + error)
-            return dataclasses.replace(out, value=out.value * (1.0 + error))
+            return out._replace(value=out.value * (1.0 + error))
 
         monkeypatch.setattr(verify_module, route, planted)
         reports = {r.theorem_id: r for r in check_identities(TrialSpec(seed=0, n_trials=50))}

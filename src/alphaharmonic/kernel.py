@@ -22,14 +22,21 @@ the production route of `solve_dirichlet`, `derivative_pair` and
     e^{-ik theta} ->  A_k(x) zbar^k,
     A_k(x) = ((alpha+1)_k / k!) F(-alpha, k; k+1; x)        (k >= 1).
 
-All A_k come from one seed A_{d+1} (`specfun._mode_seed`: a series with
-positive terms, or near |z| = 1 a closed form of d + 1 positive terms) and
+All A_k come from one seed A_{d+1} (`specfun._mode_seed`: no series, but
+a closed form of d + 1 positive terms or, below the median of
+Beta(d + 1, alpha + 1), the incomplete-beta continued fraction) and
 the downward recurrence
 A_k = x A_{k+1} + ((alpha+1)_k / k!) (1-x)^(alpha+1), whose two terms are
 positive, so no F is ever summed as a cancelling series (at integer alpha
 F(-alpha, k; k+1; x) is an alternating polynomial).  Their derivatives
 need no second family: x F_k' = k((1-x)^alpha - F_k), and by the same
-recurrence A_k' = k(((alpha+1)_k / k!) (1-x)^alpha - A_{k+1}).
+recurrence A_k' = k(((alpha+1)_k / k!) (1-x)^alpha - A_{k+1}).  The two
+together give x A_k' + k A_k = k ((alpha+1)_k / k!) (1-x)^alpha, so
+(1-|z|^2)^(-alpha) f_zbar is the polynomial
+sum_k k ((alpha+1)_k / k!) c_{-k} zbar^(k-1) in zbar alone, as the weighted
+Laplace equation requires.  f_zbar is summed in that form, because the mode
+form's two sums cancel at large alpha (1.6e-10 of 1 + |f_zbar| lost at
+alpha = 707, |z| = 0.25).
 
 One pass of that recurrence (`_spectral`) yields the value and both
 Wirtinger derivatives together, the three mode sums taken by Horner's
@@ -238,7 +245,8 @@ def _spectral(a: float, fstar: BoundaryData, zc: complex):
     dx/dz = zbar, dx/dzbar = z:
         f      = sum_k c_k z^k + sum_k c_{-k} A_k zbar^k,
         f_z    = sum_k k c_k z^(k-1) + zbar sum_k c_{-k} A_k' zbar^k,
-        f_zbar = z sum_k c_{-k} A_k' zbar^k + sum_k c_{-k} k A_k zbar^(k-1).
+        f_zbar = z sum_k c_{-k} A_k' zbar^k + sum_k c_{-k} k A_k zbar^(k-1)
+               = (1-x)^alpha sum_k k ((alpha+1)_k / k!) c_{-k} zbar^(k-1).
     """
     c = fstar.coefficients.tolist()
     d = fstar.degree
@@ -265,9 +273,8 @@ def _spectral(a: float, fstar: BoundaryData, zc: complex):
         big_a = x * big_a + scale[k] * ya1
         fb = fb * zb + ck * big_a
         g = g * zb + ck * d_big_a
-        h = h * zb + ck * k * big_a
-    g *= zb
-    out = (f + fb * zb, f_z + g * zb, g * zc + h)
+        h = h * zb + ck * (k * scale[k])
+    out = (f + fb * zb, f_z + g * zb * zb, h * ya)
     if not all(map(cmath.isfinite, out)):
         raise ConvergenceError(f"spectral evaluation at z={zc!r} overflows for alpha={a!r}")
     return out
@@ -292,10 +299,11 @@ def solve_dirichlet(alpha, fstar: BoundaryData, z) -> complex:
     """Weighted-harmonic extension of fstar evaluated at z.
 
     Summed mode by mode (see the module docstring): one seed A_{d+1}, a
-    positive series or its closed form, then the downward recurrence to
+    closed form or a continued fraction, then the downward recurrence to
     A_1, shared with `derivative_pair` at the same point.  Raises
-    ConvergenceError if the seed does not converge or the result leaves
-    the float range (only for very large alpha).
+    ConvergenceError if the result leaves the float range, or if the
+    seed's (1-|z|^2)^(alpha+1) underflows or its continued fraction
+    exceeds its step bound (degree in the hundreds and large alpha).
     """
     return _spectral_at(alpha_value(alpha), _boundary(fstar), disk_point_value(z))[0]
 
@@ -315,8 +323,9 @@ def alpha_laplacian_residual(alpha, fstar: BoundaryData, z, h: float) -> float:
     """Finite-difference magnitude of the weighted Laplacian at z.
 
     The inner factor (1-|w|^2)^(-alpha) f_zbar(w) comes from
-    `derivative_pair`'s mode sum; the outer d/dz is a central difference
-    with step h, so the residual of an exact solution decays like h^2.
+    `derivative_pair`'s mode sum, which forms it as a polynomial in wbar
+    (module docstring); the outer d/dz is a central difference with step h,
+    so the residual decays like h^2, the difference's own truncation.
     Requires |z| + 2h < 1.
     """
     a = alpha_value(alpha)

@@ -15,8 +15,9 @@ continuation beyond [0, 1) is attempted.  A caller that knows 1 - x
 more exactly than 1.0 - x passes it to `_hyp` (`bounds.schwarz_bound` and
 `quadrature.modulus_power_integral` do).  The other series the library
 sums are here too: M's factor (`_m_series`), from positive series in its
-caller's exact 1 - x, and the solver's seed (`_mode_seed`), from a
-positive series or its closed form.
+caller's exact 1 - x.  The solver's seed (`_mode_seed`) sums no series: a
+k-term closed form or the incomplete-beta continued fraction (DLMF
+8.17.22), in Python floats.
 
 This module is also the library's one argument gate: `_real`, `_count`,
 `_positive_real`, `_complex`, `alpha_value` and `disk_point_value` turn a
@@ -28,7 +29,6 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -100,9 +100,14 @@ _LOG_SWITCH = 0.25
 # a, b in [-3, 3] and |c - a - b| <= 3, 58 for [-12, 12] and 25.
 _LOG_TERMS = 64
 # `_mode_seed` takes seeds A_K with K (1 - x) at most this from their
-# K-term closed form, where x^(-K) is at most 2; larger K (1 - x) from a
-# series in x, which needs O(1 / (1 - x)) terms.
+# K-term closed form, where x^(-K) is at most 2, whatever their median; the
+# others from that closed form at or above the median of Beta(K, alpha + 1)
+# and from its continued fraction below it: no series either way.
 _SEED_SWITCH = 0.5
+_LOG_HALF = -math.log(2.0)
+# The least normal float: `_mode_seed`'s underflow threshold for y^b, and
+# the value its Lentz iteration puts in place of a zero denominator.
+_NORMAL_MIN = 2.0 ** -1022
 # Bernoulli terms B_2k / (2k) of the digamma's asymptotic series, k = 1..7:
 # at x >= 10 the first term left out, B_16 / (16 x^16), is below 5e-17.
 _PSI_SHIFT = 10.0
@@ -488,30 +493,66 @@ def _m_series(a: float, x: float, y: float) -> float:
 
 def _mode_seed(a: float, k: int, x: float, y: float, scale_k: float) -> float:
     """`kernel._spectral`'s seed A_k = scale_k F(-a, k; k+1; x), y = 1 - x,
-    scale_k = (a+1)_k / k!.
+    scale_k = (a+1)_k / k!, from no series.
 
-    Never from the alternating series.  Far from x = 1 the Euler transform
-        F(-a, k; k+1; x) = y^(a+1) F(k+1+a, 1; k+1; x),
-    a series with positive terms summed to machine precision.  Near it
-    (k y <= _SEED_SWITCH, where x^(-k) <= 2) the closed form: with
-    b = a + 1, F(-a, k; k+1; x) = k x^(-k) B_x(k, b) (DLMF 8.17.7) and,
-    k being an integer, I_x(k, b) = 1 - y^b sum_{j<k} (b)_j x^j / j!, so
-        A_k = -expm1(b ln y + log1p(sum_{j=1}^{k-1} (b)_j x^j / j!)) x^(-k),
-    k terms, all positive, and no cancellation beyond the expm1: a few ulps
-    relative for every a > -1.
+    With b = a + 1, F(-a, k; k+1; x) = k x^(-k) B_x(k, b) (DLMF 8.17.7), so
+    A_k = x^(-k) I_x(k, b).  Two routes, chosen by the closed form's L:
+
+    - k being an integer, I_{1-x}(b, k) = 1 - I_x(k, b) = e^L with
+      L = b ln y + log1p(sum_{j=1}^{k-1} (b)_j x^j / j!), k positive terms,
+      and A_k = -expm1(L) x^(-k).  Taken where e^L <= 1/2 (x at or above
+      the median of Beta(k, b)) or k y <= _SEED_SWITCH, where it does not
+      cancel.
+    - Below the median, the continued fraction of DLMF 8.17.22,
+          A_k = scale_k y^b / (1 + d_1 / (1 + d_2 / (1 + ...))),
+          d_{2m+1} = -(k+m)(k+b+m) x / ((k+2m)(k+2m+1)),
+          d_{2m} = m(b-m) x / ((k+2m-1)(k+2m)),
+      by the modified Lentz method (Thompson and Barnett, J. Comput. Phys.
+      64, 1986): a step takes d_{2m} and d_{2m+1}, and the fraction stops
+      once a step changes it by a factor within _EPS of 1.  It needs
+      O(sqrt(k)) steps there, at most about 14 sqrt(k) measured for a in
+      (-1, 1000] (24 at k = 3, 91 at k = 65); past 16 sqrt(k) + 16 it
+      raises ConvergenceError.  A Lentz denominator that is exactly 0 is
+      replaced by _NORMAL_MIN, whose reciprocal is finite.  y^b below the
+      normal range (k in the hundreds and a large) raises too.
+
+    Against 40-digit mpmath with the exact (b)_k / k!, over 3,000 draws
+    with a in (-1, 1000] on a log scale and k <= 64: the closed form at
+    most 8e-15 relative, the fraction 2.4e-14, where it takes 50-80 steps.
+    A non-finite L or value is left to the caller's overflow check.
     """
     b = a + 1.0
-    if k * y > _SEED_SWITCH:
-        ya1 = y ** b
-        if ya1 < sys.float_info.min:
-            raise ConvergenceError(
-                f"spectral seed (1-|z|^2)^(alpha+1) = {y!r}^{b!r} underflows")
-        return scale_k * ya1 * _series_sum(k + 1.0 + a, 1.0, k + 1.0, x, rel_tol=_EPS)[0]
     term = partial = 0.0 if k == 1 else b * x
     for j in range(2, k):
         term *= (b + (j - 1)) / j * x
         partial += term
-    return -math.expm1(b * math.log(y) + math.log1p(partial)) * x ** -k
+    log_tail = b * math.log(y) + math.log1p(partial)
+    if log_tail <= _LOG_HALF or k * y <= _SEED_SWITCH:
+        return -math.expm1(log_tail) * x ** -k
+    yb = y ** b
+    if yb < _NORMAL_MIN:
+        raise ConvergenceError(f"spectral seed (1-|z|^2)^(alpha+1) = {y!r}^{b!r} underflows")
+    kb = k + b
+    c = 1.0
+    d = 1.0 / (1.0 - kb * x / (k + 1.0) or _NORMAL_MIN)
+    fraction = d
+    steps = int(16.0 * math.sqrt(k)) + 16
+    for m in range(1, steps + 1):
+        j = k + 2 * m
+        num = m * (b - m) * x / ((j - 1) * j)
+        d = 1.0 / (1.0 + num * d or _NORMAL_MIN)
+        c = 1.0 + num / c or _NORMAL_MIN
+        fraction *= d * c
+        num = -(k + m) * (kb + m) * x / (j * (j + 1))
+        d = 1.0 / (1.0 + num * d or _NORMAL_MIN)
+        c = 1.0 + num / c or _NORMAL_MIN
+        step = d * c
+        fraction *= step
+        if abs(step - 1.0) <= _EPS:
+            return scale_k * yb * fraction
+    raise ConvergenceError(f"spectral seed's continued fraction did not converge within "
+                           f"{steps} steps (alpha={a!r}, k={k}, x={x!r})",
+                           partial=scale_k * yb * fraction, iterations=steps)
 
 
 def _connection(a: float, b: float, c: float, y: float):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import alphaharmonic
@@ -164,15 +165,37 @@ class TestSolve:
         assert err == ""
         assert json.loads(out)["f_re"] == 0.9
 
-    def test_spectral_seed_underflow_exits_3(self, capsys, boundary_file):
-        # c_{-2} = 1: the seed's (1 - |z|^2)^(alpha + 1) = 0.19^1001 underflows
+    def test_alpha_1000_conjugate_square(self, capsys, boundary_file):
+        # c_{-2} = 1: the seed's (1 - |z|^2)^(alpha + 1) = 0.19^1001
+        # underflows, yet the extension is A_2(0.81) zbar^2, within an ulp
+        # of 1/z^2 at this alpha
         coeffs = [[1.0, 0.0]] + [[0.0, 0.0]] * 4
         path = boundary_file("conj2.json", 2, coeffs)
         code, out, err = run(capsys, ["solve", "--alpha", "1000", "--boundary", path,
-                                      "--z-re", "0.9"])
+                                      "--z-re", "0.9", "--format", "json"])
+        assert (code, err) == (0, "")
+        got = json.loads(out)
+        with mpmath.workdps(40):
+            def a_2(x):
+                return mpmath.rf(1001, 2) / 2 * mpmath.hyp2f1(-1000, 2, 3, x)
+
+            z = mpmath.mpf(0.9)
+            f = a_2(z * z) * z * z
+            f_z = mpmath.diff(a_2, z * z) * z ** 3
+            f_zbar = mpmath.diff(a_2, z * z) * z ** 3 + 2 * a_2(z * z) * z
+        assert abs(got["f_re"] - f) <= 1e-15 * f
+        assert abs(got["fz_re"] - f_z) <= 1e-14 * abs(f_z)
+        assert abs(got["fzbar_re"] - f_zbar) <= 1e-14
+        assert got["f_im"] == got["fz_im"] == got["fzbar_im"] == 0.0
+
+    def test_overflowing_mode_sum_exits_3(self, capsys, boundary_file):
+        # finite data whose mode sum leaves the float range
+        path = boundary_file("huge.json", 8, [[5e306, 0.0]] * 17)
+        code, out, err = run(capsys, ["solve", "--alpha", "3", "--boundary", path,
+                                      "--z-re", "0.5"])
         assert code == 3
         assert out == ""
-        assert err.startswith("non-convergence: spectral seed")
+        assert err.startswith("non-convergence: spectral evaluation")
         assert err.count("\n") == 1
 
     def test_overflowing_boundary_exits_2(self, capsys, boundary_file):

@@ -360,8 +360,6 @@ def _spectral_triple(alpha, fstar, z):
 
 
 class TestSpectralRoute:
-    # near alpha = -1 the seed's connection formula cancels (7.3e-11
-    # relative at alpha = -0.99999), which its absolute accuracy allows
     @pytest.mark.parametrize("alpha", [-0.9999, -0.999, -0.99, -0.95, -0.5, 0.0, 0.5, 1.0,
                                        2.0, 2.5, 5.0, 10.0, 20.5])
     def test_matches_mpmath(self, alpha):
@@ -402,10 +400,16 @@ class TestSpectralRoute:
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-10 * (1.0 + abs(w))
 
-    def test_out_of_range_alpha_raises(self):
-        # (1 - |z|^2)^(alpha+1) underflows: raise rather than return 0
-        with pytest.raises(ConvergenceError):
-            solve_dirichlet(1000.0, random_boundary(3, 20, 1.0), 0.8)
+    def test_alpha_1000_matches_mpmath(self):
+        # (1 - |z|^2)^(alpha+1) = 0.36^1001 underflows, but no route forms
+        # it: the seed A_21 takes its closed form
+        fstar = random_boundary(3, 20, 1.0)
+        got = _spectral_triple(1000.0, fstar, 0.8)
+        with mpmath.workdps(60):
+            want = _mp_extension(1000.0, fstar.coefficients, 0.8 + 0j)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * (1.0 + abs(w))
+        assert abs(got[0] - want[0]) <= 1e-15 * abs(want[0])
 
     def test_overflowing_value_raises(self):
         # finite data and seed, but the sum of the modes leaves the float range

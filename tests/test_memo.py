@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import alphaharmonic.bounds as bounds_module
@@ -71,13 +72,13 @@ class TestSpectralMemo:
         assert len(calls) == 2
 
     def test_an_error_is_not_kept(self, monkeypatch):
-        # (1 - |z|^2)^(alpha+1) underflows; every call sums again and raises
+        # the mode sum overflows; every call sums again and raises
         calls = []
         monkeypatch.setattr(kernel_module, "_spectral", counting(_spectral, calls))
-        fstar = random_boundary(3, 20, 1.0)
+        fstar = BoundaryData(np.full(17, 5e306))
         for n in (1, 2):
-            with pytest.raises(ConvergenceError):
-                solve_dirichlet(1000.0, fstar, 0.8)
+            with pytest.raises(ConvergenceError, match="overflows"):
+                solve_dirichlet(3.0, fstar, 0.5)
             assert len(calls) == n
 
 

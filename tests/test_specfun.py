@@ -45,6 +45,36 @@ def _count_passes():
         yield sizes
 
 
+@contextlib.contextmanager
+def _count_steps():
+    """The steps `_mode_seed`'s continued fraction takes meanwhile, one
+    list entry each: each step calls abs once, the closed form never."""
+    steps = []
+
+    def counting(value):
+        steps.append(value)
+        return abs(value)
+
+    with mock.patch.object(specfun_module, "abs", counting, create=True):
+        yield steps
+
+
+def _scale(alpha, k):
+    """(alpha+1)_k / k! formed as `kernel._spectral` forms it."""
+    scale = 1.0
+    for j in range(1, k + 1):
+        scale = scale * (alpha + j) / j
+    return scale
+
+
+def _mp_seed(alpha, k, y):
+    """A_k = ((alpha+1)_k / k!) F(-alpha, k; k+1; 1 - y) at 40 digits, with
+    the exact Pochhammer ratio and 1 - y."""
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        return mp.rf(a + 1, k) / mp.factorial(k) * mp.hyp2f1(-a, k, k + 1, 1 - mp.mpf(y))
+
+
 class TestGammaBeta:
     def test_duplication_formula(self):
         # c_alpha against verify's DUPLICATION reference over the row's alphas
@@ -759,33 +789,28 @@ class TestOnePass:
 
     @pytest.mark.parametrize("k", range(1, 18))
     def test_seed_series_at_radius_099_takes_one_pass(self, k):
+        # k (1 - x) <= 1/2 at radius 0.99 for every k here: the seed takes
+        # its closed form, no numpy pass
         x = 0.99 ** 2
+        y = 1.0 - x
         for alpha in (-0.99999, -0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 3.5, 5.0):
             with _count_passes() as sizes:
-                value, terms, _ = _series_sum(k + 1.0 + alpha, 1.0, k + 1.0, x, _EPS)
-            assert len(sizes) == 1 and sizes[0] == terms, (k, alpha, sizes)
-        # the seed itself takes its closed form there: no series at all
-        y = 1.0 - x
-        for alpha in (-0.9, 2.0, 5.0):
-            scale_k = math.exp(math.lgamma(alpha + 1.0 + k) - math.lgamma(alpha + 1.0)
-                               - math.lgamma(k + 1.0))
-            with _count_passes() as sizes:
-                _mode_seed(alpha, k, x, y, scale_k)
-            assert sizes == []
+                got = _mode_seed(alpha, k, x, y, _scale(alpha, k))
+            assert sizes == [], (k, alpha, sizes)
+            assert rel_err(got, _mp_seed(alpha, k, y)) < 5e-14, (k, alpha)
 
-    def test_seeds_of_the_far_branch_take_one_pass(self):
-        # k (1 - x) > 1/2: the series in x, at most one numpy pass each
+    def test_seeds_of_the_far_branch_take_no_pass(self):
+        # k (1 - x) > 1/2: the closed form or the continued fraction, both
+        # in Python floats
         for k in (1, 4, 9, 17):
             for r in (0.3, 0.6, 0.8, 0.9, 0.95):
                 x = r * r
                 if k * (1.0 - x) <= 0.5:
                     continue
                 for alpha in (-0.99, 0.5, 5.0):
-                    scale_k = math.exp(math.lgamma(alpha + 1.0 + k) - math.lgamma(alpha + 1.0)
-                                       - math.lgamma(k + 1.0))
                     with _count_passes() as sizes:
-                        _mode_seed(alpha, k, x, 1.0 - x, scale_k)
-                    assert len(sizes) <= 1, (k, r, alpha, sizes)
+                        _mode_seed(alpha, k, x, 1.0 - x, _scale(alpha, k))
+                    assert sizes == [], (k, r, alpha, sizes)
 
     def test_polynomial_builds_no_ratio_past_its_last_term(self):
         # SCHWARZ_2F1 at alpha = 4 is the 3-term polynomial F(-2, -2; 1; r^2),
@@ -828,6 +853,60 @@ class TestClosedFormSeed:
             draws += 1
         # measured 2.7e-15; the connection formula it replaced was 1.3e-10 off
         assert worst < 1e-14
+
+
+class TestContinuedFractionSeed:
+    """`_mode_seed` below the median of Beta(k, alpha + 1): the continued
+    fraction of DLMF 8.17.22, at most 16 sqrt(k) + 16 steps."""
+
+    def test_sweep_against_mpmath(self):
+        # alpha on a log scale from -1 + 1e-5 to 1000, k up to 64, and y from
+        # 1e-3 / k to 1: both sides of the switch to the closed form
+        rng = np.random.default_rng(20261020)
+        worst, routes = 0.0, {"closed form": 0, "continued fraction": 0}
+        for _ in range(1500):
+            alpha = -1.0 + 10.0 ** rng.uniform(-5.0, math.log10(1001.0))
+            k = int(rng.integers(1, 65))
+            y = 10.0 ** rng.uniform(math.log10(1e-3 / k), 0.0)
+            with _count_passes() as sizes, _count_steps() as steps:
+                got = _mode_seed(alpha, k, 1.0 - y, y, _scale(alpha, k))
+            assert sizes == []
+            assert len(steps) <= 16.0 * math.sqrt(k) + 16.0, (alpha, k, y, len(steps))
+            routes["continued fraction" if steps else "closed form"] += 1
+            worst = max(worst, rel_err(got, _mp_seed(alpha, k, y)))
+        assert min(routes.values()) > 300, routes
+        # measured 1.9e-14, on the continued fraction
+        assert worst < 5e-14
+
+    @pytest.mark.parametrize("k", (2, 17, 257))
+    def test_steps_grow_like_root_k(self, k):
+        # the most steps over 1 - x from 0.5 / k to 1: near alpha = -1 and
+        # k (1 - x) = 1/2 (16, 44 and 113 steps), well inside the bound
+        for alpha in (-0.99999, -0.5, 0.5, 30.5, 999.5):
+            most = 0
+            for y in np.geomspace(0.5 / k, 1.0, 60):
+                with _count_steps() as steps:
+                    _mode_seed(alpha, k, 1.0 - y, y, _scale(alpha, k))
+                most = max(most, len(steps))
+            assert most <= 12.0 * math.sqrt(k) + 4.0, (alpha, most)
+            if alpha < -0.9:
+                assert most >= 6.0 * math.sqrt(k), most
+
+    def test_raises_past_its_step_bound(self):
+        # a stopping test that never passes: the fraction gives up after
+        # int(16 sqrt(k)) + 16 steps and raises, with its last value
+        k, alpha, x = 9, 2.5, 0.3
+        with mock.patch.object(specfun_module, "_EPS", -1.0), _count_steps() as steps:
+            with pytest.raises(ConvergenceError, match="continued fraction") as info:
+                _mode_seed(alpha, k, x, 1.0 - x, _scale(alpha, k))
+        assert len(steps) == info.value.iterations == 64
+        assert rel_err(info.value.partial, _mp_seed(alpha, k, 1.0 - x)) < 1e-14
+
+    def test_underflow_raises(self):
+        # (1 - x)^(alpha + 1) = 0.45^1000 is below the normal range: only
+        # reachable at k in the hundreds
+        with pytest.raises(ConvergenceError, match="underflows"):
+            _mode_seed(999.0, 1200, 0.55, 0.45, 1.0)
 
 
 class TestGaussSummation:

@@ -103,6 +103,14 @@ class BoundaryData:
             raise DomainError(f"coefficients must be numbers, got dtype {given.dtype.name}")
         self._set(np.array(given, dtype=complex), None)
 
+    @classmethod
+    def _adopt(cls, coeffs: np.ndarray) -> "BoundaryData":
+        """Data on ``coeffs``, a 1-D complex array of odd length that no one
+        else holds: not copied, and only `_set`'s checks."""
+        out = object.__new__(cls)
+        out._set(coeffs, None)
+        return out
+
     def _set(self, coeffs: np.ndarray, sup_norm: float | None) -> None:
         """Store coefficients and sup_norm (sampled when None), with checks."""
         if not np.isfinite(coeffs).all():
@@ -138,16 +146,20 @@ class BoundaryData:
         """Values at theta_j = shift + 2pi j / n, j = 0..n-1.
 
         Coefficient c_k, times the phase e^{i k shift}, goes to bin k mod n,
-        and one unnormalised inverse FFT sums the bins; frequencies that
-        alias onto one bin add up there, so every n is exact.
+        and one unnormalised inverse FFT sums the bins.  Above n = 2d the
+        bins are distinct, two slices; below, frequencies that alias onto
+        one bin add up there, so every n is exact.
         """
         d = self.degree
-        ks = np.arange(-d, d + 1)
         c = self.coefficients
         if shift:
-            c = c * np.exp((1j * shift) * ks)
+            c = c * np.exp((1j * shift) * np.arange(-d, d + 1))
         bins = np.zeros(n, dtype=complex)
-        np.add.at(bins, ks % n, c)
+        if n > 2 * d:
+            bins[:d + 1] = c[d:]
+            bins[n - d:] = c[:d]
+        else:
+            np.add.at(bins, np.arange(-d, d + 1) % n, c)
         return np.fft.ifft(bins, norm="forward")
 
     def evaluate(self, theta):
@@ -223,19 +235,22 @@ def poisson_kernel(alpha, z) -> complex:
     return complex(_kernel_rows(a, zc, np.zeros(1))[0][0])
 
 
-def _kernel_rows(a: float, zc: complex, theta: np.ndarray) -> tuple:
+def _kernel_rows(a: float, zc: complex, theta: np.ndarray) -> np.ndarray:
     """(P, dP/dz, dP/dzbar) at xi = z e^{-i theta}, all from one
-    evaluation of the kernel."""
+    evaluation of the kernel, as the rows of one new (3, n) array."""
     one_minus_r2 = _one_minus_abs2(zc)
     emith = np.exp(-1j * theta)
     xi = zc * emith
     one_minus_xi = 1.0 - xi
-    kern = one_minus_r2 ** (a + 1.0) / (one_minus_xi * (1.0 - np.conj(xi)) ** (a + 1.0))
+    rows = np.empty((3,) + theta.shape, dtype=complex)
+    kern = rows[0]
+    np.divide(one_minus_r2 ** (a + 1.0), one_minus_xi * (1.0 - np.conj(xi)) ** (a + 1.0),
+              out=kern)
     # conj(q) = e^{i theta} / (1 - xibar), the d/dzbar factor
     q = emith / one_minus_xi
-    d_z = kern * (q - (a + 1.0) * zc.conjugate() / one_minus_r2)
-    d_zbar = (a + 1.0) * kern * (np.conj(q) - zc / one_minus_r2)
-    return kern, d_z, d_zbar
+    np.multiply(kern, q - (a + 1.0) * zc.conjugate() / one_minus_r2, out=rows[1])
+    np.multiply((a + 1.0) * kern, np.conj(q) - zc / one_minus_r2, out=rows[2])
+    return rows
 
 
 def _spectral(a: float, fstar: BoundaryData, zc: complex):

@@ -3,8 +3,10 @@
 The engine computes circle means (1/2pi) * integral over [0, 2pi) by the
 composite trapezoidal rule on equispaced nodes, doubling the node count
 until two successive levels agree.  For the analytic periodic integrands
-used throughout this package the rule is spectrally accurate.  Every
-level's nodes are equispaced, theta_j = theta_0 + 2pi j / n, so an
+used throughout this package the rule is spectrally accurate.  The
+first integrand call samples the first level and its midpoints as one
+grid of twice the nodes, and each later call one level's midpoints.
+Every call's nodes are equispaced, theta_j = theta_0 + 2pi j / n, so an
 integrand can sample a trig polynomial there by one inverse FFT from
 its node count and first node alone.
 """
@@ -50,6 +52,15 @@ class QuadratureConfig:
 
 DEFAULT_CONFIG = QuadratureConfig()
 
+# `ratio_integral_series` sizes its outer truncation for a tail of
+# _RATIO_TAIL, at least _RATIO_LEAST_OUTER terms, and drops binomial terms
+# below _TINY_TERM, whose products with the other series' terms could be
+# subnormal (about 100 times slower to multiply) and are far below an ulp
+# of the sum.
+_RATIO_TAIL = 2.0 ** -60
+_RATIO_LEAST_OUTER = 4
+_TINY_TERM = 1e-150
+
 
 class QuadratureResult(NamedTuple):
     """A circle mean, or a tuple of row means for a stacked integrand, with
@@ -80,15 +91,25 @@ def _nodes(n: int, offset: float) -> np.ndarray:
     return 2.0 * math.pi * (np.arange(n) + offset) / n
 
 
-def _eval_checked(f: Callable, theta: np.ndarray) -> np.ndarray:
+def _sample(f: Callable, theta: np.ndarray) -> np.ndarray:
+    """f at theta, broadcast to theta's length (a constant integrand)."""
     vals = np.asarray(f(theta))
     if vals.shape[-1:] != theta.shape:
         vals = np.broadcast_to(vals, theta.shape)
-    finite = np.isfinite(vals)  # for complex values, both parts
-    if not finite.all():
-        bad = float(theta[np.argmin(finite.reshape(-1, theta.size).all(axis=0))])
-        raise IntegrandError(f"integrand is non-finite at theta={bad!r}", theta=bad)
     return vals
+
+
+def _checked_sum(vals: np.ndarray, theta: np.ndarray):
+    """Row sums of vals, or IntegrandError at the first theta where a value
+    is not finite; a finite sum has finite terms, so only a non-finite sum
+    makes the values be scanned."""
+    total = vals.sum(axis=-1)
+    if not np.isfinite(total).all():
+        finite = np.isfinite(vals)  # for complex values, both parts
+        if not finite.all():
+            bad = float(theta[np.argmin(finite.reshape(-1, theta.size).all(axis=0))])
+            raise IntegrandError(f"integrand is non-finite at theta={bad!r}", theta=bad)
+    return total
 
 
 def integrate_periodic(f: Callable, config: QuadratureConfig | None = None) -> QuadratureResult:
@@ -102,14 +123,32 @@ def integrate_periodic(f: Callable, config: QuadratureConfig | None = None) -> Q
     absolute tolerance for a row scales that row.  Node sums reuse
     previous levels (new nodes are the midpoints), and summation order is
     fixed, so results are reproducible.
+
+    The first call samples the first two levels together, 2 n_initial
+    nodes at offset 0 (n_initial alone when it is n_max): its even-indexed
+    values are the first level's nodes and its odd-indexed ones the
+    midpoints, bit for bit, and each level is summed on its own, so a
+    quadrature that converges there makes one integrand call.
     """
     cfg = config or DEFAULT_CONFIG
     n = cfg.n_initial
-    total = _eval_checked(f, _nodes(n, 0.0)).sum(axis=-1)
+    if n < cfg.n_max:
+        theta = _nodes(2 * n, 0.0)
+        vals = _sample(f, theta)
+        total = _checked_sum(vals[..., 0::2], theta[0::2])
+        mid = _checked_sum(vals[..., 1::2], theta[1::2])
+    else:
+        theta = _nodes(n, 0.0)
+        total = _checked_sum(_sample(f, theta), theta)
+        mid = None
     prev_mean = total / n
     err = np.full(np.shape(prev_mean), np.inf)
     while n < cfg.n_max:
-        total = total + _eval_checked(f, _nodes(n, 0.5)).sum(axis=-1)
+        if mid is None:
+            theta = _nodes(n, 0.5)
+            mid = _checked_sum(_sample(f, theta), theta)
+        total = total + mid
+        mid = None
         n *= 2
         mean = total / n
         err = np.abs(mean - prev_mean)
@@ -141,10 +180,14 @@ def cos_power_integral(n: int) -> float:
 
 
 def _binom_times_power(alpha: float, t: float, m_max: int) -> np.ndarray:
-    """Array of (alpha choose m) * t^m for m = 0..m_max, by cumulative product."""
+    """Array of (alpha choose m) * t^m for m = 0..m_max, by cumulative
+    product, cut after its last term of modulus at least _TINY_TERM."""
     m = np.arange(m_max, dtype=float)
     factors = t * (alpha - m) / (m + 1.0)
-    return np.concatenate(([1.0], np.cumprod(factors)))
+    terms = np.concatenate(([1.0], np.cumprod(factors)))
+    if abs(terms[-1]) < _TINY_TERM:  # the terms fall off past their peak
+        terms = terms[:np.flatnonzero(np.abs(terms) >= _TINY_TERM)[-1] + 1]
+    return terms
 
 
 def _ratio_outer_terms(a: float, b: float, alpha: float, beta: float,
@@ -154,10 +197,28 @@ def _ratio_outer_terms(a: float, b: float, alpha: float, beta: float,
     u = _binom_times_power(alpha, a, m_max)
     v = _binom_times_power(-beta, b, m_max)
     conv = np.convolve(u, v)[: m_max + 1]
+    if conv.size <= m_max:  # both series cut short
+        conv = np.concatenate((conv, np.zeros(m_max + 1 - conv.size)))
     even = conv[0::2]
     n = np.arange(1, n_outer + 1, dtype=float)
     weights = np.concatenate(([1.0], np.cumprod((2.0 * n - 1.0) / (2.0 * n))))
     return even * weights
+
+
+def _ratio_outer_count(rho: float, power: float) -> int:
+    """Outer terms that bring the tail of the double series below
+    _RATIO_TAIL: its terms fall like rho^(2n) n^power and its tail is
+    about 1/(1 - rho^2) times the last one, so n solves
+    2n ln rho + power ln n - ln(1 - rho^2) = ln _RATIO_TAIL (three fixed-point
+    steps from power = 0)."""
+    if rho == 0.0:
+        return _RATIO_LEAST_OUTER
+    log_rho2 = 2.0 * math.log(rho)
+    aim = math.log(_RATIO_TAIL) + math.log1p(-rho * rho)
+    n = aim / log_rho2
+    for _ in range(3):
+        n = (aim - power * math.log(max(n, 1.0))) / log_rho2
+    return max(math.ceil(n), _RATIO_LEAST_OUTER)
 
 
 def ratio_integral_series(a: float, b: float, alpha: float, beta: float) -> float:
@@ -165,9 +226,11 @@ def ratio_integral_series(a: float, b: float, alpha: float, beta: float) -> floa
 
     The inner sum over m is the degree-2n power-series coefficient of
     (1-a x)^alpha (1-b x)^(-beta), computed by convolving the two binomial
-    series; the outer weight (2n)!/(4^n (n!)^2) is the central binomial
-    coefficient over 4^n.  The truncation grows until the last outer terms
-    fall below 1e-14 of the running sum (outer cap 50000).
+    series (each cut where its terms fall below 1e-150, so that no product
+    is subnormal); the outer weight (2n)!/(4^n (n!)^2) is the central
+    binomial coefficient over 4^n.  The outer truncation is sized once from
+    rho = max(|a|, |b|) (`_ratio_outer_count`); it doubles (outer cap
+    50000) until the last outer terms fall below 1e-14 of the running sum.
     """
     a, b, alpha, beta = _real("a", a), _real("b", b), _real("alpha", alpha), _real("beta", beta)
     for name, v in (("a", a), ("b", b)):
@@ -178,7 +241,8 @@ def ratio_integral_series(a: float, b: float, alpha: float, beta: float) -> floa
             raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
 
     cap = 50_000
-    n_outer = 64
+    rho = max(abs(a), abs(b))
+    n_outer = min(_ratio_outer_count(rho, max(alpha, beta)), cap)
     while True:
         outer_terms = _ratio_outer_terms(a, b, alpha, beta, n_outer)
         total = float(np.sum(outer_terms))
@@ -186,7 +250,6 @@ def ratio_integral_series(a: float, b: float, alpha: float, beta: float) -> floa
         if last <= 1e-14 * max(abs(total), 1e-12):
             return total
         if n_outer >= cap:
-            rho = max(abs(a), abs(b))
             raise ConvergenceError(
                 f"double series did not settle within outer cap {cap}",
                 partial=total,

@@ -105,6 +105,11 @@ _LOG_TERMS = 64
 # and from its continued fraction below it: no series either way.
 _SEED_SWITCH = 0.5
 _LOG_HALF = -math.log(2.0)
+# `_log_scaled_sum` rescales its sum by 2^-_SUM_SHIFT at 2^_SUM_SHIFT: a
+# step's factor (b + j - 1) x / j would have to pass 2^124 to overflow it.
+_SUM_SHIFT = 900
+_SUM_BIG = 2.0 ** _SUM_SHIFT
+_SUM_SMALL = 2.0 ** -_SUM_SHIFT
 # The least normal float: `_mode_seed`'s underflow threshold for y^b, and
 # the value its Lentz iteration puts in place of a zero denominator.
 _NORMAL_MIN = 2.0 ** -1022
@@ -491,6 +496,22 @@ def _m_series(a: float, x: float, y: float) -> float:
     return y ** s * f
 
 
+def _log_scaled_sum(b: float, k: int, x: float) -> float:
+    """ln(1 + sum_{j=1}^{k-1} (b)_j x^j / j!) where the sum leaves the float
+    range: the term and the running sum are multiplied by 2^-_SUM_SHIFT,
+    exactly, whenever the sum passes 2^_SUM_SHIFT."""
+    term = partial = 1.0
+    shifts = 0
+    for j in range(1, k):
+        term *= (b + (j - 1)) / j * x
+        partial += term
+        if partial > _SUM_BIG:
+            term *= _SUM_SMALL
+            partial *= _SUM_SMALL
+            shifts += 1
+    return math.log(partial) + shifts * _SUM_SHIFT * math.log(2.0)
+
+
 def _mode_seed(a: float, k: int, x: float, y: float, scale_k: float) -> float:
     """`kernel._spectral`'s seed A_k = scale_k F(-a, k; k+1; x), y = 1 - x,
     scale_k = (a+1)_k / k!, from no series.
@@ -519,7 +540,10 @@ def _mode_seed(a: float, k: int, x: float, y: float, scale_k: float) -> float:
     Against 40-digit mpmath with the exact (b)_k / k!, over 3,000 draws
     with a in (-1, 1000] on a log scale and k <= 64: the closed form at
     most 8e-15 relative, the fraction 2.4e-14, where it takes 50-80 steps.
-    A non-finite L or value is left to the caller's overflow check.
+    Where the closed form's partial sum overflows (k and a both in the
+    hundreds), L is formed again from the sum rescaled (`_log_scaled_sum`):
+    1.9e-14 at k = 1025, a in (300, 1000].  A value past the float range
+    is returned as inf, for the caller's overflow check.
     """
     b = a + 1.0
     term = partial = 0.0 if k == 1 else b * x
@@ -527,8 +551,13 @@ def _mode_seed(a: float, k: int, x: float, y: float, scale_k: float) -> float:
         term *= (b + (j - 1)) / j * x
         partial += term
     log_tail = b * math.log(y) + math.log1p(partial)
+    if log_tail == math.inf:  # the partial sum left the float range
+        log_tail = b * math.log(y) + _log_scaled_sum(b, k, x)
     if log_tail <= _LOG_HALF or k * y <= _SEED_SWITCH:
-        return -math.expm1(log_tail) * x ** -k
+        try:
+            return -math.expm1(log_tail) * x ** -k
+        except OverflowError:  # x^(-k) past the float range
+            return math.inf
     yb = y ** b
     if yb < _NORMAL_MIN:
         raise ConvergenceError(f"spectral seed (1-|z|^2)^(alpha+1) = {y!r}^{b!r} underflows")

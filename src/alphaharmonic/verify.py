@@ -68,13 +68,19 @@ _DEFAULT_RADII = (0.1, 0.3, 0.5, 0.7, 0.85)
 # Boundary data in the Schwarz and DIRICHLET_SPECTRAL trials has degree 0 to this.
 _MAX_DEGREE = 8
 
-# DIRICHLET_SPECTRAL's kernel integrals are analytic, so the trapezoid error
-# falls geometrically and two levels agree only once both are resolved;
-# starting at 64 nodes lets the small radii stop at 128 or 256 nodes.  The
-# abs_tol is a hundredth of the check's 1e-9, so a row converges only when
-# it can decide the check; where float64 roundoff in the kernel exceeds that
-# (large alpha near the boundary) the trial is inconclusive.
-_KERNEL_QUADRATURE = QuadratureConfig(n_initial=64, abs_tol=1e-11)
+# DIRICHLET_SPECTRAL's kernel integrals are analytic, and their trapezoid
+# error falls like |z|^(n - d) n^(max(alpha, 0) + 2) at n nodes, d the
+# degree (Trefethen and Weideman, SIAM Review 56(3), 2014), so the level at
+# which two levels agree is known before the first call: the quadrature
+# starts at the least n of 64, ..., 1024 that brings it to 1e-12
+# (`_kernel_config`), and the first call, which samples n and 2n nodes,
+# converges.  The abs_tol is a hundredth of the check's 1e-9, so a row
+# converges only when it can decide the check; where float64 roundoff in
+# the kernel exceeds that (large alpha near the boundary) the doubling goes
+# on past 1024 and the trial is inconclusive.
+_KERNEL_CONFIGS = tuple(QuadratureConfig(n_initial=n, abs_tol=1e-11)
+                        for n in (64, 128, 256, 512, 1024))
+_LOG_KERNEL_TOL = math.log(1e-12)
 
 
 @dataclass(frozen=True)
@@ -158,18 +164,18 @@ def _case(tid: str, trial: int, context: str, margin) -> tuple:
 def random_boundary(seed: int, degree: int, target_sup_norm: float = 1.0) -> BoundaryData:
     """Seeded trig polynomial rescaled to the requested grid sup-norm.
 
-    Coefficients are complex Gaussian; the same seed always yields the
-    same data.  The polynomial is sampled once: the rescaled data's
-    sup-norm is the raw one's times the factor.
+    Coefficients are complex Gaussian, real parts then imaginary parts of
+    one draw; the same seed always yields the same data.  The polynomial
+    is sampled once, on an array no one else holds, and the rescaled
+    data's sup-norm is the raw one's times the factor.
     """
     _count("seed", seed, 0)
     _count("degree", degree, 0)
     if not (_is_real(target_sup_norm) and 0.0 < target_sup_norm <= 1.0):
         raise DomainError(f"target_sup_norm must lie in (0, 1], got {target_sup_norm!r}")
-    rng = np.random.default_rng(seed)
     n = 2 * degree + 1
-    coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    raw = BoundaryData(coeffs)
+    draws = np.random.default_rng(seed).standard_normal(2 * n)
+    raw = BoundaryData._adopt(draws[:n] + 1j * draws[n:])
     return raw.scaled(target_sup_norm / raw.sup_norm)
 
 
@@ -193,21 +199,37 @@ def thm_a_constant(fstar: BoundaryData) -> float:
     return min(float(mean) / fstar.sup_norm, 1.0)
 
 
+def _kernel_config(alpha: float, degree: int, r: float) -> QuadratureConfig:
+    """The kernel quadrature's configuration at |z| = r: it starts at the
+    least n of 64, ..., 1024 with (n - degree) ln r + (max(alpha, 0) + 2) ln n
+    <= ln 1e-12, else at 1024, formed in logs so that no alpha overflows."""
+    log_r = math.log(r) if r > 0.0 else -math.inf
+    power = max(alpha, 0.0) + 2.0
+    for config in _KERNEL_CONFIGS:
+        n = config.n_initial
+        if (n - degree) * log_r + power * math.log(n) <= _LOG_KERNEL_TOL:
+            break
+    return config
+
+
 def _kernel_integrals(alpha: float, fstar: BoundaryData, z: complex) -> tuple:
     """(f, f_z, f_zbar) at z as the circle means of the kernel rows
-    (P, dP/dz, dP/dzbar) times fstar, by one node-doubling quadrature.
+    (P, dP/dz, dP/dzbar) times fstar, by one node-doubling quadrature
+    from the level `_kernel_config` predicts.
 
-    Each level builds the kernel and fstar's values (one inverse FFT) once
-    for all three rows.  Raises ConvergenceError when a row misses
-    `_KERNEL_QUADRATURE`, and IntegrandError when the kernel leaves the
-    float range (alpha in the hundreds); numpy's floating-point warnings
-    are silenced.
+    Each call builds the kernel and fstar's values (one inverse FFT) once
+    for all three rows, scaling the rows' array in place.  Raises
+    ConvergenceError when a row misses the kernel tolerance, and
+    IntegrandError when the kernel leaves the float range (alpha in the
+    hundreds); numpy's floating-point warnings are silenced.
     """
     def integrand(theta):
-        return np.stack(_kernel_rows(alpha, z, theta)) * fstar._on_grid(theta.size, theta[0])
+        rows = _kernel_rows(alpha, z, theta)
+        rows *= fstar._on_grid(theta.size, theta[0])
+        return rows
 
     with np.errstate(all="ignore"):
-        res = integrate_periodic(integrand, _KERNEL_QUADRATURE)
+        res = integrate_periodic(integrand, _kernel_config(alpha, fstar.degree, abs(z)))
     return res.unwrap("kernel quadrature")
 
 

@@ -21,7 +21,7 @@ from alphaharmonic import (BoundaryData, ConvergenceError, DerivativePair,
                            integrate_periodic, poisson_kernel, random_boundary,
                            solve_dirichlet)
 from alphaharmonic.kernel import _kernel_rows, disk_point_value
-from alphaharmonic.verify import _KERNEL_QUADRATURE
+from alphaharmonic.verify import _kernel_config
 
 TIGHT = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
 
@@ -464,15 +464,15 @@ class TestKernelPass:
     @pytest.mark.parametrize("config", [None, QuadratureConfig(abs_tol=1e-11),
                                         QuadratureConfig(rel_tol=1e-13, abs_tol=1e-11)])
     def test_rows_match_the_public_quadratures(self, config):
-        config = config or _KERNEL_QUADRATURE
         rng = np.random.default_rng(47)
         for _ in range(25):
             fstar = random_boundary(int(rng.integers(0, 2 ** 62)),
                                     int(rng.integers(0, 9)), float(rng.uniform(0.2, 1.0)))
             a = float(rng.choice([-0.9, -0.1, 0.0, 1.0, 3.5, 5.0]))
             z = float(rng.choice([0.1, 0.5, 0.85, 0.95])) * cmath.exp(1j * rng.uniform(0.0, 6.3))
-            stacked = _row_quadrature(a, fstar, z, (0, 1, 2), config)
-            separate = [_row_quadrature(a, fstar, z, (i,), config) for i in range(3)]
+            cfg = config or _kernel_config(a, fstar.degree, abs(z))
+            stacked = _row_quadrature(a, fstar, z, (0, 1, 2), cfg)
+            separate = [_row_quadrature(a, fstar, z, (i,), cfg) for i in range(3)]
             assert stacked.converged and all(q.converged for q in separate)
             assert stacked.nodes_used == max(q.nodes_used for q in separate)
             for value, q in zip(stacked.value, separate):

@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import alphaharmonic.quadrature as quadrature_module
 from alphaharmonic import (ConvergenceError, DomainError, IntegrandError,
                            QuadratureConfig, cos_power_integral, integrate_periodic,
                            modulus_power_integral, ratio_integral_series)
@@ -142,12 +144,105 @@ class TestNodeLevel:
             return 1.0 + th  # not periodic: runs to n_max
 
         integrate_periodic(f, QuadratureConfig(n_initial=1, n_max=1024))
-        assert len(seen) == 11
+        assert len(seen) == 10  # the first call samples levels 1 and 2 together
         for th in seen:
             n = th.size
             offset = th[0] * n / (2.0 * math.pi)
             assert offset in (0.0, 0.5)
             assert np.array_equal(th, 2.0 * math.pi * (np.arange(n) + offset) / n)
+
+
+def _level_by_level(f, cfg):
+    """The node-doubling rule with one integrand call per level: the
+    reference the first call's level pair must reproduce bit for bit."""
+    def level(n, offset):
+        return np.asarray(f(2.0 * math.pi * (np.arange(n) + offset) / n)).sum(axis=-1)
+
+    n = cfg.n_initial
+    total = level(n, 0.0)
+    prev = total / n
+    err = np.full(np.shape(prev), np.inf)
+    while n < cfg.n_max:
+        total = total + level(n, 0.5)
+        n *= 2
+        mean = total / n
+        err = np.abs(mean - prev)
+        if (err <= np.maximum(cfg.rel_tol * np.abs(mean), cfg.abs_tol)).all():
+            return mean, err, n, True
+        prev = mean
+    return prev, err, n, False
+
+
+class TestFirstLevelPair:
+    """The first call samples the first two levels, 2 n_initial nodes."""
+
+    @staticmethod
+    def integrands():
+        z = 0.7 * np.exp(0.4j)
+
+        def modulus(th):  # as MODULUS_POWER_MEAN
+            return np.abs(1.0 - z * np.exp(1j * th)) ** -2.5
+
+        def ratio(th):  # as COSINE_MEAN_SERIES
+            return (1.0 - 0.6 * np.cos(th)) ** 1.5 / (1.0 + 0.9 * np.cos(th)) ** 2.2
+
+        def kink(th):
+            return np.abs(np.cos(th))
+
+        return {"modulus": modulus, "ratio": ratio, "kink": kink,
+                "complex": lambda th: np.exp(1j * th) / (1.0 - z * np.exp(-1j * th)),
+                "stacked": lambda th: np.stack([modulus(th), ratio(th), kink(th)])}
+
+    @pytest.mark.parametrize("config", [
+        QuadratureConfig(), QuadratureConfig(n_initial=4, n_max=64),
+        QuadratureConfig(n_initial=1, n_max=1024), QuadratureConfig(n_initial=64, abs_tol=1e-11),
+        QuadratureConfig(n_initial=16, n_max=2**16, rel_tol=1e-14)])
+    def test_elementwise_integrands_match_level_by_level(self, config):
+        for name, f in self.integrands().items():
+            mean, err, n, converged = _level_by_level(f, config)
+            res = integrate_periodic(f, config)
+            assert (res.nodes_used, res.converged) == (n, converged), name
+            assert np.array_equal(np.array(res.value), mean), name
+            assert np.array_equal(np.array(res.error_estimate), err), name
+
+    def test_converged_first_pair_makes_one_call(self):
+        sizes = []
+
+        def f(th):
+            sizes.append(th.size)
+            return np.cos(th) ** 2
+
+        res = integrate_periodic(f, QuadratureConfig(n_initial=64))
+        assert res.converged and res.nodes_used == 128
+        assert sizes == [128]
+
+    def test_n_initial_equal_to_n_max_evaluates_n_nodes(self):
+        sizes = []
+
+        def f(th):
+            sizes.append(th.size)
+            return 1.0 + th
+
+        res = integrate_periodic(f, QuadratureConfig(n_initial=8, n_max=8))
+        assert sizes == [8]
+        assert (res.nodes_used, res.converged) == (8, False)
+        assert res.value == pytest.approx(1.0 + math.pi * 7.0 / 8.0, rel=1e-15)
+
+    def test_midpoint_non_finite_value_raises_at_its_angle(self):
+        # the bad node is a first-level midpoint, sampled by the first call
+        def f(th):
+            return np.where(np.abs(th - 3.0 * math.pi / 4.0) < 1e-9, np.nan, 1.0)
+
+        with pytest.raises(IntegrandError) as info:
+            integrate_periodic(f, QuadratureConfig(n_initial=4, n_max=64))
+        assert info.value.theta == pytest.approx(3.0 * math.pi / 4.0, rel=1e-15)
+
+    def test_finite_values_summing_past_the_float_range_do_not_raise(self):
+        # the values are scanned only when a level's sum is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = integrate_periodic(lambda th: np.full(th.shape, 1e308),
+                                     QuadratureConfig(n_initial=4, n_max=16))
+        assert res.value == math.inf and not res.converged
 
 
 class TestUnwrap:
@@ -240,6 +335,83 @@ class TestRatioIntegralSeries:
                 (1.0 - a * np.cos(th)) ** al / (1.0 - b * np.cos(th)) ** be)
             assert res.converged
             assert rel_err(got, res.value) < 1e-8
+
+
+def _ratio_draws(seed=2026, per_rho=15):
+    """Draws (a, b, alpha, beta) with max(|a|, |b|) = rho for each rho."""
+    rng = np.random.default_rng(seed)
+    for rho in (0.5, 0.9, 0.95, 0.99):
+        for _ in range(per_rho):
+            other = float(rng.uniform(-rho, rho))
+            top = rho if rng.uniform() < 0.5 else -rho
+            a, b = (top, other) if rng.uniform() < 0.5 else (other, top)
+            yield (a, b, *(float(v) for v in rng.uniform(0.0, 4.0, size=2)))
+
+
+def _mp_ratio_mean(a, b, al, be):
+    """The circle mean at 18 digits, by mpmath.quad on [0, pi] split toward
+    the peaks of the integrand at 0 and pi (2e-18 off a 30-digit quadrature
+    on eight pieces over `_ratio_draws`)."""
+    with mp.workdps(18):
+        cuts = [0, 0.03, 0.3, 1]
+        points = cuts + [mp.pi - c for c in reversed(cuts)]
+        return mp.quad(lambda t: (1 - a * mp.cos(t)) ** al / (1 - b * mp.cos(t)) ** be,
+                       points) / mp.pi
+
+
+class TestRatioSeriesSizing:
+    def test_against_mpmath(self):
+        # rho = max(|a|, |b|) in {0.5, 0.9, 0.95, 0.99}, alpha and beta in
+        # [0, 4]: measured 7.4e-14 worst (the convolution's rounding where a
+        # is near b and both near 1), against 6.2e-14 when the truncation
+        # doubled from 64 outer terms
+        worst = 0.0
+        for a, b, al, be in _ratio_draws():
+            worst = max(worst, rel_err(ratio_integral_series(a, b, al, be),
+                                       _mp_ratio_mean(a, b, al, be)))
+        assert worst < 1e-13
+
+    def test_one_convolution_when_sized(self, monkeypatch):
+        sizes = []
+        outer = quadrature_module._ratio_outer_terms
+
+        def counting(*args):
+            sizes.append(args[-1])
+            return outer(*args)
+
+        monkeypatch.setattr(quadrature_module, "_ratio_outer_terms", counting)
+        for a, b, al, be in _ratio_draws(per_rho=5):
+            sizes.clear()
+            ratio_integral_series(a, b, al, be)
+            rho = max(abs(a), abs(b))
+            assert sizes == [quadrature_module._ratio_outer_count(rho, max(al, be))]
+
+    def test_doubling_fallback(self, monkeypatch):
+        # a size far too small must double until the stopping test passes
+        sizes = []
+        outer = quadrature_module._ratio_outer_terms
+
+        def counting(*args):
+            sizes.append(args[-1])
+            return outer(*args)
+
+        monkeypatch.setattr(quadrature_module, "_ratio_outer_terms", counting)
+        monkeypatch.setattr(quadrature_module, "_ratio_outer_count", lambda rho, power: 8)
+        a, b, al, be = 0.3, -0.92, 2.5, 1.7
+        got = ratio_integral_series(a, b, al, be)
+        assert sizes[:3] == [8, 16, 32] and len(sizes) > 3
+        assert rel_err(got, _mp_ratio_mean(a, b, al, be)) < 1e-13
+
+    def test_size_grows_with_rho_and_power(self):
+        count = quadrature_module._ratio_outer_count
+        assert count(0.0, 3.0) == count(1e-300, 0.0) == 4
+        sizes = [count(rho, 0.0) for rho in (0.5, 0.9, 0.95, 0.99)]
+        assert sizes == sorted(sizes)
+        assert count(0.95, 4.0) > count(0.95, 0.0)
+        # the tail bound holds at the size: rho^(2n) n^power / (1 - rho^2)
+        for rho, power in ((0.5, 4.0), (0.95, 2.0), (0.99, 4.0)):
+            n = count(rho, power)
+            assert rho ** (2 * n) * n ** power / (1.0 - rho * rho) <= 2.0 ** -59
 
 
 class TestModulusPowerIntegral:

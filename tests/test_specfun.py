@@ -854,6 +854,39 @@ class TestClosedFormSeed:
         # measured 2.7e-15; the connection formula it replaced was 1.3e-10 off
         assert worst < 1e-14
 
+    def test_partial_sum_past_the_float_range(self):
+        # k = 1025 and alpha in (300, 1000]: the closed form's partial sum
+        # sum_{j<k} (alpha+1)_j x^j / j! overflows for most 1 - x below 0.45,
+        # and is then summed rescaled, in logs; it used to send the seed to
+        # the continued fraction far above the median, which raised.  The
+        # oracle is x^(-k) I_x(k, alpha + 1) at 40 digits
+        rng = np.random.default_rng(1025)
+        k, worst, overflowed = 1025, 0.0, 0
+        for _ in range(120):
+            alpha = 10.0 ** rng.uniform(math.log10(300.0), 3.0)
+            x = 1.0 - 10.0 ** rng.uniform(math.log10(0.5 / k), math.log10(0.45))
+            y = 1.0 - x
+            with mp.workdps(40):
+                b = mp.mpf(alpha) + 1
+                want = mp.betainc(k, b, 0, x, regularized=True) * mp.mpf(x) ** -k
+                upper = mp.betainc(b, k, 0, y, regularized=True)  # I_{1-x}(b, k)
+                overflowed += mp.log(upper) - b * mp.log(y) > mp.log(2) * 1024
+            if upper > 0.5 and k * y > 0.5:  # the continued fraction's side
+                continue
+            with _count_steps() as steps:
+                got = _mode_seed(alpha, k, x, y, 1.0)
+            assert steps == []
+            worst = max(worst, rel_err(got, want))
+        assert overflowed >= 80, overflowed  # 91, 113 draws on the closed form
+        # measured 1.9e-14
+        assert worst < 5e-14
+
+    def test_value_past_the_float_range_is_inf(self):
+        # I_{1-x}(b, k) = 0.33 puts x = 0.55 above the median, so the closed
+        # form is taken, but x^(-k) A_k = 2.4e311: inf, for `kernel._spectral`'s
+        # overflow check, not an OverflowError
+        assert _mode_seed(999.0, 1200, 0.55, 0.45, 1.0) == math.inf
+
 
 class TestContinuedFractionSeed:
     """`_mode_seed` below the median of Beta(k, alpha + 1): the continued
@@ -903,10 +936,11 @@ class TestContinuedFractionSeed:
         assert rel_err(info.value.partial, _mp_seed(alpha, k, 1.0 - x)) < 1e-14
 
     def test_underflow_raises(self):
-        # (1 - x)^(alpha + 1) = 0.45^1000 is below the normal range: only
-        # reachable at k in the hundreds
+        # (1 - x)^(alpha + 1) = 0.47^1000 is below the normal range, and x =
+        # 0.53 is below the median of Beta(1200, 1000): only reachable at k in
+        # the hundreds
         with pytest.raises(ConvergenceError, match="underflows"):
-            _mode_seed(999.0, 1200, 0.55, 0.45, 1.0)
+            _mode_seed(999.0, 1200, 0.53, 0.47, 1.0)
 
 
 class TestGaussSummation:

@@ -72,6 +72,21 @@ class TestRandomBoundary:
         with pytest.raises(DomainError):
             random_boundary(0, 2, 1.5)
 
+    def test_equals_the_raw_data_scaled(self):
+        # one draw of 2n normals is the stream of the two draws of n that
+        # built validated raw data and its scaled copy, bit for bit
+        rng = np.random.default_rng(200)
+        for seed in range(200):
+            for degree in range(17):
+                target = 1.0 - float(rng.uniform(0.0, 1.0))  # in (0, 1]
+                draws = np.random.default_rng(seed)
+                n = 2 * degree + 1
+                raw = BoundaryData(draws.standard_normal(n) + 1j * draws.standard_normal(n))
+                want = raw.scaled(target / raw.sup_norm)
+                got = random_boundary(seed, degree, target)
+                assert np.array_equal(got.coefficients, want.coefficients)
+                assert got.sup_norm == want.sup_norm
+
 
 def _old_boundary_trial(rng, spec):
     """A trial drawn as it was with rng.choice and a sampled raw polynomial."""
@@ -458,6 +473,46 @@ class TestKernelIntegrals:
             want = (solve_dirichlet(a, fstar, z), pair.d_z, pair.d_zbar)
             for label, got, w in zip(("f", "f_z", "f_zbar"), _kernel_integrals(a, fstar, z), want):
                 assert abs(got - w) < 1e-10, f"alpha={a} z={z} {label}: {got!r} vs {w!r}"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_quadrature_converges_in_one_call(self, monkeypatch, seed):
+        # the start level `_kernel_config` predicts resolves every
+        # DIRICHLET_SPECTRAL trial at its first call, which samples two levels
+        calls = []
+        quadrature = verify_module.integrate_periodic
+
+        def counting(f, config=None):
+            def integrand(theta):
+                calls[-1] += 1
+                return f(theta)
+
+            if f.__qualname__.startswith("_kernel_integrals"):
+                calls.append(0)
+                return quadrature(integrand, config)
+            return quadrature(f, config)
+
+        monkeypatch.setattr(verify_module, "integrate_periodic", counting)
+        spectral = check_identities(TrialSpec(seed=seed, n_trials=100))[-1]
+        assert (spectral.theorem_id, spectral.n_checked) == ("DIRICHLET_SPECTRAL", 100)
+        assert calls == [1] * 100
+
+    def test_start_level(self):
+        # the least n of 64, ..., 1024 with (n - d) ln r + (max(alpha, 0) + 2) ln n
+        # <= ln 1e-12; 1024 past that, and no overflow at large alpha
+        def start(alpha, degree, r):
+            return verify_module._kernel_config(alpha, degree, r).n_initial
+
+        assert start(1.0, 3, 0.0) == start(-0.9, 8, 0.1) == 64
+        assert start(0.0, 0, 0.5) == 64 and start(5.0, 8, 0.85) == 512
+        assert start(400.0, 8, 0.9) == start(1e300, 0, 0.5) == 1024
+        for alpha, degree, r in ((0.0, 0, 0.5), (3.5, 8, 0.85), (-0.5, 4, 0.7)):
+            n = start(alpha, degree, r)
+            bound = (max(alpha, 0.0) + 2.0) * math.log(n) + (n - degree) * math.log(r)
+            assert bound <= math.log(1e-12)
+            if n > 64:
+                half = n // 2
+                assert ((max(alpha, 0.0) + 2.0) * math.log(half)
+                        + (half - degree) * math.log(r)) > math.log(1e-12)
 
     def test_non_finite_integrand_raises_without_warnings(self):
         eik = BoundaryData([0.0, 0.0, 1.0])

@@ -42,19 +42,6 @@ __all__ = [
     "evaluate_bound",
 ]
 
-BOUND_IDS = (
-    "M1",
-    "M2",
-    "COLONNA",
-    "LC_SP",
-    "M",
-    "M_PRIME",
-    "SCHWARZ_2F1",
-    "SP_2F1",
-    "SP_LIMIT",
-    "L1_MEAN",
-)
-
 _NOTE_UNIT_DISK = "requires boundary sup-norm <= 1 (maps disk into disk)"
 _NOTE_LINEAR = "scales linearly with the boundary sup-norm"
 
@@ -267,6 +254,7 @@ _EVALUATORS = {
     "SP_LIMIT": lambda r, a, c: schwarz_pick_limit_bound(r, a),
     "L1_MEAN": lambda r, a, c: l1_mean_kernel(a, r),
 }
+BOUND_IDS = tuple(_EVALUATORS)
 
 
 def evaluate_bound(bound_id: str, r: float, alpha, c: float | None = None) -> BoundReport:

@@ -103,14 +103,6 @@ class BoundaryData:
             raise DomainError(f"coefficients must be numbers, got dtype {given.dtype.name}")
         self._set(np.array(given, dtype=complex), None)
 
-    @classmethod
-    def _adopt(cls, coeffs: np.ndarray) -> "BoundaryData":
-        """Data on ``coeffs``, a 1-D complex array of odd length that no one
-        else holds: not copied, and only `_set`'s checks."""
-        out = object.__new__(cls)
-        out._set(coeffs, None)
-        return out
-
     def _set(self, coeffs: np.ndarray, sup_norm: float | None) -> None:
         """Store coefficients and sup_norm (sampled when None), with checks."""
         if not np.isfinite(coeffs).all():

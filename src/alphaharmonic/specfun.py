@@ -26,7 +26,6 @@ public argument into a float, int or complex, or raise DomainError naming it.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 from typing import NamedTuple
@@ -47,15 +46,9 @@ __all__ = [
 # denominators (c)_n are not usable in float arithmetic near a pole.
 _BAD_C_TOL = 1e-12
 
-# The longest numpy pass of `_series_sum`, and its index m = 0, 1, ...,
-# _CHUNK - 1 as floats, read-only, on which every pass builds its ratios.
+# The longest numpy pass of `_series_sum`, in terms.  Each pass builds its
+# own index 0, ..., k - 1 as floats, offset by the n terms before it.
 _CHUNK = 4096
-_INDEX = np.arange(_CHUNK, dtype=float)
-_INDEX.flags.writeable = False
-# A pass whose terms and sums provably stay below e**_LOG_SAFE runs
-# without np.errstate, which costs more than that check (about 4 us).
-_LOG_SAFE = 700.0
-_NO_ERRSTATE = contextlib.nullcontext()
 
 # The connection routes near x = 1 need a few hundred terms at most.  The
 # cap serves the raw and Euler series that remain for x -> 1 when the
@@ -269,11 +262,18 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
     Python floats, added by math.fsum, and only then tested, against 2**-56
     whatever rel_tol: less work than one numpy pass, and as accurate.  It
     goes on in Python floats as far as the tail bound asks while it stays
-    below _SHORT_TERMS terms.  Every other series is summed in numpy passes
-    over `_INDEX`, each tested against rel_tol: the first as long as
-    predicted for a tail of _PASS_AIM rel_tol, each later one as long as the
-    tail bound asks for that, up to _CHUNK terms a pass (`_pass`).  No stage
-    runs past the last term of a polynomial.
+    below _SHORT_TERMS terms.  Every other series is summed in numpy passes,
+    each tested against rel_tol: the first as long as predicted for a tail
+    of _PASS_AIM rel_tol, each later one as long as the tail bound asks for
+    that, up to _CHUNK terms a pass.  No stage runs past the last term of a
+    polynomial.  Both stages build every term from the ratio
+    x (m+a)(m+b) / ((m+c)(m+1)).
+
+    A pass adds terms of one sign by numpy's pairwise sum, and terms that
+    change sign by math.fsum, as their cancellation magnifies every
+    rounding.  Every pass silences numpy's overflow and invalid warnings:
+    a term or sum past the float range leaves a non-finite total, which the
+    loop catches.
 
     It only sums: the caller judges the cancellation (`_two_terms`) by
     abs_sum = sum |t_n|, the value itself where no term is negative
@@ -298,27 +298,40 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
     short = predicted < _SHORT_TERMS or n_end < _SHORT_TERMS
     k = math.ceil(predicted if short else _predicted_terms(
         a, b, c, x, log_x, math.log(_PASS_AIM * rel_tol), n_burn, n_end))
-    one = b if a == 1.0 else a if b == 1.0 else None  # ratios x (m + one) / (m + c)
     total = term = size = 1.0
     terms = [1.0]
     n = 0
     while True:
         k = min(k, _CHUNK, n_end - n)
         if short:
-            if one is None:
-                for m in range(n, n + k):
-                    # grouped (.. + a) * (.. + b) first so that swapping a and
-                    # b reproduces the result bit for bit
-                    term *= (m + a) * (m + b) / ((m + c) * (m + 1.0)) * x
-                    terms.append(term)
-            else:
-                for m in range(n, n + k):
-                    term *= (m + one) / (m + c) * x
-                    terms.append(term)
+            for m in range(n, n + k):
+                # grouped (.. + a) * (.. + b) first so that swapping a and
+                # b reproduces the result bit for bit
+                term *= (m + a) * (m + b) / ((m + c) * (m + 1.0)) * x
+                terms.append(term)
             total = math.fsum(terms)
             size = total if positive else math.fsum(map(abs, terms))
         else:
-            total, term, size = _pass(a, b, c, x, one, n, k, term, total, size, positive)
+            with np.errstate(over="ignore", invalid="ignore"):
+                index = np.arange(k, dtype=float)
+                ratios = (index + (n + a)) * (index + (n + b))
+                ratios /= (index + (n + c)) * (index + (n + 1.0))
+                ratios *= x
+                np.cumprod(ratios, out=ratios)
+                if term != 1.0:
+                    ratios *= term
+                if positive:
+                    total += float(ratios.sum())
+                else:
+                    size += float(np.abs(ratios).sum())
+            if not positive:  # exactly: where terms cancel, every ulp of them counts
+                chunk = ratios.tolist()
+                chunk.append(total)
+                try:
+                    total = math.fsum(chunk)
+                except (OverflowError, ValueError):  # inf - inf, or past the float range
+                    total = math.inf
+            term = float(ratios[-1])
         n += k
         if not math.isfinite(total):
             raise ConvergenceError(
@@ -345,51 +358,6 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
             k = int(past - n + predicted) + 1
         short = short and n + k <= _SHORT_TERMS
     return total, n, total if positive else size
-
-
-def _pass(a: float, b: float, c: float, x: float, one: float | None, n: int, k: int,
-          term: float, total: float, size: float, positive: bool) -> tuple[float, float, float]:
-    """`_series_sum`'s numpy pass: the k terms after t_n = term built from
-    ratios x (m+a)(m+b) / ((m+c)(m+1)), or x (m+one) / (m+c) where a or b
-    is one, and added to total (and to size, their sum of |t|, unless
-    positive); returns (total, t_(n+k), size).
-
-    Terms of one sign are added by numpy's pairwise sum, terms that change
-    sign by math.fsum, as their cancellation magnifies every rounding.
-    Once every m + c > 0, |t_m| <= |t_n| prod_j x ((j + w) / (j + v))^2
-    over j = n..m-1, w = max(|a|, |b|), v = min(c, 1), whose logarithm
-    log(1 + d) <= d bounds: where that rules overflow out, numpy's warnings
-    are left on, as silencing them costs more than the check.
-    """
-    w = abs(a) if abs(a) > abs(b) else abs(b)
-    v = c if c < 1.0 else 1.0
-    quiet = n + c <= 0.0 or math.log(abs(total) + k * abs(term)) + (
-        2.0 * (w - v) * (1.0 / (n + v) + math.log((n + k - 1.0 + v) / (n + v)))
-        if w > v else 0.0) > _LOG_SAFE
-    with np.errstate(over="ignore", invalid="ignore") if quiet else _NO_ERRSTATE:
-        index = _INDEX[:k]
-        if one is None:
-            ratios = (index + (n + a)) * (index + (n + b))
-            ratios /= (index + (n + c)) * (index + (n + 1.0))
-        else:
-            ratios = index + (n + one)
-            ratios /= index + (n + c)
-        ratios *= x
-        np.cumprod(ratios, out=ratios)
-        if term != 1.0:
-            ratios *= term
-        if positive:
-            total += float(ratios.sum())
-        else:
-            size += float(np.abs(ratios).sum())
-    if not positive:  # exactly: where terms cancel, every ulp of them counts
-        chunk = ratios.tolist()
-        chunk.append(total)
-        try:
-            total = math.fsum(chunk)
-        except (OverflowError, ValueError):  # inf - inf, or past the float range
-            total = math.inf
-    return total, float(ratios[-1]), size
 
 
 def _predicted_terms(a: float, b: float, c: float, x: float, log_x: float, log_tol: float,

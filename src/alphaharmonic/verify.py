@@ -166,8 +166,8 @@ def random_boundary(seed: int, degree: int, target_sup_norm: float = 1.0) -> Bou
 
     Coefficients are complex Gaussian, real parts then imaginary parts of
     one draw; the same seed always yields the same data.  The polynomial
-    is sampled once, on an array no one else holds, and the rescaled
-    data's sup-norm is the raw one's times the factor.
+    is sampled once, and the rescaled data's sup-norm is the raw one's
+    times the factor.
     """
     _count("seed", seed, 0)
     _count("degree", degree, 0)
@@ -175,7 +175,7 @@ def random_boundary(seed: int, degree: int, target_sup_norm: float = 1.0) -> Bou
         raise DomainError(f"target_sup_norm must lie in (0, 1], got {target_sup_norm!r}")
     n = 2 * degree + 1
     draws = np.random.default_rng(seed).standard_normal(2 * n)
-    raw = BoundaryData._adopt(draws[:n] + 1j * draws[n:])
+    raw = BoundaryData(draws[:n] + 1j * draws[n:])
     return raw.scaled(target_sup_norm / raw.sup_norm)
 
 

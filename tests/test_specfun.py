@@ -185,6 +185,10 @@ class TestHyp2F1:
         # the raw series' partial sums overflow; the value was inf
         with pytest.raises(ConvergenceError, match="float range"):
             hyp2f1_detailed((1000.0, 1000.0, 2000.5), 0.9)
+        # terms of both signs whose first numpy pass leaves the float
+        # range: math.fsum raises OverflowError on them
+        with pytest.raises(ConvergenceError, match="float range"):
+            hyp2f1((-700.5, 700.5, 1.5), 0.9)
 
     def test_symmetry_bit_for_bit(self):
         rng = np.random.default_rng(5)
@@ -727,8 +731,8 @@ class TestShortRoute:
 
     @seed(20261018)
     @settings(max_examples=300, deadline=None, database=None)
-    @given(a=st.floats(1e-3, 30.0), b=st.floats(1e-3, 30.0), c=st.floats(0.05, 30.0),
-           x=st.floats(1e-12, 0.6))
+    @given(a=st.one_of(st.just(1.0), st.floats(1e-3, 30.0)), b=st.floats(1e-3, 30.0),
+           c=st.floats(0.05, 30.0), x=st.floats(1e-12, 0.6))
     def test_routes_agree_to_a_few_ulps(self, a, b, c, x):
         # positive terms, so a few ulps of the sum bound both roundings
         value, n, _ = _series_sum(a, b, c, x, _EPS)

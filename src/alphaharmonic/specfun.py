@@ -62,10 +62,14 @@ _REL_TOL = 1e-13
 
 _EPS = 2.0 ** -52
 # Series predicted to need fewer terms than _SHORT_TERMS are summed in
-# Python floats, which below it costs less than one numpy pass, until
-# their tail is at most _SHORT_TOL * |sum|: far enough below an ulp that
-# truncation adds no error beside the rounding of the terms.
-_SHORT_TERMS = 48
+# Python floats until their tail is at most _SHORT_TOL * |sum|: far enough
+# below an ulp that truncation adds no error beside the rounding of the
+# terms.  A Python-float term costs about 0.23 us, warm or cold; a numpy
+# pass 13-20 us warm but 80-108 us cold, between other calls, as each
+# bound is called in a table (2-core Xeon).  At 256 every bound on the
+# grid of tests/golden/bounds.txt (r <= 0.999, -0.95 <= alpha <= 4.9) sums
+# in Python floats; the passes are left to the long series near x = 1.
+_SHORT_TERMS = 256
 _SHORT_TOL = 2.0 ** -56
 _LOG_SHORT_TOL = math.log(_SHORT_TOL)
 # A numpy pass is sized to bring the tail to _PASS_AIM of the tolerance
@@ -260,12 +264,13 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
     (`_predicted_terms`).  A series predicted to need fewer than
     _SHORT_TERMS terms for a tail of 2**-56 |sum| is summed that far in
     Python floats, added by math.fsum, and only then tested, against 2**-56
-    whatever rel_tol: less work than one numpy pass, and as accurate.  It
-    goes on in Python floats as far as the tail bound asks while it stays
-    below _SHORT_TERMS terms.  Every other series is summed in numpy passes,
-    each tested against rel_tol: the first as long as predicted for a tail
-    of _PASS_AIM rel_tol, each later one as long as the tail bound asks for
-    that, up to _CHUNK terms a pass.  No stage runs past the last term of a
+    whatever rel_tol: less time than a numpy pass that runs cold, and more
+    accurate than one stopped at rel_tol.  It goes on in Python floats as
+    far as the tail bound asks while it stays within _SHORT_TERMS terms.
+    Every other series is summed in numpy passes, each tested against
+    rel_tol: the first as long as predicted for a tail of _PASS_AIM
+    rel_tol, each later one as long as the tail bound asks for that, up to
+    _CHUNK terms a pass.  No stage runs past the last term of a
     polynomial.  Both stages build every term from the ratio
     x (m+a)(m+b) / ((m+c)(m+1)).
 

@@ -37,9 +37,9 @@ from alphaharmonic import cli  # noqa: E402
 ULPS = 8
 
 # The (r, alpha) grid of perfbench's bounds-table workload.
-_RADII = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 0.97,
-          0.99, 0.995, 0.999)
-_ALPHAS = tuple((15 * k - 95) / 100.0 for k in range(40))
+RADII = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 0.97,
+         0.99, 0.995, 0.999)
+ALPHAS = tuple((15 * k - 95) / 100.0 for k in range(40))
 _EVAL2F1 = (
     (0.5, 0.5, 1.0, 0.5), (-0.5, 0.5, 1.0, 0.5), (2.0, 0.5, 0.3, 0.5),
     (1.5, -2.0, 3.0, 0.9), (3.5, -2.2, 1.1, 0.7), (-0.75, -0.75, 1.0, 0.999999),
@@ -55,7 +55,7 @@ def verify_command(seed: int) -> str:
 
 COMMANDS = {
     "bounds": [f"bounds --id all --r {r!r} --alpha {a!r} --c 0.5"
-               for a in _ALPHAS for r in _RADII],
+               for a in ALPHAS for r in RADII],
     "figure1": ["figure1", "figure1 --format json"],
     "eval2f1": [f"eval2f1 --a {a!r} --b {b!r} --c {c!r} --x {x!r}" for a, b, c, x in _EVAL2F1],
     "solve": [f"solve --alpha {a!r} --boundary {name} --z-re {z.real!r} --z-im {z.imag!r}"

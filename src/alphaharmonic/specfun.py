@@ -278,7 +278,8 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
     change sign by math.fsum, as their cancellation magnifies every
     rounding.  Every pass silences numpy's overflow and invalid warnings:
     a term or sum past the float range leaves a non-finite total, which the
-    loop catches.
+    loop catches.  So does math.fsum's OverflowError or ValueError, in
+    either stage, on terms past the float range.
 
     It only sums: the caller judges the cancellation (`_two_terms`) by
     abs_sum = sum |t_n|, the value itself where no term is negative
@@ -314,8 +315,11 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
                 # b reproduces the result bit for bit
                 term *= (m + a) * (m + b) / ((m + c) * (m + 1.0)) * x
                 terms.append(term)
-            total = math.fsum(terms)
-            size = total if positive else math.fsum(map(abs, terms))
+            try:
+                total = math.fsum(terms)
+                size = total if positive else math.fsum(map(abs, terms))
+            except (OverflowError, ValueError):  # inf - inf, or past the float range
+                total = math.inf
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 index = np.arange(k, dtype=float)

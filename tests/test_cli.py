@@ -53,6 +53,11 @@ class TestEval2F1:
                                       "--c", "-18.25", "--x", "0.9999999999999"])
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "float range" in err
+        # a polynomial whose terms pass the float range in Python floats
+        code, out, err = run(capsys, ["eval2f1", "--a", "-200", "--b", "1e4",
+                                      "--c", "1", "--x", "0.5"])
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "float range" in err
 
     def test_invalid_c_exits_2(self, capsys):
         code, _, err = run(capsys, ["eval2f1", "--a", "1", "--b", "1",

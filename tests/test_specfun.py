@@ -46,18 +46,6 @@ def _count_passes():
         yield sizes
 
 
-def _predicted_short_terms(a, b, c, x):
-    """The count `_series_sum` chooses its stage by: the terms it predicts
-    for a tail of 2**-56 |sum|, at most a polynomial's count of terms."""
-    n_burn = int(max(abs(a), abs(b), abs(c), 1.0)) + 2
-    n_end = specfun_module._TERM_CAP
-    for p in (a, b):
-        if p <= 0.0 and p == int(p):
-            n_end = min(n_end, int(-p) + 1)
-    return min(n_end, specfun_module._predicted_terms(
-        a, b, c, x, math.log(x), specfun_module._LOG_SHORT_TOL, n_burn, n_end))
-
-
 @contextlib.contextmanager
 def _count_steps():
     """The steps `_mode_seed`'s continued fraction takes meanwhile, one
@@ -202,6 +190,10 @@ class TestHyp2F1:
         # range: math.fsum raises OverflowError on them
         with pytest.raises(ConvergenceError, match="float range"):
             hyp2f1((-700.5, 700.5, 1.5), 0.9)
+        # a 201-term polynomial, summed in Python floats, whose terms pass
+        # +-1e308 near n = 192: math.fsum raises ValueError on inf - inf
+        with pytest.raises(ConvergenceError, match="float range"):
+            hyp2f1((-200.0, 1e4, 1.0), 0.5)
 
     def test_symmetry_bit_for_bit(self):
         rng = np.random.default_rng(5)
@@ -757,27 +749,24 @@ class TestShortRoute:
         # also where the first stage gives way to chunks after its terms
         assert abs(value - chunked) <= 4.0 * _EPS * chunked
 
-    def test_python_float_stage_returns_finite_or_raises(self):
-        # unlike a numpy pass, the Python-float stage calls math.fsum with
-        # no OverflowError or ValueError guard: every series it sums, with
-        # |a|, |b| and |c| up to 250, gives a finite value or
-        # ConvergenceError; every other draw rounds a to a whole number,
-        # a polynomial where it is <= 0
+    def test_large_parameters_return_finite_or_raise(self):
+        # |a|, |b| and |c| up to 1e4 of either sign, and every other a a
+        # polynomial of under 256 terms, summed in Python floats: each value
+        # is finite or raises ConvergenceError.  Terms past the float range
+        # leave +inf and -inf for math.fsum, which raises ValueError on them
         rng = np.random.default_rng(20261020)
-        draws = rng.uniform((-250.0, -250.0, -250.0, -6.0), (250.0, 250.0, 250.0, -0.005),
-                            size=(4000, 4)).tolist()
-        short = 0
-        for i, (a, b, c, log_x) in enumerate(draws):
-            a, x = (round(a) if i % 2 else a), 10.0 ** log_x
-            if _predicted_short_terms(a, b, c, x) >= specfun_module._SHORT_TERMS:
-                continue
-            short += 1
+        params = (10.0 ** rng.uniform(-1.0, 4.0, size=(2000, 3))
+                  * rng.choice((-1.0, 1.0), size=(2000, 3))).tolist()
+        xs = rng.uniform(0.005, 0.9, size=2000).tolist()
+        raised = 0
+        for i, ((a, b, c), x) in enumerate(zip(params, xs)):
+            if i % 2:
+                a = -float(rng.integers(1, 256))
             try:
-                value = _series_sum(a, b, c, x)[0]
+                assert math.isfinite(hyp2f1((a, b, c), x)), (a, b, c, x)
             except ConvergenceError:
-                continue
-            assert math.isfinite(value), (a, b, c, x)
-        assert short > 3000
+                raised += 1
+        assert 500 < raised < 1500
 
     def test_no_bound_on_the_table_grid_takes_a_pass(self):
         # every bound on the grid of tests/golden/bounds.txt sums its series
@@ -810,7 +799,10 @@ class TestShortRoute:
         # their sum is small: the 241 Python-float terms are followed by one
         # numpy pass, as long as the tail bound asks (48 terms)
         a, b, c, x = 1.61, -1.28, 1.47, 0.89
-        predicted = _predicted_short_terms(a, b, c, x)
+        n_burn = int(max(abs(a), abs(b), abs(c), 1.0)) + 2
+        predicted = specfun_module._predicted_terms(
+            a, b, c, x, math.log(x), specfun_module._LOG_SHORT_TOL, n_burn,
+            specfun_module._TERM_CAP)
         assert 240.0 < predicted < specfun_module._SHORT_TERMS
         with _count_passes() as sizes:
             value, terms, _ = _series_sum(a, b, c, x)

@@ -92,10 +92,14 @@ def _nodes(n: int, offset: float) -> np.ndarray:
 
 
 def _sample(f: Callable, theta: np.ndarray) -> np.ndarray:
-    """f at theta, broadcast to theta's length (a constant integrand)."""
+    """f at theta, a scalar broadcast to theta's length (a constant
+    integrand); DomainError naming f for any shape but (n,) or (m, n)."""
     vals = np.asarray(f(theta))
-    if vals.shape[-1:] != theta.shape:
-        vals = np.broadcast_to(vals, theta.shape)
+    if vals.ndim == 0:
+        return np.broadcast_to(vals, theta.shape)
+    if vals.shape[-1:] != theta.shape or vals.ndim > 2:
+        raise DomainError(f"f must return a scalar or values of shape ({theta.size},) "
+                          f"or (m, {theta.size}), got shape {vals.shape}")
     return vals
 
 

@@ -61,20 +61,19 @@ _TERM_CAP = 4_000_000
 _REL_TOL = 1e-13
 
 _EPS = 2.0 ** -52
+# Every series, in either stage of `_series_sum`, and the logarithmic
+# series of `_log_connection` stop once their tail is at most
+# _TAIL_TOL * |sum|: far enough below an ulp that truncation adds no error
+# beside the rounding of the terms.
+_TAIL_TOL = 2.0 ** -56
+_LOG_TAIL_TOL = math.log(_TAIL_TOL)
 # Series predicted to need fewer terms than _SHORT_TERMS are summed in
-# Python floats until their tail is at most _SHORT_TOL * |sum|: far enough
-# below an ulp that truncation adds no error beside the rounding of the
-# terms.  A Python-float term costs about 0.23 us, warm or cold; a numpy
-# pass 13-20 us warm but 80-108 us cold, between other calls, as each
+# Python floats.  A Python-float term costs about 0.23 us, warm or cold; a
+# numpy pass 13-20 us warm but 80-108 us cold, between other calls, as each
 # bound is called in a table (2-core Xeon).  At 256 every bound on the
 # grid of tests/golden/bounds.txt (r <= 0.999, -0.95 <= alpha <= 4.9) sums
 # in Python floats; the passes are left to the long series near x = 1.
 _SHORT_TERMS = 256
-_SHORT_TOL = 2.0 ** -56
-_LOG_SHORT_TOL = math.log(_SHORT_TOL)
-# A numpy pass is sized to bring the tail to _PASS_AIM of the tolerance
-# it is tested against, so that a prediction a little short still passes.
-_PASS_AIM = 0.25
 # Rounding of a judged value per unit of its spread (gamma factors, y**s,
 # each term summed), in units of _EPS; cancellation multiplies it.
 _CONNECTION_ULPS = 16.0
@@ -256,23 +255,21 @@ def _digamma(x: float) -> float:
     return math.log(x) - 0.5 / x - series - shift
 
 
-def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TOL):
+def _series_sum(a: float, b: float, c: float, x: float):
     """Sum the raw series; returns (value, terms_used, abs_sum).
 
-    Stops once the tail, bounded by `_ratio_bound`, is provably below a
-    tolerance times |sum|.  The count of terms is predicted first
-    (`_predicted_terms`).  A series predicted to need fewer than
-    _SHORT_TERMS terms for a tail of 2**-56 |sum| is summed that far in
-    Python floats, added by math.fsum, and only then tested, against 2**-56
-    whatever rel_tol: less time than a numpy pass that runs cold, and more
-    accurate than one stopped at rel_tol.  It goes on in Python floats as
+    Stops once the tail, bounded by `_ratio_bound`, is provably at most
+    _TAIL_TOL = 2**-56 times |sum|, far below an ulp, whatever the caller:
+    truncation adds no error beside the rounding of the terms.  The count
+    of terms for that tail is predicted first (`_predicted_terms`).  A
+    series predicted to need fewer than _SHORT_TERMS terms is summed that
+    far in Python floats, added by math.fsum, and only then tested: less
+    time than a numpy pass that runs cold.  It goes on in Python floats as
     far as the tail bound asks while it stays within _SHORT_TERMS terms.
-    Every other series is summed in numpy passes, each tested against
-    rel_tol: the first as long as predicted for a tail of _PASS_AIM
-    rel_tol, each later one as long as the tail bound asks for that, up to
-    _CHUNK terms a pass.  No stage runs past the last term of a
-    polynomial.  Both stages build every term from the ratio
-    x (m+a)(m+b) / ((m+c)(m+1)).
+    Every other series is summed in numpy passes: the first as long as
+    predicted, each later one as long as the tail bound asks, up to _CHUNK
+    terms a pass.  No stage runs past the last term of a polynomial.  Both
+    stages build every term from the ratio x (m+a)(m+b) / ((m+c)(m+1)).
 
     A pass adds terms of one sign by numpy's pairwise sum, and terms that
     change sign by math.fsum, as their cancellation magnifies every
@@ -300,10 +297,9 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
     if b <= 0.0 and b == int(b) and b > -n_end:
         n_end = int(-b) + 1
     log_x = math.log(x)
-    predicted = _predicted_terms(a, b, c, x, log_x, _LOG_SHORT_TOL, n_burn, n_end)
+    predicted = _predicted_terms(a, b, c, x, log_x, n_burn, n_end)
     short = predicted < _SHORT_TERMS or n_end < _SHORT_TERMS
-    k = math.ceil(predicted if short else _predicted_terms(
-        a, b, c, x, log_x, math.log(_PASS_AIM * rel_tol), n_burn, n_end))
+    k = math.ceil(predicted)
     total = term = size = 1.0
     terms = [1.0]
     n = 0
@@ -350,7 +346,7 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
             break
         # only a burn-in longer than a pass leaves n below it
         q = _ratio_bound(n, x, a, b, c) if n >= n_burn else 1.0
-        floor = (_SHORT_TOL if short else rel_tol) * max(abs(total), 1e-12)
+        floor = _TAIL_TOL * max(abs(total), 1e-12)
         if q < 1.0 and abs(term) * q <= (1.0 - q) * floor:
             break
         if n >= _TERM_CAP:
@@ -358,8 +354,8 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
                 f"hypergeometric series did not converge within {_TERM_CAP} terms (a={a}, "
                 f"b={b}, c={c}, x={x})", partial=total,
                 error_estimate=abs(term) * x / max(1.0 - x, 1e-300), iterations=n)
-        if q < 1.0:  # until |t_n| q^k q / (1 - q) <= _PASS_AIM floor
-            k = int(math.log(_PASS_AIM * floor * (1.0 - q) / (abs(term) * q)) / math.log(q)) + 1
+        if q < 1.0:  # until |t_n| q^k q / (1 - q) <= floor
+            k = int(math.log(floor * (1.0 - q) / (abs(term) * q)) / math.log(q)) + 1
         else:  # past the burn-in and where x ((m + max(a, b)) / (m + min(c, 1)))^2,
             # which bounds q, falls below 1, then a predicted run
             root_x = math.sqrt(x)
@@ -369,9 +365,10 @@ def _series_sum(a: float, b: float, c: float, x: float, rel_tol: float = _REL_TO
     return total, n, total if positive else size
 
 
-def _predicted_terms(a: float, b: float, c: float, x: float, log_x: float, log_tol: float,
+def _predicted_terms(a: float, b: float, c: float, x: float, log_x: float,
                      n_burn: int, n_end: int) -> float:
-    """How many terms `_series_sum` predicts for a tail of exp(log_tol) |sum|.
+    """How many terms `_series_sum` predicts for a tail of _TAIL_TOL |sum|,
+    with log_tol = log(_TAIL_TOL).
 
     Past the burn-in t_n ~ C n^e x^n, C = G(c) / (G(a) G(b)),
     e = a + b - c - 1 (DLMF 5.11.12).  For e > 0 the sum grows like
@@ -384,12 +381,12 @@ def _predicted_terms(a: float, b: float, c: float, x: float, log_x: float, log_t
     Never fewer than n_burn; C is not formed for a polynomial (n_end
     terms, capped by the caller) nor beyond the term cap.
     """
-    n = log_tol / log_x
+    n = _LOG_TAIL_TOL / log_x
     e = a + b - c - 1.0
     if e > 0.0 and n * (1.0 - x) > 1.0:
         n -= e * math.log(n * (1.0 - x)) / log_x
     elif e < -1.0 and n_end == _TERM_CAP and n_burn < _TERM_CAP:
-        rhs = log_tol + math.log1p(-x) - math.lgamma(c) + math.lgamma(a) + math.lgamma(b)
+        rhs = _LOG_TAIL_TOL + math.log1p(-x) - math.lgamma(c) + math.lgamma(a) + math.lgamma(b)
         n = rhs / log_x
         for _ in range(2):
             n = (rhs - e * math.log(n if n > 1.0 else 1.0)) / log_x
@@ -573,9 +570,10 @@ def _connection(a: float, b: float, c: float, y: float):
     c - a and c - b are rebuilt from s, so that the poles of the two
     terms at integer s cancel for the rounded s as they do for the exact
     one; the error of that rebuild counts near the poles of 1/G (`_rgamma`).
-    Both series are summed to machine precision and judged by `_two_terms`
-    with spread |g1| sum|t1_n| + |g2| sum|t2_n|: their terms can change
-    sign and cancel (through (1 - s)_n for the bounds' F, 1 - s = -alpha).
+    Both series are summed to a tail of 2**-56 times their sum, as every
+    series is (`_series_sum`), and judged by `_two_terms` with spread
+    |g1| sum|t1_n| + |g2| sum|t2_n|: their terms can change sign and
+    cancel (through (1 - s)_n for the bounds' F, 1 - s = -alpha).
     None also where a gamma factor overflows or a series leaves the float
     range.
     """
@@ -589,8 +587,8 @@ def _connection(a: float, b: float, c: float, y: float):
         g1 = (gc * math.gamma(s) * _rgamma(ca, ds + _round_off(b, s))
               * _rgamma(cb, ds + _round_off(a, s)))
         g2 = gc * math.gamma(-s) * _rgamma(a) * _rgamma(b) * y ** s
-        f1, n1, s1 = _series_sum(a, b, 1.0 - s, y, _EPS)
-        f2, n2, s2 = _series_sum(ca, cb, 1.0 + s, y, _EPS)
+        f1, n1, s1 = _series_sum(a, b, 1.0 - s, y)
+        f2, n2, s2 = _series_sum(ca, cb, 1.0 + s, y)
     except (OverflowError, ZeroDivisionError, ConvergenceError):
         return None
     value = _two_terms(g1 * f1, g2 * f2, abs(g1) * s1 + abs(g2) * s2)
@@ -616,11 +614,11 @@ def _log_connection(a: float, b: float, c: float, s: float, y: float):
     part of its bracket (|ln y| and each |psi|), exceeds _REL_TOL of the
     value (`_two_terms`).
 
-    The log series stops, like `_series_sum`'s first stage, once its tail is
-    at most 2**-56 times its sum.  Past the burn-in (every psi argument
-    >= 1) the term ratio is at most q = `_ratio_bound`(n, y, a + m, b + m,
-    m + 1), and each bracket at step k >= n at most
-    B_k = |ln y| + 4 ln(k + w), w = max(b, 1) + m + 2, since
+    The log series stops, like every series of `_series_sum`, once its
+    tail is at most _TAIL_TOL = 2**-56 times its sum.  Past the burn-in
+    (every psi argument >= 1) the term ratio is at most
+    q = `_ratio_bound`(n, y, a + m, b + m, m + 1), and each bracket at step
+    k >= n at most B_k = |ln y| + 4 ln(k + w), w = max(b, 1) + m + 2, since
     |psi(z)| <= ln(z + 2) for z >= 1; ln(n+j+w) <= ln(n+w) + j/(n+w) then
     bounds the tail by |t_n| q/(1-q) (B_n + 4 / ((n+w)(1-q))).
     """
@@ -677,7 +675,7 @@ def _log_connection(a: float, b: float, c: float, s: float, y: float):
         if q < 1.0:
             nw = n + w
             bracket = abs(ly) + 4.0 * math.log(nw) + 4.0 / (nw * (1.0 - q))
-            if abs(term) * q / (1.0 - q) * bracket <= _SHORT_TOL * abs(total):
+            if abs(term) * q / (1.0 - q) * bracket <= _TAIL_TOL * abs(total):
                 break
         if n >= n_burn + _LOG_TERMS:
             return None

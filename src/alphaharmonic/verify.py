@@ -409,16 +409,6 @@ def _gauss_legendre_quarter() -> tuple[np.ndarray, np.ndarray]:
     return theta, w
 
 
-@functools.cache
-def _wallis_oracles() -> tuple[float, ...]:
-    """COSINE_POWER_WALLIS's oracles, the quadrature of cos(theta)^n on
-    [0, pi/2] for n = 0, ..., 40, built once per process.  One (41, 64)
-    table of cos(theta)^n; each row sum runs along the contiguous axis, as
-    the sum of one row alone would."""
-    theta, w = _gauss_legendre_quarter()
-    return tuple((w * np.cos(theta) ** np.arange(41.0)[:, None]).sum(axis=1).tolist())
-
-
 def _euler_transform_eval(params, x: float) -> float:
     """EULER_TRANSFORM's other side: (1-x)^(c-a-b) F(c-a, c-b; c; x), raw."""
     a, b, c = params
@@ -506,7 +496,11 @@ def _identity_cases(spec: TrialSpec):
             1e-9, modulus_power_integral(z, be),
             lambda t: np.abs(1.0 - z * np.exp(1j * t)) ** (-2.0 * be)))
 
-    for n, oracle in enumerate(_wallis_oracles()):
+    # one (41, 64) table of cos(theta)^n; each row sum runs along the
+    # contiguous axis, as the sum of one row alone would
+    theta, w = _gauss_legendre_quarter()
+    oracles = (w * np.cos(theta) ** np.arange(41.0)[:, None]).sum(axis=1)
+    for n, oracle in enumerate(oracles.tolist()):
         yield _case("COSINE_POWER_WALLIS", n, f"n={n}",
                     lambda: 1e-12 - abs(cos_power_integral(n) - oracle))
 

@@ -166,6 +166,16 @@ class TestMNearMinusOne:
         # in x takes over, without which M was 1e-12 off
         assert rel_err(m_bound(r, alpha), float(m_bound_mpmath(r, alpha))) < 1e-13
 
+    @pytest.mark.parametrize("alpha, r", [(-0.999638, 0.997259), (-0.99979, 0.99750)])
+    def test_corner_meets_tolerance_or_raises(self, alpha, r):
+        # the Euler series in x runs to the 4M-term cap; stopped at a tail
+        # of a quarter of 1e-13, it returned M 2.4e-13 and 2.0e-13 off
+        try:
+            value = m_bound(r, alpha)
+        except ConvergenceError:
+            return
+        assert rel_err(value, float(m_bound_mpmath(r, alpha))) < 1e-13
+
     def test_argument_rounding_to_one_raises(self):
         # x = 4r^2/(1+r^2)^2 rounds to 1.0 and the connection terms cancel:
         # the Euler series in x divided by log(1.0), reported as a value

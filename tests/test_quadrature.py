@@ -41,6 +41,28 @@ class TestIntegratePeriodic:
         assert res.value == pytest.approx(1.0, abs=1e-15)
         assert res.nodes_used <= 2 * QuadratureConfig().n_initial
 
+    def test_scalar_constant_is_broadcast(self):
+        calls = []
+
+        def f(th):
+            calls.append(th.size)
+            return 2.5
+
+        res = integrate_periodic(f)
+        assert (res.value, res.converged, res.nodes_used, calls) == (2.5, True, 512, [512])
+
+    @pytest.mark.parametrize("f, shape", [
+        (lambda th: np.array([[1.0], [2.0]]), (2, 1)),
+        (lambda th: np.ones(7), (7,)),
+        (lambda th: np.ones((2, 3, th.size)), (2, 3, 512)),
+    ], ids=["column", "wrong-length", "three-axes"])
+    def test_malformed_integrand_raises(self, f, shape):
+        # numpy's broadcast error ("input operand has more dimensions than
+        # allowed by the axis remapping") used to escape
+        with pytest.raises(DomainError, match="^f must return ") as info:
+            integrate_periodic(f)
+        assert str(info.value).endswith(f"got shape {shape}")
+
     def test_cos_squared(self):
         res = integrate_periodic(lambda th: np.cos(th) ** 2)
         assert res.converged

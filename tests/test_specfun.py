@@ -638,7 +638,7 @@ class TestTerminatingCancellation:
                                             (3.0, -2.5, 2.0, 1e-8)])
     def test_connection_keeps_terminating_series(self, a, b, c, y):
         # c - a or c - b = -1: the connection formula's second series is a
-        # polynomial with alternating terms, summed to the caller's rel_tol
+        # polynomial with alternating terms, summed to a tail of 2**-56 of its sum
         x = 1.0 - y
         res = hyp2f1_detailed((a, b, c), x)
         assert res.transform == "connection"
@@ -743,9 +743,9 @@ class TestShortRoute:
     def test_routes_agree_to_a_few_ulps(self, a, b, c, x):
         # positive terms, so a few ulps of the sum bound both roundings; x
         # to 0.9 reaches the series of up to _SHORT_TERMS Python-float terms
-        value, n, _ = _series_sum(a, b, c, x, _EPS)
+        value, n, _ = _series_sum(a, b, c, x)
         with mock.patch.object(specfun_module, "_SHORT_TERMS", 0):
-            chunked, _, _ = _series_sum(a, b, c, x, _EPS)
+            chunked, _, _ = _series_sum(a, b, c, x)
         # also where the first stage gives way to chunks after its terms
         assert abs(value - chunked) <= 4.0 * _EPS * chunked
 
@@ -797,28 +797,41 @@ class TestShortRoute:
     def test_misprediction_passes_to_chunks(self):
         # predicted 240.9 terms for 2**-56, but the terms change sign and
         # their sum is small: the 241 Python-float terms are followed by one
-        # numpy pass, as long as the tail bound asks (48 terms)
+        # numpy pass, as long as the tail bound asks (36 terms)
         a, b, c, x = 1.61, -1.28, 1.47, 0.89
         n_burn = int(max(abs(a), abs(b), abs(c), 1.0)) + 2
         predicted = specfun_module._predicted_terms(
-            a, b, c, x, math.log(x), specfun_module._LOG_SHORT_TOL, n_burn,
-            specfun_module._TERM_CAP)
+            a, b, c, x, math.log(x), n_burn, specfun_module._TERM_CAP)
         assert 240.0 < predicted < specfun_module._SHORT_TERMS
         with _count_passes() as sizes:
             value, terms, _ = _series_sum(a, b, c, x)
-        assert (terms, sizes) == (289, [48])
+        assert (terms, sizes) == (277, [36])
         assert value == -0.013213973362753602
         assert rel_err(value, float(mp.hyp2f1(a, b, c, x))) < 1e-13
 
+    def test_long_positive_series_stop_below_an_ulp(self):
+        # positive terms, so no cancellation hides a truncation error; x in
+        # [0.8, 0.95) gives 200-700 terms, in either stage.  Passes stopped
+        # at a quarter of 1e-13 were up to 2.8e-14 off here
+        rng = np.random.default_rng(20261021)
+        draws = rng.uniform((0.05, 0.05, 0.3, 0.8), (2.0, 2.0, 3.0, 0.95), size=(600, 4))
+        worst = 0.0
+        with mp.workdps(40):
+            for a, b, c, x in draws.tolist():
+                want = mp.hyp2f1(a, b, c, mp.mpf(x))
+                worst = max(worst, float(abs(_series_sum(a, b, c, x)[0] - want) / want))
+        assert worst < 4e-15
+
     @pytest.mark.parametrize("params, x, value, terms, passes", [
         ((0.25, 0.75, 1.5), 0.5, 1.082392200292394, 47, []),
-        ((-0.5, -0.5, 1.0), 0.999 ** 2, 1.272604276338316, 4902, [4096, 806]),
+        ((-0.5, -0.5, 1.0), 0.999 ** 2, 1.2726042763383305, 8192, [4096, 4096]),
     ], ids=["short-at-half", "long-near-one"])
     def test_long_series_unchanged(self, params, x, value, terms, passes):
         # the first is predicted short (46.4 terms) and summed in Python
-        # floats; the second, predicted long, takes a full pass and one as
-        # long as its tail bound asks (hyp2f1 takes the second, integer
-        # c - a - b near x = 1, by the logarithmic connection formula)
+        # floats; the second, predicted at 8,123 terms, takes a full pass
+        # and then the 4,552 its tail bound asks, cut to a full pass
+        # (hyp2f1 takes it, integer c - a - b near x = 1, by the
+        # logarithmic connection formula)
         with _count_passes() as sizes:
             assert _series_sum(*params, x)[:2] == (value, terms)
         assert sizes == passes

@@ -10,7 +10,15 @@ which the report ``note`` field records.  A value beyond the float range
 SCHWARZ_2F1 is F(-alpha/2, -alpha/2; 1; r^2), SP_2F1 is a lead factor
 over 1 - r^2 times it, and L1_MEAN equals it; all three take F from
 `_schwarz_f`, which keeps its last F (`_memo.LastCall`), so the three
-at one (r, alpha) sum F once.
+at one (r, alpha) sum F once.  Above r = 2^(-1/2) that F takes Kummer's
+quadratic transformation to M's own variable w = 4r^2/(1+r^2)^2
+(`specfun._quadratic`), where its connection formula runs in
+1 - w = ((1-r^2)/(1+r^2))^2 <= 1/9; its first coefficient is
+2^(-alpha/2)/c_alpha, so SCHWARZ_2F1 tends to 1/c_alpha, SP_LIMIT's
+factor, as r -> 1.  M's factor F(1/2, (1-alpha)/2; 3/2; w) comes from
+`specfun._m_series`: above w = 1/2 a difference quotient in
+s = (alpha+1)/2 of the connection formula's two terms, which cancel as
+alpha -> -1.
 """
 
 from __future__ import annotations
@@ -168,7 +176,8 @@ def m_bound(r: float, alpha) -> float:
     formed as (1-r^2) (1+r)^alpha |(1-r)^alpha - 1| / (1+r^2), whose powers
     stay in range at large alpha where (1-r)^(-alpha) overflows, and whose
     difference keeps its digits at small r; the hypergeometric factor
-    comes from `specfun._m_series` for every alpha.
+    comes from `specfun._m_series` for every alpha, in its variable's
+    exact 1 - x.
     """
     if alpha == 0.0:
         return 2.0 ** (alpha + 2.0) / math.pi * math.atan(r)
@@ -179,7 +188,7 @@ def m_bound(r: float, alpha) -> float:
     x = 4.0 * r * r / (one_plus_r2 * one_plus_r2)
     # 1 - x = ((1 - r^2) / (1 + r^2))^2, free of the cancellation in 1.0 - x
     d = one_minus_r2 / one_plus_r2
-    f = _m_series(alpha, x, d * d)
+    f = _m_series(alpha, x, d * d)[0]
     if alpha >= 0.0:
         second = 2.0 ** (2.0 + alpha / 2.0) * r * one_plus_r2 ** (alpha / 2.0 - 1.0) / math.pi * f
     else:

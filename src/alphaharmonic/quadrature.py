@@ -267,7 +267,8 @@ def modulus_power_integral(z: complex, beta: float) -> float:
     """Closed form of the circle mean of |1 - z e^{i theta}|^(-2 beta).
 
     Equals (1-|z|^2)^(1-2 beta) * F(1-beta, 1-beta; 1; |z|^2), with F
-    taken in the correctly rounded 1 - |z|^2.
+    taken in the correctly rounded 1 - |z|^2.  A value beyond the float
+    range raises ConvergenceError.
     """
     zc = disk_point_value(z)
     if type(beta) is not float:
@@ -276,4 +277,10 @@ def modulus_power_integral(z: complex, beta: float) -> float:
         raise DomainError(f"beta must be finite and >= 0, got {beta!r}")
     y = _one_minus_abs2(zc)
     f = _hyp(1.0 - beta, 1.0 - beta, 1.0, zc.real * zc.real + zc.imag * zc.imag, y).value
-    return y ** (1.0 - 2.0 * beta) * f
+    try:
+        value = y ** (1.0 - 2.0 * beta) * f
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConvergenceError(f"modulus_power_integral({z!r}, {beta!r}) leaves the float range")
+    return value

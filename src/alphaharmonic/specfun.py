@@ -9,15 +9,18 @@ in float64 with a rigorous geometric tail bound for stopping, and
 reports sum |t_n| beside the sum.  One judge, `_two_terms`, accepts a
 value summed from signed parts only where their rounding, magnified by
 the cancellation, stays within the relative tolerance.  The routes, the
-connection formulas near x = 1 (DLMF 15.8.4 and 15.8.10), the Euler
-transform and the raw series, are described at `hyp2f1_detailed`; no
-continuation beyond [0, 1) is attempted.  A caller that knows 1 - x
+connection formulas near x = 1 (DLMF 15.8.4 and 15.8.10), also in the
+variable w = 4x/(1+x)^2 of Kummer's quadratic transformation for
+c = |a - b| + 1 (the bounds' family F(-alpha/2, -alpha/2; 1; r^2)), the
+Euler transform and the raw series, are described at `hyp2f1_detailed`;
+no continuation beyond [0, 1) is attempted.  A caller that knows 1 - x
 more exactly than 1.0 - x passes it to `_hyp` (`bounds.schwarz_bound` and
 `quadrature.modulus_power_integral` do).  The other series the library
-sums are here too: M's factor (`_m_series`), from positive series in its
-caller's exact 1 - x.  The solver's seed (`_mode_seed`) sums no series: a
-k-term closed form or the incomplete-beta continued fraction (DLMF
-8.17.22), in Python floats.
+sums are here too: M's factor (`_m_series`), in its caller's exact
+1 - x, from a positive series or a difference quotient whose terms do
+not cancel.  The solver's seed (`_mode_seed`) sums no series: a k-term
+closed form or the incomplete-beta continued fraction (DLMF 8.17.22), in
+Python floats.
 
 This module is also the library's one argument gate: `_real`, `_count`,
 `_positive_real`, `_complex`, `alpha_value` and `disk_point_value` turn a
@@ -79,16 +82,15 @@ _SHORT_TERMS = 256
 _CONNECTION_ULPS = 16.0
 # For integer c - a - b the logarithmic connection formula replaces the raw
 # or Euler series once y = 1 - x < _LOG_SWITCH: it needs 10-40 terms there
-# (a Python loop with four digamma values), while the raw series' count
+# (a Python loop with two digamma values), while the raw series' count
 # grows like 1/y.  Timed for F(-alpha/2, -alpha/2; 1; 1 - y) on a 2-core
-# Xeon: at alpha = 1 the raw series needs 192 terms or more below
-# y = 0.221 (42-50 us at y = 0.1 to 0.2, 1,984 terms and 144 us at
-# y = 0.01), the logarithmic route 11-30 terms (27-51 us); at alpha = 3, 5
-# and 7 the raw series is one 64-term chunk (13-24 us) from y = 0.15, 0.1
-# and 0.01 up, the logarithmic route 30-65 us there.  Switching at 0.25
-# bounds the work at every alpha, costs up to 50 us a call at alpha >= 3
-# for y in [0.1, 0.25), and leaves 1 - r^2 >= 0.2775 (r <= 0.85, the
-# certify radii) on the raw series.
+# Xeon before that family took the quadratic route: at alpha = 1 the raw
+# series needs 192 terms or more below y = 0.221 (42-50 us at y = 0.1 to
+# 0.2, 1,984 terms and 144 us at y = 0.01), the logarithmic route 11-30
+# terms (27-51 us); at alpha = 3, 5 and 7 the raw series is one 64-term
+# chunk (13-24 us) from y = 0.15, 0.1 and 0.01 up, the logarithmic route
+# 30-65 us there.  Switching at 0.25 bounds the work at every alpha.  The
+# quadratic route's series run in 1 - w <= 1/9, below the switch.
 _LOG_SWITCH = 0.25
 # The logarithmic series, past the burn-in that makes every digamma
 # argument at least 1, gives up (and the raw or Euler series is summed)
@@ -114,6 +116,20 @@ _NORMAL_MIN = 2.0 ** -1022
 _PSI_SHIFT = 10.0
 _PSI_COEFFS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
                -691.0 / 32760.0, 1.0 / 12.0)
+_EULER_GAMMA = 0.5772156649015329  # -psi(1)
+# zeta(2), ..., zeta(18)
+_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
+         1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
+         1.000994575127818, 1.0004941886041194, 1.000246086553308, 1.0001227133475785,
+         1.0000612481350588, 1.000030588236307, 1.0000152822594086, 1.0000076371976379,
+         1.000003817293265)
+# Taylor coefficients of ln g(s) = ln(sqrt(pi) G(1+s) / G(s+1/2)) at s = 0, k = 1..18:
+# 2 ln 2, then (-1)^(k+1) zeta(k) (2^k - 2) / k.  The series converges for
+# |s| < 1/2 by factors of about 2s; at s <= _LOG_G_S the first term left out
+# is below 5e-18 of the sum.
+_LOG_G = (2.0 * math.log(2.0),) + tuple((-1) ** (k + 1) * z * (2 ** k - 2) / k
+                                         for k, z in enumerate(_ZETA, 2))
+_LOG_G_S = 1.0 / 16.0
 
 
 def _is_real(value) -> bool:
@@ -201,7 +217,7 @@ class Hyp2F1Result(NamedTuple):
 
     value: float
     terms_used: int
-    transform: str  # "none", "euler" or "connection"
+    transform: str  # "none", "euler", "connection" or "quadratic"
 
 
 def beta(x: float, y: float) -> float:
@@ -445,29 +461,64 @@ def _rgamma(z: float, dz: float = 0.0) -> float:
     return 1.0 / math.gamma(z)
 
 
-def _m_series(a: float, x: float, y: float) -> float:
-    """F(1/2, (1-a)/2; 3/2; x), y = 1 - x, for a > -1: `bounds.m_bound`'s factor.
+def _m_series(a: float, x: float, y: float) -> tuple[float, int]:
+    """F(1/2, (1-a)/2; 3/2; x), y = 1 - x, for a > -1, and the terms summed
+    for it: `bounds.m_bound`'s factor.
 
     Its own series alternates for a > 1 (b = (1-a)/2 < 0), by a factor that
-    grows like (1+x)^(a/2), so it is never summed; the series below have
-    positive terms for every a > -1.  With s = (a+1)/2: above x = 1/2 the
-    connection formula (DLMF 15.8.4), whose first series
-    F(1/2, 1-s; 1-s; y) is x^(-1/2) and whose gamma ratios reduce to
-    B(s, 1/2)/2 and -1/(2s):
-        F = B(s, 1/2) / (2 sqrt(x)) - y^s / (2s) F(1, s + 1/2; s + 1; y),
-    unless its two terms cancel beyond the tolerance (`_two_terms`; s near
-    0, where both grow like 1/(2s)); else, and for x <= 1/2, the Euler
-    transform y^s F(1, s + 1/2; 3/2; x).
+    grows like (1+x)^(a/2), so it is never summed.  With s = (a+1)/2, for
+    x <= 1/2 the Euler transform y^s F(1, s + 1/2; 3/2; x), of positive
+    terms.  Above x = 1/2, the connection formula (DLMF 15.8.4), whose
+    first series F(1/2, 1-s; 1-s; y) is x^(-1/2) and whose gamma ratios
+    reduce to B(s, 1/2)/2 and -1/(2s):
+
+        F = [g(s) / sqrt(x) - y^s F(1, s + 1/2; s + 1; y)] / (2s),
+        g(s) = sqrt(pi) G(1+s) / G(s+1/2) = s B(s, 1/2).
+
+    Its two terms both grow like 1/(2s) as s -> 0, where g(0) = 1 and the
+    series is (1 - y)^(-1/2): so it is summed as the difference quotient
+
+        F = [(g(s) - 1) / (s sqrt(x)) - sum_n e_n] / 2,
+        e_n = y^n [y^s (s+1/2)_n / (s+1)_n - (1/2)_n / n!] / s,
+
+    with no pole at s = 0.  (g(s) - 1)/s is expm1(ln g(s))/s, ln g from its
+    Taylor series (`_LOG_G`) for s <= _LOG_G_S, else B(s, 1/2) - 1/s, where
+    1/s is at most 15 times the difference.  e_0 = expm1(s ln y)/s, and
+    with u_n = (1/2)_n y^n / n!,
+
+        e_{n+1} = y [(s + 1/2 + n) e_n + u_n / (2(n + 1))] / (s + 1 + n),
+
+    whose rounding errors shrink by a factor y a step.  e_n / u_n rises
+    from e_0 to (g(s) y^s - 1)/s, below 0 where y < 1/4 (g(s) <= 4^s):
+    there every e_n is negative and the two parts of the quotient add.  So
+    |e_n| <= E u_n, E the larger magnitude of the two ends, and the sum
+    stops once E u_n y / (1 - y), which bounds the rest, is at most
+    _TAIL_TOL of 2F.
     """
     s = (a + 1.0) / 2.0
-    if x > 0.5:
-        t1, g2 = beta(s, 0.5) / (2.0 * math.sqrt(x)), y ** s / (2.0 * s)
-        f, _, f_abs = _series_sum(1.0, s + 0.5, s + 1.0, y)
-        value = _two_terms(t1, -(g2 * f), t1 + g2 * f_abs)
-        if value is not None:
-            return value
-    f, _, _ = _series_sum(1.0, s + 0.5, 1.5, x)
-    return y ** s * f
+    if not x > 0.5:
+        f, terms, _ = _series_sum(1.0, s + 0.5, 1.5, x)
+        return y ** s * f, terms
+    if s <= _LOG_G_S:
+        p = 0.0
+        for coeff in reversed(_LOG_G):
+            p = p * s + coeff
+        dg = math.expm1(s * p) / s  # (g(s) - 1) / s
+    else:
+        dg = beta(s, 0.5) - 1.0 / s
+    lead = dg / math.sqrt(x)
+    e = total = math.expm1(s * math.log(y)) / s
+    # e_n / u_n rises from e_0 to (g(s) y^s - 1) / s
+    bound = max(-e, e + dg * (1.0 + s * e))
+    tol = _TAIL_TOL * (1.0 - y) / y
+    u = 1.0
+    n = 0.0
+    while bound * u > tol * (lead - total):
+        e = y * ((s + 0.5 + n) * e + u / (2.0 * (n + 1.0))) / (s + 1.0 + n)
+        u *= y * (n + 0.5) / (n + 1.0)
+        n += 1.0
+        total += e
+    return (lead - total) / 2.0, int(n) + 1
 
 
 def _log_scaled_sum(b: float, k: int, x: float) -> float:
@@ -573,7 +624,8 @@ def _connection(a: float, b: float, c: float, y: float):
     Both series are summed to a tail of 2**-56 times their sum, as every
     series is (`_series_sum`), and judged by `_two_terms` with spread
     |g1| sum|t1_n| + |g2| sum|t2_n|: their terms can change sign and
-    cancel (through (1 - s)_n for the bounds' F, 1 - s = -alpha).
+    cancel (through (1 - s)_n: for the bounds' F, 1 - s = (1 - alpha)/2 on
+    the quadratic route and -alpha in x).
     None also where a gamma factor overflows or a series leaves the float
     range.
     """
@@ -606,7 +658,8 @@ def _log_connection(a: float, b: float, c: float, s: float, y: float):
               * sum_n t_n [ln y - psi(n+1) - psi(n+m+1) + psi(a+m+n) + psi(b+m+n)],
 
     t_n = (a+m)_n (b+m)_n / (n! (m+1)_n) y^n; the four psi values move on
-    by psi(z + 1) = psi(z) + 1/z.  For s = -m < 0 the Euler transform
+    by psi(z + 1) = psi(z) + 1/z, from psi(1) = -gamma, psi(m+1) =
+    -gamma + H_m and two `_digamma` values.  For s = -m < 0 the Euler transform
     y^s F(c-a, c-b; c; 1-y) comes first.  None for a terminating series,
     where a gamma factor overflows, where the log series has not met its
     tail bound after _LOG_TERMS terms past the burn-in, and where the
@@ -620,7 +673,10 @@ def _log_connection(a: float, b: float, c: float, s: float, y: float):
     q = `_ratio_bound`(n, y, a + m, b + m, m + 1), and each bracket at step
     k >= n at most B_k = |ln y| + 4 ln(k + w), w = max(b, 1) + m + 2, since
     |psi(z)| <= ln(z + 2) for z >= 1; ln(n+j+w) <= ln(n+w) + j/(n+w) then
-    bounds the tail by |t_n| q/(1-q) (B_n + 4 / ((n+w)(1-q))).
+    bounds the tail by |t_n| q/(1-q) (B_n + 4 / ((n+w)(1-q))).  As q >= y
+    and B_n >= |ln y|, that bound is at least |t_n| y |ln y| / (1-y): it is
+    formed only at steps where this cheaper one meets the tail, so the
+    series stops at the step where a test at every step would stop.
     """
     if s < 0.0:
         a, b = c - b, c - a
@@ -647,8 +703,8 @@ def _log_connection(a: float, b: float, c: float, s: float, y: float):
 
     am, bm, m1 = a + m, b + m, m + 1.0
     ly = math.log(y)
-    p1 = _digamma(1.0)
-    p2 = _digamma(m1)
+    p1 = -_EULER_GAMMA  # psi(n + 1) = -gamma + H_n
+    p2 = p1 + sum(1.0 / k for k in range(1, m + 1))  # psi(n + m + 1)
     pa = _digamma(am)
     pb = pa if a == b else _digamma(bm)
     terms = [ly - p1 - p2 + pa + pb]
@@ -657,6 +713,8 @@ def _log_connection(a: float, b: float, c: float, s: float, y: float):
     term = 1.0
     n_burn = max(0, math.ceil(1.0 - am))
     w = max(b, 1.0) + m + 2.0
+    # the tail bound below is at least |t_n| y / (1 - y) |ln y|, as q >= y
+    least = -ly * y / (1.0 - y)
     n = 0.0
     while True:
         term *= (n + am) * (n + bm) / ((n + 1.0) * (n + m1)) * y
@@ -668,15 +726,16 @@ def _log_connection(a: float, b: float, c: float, s: float, y: float):
         t = term * (ly - p1 - p2 + pa + pb)
         terms.append(t)
         total += t
-        size += abs(term) * (abs(ly) + abs(p1) + abs(p2) + abs(pa) + abs(pb))
-        if n < n_burn:
-            continue
-        q = _ratio_bound(n, y, am, bm, m1)
-        if q < 1.0:
-            nw = n + w
-            bracket = abs(ly) + 4.0 * math.log(nw) + 4.0 / (nw * (1.0 - q))
-            if abs(term) * q / (1.0 - q) * bracket <= _TAIL_TOL * abs(total):
-                break
+        # from n = 1 on, psi(n + 1) and psi(n + m + 1) are positive, ln y negative
+        size += abs(term) * (p1 + p2 - ly + abs(pa) + abs(pb))
+        floor = _TAIL_TOL * abs(total)
+        if n >= n_burn and abs(term) * least <= floor:
+            q = _ratio_bound(n, y, am, bm, m1)
+            if q < 1.0:
+                nw = n + w
+                bracket = 4.0 * math.log(nw) + 4.0 / (nw * (1.0 - q)) - ly
+                if abs(term) * q / (1.0 - q) * bracket <= floor:
+                    break
         if n >= n_burn + _LOG_TERMS:
             return None
 
@@ -686,6 +745,29 @@ def _log_connection(a: float, b: float, c: float, s: float, y: float):
     spread = abs(g1) * math.fsum(map(abs, finite)) + abs(g2) * size
     value = _two_terms(t1, t2, spread)
     return None if value is None else Hyp2F1Result(value, m + int(n) + 1, "connection")
+
+
+def _quadratic(a: float, c: float, y: float):
+    """F(a, b; c; 1 - y) for c = a - b + 1 (a the larger parameter) and
+    x = 1 - y > 1/2, by Kummer's quadratic transformation (DLMF §15.8(iii)):
+
+        F(a, b; a - b + 1; x) = (1 + x)^(-a) F(a/2, a/2 + 1/2; c; w),
+        w = 4x / (1 + x)^2,   1 - w = (y / (1 + x))^2 <= 1/9,
+
+    the right side by the connection formula in 1 - w (`_connection`).
+    1 + x is taken as 2 - y, from the caller's y.  None where that
+    connection gives way: the caller then takes its route in x, never the
+    series in w, which converges like w^n with w near 1.
+    """
+    u = 2.0 - y
+    res = _connection(a / 2.0, a / 2.0 + 0.5, c, (y / u) ** 2)
+    if res is None:
+        return None
+    try:
+        value = u ** -a * res.value
+    except OverflowError:
+        return None
+    return Hyp2F1Result(value, res.terms_used, "quadratic") if math.isfinite(value) else None
 
 
 def _two_terms(t1: float, t2: float, spread: float) -> float | None:
@@ -707,12 +789,21 @@ def hyp2f1_detailed(params, x: float) -> Hyp2F1Result:
     The value is returned to relative tolerance 1e-13 (_REL_TOL), or
     ConvergenceError is raised, also where it leaves the float range.
 
-    For 0.5 < x < 1 the connection formula in y = 1 - x (DLMF 15.8.4) is
-    used, transform "connection": two series in y that converge like y^n,
-    a few terms each near x = 1 and at most a few hundred near x = 1/2.
-    For integer c - a - b it takes the logarithmic case (DLMF 15.8.10),
-    also "connection", below y = 0.25 (`_LOG_SWITCH`): |c - a - b| terms
-    plus at most _LOG_TERMS past a burn-in.  Either is skipped for a
+    For 0.5 < x < 1 and c = |a - b| + 1 exactly, Kummer's quadratic
+    transformation comes first, transform "quadratic" (`_quadratic`): the
+    connection formula below, in 1 - w = ((1 - x)/(1 + x))^2 <= 1/9, of
+    F(a'/2, a'/2 + 1/2; c; w) with a' the larger of a and b, times
+    (1 + x)^(-a'); for the bounds' F(-alpha/2, -alpha/2; 1; x) at x > 1/2,
+    4 to 36 terms with alpha <= 5, at most about 80 up to alpha = 60 and
+    430 up to 340.  Where it gives way, as where s' = 1/2 - min(a, b) lies near
+    but not on an integer (alpha near -1, or near but not at an odd
+    integer), the route in x follows.  For other 0.5 < x < 1
+    the connection formula in y = 1 - x (DLMF 15.8.4) is used, transform
+    "connection": two series in y that converge like y^n, a few terms
+    each near x = 1 and at most a few hundred near x = 1/2.  For integer
+    c - a - b it takes the logarithmic case (DLMF 15.8.10), also
+    "connection", below y = 0.25 (`_LOG_SWITCH`): |c - a - b| terms plus
+    at most _LOG_TERMS past a burn-in.  Either is skipped for a
     terminating series, where a gamma factor overflows and where
     `_two_terms` rejects it: the rounding of every term summed, in either
     series or between the two, magnified by the cancellation, would exceed
@@ -744,6 +835,11 @@ def _hyp(a: float, b: float, c: float, x: float, y: float) -> Hyp2F1Result:
     caller's y = 1 - x, which it may know more exactly than 1.0 - x."""
     terminates = _terminates(a, b)
     if x > 0.5 and not terminates:
+        # c = b - a + 1 exactly: the difference and the sum are not rounded
+        if c - 1.0 == b - a and _round_off(b, -a) == 0.0 and _round_off(c, -1.0) == 0.0:
+            res = _quadratic(b, c, y)
+            if res is not None:
+                return res
         res = _connection(a, b, c, y)
         if res is not None:
             return res

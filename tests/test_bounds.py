@@ -1,6 +1,7 @@
 """Closed-form bound evaluations and their orderings."""
 
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ from alphaharmonic import (BoundReport, ConvergenceError, DomainError, c_alpha, 
                            lc_schwarz_pick_bound, m1_bound, m2_bound, m_bound,
                            m_prime_bound, schwarz_bound, schwarz_pick_bound,
                            schwarz_pick_limit_bound)
+from alphaharmonic import specfun
 
 
 def rel_err(got, want):
@@ -168,20 +170,42 @@ class TestMNearMinusOne:
 
     @pytest.mark.parametrize("alpha, r", [(-0.999638, 0.997259), (-0.99979, 0.99750)])
     def test_corner_meets_tolerance_or_raises(self, alpha, r):
-        # the Euler series in x runs to the 4M-term cap; stopped at a tail
-        # of a quarter of 1e-13, it returned M 2.4e-13 and 2.0e-13 off
+        # the Euler series in x once ran to the 4M-term cap here; stopped at
+        # a tail of a quarter of 1e-13, it returned M 2.4e-13 and 2.0e-13
+        # off.  The difference quotient sums a few terms in 1 - x instead
         try:
             value = m_bound(r, alpha)
         except ConvergenceError:
             return
         assert rel_err(value, float(m_bound_mpmath(r, alpha))) < 1e-13
 
-    def test_argument_rounding_to_one_raises(self):
-        # x = 4r^2/(1+r^2)^2 rounds to 1.0 and the connection terms cancel:
-        # the Euler series in x divided by log(1.0), reported as a value
-        # beyond the float range
-        with pytest.raises(ConvergenceError, match="rounds to 1"):
-            m_bound(0.9999999991, -0.9993)
+    def test_argument_rounding_to_one_meets_tolerance(self):
+        # x = 4r^2/(1+r^2)^2 rounds to 1.0; the Euler series in x raised
+        # here, where the difference quotient sums in the exact 1 - x
+        value = m_bound(0.9999999991, -0.9993)
+        assert rel_err(value, float(m_bound_mpmath(0.9999999991, -0.9993))) < 1e-13
+
+    def test_corner_sweep_meets_tolerance(self):
+        # alpha -> -1 and r -> 1 together, drawn point by point: 121 of
+        # these raised ConvergenceError at the 4M-term cap of the Euler
+        # series, and 12 were beyond 1e-13 (9.9e-13 worst)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            alpha = -1.0 + 10.0 ** rng.uniform(-5.0, -1.0)
+            r = 1.0 - 10.0 ** rng.uniform(-6.0, -2.0)
+            assert rel_err(m_bound(r, alpha), float(m_bound_mpmath(r, alpha))) < 1e-13, (r, alpha)
+        # 1.21e-13 off, after a 1.36M-term Euler series
+        r, alpha = 0.9951039554794251, -0.9998736726145536
+        assert rel_err(m_bound(r, alpha), float(m_bound_mpmath(r, alpha))) < 1e-13
+
+    @pytest.mark.parametrize("r", [0.5, 0.6])
+    def test_no_euler_series_near_minus_one(self, r):
+        # the cancelling connection pair was rejected here, and the Euler
+        # series of 87-156 terms summed instead; the difference quotient
+        # calls no `_series_sum`
+        with mock.patch.object(specfun, "_series_sum", side_effect=AssertionError):
+            value = m_bound(r, -0.95)
+        assert rel_err(value, float(m_bound_mpmath(r, -0.95))) < 1e-13
 
 
 def near_boundary_mpmath(bound_id, r, alpha, c):

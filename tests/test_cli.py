@@ -406,11 +406,14 @@ class TestFigure1:
             a = -0.3 + k * 0.1
         assert [float(line.split(",")[0]) for line in out.strip().split("\n")[1:]] == want
 
-    def test_argument_rounding_to_one_exits_3(self, capsys):
+    def test_argument_rounding_to_one_prints_the_value(self, capsys):
+        # M's x = 4r^2/(1+r^2)^2 rounds to 1.0 here; its Euler series raised
+        # ConvergenceError (exit 3), where the difference quotient in the
+        # exact 1 - x returns M
         code, out, err = run(capsys, ["figure1", "--r", "0.9999999991", "--alpha-min",
                                       "-0.9993", "--alpha-max", "-0.9993"])
-        assert code == 3 and out == ""
-        assert err.count("\n") == 1 and "rounds to 1" in err
+        assert code == 0 and err == ""
+        assert float(out.strip().split("\n")[1].split(",")[1]) == alphaharmonic.m_bound(0.9999999991, -0.9993)
 
     def test_single_point_grid(self, capsys):
         code, out, _ = run(capsys, ["figure1", "--alpha-min", "1", "--alpha-max", "1"])

@@ -454,6 +454,12 @@ class TestModulusPowerIntegral:
         with pytest.raises(DomainError):
             modulus_power_integral(0.5, -0.1)
 
+    def test_value_beyond_float_range_raises(self):
+        # (1 - |z|^2)^(1 - 2 beta) alone overflows here: OverflowError
+        # escaped before
+        with pytest.raises(ConvergenceError, match="float range"):
+            modulus_power_integral(0.99, 300.0)
+
     def test_random_draws_match_quadrature(self):
         rng = np.random.default_rng(1)
         for _ in range(200):

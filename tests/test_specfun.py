@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import alphaharmonic.specfun as specfun_module
 from alphaharmonic import (BOUND_IDS, ConvergenceError, DomainError, beta, c_alpha,
-                           evaluate_bound, hyp2f1, hyp2f1_detailed, m_bound, schwarz_bound,
-                           schwarz_pick_bound)
+                           evaluate_bound, hyp2f1, hyp2f1_detailed, m_bound,
+                           modulus_power_integral, schwarz_bound, schwarz_pick_bound)
 from alphaharmonic.specfun import (_EPS, _digamma, _m_series, _mode_seed, _series_sum,
                                    alpha_value)
 from alphaharmonic.verify import (_c_alpha_duplication, _euler_transform_eval,
@@ -360,7 +360,9 @@ class TestConnection:
             except ConvergenceError:
                 continue
             want = float(mp.hyp2f1(a, b, c, mp.mpf(x)))
-            if res.transform == "connection":
+            # the schwarz and modulus_power families (c = |a - b| + 1) take
+            # the connection formula in Kummer's quadratic variable
+            if res.transform in ("connection", "quadratic"):
                 connection += 1
                 assert rel_err(res.value, want) < 1e-13, (a, b, c, x)
             else:
@@ -446,7 +448,10 @@ class TestConnection:
             assert res.terms_used <= 256
 
     def test_engages_above_one_half_only(self):
-        assert hyp2f1_detailed((0.25, 0.75, 1.5), 0.9).transform == "connection"
+        assert hyp2f1_detailed((0.25, 0.75, 1.6), 0.9).transform == "connection"
+        assert hyp2f1_detailed((0.25, 0.75, 1.6), 0.5).transform == "none"
+        # c = b - a + 1: the connection formula in Kummer's quadratic variable
+        assert hyp2f1_detailed((0.25, 0.75, 1.5), 0.9).transform == "quadratic"
         assert hyp2f1_detailed((0.25, 0.75, 1.5), 0.5).transform == "none"
         # terminating series stay raw: a finite polynomial is summed exactly
         assert hyp2f1_detailed((-2.0, 0.5, 1.7), 0.9).transform == "none"
@@ -513,10 +518,12 @@ class TestLogConnection:
 
     @pytest.mark.parametrize("alpha", [1.0, 3.0, 5.0])
     def test_bounds_near_one(self, alpha):
+        # odd alpha: the quadratic route's s = (alpha + 1)/2 is an integer,
+        # and its logarithmic series runs in 1 - w = ((1 - x)/(1 + x))^2
         for r in (0.99, 0.999, 0.99999, 0.9999999, 1.0 - 1e-12):
             x = r * r
             res = hyp2f1_detailed((-alpha / 2.0, -alpha / 2.0, 1.0), x)
-            assert res.transform == "connection" and res.terms_used <= 64, (alpha, r)
+            assert res.transform == "quadratic" and res.terms_used <= 10, (alpha, r)
             with mp.workdps(40):
                 want = mp.hyp2f1(-alpha / 2.0, -alpha / 2.0, 1, mp.mpf(x))
             assert rel_err(schwarz_bound(r, alpha), want) < 1e-13, (alpha, r)
@@ -524,12 +531,12 @@ class TestLogConnection:
             assert rel_err(schwarz_pick_bound(r, alpha), lead * want) < 1e-13, (alpha, r)
 
     def test_alpha_one_work_bounded_at_every_radius(self):
-        # the raw series below the switch, the logarithmic route above it;
-        # the most is 84 terms (r = 0.864), where the raw series is summed
-        # in Python floats to a tail of 2**-56
+        # the raw series up to x = 1/2, the quadratic route's logarithmic
+        # series in 1 - w <= 1/9 above it; the most is 38 terms, the raw
+        # series just below r = 2^(-1/2), and 21 on the quadratic route
         radii = np.concatenate([np.linspace(0.0, 0.999, 400), 1.0 - 10.0 ** -np.arange(4.0, 13.0)])
         for r in radii:
-            assert hyp2f1_detailed((-0.5, -0.5, 1.0), r * r).terms_used <= 84, r
+            assert hyp2f1_detailed((-0.5, -0.5, 1.0), r * r).terms_used <= 38, r
 
     def test_symmetry_bit_for_bit(self):
         rng = np.random.default_rng(137)
@@ -547,8 +554,11 @@ class TestLogConnection:
     def test_switch(self):
         below = 1.0 - specfun_module._LOG_SWITCH * 0.99
         above = 1.0 - specfun_module._LOG_SWITCH * 1.01
-        assert hyp2f1_detailed((-0.5, -0.5, 1.0), below).transform == "connection"
-        assert hyp2f1_detailed((-0.5, -0.5, 1.0), above).transform == "none"
+        assert hyp2f1_detailed((-0.25, -0.25, 1.5), below).transform == "connection"
+        assert hyp2f1_detailed((-0.25, -0.25, 1.5), above).transform == "none"
+        # c = |a - b| + 1 takes the quadratic route on both sides
+        assert hyp2f1_detailed((-0.5, -0.5, 1.0), below).transform == "quadratic"
+        assert hyp2f1_detailed((-0.5, -0.5, 1.0), above).transform == "quadratic"
         # c - a - b = -2: the Euler series above the switch
         assert hyp2f1_detailed((2.5, 2.5, 3.0), above).transform == "euler"
         assert hyp2f1_detailed((2.5, 2.5, 3.0), below).transform == "connection"
@@ -578,6 +588,116 @@ class TestLogConnection:
                 continue  # next to a pole
             want = mp.digamma(x)
             assert abs(_digamma(x) - want) <= 2e-15 * max(abs(want), 1.0), x
+
+
+def _quadratic_sweep_alphas(rng):
+    """alpha on a log scale from -1 + 1e-5 to 1000, odd integers, and
+    1 +- 10^-k for k = 3..12."""
+    alphas = [-1.0 + 10.0 ** u for u in rng.uniform(-5.0, 0.0, 50)]
+    alphas += [10.0 ** u for u in rng.uniform(-1.0, 3.0, 60)]
+    alphas += [float(k) for k in range(1, 40, 2)]
+    alphas += [1.0 + sign * 10.0 ** -k for k in range(3, 13) for sign in (-1.0, 1.0)]
+    return alphas
+
+
+class TestQuadraticRoute:
+    """c = |a - b| + 1 above x = 1/2: Kummer's quadratic transformation
+    takes F to w = 4x/(1+x)^2, where the connection formula runs in
+    1 - w = ((1-x)/(1+x))^2 <= 1/9.  SCHWARZ_2F1, SP_2F1, L1_MEAN and
+    `modulus_power_integral` sum F(-alpha/2, -alpha/2; 1; x) so."""
+
+    def test_sweep_against_mpmath(self):
+        # r on a log scale in 1 - r from 1/sqrt(2) to 1 - 1e-12; every
+        # quadratic value meets 1e-13, and every call the route gives way
+        # on takes the route in x, as it would without the quadratic route
+        rng = np.random.default_rng(31)
+        quadratic = 0
+        for alpha in _quadratic_sweep_alphas(rng):
+            r = 1.0 - (1.0 - 0.5 ** 0.5) * 10.0 ** rng.uniform(-11.5, 0.0)
+            a = -alpha / 2.0
+            x, y = r * r, (1.0 - r) * (1.0 + r)
+            try:
+                res = specfun_module._hyp(a, a, 1.0, x, y)
+            except ConvergenceError:
+                continue
+            if res.transform != "quadratic":
+                with mock.patch.object(specfun_module, "_quadratic", return_value=None):
+                    assert specfun_module._hyp(a, a, 1.0, x, y) == res, (alpha, r)
+                continue
+            quadratic += 1
+            with mp.workdps(40):
+                rm = mp.mpf(r)
+                want = mp.hyp2f1(a, a, 1, rm * rm)
+                lead = 2 * (1 + mp.mpf(alpha)) if alpha >= 0.0 else mp.mpf(2)
+                want_sp = lead / (1 - rm * rm) * want
+            assert schwarz_bound(r, alpha) == res.value
+            assert rel_err(res.value, want) < 1e-13, (alpha, r)
+            if want_sp < 1e308:
+                assert rel_err(schwarz_pick_bound(r, alpha), want_sp) < 1e-13, (alpha, r)
+        assert quadratic >= 100
+
+    def test_modulus_power_integral_against_mpmath(self):
+        # beta = (alpha + 2)/2: F(1 - beta, 1 - beta; 1; |z|^2) in the
+        # correctly rounded 1 - |z|^2, whose power (1 - |z|^2)^(1 - 2 beta)
+        # is taken at that float
+        rng = np.random.default_rng(37)
+        quadratic = 0
+        for alpha in _quadratic_sweep_alphas(rng):
+            rho = 1.0 - (1.0 - 0.5 ** 0.5) * 10.0 ** rng.uniform(-11.5, 0.0)
+            t = rng.uniform(0.0, 2.0 * math.pi)
+            z = rho * complex(math.cos(t), math.sin(t))
+            be = (alpha + 2.0) / 2.0
+            x, y = z.real * z.real + z.imag * z.imag, specfun_module._one_minus_abs2(z)
+            if x <= 0.5:
+                continue
+            try:
+                res = specfun_module._hyp(1.0 - be, 1.0 - be, 1.0, x, y)
+                value = modulus_power_integral(z, be)
+            except ConvergenceError:
+                continue
+            if res.transform != "quadratic":
+                continue
+            quadratic += 1
+            with mp.workdps(40):
+                x_exact = mp.mpf(z.real) ** 2 + mp.mpf(z.imag) ** 2
+                want = mp.hyp2f1(1 - mp.mpf(be), 1 - mp.mpf(be), 1, x_exact)
+                want_mean = mp.mpf(y) ** (1 - 2 * mp.mpf(be)) * want
+            assert rel_err(res.value, want) < 1e-13, (alpha, z)
+            if want_mean < 1e308:
+                assert rel_err(value, want_mean) < 1e-13, (alpha, z)
+        assert quadratic >= 80
+
+    def test_grid_work_bounded(self):
+        # F on the bounds-table grid at r >= 0.8: at most 77 terms before,
+        # on the raw series or the connection formulas in 1 - r^2
+        for alpha in ALPHAS:
+            for r in RADII:
+                if r >= 0.8:
+                    a = -alpha / 2.0
+                    res = specfun_module._hyp(a, a, 1.0, r * r, (1.0 - r) * (1.0 + r))
+                    assert res.terms_used <= 26, (alpha, r)
+                    assert res.transform == ("none" if a == round(a) else "quadratic")
+
+    def test_leading_coefficient_is_the_gauss_limit(self):
+        # the first connection term of F(-alpha/4, 1/2 - alpha/4; 1; w) at
+        # w = 1 is G(s)/(G(1 + alpha/4) G(1/2 + alpha/4)), s = (alpha + 1)/2,
+        # and (1 + x)^(alpha/2) -> 2^(alpha/2): so SCHWARZ_2F1 -> 1/c_alpha
+        rng = np.random.default_rng(41)
+        alphas = np.concatenate([-1.0 + 10.0 ** rng.uniform(-5.0, 0.0, 100),
+                                 rng.uniform(0.0, 100.0, 100)])
+        for alpha in alphas.tolist():
+            with mp.workdps(40):
+                al = mp.mpf(alpha)
+                lead = mp.gamma((al + 1) / 2) / (mp.gamma(1 + al / 4) * mp.gamma(mp.mpf(0.5) + al / 4))
+            assert rel_err(2.0 ** (-alpha / 2.0) / c_alpha(alpha), lead) < 1e-14, alpha
+
+    def test_inexact_family_takes_the_route_in_x(self):
+        # c - 1 = b - a only after rounding: the quadratic map would change
+        # the problem, so F keeps the connection formula in 1 - x
+        a, b, c = 0.21, 0.69, 1.48
+        assert c - 1.0 == b - a and specfun_module._round_off(b, -a) != 0.0
+        assert hyp2f1_detailed((a, b, c), 0.9).transform == "connection"
+        assert hyp2f1_detailed((0.25, 0.75, 1.5), 0.9).transform == "quadratic"
 
 
 class TestMBoundNearBoundary:
@@ -679,7 +799,7 @@ def _sweep_values(family, u, x):
     if family == "m_series":  # M for every alpha
         alpha = -0.99 + 60.99 * u[0]
         want = mp.hyp2f1(0.5, (1 - mp.mpf(alpha)) / 2, 1.5, xm)
-        return [(_m_series(alpha, x, y), want)]
+        return [(_m_series(alpha, x, y)[0], want)]
     if family == "mode_seed":  # the spectral solver's seed A_k
         a = -0.95 + 20.95 * u[0]
         k = 1 + int(31 * u[1])

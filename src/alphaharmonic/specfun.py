@@ -9,18 +9,19 @@ in float64 with a rigorous geometric tail bound for stopping, and
 reports sum |t_n| beside the sum.  One judge, `_two_terms`, accepts a
 value summed from signed parts only where their rounding, magnified by
 the cancellation, stays within the relative tolerance.  The routes, the
-connection formulas near x = 1 (DLMF 15.8.4 and 15.8.10), also in the
-variable w = 4x/(1+x)^2 of Kummer's quadratic transformation for
-c = |a - b| + 1 (the bounds' family F(-alpha/2, -alpha/2; 1; r^2)), the
-Euler transform and the raw series, are described at `hyp2f1_detailed`;
-no continuation beyond [0, 1) is attempted.  A caller that knows 1 - x
-more exactly than 1.0 - x passes it to `_hyp` (`bounds.schwarz_bound` and
-`quadrature.modulus_power_integral` do).  The other series the library
-sums are here too: M's factor (`_m_series`), in its caller's exact
-1 - x, from a positive series or a difference quotient whose terms do
-not cancel.  The solver's seed (`_mode_seed`) sums no series: a k-term
-closed form or the incomplete-beta continued fraction (DLMF 8.17.22), in
-Python floats.
+connection formula near x = 1 (DLMF 15.8.4, in divided differences of
+s - round(s), s = c - a - b, where s is an integer or the plain formula
+cancels), also in the variable w = 4x/(1+x)^2 of Kummer's quadratic
+transformation for c = |a - b| + 1 (the bounds' family
+F(-alpha/2, -alpha/2; 1; r^2)), the Euler transform and the raw series,
+are described at `hyp2f1_detailed`; no continuation beyond [0, 1) is
+attempted.  A caller that knows 1 - x more exactly than 1.0 - x passes it
+to `_hyp` (`bounds.schwarz_bound` and `quadrature.modulus_power_integral`
+do).  The other series the library sums are here too: M's factor
+(`_m_series`), in its caller's exact 1 - x, from a positive series or a
+difference quotient whose terms do not cancel.  The solver's seed
+(`_mode_seed`) sums no series: a k-term closed form or the incomplete-beta
+continued fraction (DLMF 8.17.22), in Python floats.
 
 This module is also the library's one argument gate: `_real`, `_count`,
 `_positive_real`, `_complex`, `alpha_value` and `disk_point_value` turn a
@@ -53,10 +54,10 @@ _BAD_C_TOL = 1e-12
 # own index 0, ..., k - 1 as floats, offset by the n terms before it.
 _CHUNK = 4096
 
-# The connection routes near x = 1 need a few hundred terms at most.  The
-# cap serves the raw and Euler series that remain for x -> 1 when the
-# connection formulas are skipped (badly cancelling or near-integer
-# c - a - b): it covers exponent c - a - b down to about 0.2 at
+# The connection formula near x = 1 needs a few hundred terms at most, at
+# any c - a - b.  The cap serves the raw and Euler series that remain for
+# x -> 1 where it is skipped (large parameters, whose gamma factors overflow
+# or whose terms cancel): it covers exponent c - a - b down to about 0.2 at
 # x = 1 - 1e-5 under the tail-bound stopping rule, with headroom; chunked
 # summation keeps even capped runs cheap.
 _TERM_CAP = 4_000_000
@@ -64,8 +65,8 @@ _TERM_CAP = 4_000_000
 _REL_TOL = 1e-13
 
 _EPS = 2.0 ** -52
-# Every series, in either stage of `_series_sum`, and the logarithmic
-# series of `_log_connection` stop once their tail is at most
+# Every series, in either stage of `_series_sum`, and the divided-difference
+# series of `_connection` stop once their tail is at most
 # _TAIL_TOL * |sum|: far enough below an ulp that truncation adds no error
 # beside the rounding of the terms.
 _TAIL_TOL = 2.0 ** -56
@@ -80,23 +81,6 @@ _SHORT_TERMS = 256
 # Rounding of a judged value per unit of its spread (gamma factors, y**s,
 # each term summed), in units of _EPS; cancellation multiplies it.
 _CONNECTION_ULPS = 16.0
-# For integer c - a - b the logarithmic connection formula replaces the raw
-# or Euler series once y = 1 - x < _LOG_SWITCH: it needs 10-40 terms there
-# (a Python loop with two digamma values), while the raw series' count
-# grows like 1/y.  Timed for F(-alpha/2, -alpha/2; 1; 1 - y) on a 2-core
-# Xeon before that family took the quadratic route: at alpha = 1 the raw
-# series needs 192 terms or more below y = 0.221 (42-50 us at y = 0.1 to
-# 0.2, 1,984 terms and 144 us at y = 0.01), the logarithmic route 11-30
-# terms (27-51 us); at alpha = 3, 5 and 7 the raw series is one 64-term
-# chunk (13-24 us) from y = 0.15, 0.1 and 0.01 up, the logarithmic route
-# 30-65 us there.  Switching at 0.25 bounds the work at every alpha.  The
-# quadratic route's series run in 1 - w <= 1/9, below the switch.
-_LOG_SWITCH = 0.25
-# The logarithmic series, past the burn-in that makes every digamma
-# argument at least 1, gives up (and the raw or Euler series is summed)
-# after _LOG_TERMS terms; below _LOG_SWITCH it needs at most 35 for
-# a, b in [-3, 3] and |c - a - b| <= 3, 58 for [-12, 12] and 25.
-_LOG_TERMS = 64
 # `_mode_seed` takes seeds A_K with K (1 - x) at most this from their
 # K-term closed form, where x^(-K) is at most 2, whatever their median; the
 # others from that closed form at or above the median of Beta(K, alpha + 1)
@@ -111,12 +95,12 @@ _SUM_SMALL = 2.0 ** -_SUM_SHIFT
 # The least normal float: `_mode_seed`'s underflow threshold for y^b, and
 # the value its Lentz iteration puts in place of a zero denominator.
 _NORMAL_MIN = 2.0 ** -1022
-# Bernoulli terms B_2k / (2k) of the digamma's asymptotic series, k = 1..7:
-# at x >= 10 the first term left out, B_16 / (16 x^16), is below 5e-17.
+# Bernoulli terms B_2k / (2k) of Stirling's series, k = 1..7: the digamma's
+# coefficients, and ln Gamma's once divided by 2k - 1 (`_lgamma_slope`); at
+# z >= 10 the first term left out, B_16 / (16 z^16), is below 5e-17.
 _PSI_SHIFT = 10.0
 _PSI_COEFFS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
                -691.0 / 32760.0, 1.0 / 12.0)
-_EULER_GAMMA = 0.5772156649015329  # -psi(1)
 # zeta(2), ..., zeta(18)
 _ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
          1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
@@ -238,7 +222,7 @@ def beta(x: float, y: float) -> float:
         value = math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(s))
     d = _round_off(x, y)
     if d:
-        value *= 1.0 - _digamma(s) * d
+        value *= 1.0 - _lgamma_slope(s) * d
     return value
 
 
@@ -249,26 +233,55 @@ def _round_off(p: float, q: float) -> float:
     return (p - (t - q_part)) + (q - q_part)
 
 
-def _digamma(x: float) -> float:
-    """psi(x) = Gamma'(x) / Gamma(x) for real x, not a pole 0, -1, -2, ...
-
-    Below 1/2 by reflection, psi(x) = psi(1 - x) - pi cot(pi x), with the
-    cotangent taken at the exact x - round(x).  From 1/2 up, the recurrence
-    psi(x) = psi(x + 1) - 1/x lifts the argument to _PSI_SHIFT, where
-    ln x - 1/(2x) - sum_k B_2k / (2k x^2k) through k = 7 is exact to
-    5e-17; the absolute error is a few ulps of |ln x| + sum 1/x.
+def _lgamma_slope(z: float, e: float = 0.0) -> float:
+    """[ln|G(z + e)| - ln|G(z)|] / e, psi(z) at e = 0; z and z + e not poles,
+    e >= -1/2, and e <= 1/2 below z = 1/2.  There by reflection: the slope
+    at 1 - z and -e less [ln|sin pi(z + e)| - ln|sin pi z|] / e, as log1p of
+    cot(pi z) sin(pi e) - 2 sin(pi e/2)^2, or next to a pole of G(z + e) as
+    the log of the sines at the exact z + e - round(z + e).  From 1/2 up,
+    ln G(z) = ln G(z + 1) - ln z lifts z to _PSI_SHIFT, the factors (z + e)/z
+    carried as one running (product - 1)/e, so nothing cancels as e -> 0;
+    there Stirling's series, sum_k B_2k / (2k (2k-1) z^(2k-1)) through k = 7,
+    is differenced term by term: [q^j - p^j]/e = -p q sum_i q^i p^(j-1-i),
+    p = 1/z, q = 1/(z + e).  Against 40-digit mpmath: a few ulps of |psi| + 1,
+    and within 1e-14 of max(1, |slope|) for |e| <= 1/2 away from the poles.
     """
-    if x < 0.5:
-        return _digamma(1.0 - x) - math.pi / math.tan(math.pi * (x - round(x)))
+    if z < 0.5:
+        f = z - round(z)
+        if not e:
+            return _lgamma_slope(1.0 - z) - math.pi / math.tan(math.pi * f)
+        t = math.sin(math.pi * e) / math.tan(math.pi * f) - 2.0 * math.sin(0.5 * math.pi * e) ** 2
+        if t < -0.5:  # sin pi(z + e) / sin pi z = 1 + t, small or negative
+            u = z + e
+            g = (u - round(u)) + _round_off(z, e)
+            log_ratio = math.log(abs(math.sin(math.pi * g) / math.sin(math.pi * f)))
+        else:
+            log_ratio = math.log1p(t)
+        return _lgamma_slope(1.0 - z, -e) - log_ratio / e
     shift = 0.0
-    while x < _PSI_SHIFT:
-        shift += 1.0 / x
-        x += 1.0
-    w2 = 1.0 / (x * x)
-    series = 0.0
-    for coeff in reversed(_PSI_COEFFS):
-        series = (series + coeff) * w2
-    return math.log(x) - 0.5 / x - series - shift
+    if z + e < 0.25:  # G(z + e) near its pole at 0: the first factor (z + e)/z apart
+        shift = math.log((z + e) / z) / e
+        z += 1.0
+    r, top = 0.0, z
+    while top < _PSI_SHIFT:  # two factors a step: (1 + e/z)(1 + e/(z+1)) - 1
+        r += (1.0 + e * r) * (2.0 * top + 1.0 + e) / (top * (top + 1.0))
+        top += 2.0
+    p = 1.0 / top
+    if not e:
+        p2, series = p * p, 0.0
+        for coeff in reversed(_PSI_COEFFS):
+            series = (series + coeff) * p2
+        return math.log(top) - 0.5 * p - series - r
+    q = 1.0 / (top + e)
+    h = q_power = 1.0
+    series = _PSI_COEFFS[0]
+    for k in range(2, 8):
+        h = p * h + q_power * q
+        q_power *= q * q
+        h = p * h + q_power
+        series += _PSI_COEFFS[k - 1] / (2 * k - 1) * h
+    return ((top - 0.5) * math.log1p(e * p) / e + math.log(top + e) - 1.0 - p * q * series
+            - shift - math.log1p(e * r) / e)
 
 
 def _series_sum(a: float, b: float, c: float, x: float):
@@ -451,13 +464,13 @@ def _one_minus_abs2(zc: complex) -> float:
 def _rgamma(z: float, dz: float = 0.0) -> float:
     """1/Gamma(z + dz), exactly 0 at the poles z = 0, -1, -2, ...; below 1/2,
     near those poles, the error dz of a computed z counts to first order.
-    Not above: `_connection` corrects c - a and c - b there but not s, and
-    the mismatch costs more than it saves (3,000 draws, a, b in [-100, 100]:
-    10 connection values beyond 1e-13 against 4)."""
+    Not above: `_connection`'s plain 15.8.4 corrects c - a and c - b there
+    but not s, and the mismatch costs more than it saves (3,000 draws, a, b
+    in [-100, 100]: 10 connection values beyond 1e-13 against 4)."""
     if z <= 0.0 and z == int(z):
         return 0.0
     if z < 0.5 and dz:
-        return (1.0 - _digamma(z) * dz) / math.gamma(z)
+        return (1.0 - _lgamma_slope(z) * dz) / math.gamma(z)
     return 1.0 / math.gamma(z)
 
 
@@ -610,141 +623,133 @@ def _mode_seed(a: float, k: int, x: float, y: float, scale_k: float) -> float:
 
 
 def _connection(a: float, b: float, c: float, y: float):
-    """F(a, b; c; 1 - y) by DLMF 15.8.4; None where it does not apply.
-
-    Integer s = c - a - b is the logarithmic case, `_log_connection`, below
-    y = _LOG_SWITCH (None above).  With s not an integer,
+    """F(a, b; c; 1 - y) by the connection formula, DLMF 15.8.4, for every
+    s = c - a - b; None where a gamma factor overflows or `_two_terms`
+    rejects the sum.  With s not an integer, first as it stands:
 
         F = G(c)G(s)/(G(c-a)G(c-b)) F(a, b; 1-s; y)
-            + y^s G(c)G(-s)/(G(a)G(b)) F(c-a, c-b; 1+s; y).
+            + y^s G(c)G(-s)/(G(a)G(b)) F(c-a, c-b; 1+s; y),
 
-    c - a and c - b are rebuilt from s, so that the poles of the two
-    terms at integer s cancel for the rounded s as they do for the exact
-    one; the error of that rebuild counts near the poles of 1/G (`_rgamma`).
-    Both series are summed to a tail of 2**-56 times their sum, as every
-    series is (`_series_sum`), and judged by `_two_terms` with spread
-    |g1| sum|t1_n| + |g2| sum|t2_n|: their terms can change sign and
-    cancel (through (1 - s)_n: for the bounds' F, 1 - s = (1 - alpha)/2 on
-    the quadratic route and -alpha in x).
-    None also where a gamma factor overflows or a series leaves the float
-    range.
+    c - a and c - b rebuilt from s, so that the terms' poles at integer s
+    cancel for the rounded s too, the rebuild's error counted near the
+    poles of 1/G (`_rgamma`); spread |g1| sum|t1_n| + |g2| sum|t2_n|.  At an
+    integer s, or where that sum is rejected (its terms cancel like 1/eps),
+    at s = m + eps, m = round(s), in divided differences of eps (R. C.
+    Forrey, J. Comput. Phys. 137, 1997; N. Michel and M. V. Stoitsov,
+    Comput. Phys. Commun. 178, 2008), after the Euler transform for m < 0:
+
+        F = G(c)G(s)/(G(a+s)G(b+s)) sum_{n<m} (a)_n (b)_n / (n! (1-s)_n) y^n
+            + (-1)^m G(c)G(1+eps) y^m / (G(a)G(b) m!) sum_k (v_k - y^eps u_k)/eps,
+
+    v_k, u_k the first series' rest and the second, both (a+m)_k (b+m)_k y^k
+    / ((m+1)_k k!) at eps = 0 (DLMF 15.8.10).  With D(z) = [ln G(z+eps) -
+    ln G(z)]/eps (`_lgamma_slope`), W_0 = [e^(eps X) - e^(eps Z)]/eps by expm1,
+    X = -D(a+m) - D(b+m), Z = ln y - D(m+1) - D(1) at -eps; W_(k+1) =
+    rho_v W_k + y^eps u_k d_k, A = a+m+k, B = b+m+k, with no logarithm and
+    nothing cancelling as eps -> 0:
+
+        d_k = (rho_v - rho_u)/eps = y [(b-1) A (k+1) + (a+m-1) B (k+m+1)
+              + eps (k+m+1)(A + B - k - 1 + eps)] / ((k+1)(k+1-eps)(k+m+1)(k+m+1+eps)).
+
+    The spread counts each part of X, Z and d_k, carried by the recurrence.
+    Both ratios are F(a+m+eps, b+m+eps; m+1+eps; y)'s, at k and k - eps: past
+    the burn-in at most q = `_ratio_bound`(k - |eps|, ...), with |d_j| <= q D,
+    D = 2/(k - |eps| + min(a+m+eps, b+m+eps, m+1+eps, 1)), for j >= k; the
+    series stops once q/(1-q) (|W_k| + D |y^eps u_k|/(1-q)) is _TAIL_TOL of it.
     """
-    s = c - a - b
-    if s == round(s):
-        return _log_connection(a, b, c, s, y) if y < _LOG_SWITCH else None
-    ca, cb = b + s, a + s
-    ds = _round_off(c, -a) + _round_off(c - a, -b)  # c - a - b - s
     try:
         gc = math.gamma(c)
-        g1 = (gc * math.gamma(s) * _rgamma(ca, ds + _round_off(b, s))
-              * _rgamma(cb, ds + _round_off(a, s)))
-        g2 = gc * math.gamma(-s) * _rgamma(a) * _rgamma(b) * y ** s
-        f1, n1, s1 = _series_sum(a, b, 1.0 - s, y)
-        f2, n2, s2 = _series_sum(ca, cb, 1.0 + s, y)
-    except (OverflowError, ZeroDivisionError, ConvergenceError):
+    except OverflowError:
         return None
-    value = _two_terms(g1 * f1, g2 * f2, abs(g1) * s1 + abs(g2) * s2)
-    return None if value is None else Hyp2F1Result(value, n1 + n2, "connection")
-
-
-def _log_connection(a: float, b: float, c: float, s: float, y: float):
-    """F(a, b; c; 1 - y) for integer s = c - a - b by DLMF 15.8.10 (A&S
-    15.3.11); None where it does not apply or would lose digits.
-
-    For s = m >= 0, with psi the digamma function,
-
-        F = G(m)G(c)/(G(a+m)G(b+m)) sum_{n<m} (a)_n (b)_n / (n! (1-m)_n) y^n
-            + (-1)^(m+1) G(c)/(G(a)G(b)) y^m / m!
-              * sum_n t_n [ln y - psi(n+1) - psi(n+m+1) + psi(a+m+n) + psi(b+m+n)],
-
-    t_n = (a+m)_n (b+m)_n / (n! (m+1)_n) y^n; the four psi values move on
-    by psi(z + 1) = psi(z) + 1/z, from psi(1) = -gamma, psi(m+1) =
-    -gamma + H_m and two `_digamma` values.  For s = -m < 0 the Euler transform
-    y^s F(c-a, c-b; c; 1-y) comes first.  None for a terminating series,
-    where a gamma factor overflows, where the log series has not met its
-    tail bound after _LOG_TERMS terms past the burn-in, and where the
-    rounding, _CONNECTION_ULPS per term of each sum counted with every
-    part of its bracket (|ln y| and each |psi|), exceeds _REL_TOL of the
-    value (`_two_terms`).
-
-    The log series stops, like every series of `_series_sum`, once its
-    tail is at most _TAIL_TOL = 2**-56 times its sum.  Past the burn-in
-    (every psi argument >= 1) the term ratio is at most
-    q = `_ratio_bound`(n, y, a + m, b + m, m + 1), and each bracket at step
-    k >= n at most B_k = |ln y| + 4 ln(k + w), w = max(b, 1) + m + 2, since
-    |psi(z)| <= ln(z + 2) for z >= 1; ln(n+j+w) <= ln(n+w) + j/(n+w) then
-    bounds the tail by |t_n| q/(1-q) (B_n + 4 / ((n+w)(1-q))).  As q >= y
-    and B_n >= |ln y|, that bound is at least |t_n| y |ln y| / (1-y): it is
-    formed only at steps where this cheaper one meets the tail, so the
-    series stops at the step where a test at every step would stop.
-    """
-    if s < 0.0:
+    if abs(gc) < _NORMAL_MIN:  # subnormal: its last digits are gone
+        return None
+    s = c - a - b
+    m = round(s)
+    if s != m:
+        ca, cb = b + s, a + s
+        ds = _round_off(c, -a) + _round_off(c - a, -b)  # c - a - b - s
+        try:
+            g1 = (gc * math.gamma(s) * _rgamma(ca, ds + _round_off(b, s))
+                  * _rgamma(cb, ds + _round_off(a, s)))
+            g2 = gc * math.gamma(-s) * _rgamma(a) * _rgamma(b) * y ** s
+            f1, n1, s1 = _series_sum(a, b, 1.0 - s, y)
+            f2, n2, s2 = _series_sum(ca, cb, 1.0 + s, y)
+            value = _two_terms(g1 * f1, g2 * f2, abs(g1) * s1 + abs(g2) * s2)
+            if value is not None:
+                return Hyp2F1Result(value, n1 + n2, "connection")
+        except (OverflowError, ZeroDivisionError, ConvergenceError):
+            pass
+    euler = m < 0
+    if euler:  # y^s F(c-a, c-b; c; 1-y)
         a, b = c - b, c - a
         if _terminates(a, b):
             return None
-    m = int(abs(s))
+        s, m = c - a - b, -m
+    e = (s - m) + _round_off(c, -a) + _round_off(c - a, -b)  # of the exact c - a - b
+    s = m + e
+    am, bm, m1 = a + m, b + m, m + 1.0
     try:
-        gc = math.gamma(c)
-        g1 = gc * math.gamma(m) * _rgamma(a + m) * _rgamma(b + m) if m else 0.0
-        g2 = gc * _rgamma(a) * _rgamma(b) / math.gamma(m + 1.0)
-        # y^m of the log term, or the Euler factor y^-m, which cancels it
-        if s < 0.0:
-            g1 *= y ** s
+        g1 = (gc * math.gamma(s) * _rgamma(am + e, _round_off(am, e))
+              * _rgamma(bm + e, _round_off(bm, e)) if m else 0.0)
+        # (-1)^m y^m, or with the Euler factor y^(-s), (-1)^m y^(-eps)
+        g2 = ((-1.0) ** m * gc * _rgamma(a) * _rgamma(b) * math.gamma(1.0 + e) / math.gamma(m1)
+              * y ** (-e if euler else m))
+        if euler:
+            g1 *= y ** -s
+        d_a, d_b, d_m, d_1 = (_lgamma_slope(am, e), _lgamma_slope(bm, e), _lgamma_slope(m1, e),
+                              _lgamma_slope(1.0, -e))
+        ly = math.log(y)
+        x_part, z_part = -d_a - d_b, ly - d_m - d_1
+        parts = abs(d_a) + abs(d_b) + abs(ly) + abs(d_m) + abs(d_1)
+        ez = math.exp(e * z_part)  # y^eps u_0
+        # v_0 = G(a+m)G(b+m)/(G(a+m+eps)G(b+m+eps)) < 0 where one ratio passes a pole
+        if e and (am < 0.5 and math.floor(am) != math.floor(am + e)) != (
+                bm < 0.5 and math.floor(bm) != math.floor(bm + e)):
+            ex = -math.exp(e * x_part)
+            w = (ex - ez) / e
         else:
-            g2 *= y ** s
-    except (OverflowError, ZeroDivisionError):
+            w = ez * (math.expm1(e * (x_part - z_part)) / e if e else x_part - z_part)
+            ex = ez + e * w
+    except (OverflowError, ZeroDivisionError, ValueError):
         return None
 
     term = 1.0
     finite = [1.0] if m else []
     for n in range(m - 1):
-        term *= (n + a) * (n + b) / ((n + 1.0) * (n + 1.0 - m)) * y
+        term *= (n + a) * (n + b) / ((n + 1.0) * (n + 1.0 - s)) * y
         finite.append(term)
 
-    am, bm, m1 = a + m, b + m, m + 1.0
-    ly = math.log(y)
-    p1 = -_EULER_GAMMA  # psi(n + 1) = -gamma + H_n
-    p2 = p1 + sum(1.0 / k for k in range(1, m + 1))  # psi(n + m + 1)
-    pa = _digamma(am)
-    pb = pa if a == b else _digamma(bm)
-    terms = [ly - p1 - p2 + pa + pb]
-    size = abs(ly) + abs(p1) + abs(p2) + abs(pa) + abs(pb)
-    total = terms[0]
-    term = 1.0
-    n_burn = max(0, math.ceil(1.0 - am))
-    w = max(b, 1.0) + m + 2.0
-    # the tail bound below is at least |t_n| y / (1 - y) |ln y|, as q >= y
-    least = -ly * y / (1.0 - y)
-    n = 0.0
+    total, u = w, ez
+    size = spread = abs(w) + max(abs(ex), ez) * parts
+    b1, a1 = b - 1.0, am - 1.0
+    ae, be, me = am + e, bm + e, m1 + e
+    low = min(ae, be, me, 1.0) - abs(e)
+    cheap_tol = _TAIL_TOL * (1.0 - y) / y
+    k = 0.0
     while True:
-        term *= (n + am) * (n + bm) / ((n + 1.0) * (n + m1)) * y
-        p1 += 1.0 / (n + 1.0)
-        p2 += 1.0 / (n + m1)
-        pa += 1.0 / (n + am)
-        pb = pa if a == b else pb + 1.0 / (n + bm)
-        n += 1.0
-        t = term * (ly - p1 - p2 + pa + pb)
-        terms.append(t)
-        total += t
-        # from n = 1 on, psi(n + 1) and psi(n + m + 1) are positive, ln y negative
-        size += abs(term) * (p1 + p2 - ly + abs(pa) + abs(pb))
-        floor = _TAIL_TOL * abs(total)
-        if n >= n_burn and abs(term) * least <= floor:
-            q = _ratio_bound(n, y, am, bm, m1)
-            if q < 1.0:
-                nw = n + w
-                bracket = 4.0 * math.log(nw) + 4.0 / (nw * (1.0 - q)) - ly
-                if abs(term) * q / (1.0 - q) * bracket <= floor:
-                    break
-        if n >= n_burn + _LOG_TERMS:
+        p, q = k + 1.0, k + m1
+        big_a, big_b = k + am, k + bm
+        pe, qe = p - e, q + e
+        ya, yb, ye = b1 * big_a * p, a1 * big_b * q, e * q * (big_a + big_b - pe)
+        scale = y / (p * q * pe * qe)
+        rho_v = big_a * big_b * p * qe * scale
+        w = rho_v * w + u * (ya + yb + ye) * scale
+        size = abs(rho_v) * size + abs(u) * (abs(ya) + abs(yb) + abs(ye)) * scale
+        u *= (big_a + e) * (big_b + e) * q * pe * scale
+        k += 1.0
+        total += w
+        spread += size
+        if abs(w) <= cheap_tol * abs(total) and k + low > 0.0:
+            ratio = _ratio_bound(k - abs(e), y, ae, be, me)
+            if ratio < 1.0 and ratio / (1.0 - ratio) * (
+                    abs(w) + 2.0 / (k + low) * abs(u) / (1.0 - ratio)) <= _TAIL_TOL * abs(total):
+                break
+        if k >= _TERM_CAP or not math.isfinite(spread):
             return None
 
-    sign = -1.0 if m % 2 == 0 else 1.0
-    t1 = g1 * math.fsum(finite)
-    t2 = sign * g2 * math.fsum(terms)
-    spread = abs(g1) * math.fsum(map(abs, finite)) + abs(g2) * size
-    value = _two_terms(t1, t2, spread)
-    return None if value is None else Hyp2F1Result(value, m + int(n) + 1, "connection")
+    value = _two_terms(g1 * math.fsum(finite), g2 * total,
+                       abs(g1) * math.fsum(map(abs, finite)) + abs(g2) * spread)
+    return None if value is None else Hyp2F1Result(value, m + int(k) + 1, "connection")
 
 
 def _quadratic(a: float, c: float, y: float):
@@ -795,29 +800,25 @@ def hyp2f1_detailed(params, x: float) -> Hyp2F1Result:
     F(a'/2, a'/2 + 1/2; c; w) with a' the larger of a and b, times
     (1 + x)^(-a'); for the bounds' F(-alpha/2, -alpha/2; 1; x) at x > 1/2,
     4 to 36 terms with alpha <= 5, at most about 80 up to alpha = 60 and
-    430 up to 340.  Where it gives way, as where s' = 1/2 - min(a, b) lies near
-    but not on an integer (alpha near -1, or near but not at an odd
-    integer), the route in x follows.  For other 0.5 < x < 1
-    the connection formula in y = 1 - x (DLMF 15.8.4) is used, transform
-    "connection": two series in y that converge like y^n, a few terms
-    each near x = 1 and at most a few hundred near x = 1/2.  For integer
-    c - a - b it takes the logarithmic case (DLMF 15.8.10), also
-    "connection", below y = 0.25 (`_LOG_SWITCH`): |c - a - b| terms plus
-    at most _LOG_TERMS past a burn-in.  Either is skipped for a
-    terminating series, where a gamma factor overflows and where
-    `_two_terms` rejects it: the rounding of every term summed, in either
-    series or between the two, magnified by the cancellation, would exceed
-    1e-13.  Those calls, integer c - a - b from y = 0.25 up, and all
+    430 up to 340; near r = 1, where s' = (alpha + 1)/2 lies at or near an
+    integer, at most 16 up to alpha = 11 (44 at 39).  Where it gives way,
+    the route in x follows.  For other
+    0.5 < x < 1 the connection formula in y = 1 - x (DLMF 15.8.4) is used,
+    transform "connection": a few terms near x = 1, at most a few hundred
+    near x = 1/2; at an integer s = c - a - b, or where its two terms cancel
+    near one, in divided differences of s - round(s) (`_connection`).  It
+    is skipped for a terminating series, where a gamma factor overflows and
+    where `_two_terms` rejects it: the rounding of every term summed,
+    magnified by the cancellation, would exceed 1e-13.  Those calls and all
     x <= 0.5 take the series route: the Euler transform
-    F(a,b;c;x) = (1-x)^(c-a-b) F(c-a, c-b; c; x) wherever
-    (c-a) + (c-b) < a + b (its coefficients decay faster), else the raw
-    series, also where only the Euler series has negative terms
-    (`_positive`): that sum is not judged, and it can cancel.  A
-    terminating series (a or b a non-positive integer) is always
-    summed raw, an exact polynomial that the transform would make
-    cancellation-prone.  ConvergenceError is raised where `_two_terms`
-    rejects the sum of a terminating series, raw or Euler (c - a or c - b
-    a non-positive integer).
+    F(a,b;c;x) = (1-x)^(c-a-b) F(c-a, c-b; c; x) wherever (c-a) + (c-b) <
+    a + b (its coefficients decay faster), else the raw series, also where
+    only the Euler series has negative terms (`_positive`): that sum is not
+    judged, and it can cancel.  A terminating series (a or b a non-positive
+    integer) is always summed raw, an exact polynomial that the transform
+    would make cancellation-prone.  ConvergenceError is raised where
+    `_two_terms` rejects the sum of a terminating series, raw or Euler
+    (c - a or c - b a non-positive integer).
 
     Both routes take y = 1.0 - x, exact for x >= 1/2: the value is F at
     the float x (`_hyp` takes a caller's own, more exact, 1 - x).

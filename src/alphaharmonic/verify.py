@@ -29,8 +29,8 @@ from .kernel import (BoundaryData, _boundary, _kernel_rows, derivative_pair,
                      solve_dirichlet)
 from .quadrature import (QuadratureConfig, cos_power_integral, integrate_periodic,
                          modulus_power_integral, ratio_integral_series)
-from .specfun import (_count, _is_real, _raw_series, _series_sum, alpha_value, c_alpha,
-                      hyp2f1, hyp2f1_detailed)
+from .specfun import (_count, _is_real, _lgamma_slope, _raw_series, _series_sum, alpha_value,
+                      c_alpha, hyp2f1, hyp2f1_detailed)
 
 __all__ = [
     "TrialSpec",
@@ -345,18 +345,15 @@ def _pochhammer_margin(alpha: float) -> float:
     every step exactly when sign(alpha) s >= 0.  The margin is that, or 1e-2
     less the relative gap of q_N to its limit 2^(alpha/2), about |s| / N at
     N = 10^4 max(1, ceil(alpha^2 / 160)), if smaller.  q_N = Gamma(h + 2N) N!
-    / ((2N)! Gamma(h + N)), h = 1 + alpha/2, by Stirling's series through
-    1/(12 z), exact to 1/(360 N^3) (math.lgamma would put 3e-9 into q_N at
+    / ((2N)! Gamma(h + N)), h = 1 + alpha/2, its ln Gamma differences alpha/2
+    times `specfun._lgamma_slope` (math.lgamma would put 3e-9 into q_N at
     alpha = 100).  NaN for alpha >= 2048, where the limit leaves the float range."""
     if alpha >= 2048.0:
         return math.nan
     d = alpha / 2.0
-
-    def log_rise(x):  # ln Gamma(x + d) - ln Gamma(x)
-        return (x - 0.5) * math.log1p(d / x) + d * math.log(x + d) - d - d / (12.0 * x * (x + d))
-
     n = 10_000.0 * max(1, math.ceil(alpha * alpha / 160.0))
-    gap = math.expm1(log_rise(2.0 * n + 1.0) - log_rise(n + 1.0) - d * math.log(2.0))
+    gap = math.expm1(d * (_lgamma_slope(2.0 * n + 1.0, d) - _lgamma_slope(n + 1.0, d)
+                          - math.log(2.0)))
     s = (0.5 + alpha / 4.0) * (1.0 + alpha / 4.0) - (1.0 + alpha / 2.0) / 2.0
     return min(s if alpha >= 0.0 else -s, 1e-2 - abs(gap))
 

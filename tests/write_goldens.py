@@ -44,7 +44,7 @@ _EVAL2F1 = (
     (0.5, 0.5, 1.0, 0.5), (-0.5, 0.5, 1.0, 0.5), (2.0, 0.5, 0.3, 0.5),
     (1.5, -2.0, 3.0, 0.9), (3.5, -2.2, 1.1, 0.7), (-0.75, -0.75, 1.0, 0.999999),
     (0.25, 1.75, 2.0, 0.99), (10.0, 12.5, 4.0, 0.95), (-5.5, 0.25, 1.5, 0.95),
-    (-3.0, 2.0, 1.5, 0.7),
+    (-3.0, 2.0, 1.5, 0.7), (0.25, 1.75, 2.000000001, 0.999), (0.499995, 0.499995, 1.0, 0.99998),
 )
 VERIFY_SEEDS = range(10)
 

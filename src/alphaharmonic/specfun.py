@@ -5,7 +5,8 @@ Everything here is a pure function of its arguments.  One routine,
 
     F(a, b; c; x) = sum_n (a)_n (b)_n / ((c)_n n!) x^n,    0 <= x < 1,
 
-in float64 with a rigorous geometric tail bound for stopping, and
+term by term in Python floats, added by math.fsum, with a rigorous
+geometric tail bound for stopping and at most _TERM_CAP = 2^16 terms, and
 reports sum |t_n| beside the sum.  One judge, `_two_terms`, accepts a
 value summed from signed parts only where their rounding, magnified by
 the cancellation, stays within the relative tolerance.  The routes, the
@@ -34,8 +35,6 @@ import math
 import numbers
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -50,34 +49,26 @@ __all__ = [
 # denominators (c)_n are not usable in float arithmetic near a pole.
 _BAD_C_TOL = 1e-12
 
-# The longest numpy pass of `_series_sum`, in terms.  Each pass builds its
-# own index 0, ..., k - 1 as floats, offset by the n terms before it.
+# The longest run of terms between two tail tests of `_series_sum`: a
+# prediction can be up to 4e7 times too long, and such a series would
+# otherwise sum to the term cap before its first test.
 _CHUNK = 4096
 
-# The connection formula near x = 1 needs a few hundred terms at most, at
-# any c - a - b.  The cap serves the raw and Euler series that remain for
-# x -> 1 where it is skipped (large parameters, whose gamma factors overflow
-# or whose terms cancel): it covers exponent c - a - b down to about 0.2 at
-# x = 1 - 1e-5 under the tail-bound stopping rule, with headroom; chunked
-# summation keeps even capped runs cheap.
-_TERM_CAP = 4_000_000
+# Every series the library's bounds and identities sum takes at most 4,096
+# terms over the CLI's domain (alpha to 1000, r to 1 - 1e-12).  The cap, 16
+# times that, holds the raw and Euler series left near x = 1 where the
+# connection formula gives way to about 10 ms (2-core Xeon); longer ones
+# raise ConvergenceError, as their term recurrence drifts with n.
+_TERM_CAP = 2 ** 16
 # Relative tolerance of every hypergeometric value returned.
 _REL_TOL = 1e-13
 
 _EPS = 2.0 ** -52
-# Every series, in either stage of `_series_sum`, and the divided-difference
-# series of `_connection` stop once their tail is at most
-# _TAIL_TOL * |sum|: far enough below an ulp that truncation adds no error
-# beside the rounding of the terms.
+# Every series of `_series_sum`, and `_connection`'s divided-difference
+# series, stop once their tail is at most _TAIL_TOL * |sum|: far enough
+# below an ulp that truncation adds no error beside the rounding of terms.
 _TAIL_TOL = 2.0 ** -56
 _LOG_TAIL_TOL = math.log(_TAIL_TOL)
-# Series predicted to need fewer terms than _SHORT_TERMS are summed in
-# Python floats.  A Python-float term costs about 0.23 us, warm or cold; a
-# numpy pass 13-20 us warm but 80-108 us cold, between other calls, as each
-# bound is called in a table (2-core Xeon).  At 256 every bound on the
-# grid of tests/golden/bounds.txt (r <= 0.999, -0.95 <= alpha <= 4.9) sums
-# in Python floats; the passes are left to the long series near x = 1.
-_SHORT_TERMS = 256
 # Rounding of a judged value per unit of its spread (gamma factors, y**s,
 # each term summed), in units of _EPS; cancellation multiplies it.
 _CONNECTION_ULPS = 16.0
@@ -290,22 +281,16 @@ def _series_sum(a: float, b: float, c: float, x: float):
     Stops once the tail, bounded by `_ratio_bound`, is provably at most
     _TAIL_TOL = 2**-56 times |sum|, far below an ulp, whatever the caller:
     truncation adds no error beside the rounding of the terms.  The count
-    of terms for that tail is predicted first (`_predicted_terms`).  A
-    series predicted to need fewer than _SHORT_TERMS terms is summed that
-    far in Python floats, added by math.fsum, and only then tested: less
-    time than a numpy pass that runs cold.  It goes on in Python floats as
-    far as the tail bound asks while it stays within _SHORT_TERMS terms.
-    Every other series is summed in numpy passes: the first as long as
-    predicted, each later one as long as the tail bound asks, up to _CHUNK
-    terms a pass.  No stage runs past the last term of a polynomial.  Both
-    stages build every term from the ratio x (m+a)(m+b) / ((m+c)(m+1)).
-
-    A pass adds terms of one sign by numpy's pairwise sum, and terms that
-    change sign by math.fsum, as their cancellation magnifies every
-    rounding.  Every pass silences numpy's overflow and invalid warnings:
-    a term or sum past the float range leaves a non-finite total, which the
-    loop catches.  So does math.fsum's OverflowError or ValueError, in
-    either stage, on terms past the float range.
+    of terms for that tail is predicted first (`_predicted_terms`), and the
+    first run of terms is as long as predicted, so that one run usually
+    ends the sum; each later run is as long as the tail bound asks.  No run
+    is longer than _CHUNK terms, nor goes past the last term of a
+    polynomial.  Every term is built in Python floats from the ratio
+    x (m+a)(m+b) / ((m+c)(m+1)), and at the end of each run math.fsum adds
+    the run's terms to the running sum, exactly rounded, as cancelling
+    terms magnify every rounding; a second fsum adds their |t_n| to
+    sum |t_n|.  A term past the float range leaves a non-finite sum, or
+    math.fsum's OverflowError or ValueError, which the loop catches.
 
     It only sums: the caller judges the cancellation (`_two_terms`) by
     abs_sum = sum |t_n|, the value itself where no term is negative
@@ -327,45 +312,26 @@ def _series_sum(a: float, b: float, c: float, x: float):
         n_end = int(-b) + 1
     log_x = math.log(x)
     predicted = _predicted_terms(a, b, c, x, log_x, n_burn, n_end)
-    short = predicted < _SHORT_TERMS or n_end < _SHORT_TERMS
     k = math.ceil(predicted)
     total = term = size = 1.0
-    terms = [1.0]
     n = 0
     while True:
         k = min(k, _CHUNK, n_end - n)
-        if short:
-            for m in range(n, n + k):
-                # grouped (.. + a) * (.. + b) first so that swapping a and
-                # b reproduces the result bit for bit
-                term *= (m + a) * (m + b) / ((m + c) * (m + 1.0)) * x
-                terms.append(term)
-            try:
-                total = math.fsum(terms)
-                size = total if positive else math.fsum(map(abs, terms))
-            except (OverflowError, ValueError):  # inf - inf, or past the float range
-                total = math.inf
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                index = np.arange(k, dtype=float)
-                ratios = (index + (n + a)) * (index + (n + b))
-                ratios /= (index + (n + c)) * (index + (n + 1.0))
-                ratios *= x
-                np.cumprod(ratios, out=ratios)
-                if term != 1.0:
-                    ratios *= term
-                if positive:
-                    total += float(ratios.sum())
-                else:
-                    size += float(np.abs(ratios).sum())
-            if not positive:  # exactly: where terms cancel, every ulp of them counts
-                chunk = ratios.tolist()
-                chunk.append(total)
-                try:
-                    total = math.fsum(chunk)
-                except (OverflowError, ValueError):  # inf - inf, or past the float range
-                    total = math.inf
-            term = float(ratios[-1])
+        run = [total]
+        m = float(n)  # a float index: float + float is the interpreter's fast path
+        for _ in range(k):
+            # grouped (.. + a) * (.. + b) first so that swapping a and b
+            # reproduces the result bit for bit
+            term *= (m + a) * (m + b) / ((m + c) * (m + 1.0)) * x
+            run.append(term)
+            m += 1.0
+        try:
+            total = math.fsum(run)
+            if not positive:  # sum |t_n| likewise, the run after the sum so far
+                run[0] = size
+                size = math.fsum(map(abs, run))
+        except (OverflowError, ValueError):  # inf - inf, or past the float range
+            total = math.inf
         n += k
         if not math.isfinite(total):
             raise ConvergenceError(
@@ -373,7 +339,7 @@ def _series_sum(a: float, b: float, c: float, x: float):
                 f"x={x})", partial=total, iterations=n)
         if term == 0.0:  # a Pochhammer factor hit zero: the series ends
             break
-        # only a burn-in longer than a pass leaves n below it
+        # only a burn-in longer than a run leaves n below it
         q = _ratio_bound(n, x, a, b, c) if n >= n_burn else 1.0
         floor = _TAIL_TOL * max(abs(total), 1e-12)
         if q < 1.0 and abs(term) * q <= (1.0 - q) * floor:
@@ -390,7 +356,6 @@ def _series_sum(a: float, b: float, c: float, x: float):
             root_x = math.sqrt(x)
             past = max((max(a, b) * root_x - min(c, 1.0)) / (1.0 - root_x), n_burn)
             k = int(past - n + predicted) + 1
-        short = short and n + k <= _SHORT_TERMS
     return total, n, total if positive else size
 
 
@@ -403,7 +368,7 @@ def _predicted_terms(a: float, b: float, c: float, x: float, log_x: float,
     e = a + b - c - 1 (DLMF 5.11.12).  For e > 0 the sum grows like
     C G(e+1) (1 - x)^-(e+1) and the tail like t_n / (1 - x): log_tol / log(x)
     terms, plus e log(n (1 - x)) / -log(x) more (leaving G(e+1) out errs
-    long, which costs less than a second pass).  For e < -1 the sum stays
+    long, which costs less than a second run).  For e < -1 the sum stays
     of order one while C n^e cuts the terms short: n solves
     n log(x) + e log(n) = log_tol + log(1 - x) - log(C), iterated twice from
     n = log_tol / log(x), above the root, to below and then above it.
@@ -818,7 +783,9 @@ def hyp2f1_detailed(params, x: float) -> Hyp2F1Result:
     integer) is always summed raw, an exact polynomial that the transform
     would make cancellation-prone.  ConvergenceError is raised where
     `_two_terms` rejects the sum of a terminating series, raw or Euler
-    (c - a or c - b a non-positive integer).
+    (c - a or c - b a non-positive integer), and where the series route
+    needs more than _TERM_CAP = 2^16 terms: a polynomial that long, or a
+    series near x = 1 where the connection formula gives way.
 
     Both routes take y = 1.0 - x, exact for x >= 1/2: the value is F at
     the float x (`_hyp` takes a caller's own, more exact, 1 - x).

@@ -269,6 +269,21 @@ def test_verify_names_no_cumprod():
     assert "cumprod" not in _names_in(ast.parse(path.read_text(encoding="utf-8")))
 
 
+def test_specfun_imports_no_numpy():
+    """Every series is summed term by term in Python floats, so specfun.py
+    neither imports nor names numpy: numpy serves quadrature, kernel and
+    verify only."""
+    path = Path(alphaharmonic.__file__).parent / "specfun.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert "numpy" not in imported
+    assert not {"numpy", "np"} & _names_in(tree)
+
+
 _NON_NUMERIC_CALLS = {
     "m_bound alpha": (lambda: bounds.m_bound(0.5, "1"), "alpha"),
     "m_bound bool alpha": (lambda: bounds.m_bound(0.5, True), "alpha"),

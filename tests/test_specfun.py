@@ -32,21 +32,6 @@ def rel_err(got, want):
 
 
 @contextlib.contextmanager
-def _count_passes():
-    """The sizes of the numpy passes `_series_sum` makes meanwhile: each
-    pass calls numpy's cumprod once, on its ratios."""
-    sizes = []
-    cumprod = np.cumprod
-
-    def counting(ratios, *args, **kwargs):
-        sizes.append(ratios.size)
-        return cumprod(ratios, *args, **kwargs)
-
-    with mock.patch.object(specfun_module.np, "cumprod", counting):
-        yield sizes
-
-
-@contextlib.contextmanager
 def _count_steps():
     """The steps `_mode_seed`'s continued fraction takes meanwhile, one
     list entry each: each step calls abs once, the closed form never."""
@@ -183,13 +168,14 @@ class TestHyp2F1:
             hyp2f1((90.0, 90.0, 180.0 + 1e-13), 1.0 - 1e-6)
         assert info.value.partial is not None
         assert info.value.error_estimate > 0
+        assert info.value.iterations == 2 ** 16
 
     def test_sum_beyond_float_range_raises(self):
         # the raw series' partial sums overflow; the value was inf
         with pytest.raises(ConvergenceError, match="float range"):
             hyp2f1_detailed((1000.0, 1000.0, 2000.5), 0.9)
-        # terms of both signs whose first numpy pass leaves the float
-        # range: math.fsum raises OverflowError on them
+        # terms of both signs whose first run leaves the float range:
+        # math.fsum raises OverflowError on them
         with pytest.raises(ConvergenceError, match="float range"):
             hyp2f1((-700.5, 700.5, 1.5), 0.9)
         # a 201-term polynomial, summed in Python floats, whose terms pass
@@ -876,16 +862,16 @@ SWEEP_FAMILIES = ("schwarz", "m_series", "mode_seed", "euler", "quadratic")
 
 
 class TestShortRoute:
-    """Series predicted short are summed in Python floats (`_series_sum`'s
-    first stage), the rest in numpy passes.  The numpy passes alone
-    (`_SHORT_TERMS` patched to 0), which sum any series to machine
-    precision, are the reference for the short route."""
+    """`_series_sum` builds every term in Python floats and adds each run
+    of terms, between two tail tests, to its running sum by math.fsum; a
+    run is as long as predicted, or as the tail bound asks."""
 
-    def test_sweep_no_worse_than_chunked_route(self):
+    def test_sweep_against_mpmath(self):
         # x across the 0.5 switch to the connection formula and the 1 - x
-        # its series are summed in; every value is also computed with the
-        # short route switched off, which is the chunked route alone
-        worst = {"short": 0.0, "chunked": 0.0}
+        # its series are summed in, down to 1e-8: every value returned is
+        # within 1e-13 of 40-digit mpmath, and a draw whose raw or Euler
+        # series would run past the 2**16-term cap raises instead
+        worst, raised = 0.0, 0
 
         @seed(20261018)
         @settings(max_examples=400, deadline=None, database=None)
@@ -893,37 +879,37 @@ class TestShortRoute:
                u=st.tuples(*[st.floats(0.0, 1.0)] * 3),
                near_one=st.booleans(), v=st.floats(0.0, 1.0))
         def sweep(family, u, near_one, v):
+            nonlocal worst, raised
             x = 1.0 - 10.0 ** (-8.0 + v * (8.0 + math.log10(0.5))) if near_one else 0.6 * v
-            try:
-                short = _sweep_values(family, u, x)
-            except ConvergenceError:
-                short = None
-            with mock.patch.object(specfun_module, "_SHORT_TERMS", 0):
+            with mp.workdps(40):
                 try:
-                    chunked = _sweep_values(family, u, x)
+                    values = _sweep_values(family, u, x)
                 except ConvergenceError:
-                    chunked = None
-            assert (short is None) == (chunked is None), (family, u, x)
-            for route, values in (("short", short), ("chunked", chunked)):
-                for got, want in values or ():
+                    raised += 1
+                    return
+                for got, want in values:
                     err = float(abs(got - want) / max(abs(want), mp.mpf(1e-300)))
-                    worst[route] = max(worst[route], err)
+                    worst = max(worst, err)
 
         sweep()
-        assert 0.0 < worst["short"] <= worst["chunked"]
+        # measured 8.3e-14, and 28 draws raised
+        assert 0.0 < worst <= 1e-13
+        assert raised <= 28
 
     @seed(20261018)
     @settings(max_examples=300, deadline=None, database=None)
     @given(a=st.one_of(st.just(1.0), st.floats(1e-3, 30.0)), b=st.floats(1e-3, 30.0),
            c=st.floats(0.05, 30.0), x=st.floats(1e-12, 0.9))
-    def test_routes_agree_to_a_few_ulps(self, a, b, c, x):
-        # positive terms, so a few ulps of the sum bound both roundings; x
-        # to 0.9 reaches the series of up to _SHORT_TERMS Python-float terms
-        value, n, _ = _series_sum(a, b, c, x)
-        with mock.patch.object(specfun_module, "_SHORT_TERMS", 0):
-            chunked, _, _ = _series_sum(a, b, c, x)
-        # also where the first stage gives way to chunks after its terms
-        assert abs(value - chunked) <= 4.0 * _EPS * chunked
+    def test_positive_series_against_mpmath(self, a, b, c, x):
+        # positive terms, so nothing cancels; x to 0.9 reaches series of
+        # over a thousand terms, in more than one run where the prediction
+        # falls short.  Measured 67.7 eps worst, for 1,216 terms at
+        # a = b = 13.3, c = x = 0.9: the drift of the term recurrence, not
+        # the summation
+        value = _series_sum(a, b, c, x)[0]
+        with mp.workdps(40):
+            want = mp.hyp2f1(a, b, c, mp.mpf(x))
+        assert rel_err(value, want) <= 2e-14
 
     def test_large_parameters_return_finite_or_raise(self):
         # |a|, |b| and |c| up to 1e4 of either sign, and every other a a
@@ -944,17 +930,24 @@ class TestShortRoute:
                 raised += 1
         assert 500 < raised < 1500
 
-    def test_no_bound_on_the_table_grid_takes_a_pass(self):
-        # every bound on the grid of tests/golden/bounds.txt sums its series
-        # in Python floats: a numpy pass that runs cold between other calls
-        # costs 80-108 us, some 400 Python-float terms
-        with _count_passes() as sizes:
+    def test_bounds_on_the_table_grid_sum_short_series(self):
+        # every bound on the grid of tests/golden/bounds.txt sums a few
+        # dozen terms a series, 61 at most
+        terms = []
+        series_sum = specfun_module._series_sum
+
+        def recording(*args):
+            res = series_sum(*args)
+            terms.append(res[1])
+            return res
+
+        with mock.patch.object(specfun_module, "_series_sum", recording):
             for alpha in ALPHAS:
                 for r in RADII:
                     for bound_id in BOUND_IDS:
                         if bound_id != "M_PRIME" or alpha >= 0.0:
                             evaluate_bound(bound_id, r, alpha, 0.5)
-        assert sizes == []
+        assert 0 < max(terms) <= 61
 
     def test_connection_terms_at_gauss_summation_argument(self):
         # two series in y = 1e-5: 128 terms when every sum began with a
@@ -970,25 +963,24 @@ class TestShortRoute:
         assert (res.transform, res.terms_used) == ("none", 3)
         assert rel_err(res.value, float(mp.hyp2f1(-2, 0.7, 1.9, 0.3))) < 4 * _EPS
 
-    def test_misprediction_passes_to_chunks(self):
+    def test_misprediction_runs_on_to_its_tail(self):
         # predicted 240.9 terms for 2**-56, but the terms change sign and
-        # their sum is small: the 241 Python-float terms are followed by one
-        # numpy pass, as long as the tail bound asks (36 terms)
+        # their sum is small: the first run of 241 terms is followed by a
+        # second, as long as the tail bound asks (36 terms)
         a, b, c, x = 1.61, -1.28, 1.47, 0.89
         n_burn = int(max(abs(a), abs(b), abs(c), 1.0)) + 2
         predicted = specfun_module._predicted_terms(
             a, b, c, x, math.log(x), n_burn, specfun_module._TERM_CAP)
-        assert 240.0 < predicted < specfun_module._SHORT_TERMS
-        with _count_passes() as sizes:
-            value, terms, _ = _series_sum(a, b, c, x)
-        assert (terms, sizes) == (277, [36])
+        assert 240.0 < predicted < 241.0
+        value, terms, _ = _series_sum(a, b, c, x)
+        assert terms == 277
         assert value == -0.013213973362753602
         assert rel_err(value, float(mp.hyp2f1(a, b, c, x))) < 1e-13
 
     def test_long_positive_series_stop_below_an_ulp(self):
         # positive terms, so no cancellation hides a truncation error; x in
-        # [0.8, 0.95) gives 200-700 terms, in either stage.  Passes stopped
-        # at a quarter of 1e-13 were up to 2.8e-14 off here
+        # [0.8, 0.95) gives 200-700 terms.  Sums stopped at a quarter of
+        # 1e-13 were up to 2.8e-14 off here
         rng = np.random.default_rng(20261021)
         draws = rng.uniform((0.05, 0.05, 0.3, 0.8), (2.0, 2.0, 3.0, 0.95), size=(600, 4))
         worst = 0.0
@@ -998,37 +990,33 @@ class TestShortRoute:
                 worst = max(worst, float(abs(_series_sum(a, b, c, x)[0] - want) / want))
         assert worst < 4e-15
 
-    @pytest.mark.parametrize("params, x, value, terms, passes", [
-        ((0.25, 0.75, 1.5), 0.5, 1.082392200292394, 47, []),
-        ((-0.5, -0.5, 1.0), 0.999 ** 2, 1.2726042763383305, 8192, [4096, 4096]),
+    @pytest.mark.parametrize("params, x, value, terms", [
+        ((0.25, 0.75, 1.5), 0.5, 1.082392200292394, 47),
+        ((-0.5, -0.5, 1.0), 0.999 ** 2, 1.2726042763383305, 8192),
     ], ids=["short-at-half", "long-near-one"])
-    def test_long_series_unchanged(self, params, x, value, terms, passes):
-        # the first is predicted short (46.4 terms) and summed in Python
-        # floats; the second, predicted at 8,123 terms, takes a full pass
-        # and then the 4,552 its tail bound asks, cut to a full pass
+    def test_long_series_unchanged(self, params, x, value, terms):
+        # the first is predicted at 46.4 terms and summed in one run; the
+        # second, predicted at 8,123 terms, takes a full run of _CHUNK terms
+        # and then the 4,552 its tail bound asks, cut to a full run
         # (hyp2f1 takes it by the connection formula in Kummer's quadratic
         # variable, at integer c - a - b)
-        with _count_passes() as sizes:
-            assert _series_sum(*params, x)[:2] == (value, terms)
-        assert sizes == passes
+        assert _series_sum(*params, x)[:2] == (value, terms)
         assert rel_err(value, float(mp.hyp2f1(*params, mp.mpf(x)))) < 1e-13
 
 
 class TestOnePass:
-    """Each series costs one numpy pass where its term count is predicted
-    well, and no pass runs past the last term of a polynomial; counted by
-    wrapping numpy's cumprod, which every pass calls once."""
+    """Each series costs one run of terms where its count is predicted
+    well, and no run goes past the last term of a polynomial; the solver's
+    seeds sum no series at all."""
 
     @pytest.mark.parametrize("k", range(1, 18))
     def test_seed_series_at_radius_099_takes_one_pass(self, k):
         # k (1 - x) <= 1/2 at radius 0.99 for every k here: the seed takes
-        # its closed form, no numpy pass
+        # its closed form
         x = 0.99 ** 2
         y = 1.0 - x
         for alpha in (-0.99999, -0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 3.5, 5.0):
-            with _count_passes() as sizes:
-                got = _mode_seed(alpha, k, x, y, _scale(alpha, k))
-            assert sizes == [], (k, alpha, sizes)
+            got = _mode_seed(alpha, k, x, y, _scale(alpha, k))
             assert rel_err(got, _mp_seed(alpha, k, y)) < 5e-14, (k, alpha)
 
     def test_seeds_of_the_far_branch_take_no_pass(self):
@@ -1040,23 +1028,21 @@ class TestOnePass:
                 if k * (1.0 - x) <= 0.5:
                     continue
                 for alpha in (-0.99, 0.5, 5.0):
-                    with _count_passes() as sizes:
-                        _mode_seed(alpha, k, x, 1.0 - x, _scale(alpha, k))
-                    assert sizes == [], (k, r, alpha, sizes)
+                    y = 1.0 - x
+                    got = _mode_seed(alpha, k, x, y, _scale(alpha, k))
+                    assert rel_err(got, _mp_seed(alpha, k, y)) < 5e-14, (k, r, alpha)
 
     def test_polynomial_builds_no_ratio_past_its_last_term(self):
         # SCHWARZ_2F1 at alpha = 4 is the 3-term polynomial F(-2, -2; 1; r^2),
         # predicted at about 19,000 terms for r = 0.999
-        with _count_passes() as sizes:
-            res = hyp2f1_detailed((-2.0, -2.0, 1.0), 0.999 ** 2)
-            value = schwarz_bound(0.999, 4.0)
-        assert (res.transform, res.terms_used, sizes) == ("none", 3, [])
+        res = hyp2f1_detailed((-2.0, -2.0, 1.0), 0.999 ** 2)
+        value = schwarz_bound(0.999, 4.0)
+        assert (res.transform, res.terms_used) == ("none", 3)
         assert rel_err(value, float(mp.hyp2f1(-2, -2, 1, mp.mpf(0.999) ** 2))) < 1e-13
-        # a polynomial too long for Python floats (positive terms, as both
-        # (-300)_n and (-300.5)_n alternate): one pass, up to its zero term
-        with _count_passes() as sizes:
-            value, terms, _ = _series_sum(-300.0, -300.5, 1.5, 0.9)
-        assert (terms, sizes) == (301, [301])
+        # a longer polynomial (positive terms, as both (-300)_n and
+        # (-300.5)_n alternate): one run, up to its zero term
+        value, terms, _ = _series_sum(-300.0, -300.5, 1.5, 0.9)
+        assert terms == 301
         assert rel_err(value, float(mp.hyp2f1(-300, -300.5, 1.5, 0.9))) < 1e-13
 
 
@@ -1075,9 +1061,7 @@ class TestClosedFormSeed:
             x = 1.0 - y
             scale_k = math.exp(math.lgamma(alpha + 1.0 + k) - math.lgamma(alpha + 1.0)
                                - math.lgamma(k + 1.0))
-            with _count_passes() as sizes:
-                got = _mode_seed(alpha, k, x, y, scale_k)
-            assert sizes == []
+            got = _mode_seed(alpha, k, x, y, scale_k)
             with mp.workdps(40):
                 want = (mp.rf(mp.mpf(alpha) + 1, k) / mp.factorial(k)
                         * mp.hyp2f1(-mp.mpf(alpha), k, k + 1, 1 - mp.mpf(y)))
@@ -1133,9 +1117,8 @@ class TestContinuedFractionSeed:
             alpha = -1.0 + 10.0 ** rng.uniform(-5.0, math.log10(1001.0))
             k = int(rng.integers(1, 65))
             y = 10.0 ** rng.uniform(math.log10(1e-3 / k), 0.0)
-            with _count_passes() as sizes, _count_steps() as steps:
+            with _count_steps() as steps:
                 got = _mode_seed(alpha, k, 1.0 - y, y, _scale(alpha, k))
-            assert sizes == []
             assert len(steps) <= 16.0 * math.sqrt(k) + 16.0, (alpha, k, y, len(steps))
             routes["continued fraction" if steps else "closed form"] += 1
             worst = max(worst, rel_err(got, _mp_seed(alpha, k, y)))

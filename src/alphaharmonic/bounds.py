@@ -94,8 +94,8 @@ _NO_C = object()  # c left out: every bound but M1
 
 def _in_float_range(bound):
     """`bound` at r validated (`_validate_r`) and then alpha as a float
-    (`alpha_value`), raising ConvergenceError where a power overflows,
-    c_alpha underflows to zero or the value is otherwise not finite.
+    (`alpha_value`), raising ConvergenceError where a power overflows or
+    the value is otherwise not finite; c_alpha raises its own.
 
     Every public bound returns through it, but for COLONNA, below 6e15 on
     [0, 1), and L1_MEAN, which returns SCHWARZ_2F1's value.
@@ -107,7 +107,7 @@ def _in_float_range(bound):
         rv, a = _validate_r(r), alpha_value(alpha)
         try:
             value = bound(rv, a) if c is _NO_C else bound(rv, a, c)
-        except (OverflowError, ZeroDivisionError):
+        except OverflowError:
             value = math.inf
         if not math.isfinite(value):
             args = (r, alpha) if c is _NO_C else (r, alpha, c)

@@ -92,18 +92,6 @@ _NORMAL_MIN = 2.0 ** -1022
 _PSI_SHIFT = 10.0
 _PSI_COEFFS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
                -691.0 / 32760.0, 1.0 / 12.0)
-# zeta(2), ..., zeta(18)
-_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
-         1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
-         1.000994575127818, 1.0004941886041194, 1.000246086553308, 1.0001227133475785,
-         1.0000612481350588, 1.000030588236307, 1.0000152822594086, 1.0000076371976379,
-         1.000003817293265)
-# Taylor coefficients of ln g(s) = ln(sqrt(pi) G(1+s) / G(s+1/2)) at s = 0, k = 1..18:
-# 2 ln 2, then (-1)^(k+1) zeta(k) (2^k - 2) / k.  The series converges for
-# |s| < 1/2 by factors of about 2s; at s <= _LOG_G_S the first term left out
-# is below 5e-18 of the sum.
-_LOG_G = (2.0 * math.log(2.0),) + tuple((-1) ** (k + 1) * z * (2 ** k - 2) / k
-                                         for k, z in enumerate(_ZETA, 2))
 _LOG_G_S = 1.0 / 16.0
 
 
@@ -197,23 +185,34 @@ class Hyp2F1Result(NamedTuple):
 
 def beta(x: float, y: float) -> float:
     """Beta function B(x, y) for positive finite arguments, from math.gamma
-    while x + y <= 170 keeps every factor in range, else from lgamma.
-
-    Gamma is taken at s = fl(x + y); where that sum rounds, by
-    d = x + y - s (`_round_off`), the result is multiplied by 1 - psi(s) d,
-    the first order of Gamma(s) / Gamma(s + d).
+    while x + y <= 170 keeps every factor in range: at s = fl(x + y), times
+    1 - psi(s) d where the sum rounds by d = x + y - s (`_round_off`), the
+    first order of Gamma(s) / Gamma(s + d).  Past it B(x, x) = 2^(1-2x)
+    B(x, 1/2), else ln B = ln G(lo) - lo D(hi, lo), lo <= hi, D the slope of
+    `_lgamma_slope`: within 1e-14 of mpmath for x == y or an argument <= 3,
+    but two large unequal ones keep about |ln B| 2^-53 (5.6e-13 worst for
+    x, y in [85, 400]).  ConvergenceError where B leaves the float range or
+    falls below its least normal float.
     """
     if not (type(x) is float and type(y) is float
             and 0.0 < x < math.inf and 0.0 < y < math.inf):
         x, y = _positive_real("x", x), _positive_real("y", y)
     s = x + y
-    if s <= 170.0:  # dividing first, tiny x and y cannot overflow a product
-        value = math.gamma(x) / math.gamma(s) * math.gamma(y)
-    else:
-        value = math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(s))
-    d = _round_off(x, y)
-    if d:
-        value *= 1.0 - _lgamma_slope(s) * d
+    try:
+        if s <= 170.0:  # dividing first, tiny x and y cannot overflow a product
+            value = math.gamma(x) / math.gamma(s) * math.gamma(y)
+            d = _round_off(x, y)
+            if d:
+                value *= 1.0 - _lgamma_slope(s) * d
+        elif x == y:
+            value = 2.0 ** (1.0 - 2.0 * x) * beta(x, 0.5)
+        else:
+            lo, hi = (x, y) if x < y else (y, x)
+            value = math.exp(math.lgamma(lo) - lo * _lgamma_slope(hi, lo))
+    except OverflowError:
+        value = math.inf
+    if not _NORMAL_MIN <= value < math.inf:
+        raise ConvergenceError(f"beta({x!r}, {y!r}) leaves the float range")
     return value
 
 
@@ -235,7 +234,8 @@ def _lgamma_slope(z: float, e: float = 0.0) -> float:
     there Stirling's series, sum_k B_2k / (2k (2k-1) z^(2k-1)) through k = 7,
     is differenced term by term: [q^j - p^j]/e = -p q sum_i q^i p^(j-1-i),
     p = 1/z, q = 1/(z + e).  Against 40-digit mpmath: a few ulps of |psi| + 1,
-    and within 1e-14 of max(1, |slope|) for |e| <= 1/2 away from the poles.
+    within 1e-14 of max(1, |slope|) for |e| <= 1/2 away from the poles, and
+    1e-15 at `beta`'s z >= 85, 0 < e <= z (its ln B keeps |ln B| 2^-53).
     """
     if z < 0.5:
         f = z - round(z)
@@ -459,10 +459,11 @@ def _m_series(a: float, x: float, y: float) -> tuple[float, int]:
         F = [(g(s) - 1) / (s sqrt(x)) - sum_n e_n] / 2,
         e_n = y^n [y^s (s+1/2)_n / (s+1)_n - (1/2)_n / n!] / s,
 
-    with no pole at s = 0.  (g(s) - 1)/s is expm1(ln g(s))/s, ln g from its
-    Taylor series (`_LOG_G`) for s <= _LOG_G_S, else B(s, 1/2) - 1/s, where
-    1/s is at most 15 times the difference.  e_0 = expm1(s ln y)/s, and
-    with u_n = (1/2)_n y^n / n!,
+    with no pole at s = 0.  (g(s) - 1)/s is expm1(ln g(s))/s, ln g(s) =
+    s [D(1, s) - D(1/2, s)] in `_lgamma_slope`'s slopes, for s <= _LOG_G_S,
+    else B(s, 1/2) - 1/s, where 1/s is at most 15 times the difference
+    (`beta` keeps B(s, 1/2) within 1e-14 for every s).  e_0 = expm1(s ln y)/s,
+    and with u_n = (1/2)_n y^n / n!,
 
         e_{n+1} = y [(s + 1/2 + n) e_n + u_n / (2(n + 1))] / (s + 1 + n),
 
@@ -477,11 +478,8 @@ def _m_series(a: float, x: float, y: float) -> tuple[float, int]:
     if not x > 0.5:
         f, terms, _ = _series_sum(1.0, s + 0.5, 1.5, x)
         return y ** s * f, terms
-    if s <= _LOG_G_S:
-        p = 0.0
-        for coeff in reversed(_LOG_G):
-            p = p * s + coeff
-        dg = math.expm1(s * p) / s  # (g(s) - 1) / s
+    if s <= _LOG_G_S:  # ln g(s) = s [D(1, s) - D(1/2, s)]
+        dg = math.expm1(s * (_lgamma_slope(1.0, s) - _lgamma_slope(0.5, s))) / s
     else:
         dg = beta(s, 0.5) - 1.0 / s
     lead = dg / math.sqrt(x)
@@ -851,7 +849,8 @@ def c_alpha(alpha) -> float:
 
     Its reciprocal equals 2^alpha Gamma(1/2 + alpha/2) / (sqrt(pi)
     Gamma(1 + alpha/2)) by the duplication formula.  Evaluated as
-    (alpha + 1) B(alpha/2 + 1, alpha/2 + 1).
+    (alpha + 1) B(alpha/2 + 1, alpha/2 + 1): within 4e-14 of mpmath, from the
+    rounding of alpha/2 + 1; past alpha = 1017 it raises (B is subnormal).
     """
     a = alpha_value(alpha)
     return (a + 1.0) * beta(a / 2.0 + 1.0, a / 2.0 + 1.0)

@@ -242,6 +242,16 @@ def test_series_sums_are_named_only_in_specfun_and_verify():
     assert users == {"specfun.py", "verify.py"}
 
 
+def _owners(tree) -> dict:
+    """node -> name of the innermost function around it (ast.walk goes
+    outside in)."""
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            owner.update(dict.fromkeys(ast.walk(fn), getattr(fn, "name", "<lambda>")))
+    return owner
+
+
 def test_one_cancellation_judge():
     """`specfun._two_terms` alone weighs cancellation: no other function in
     the package reads `_CONNECTION_ULPS` or compares anything with `_REL_TOL`,
@@ -249,16 +259,43 @@ def test_one_cancellation_judge():
     readers = set()
     for path in Path(alphaharmonic.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        owner = {}  # node -> innermost function around it (ast.walk goes outside in)
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
-                owner.update(dict.fromkeys(ast.walk(fn), getattr(fn, "name", "<lambda>")))
+        owner = _owners(tree)
         for node in ast.walk(tree):
             compared = isinstance(node, ast.Compare) and "_REL_TOL" in _names_in(node)
             if compared or (isinstance(node, ast.Name) and node.id == "_CONNECTION_ULPS"
                             and isinstance(node.ctx, ast.Load)):
                 readers.add(f"{path.stem}.{owner.get(node, '<module>')}")
     assert readers == {"specfun._two_terms"}
+
+
+def _signed_terms(node, sign=1):
+    """(sign, term) for each term of the sum or difference node."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        yield from _signed_terms(node.left, sign)
+        yield from _signed_terms(node.right, -sign if isinstance(node.op, ast.Sub) else sign)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        yield from _signed_terms(node.operand, -sign)
+    else:
+        yield sign, node
+
+
+def test_one_lgamma_difference_routine():
+    """Differences of ln Gamma in specfun come from `_lgamma_slope`, whose
+    slope does not cancel: no sum there adds one math.lgamma value and
+    subtracts another, where values in the hundreds would leave errors of
+    1e-12, but `_predicted_terms`' estimate of a term count.  verify's
+    oracles are a second route and keep their own."""
+    path = Path(alphaharmonic.__file__).parent / "specfun.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = _owners(tree)
+    users = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp):
+            signs = {sign for sign, term in _signed_terms(node)
+                     if isinstance(term, ast.Call) and ast.unparse(term.func) == "math.lgamma"}
+            if signs == {1, -1}:
+                users.add(owner.get(node, "<module>"))
+    assert users == {"_predicted_terms"}
 
 
 def test_verify_names_no_cumprod():

@@ -116,15 +116,17 @@ def m_bound_mpmath(r, alpha):
 class TestMLargeAlpha:
     @pytest.mark.parametrize("alpha", [5.0, 50.0, 400.0])
     def test_against_mpmath_at_r_09(self, alpha):
-        # at alpha = 400, (1 - r)^(-alpha) alone overflows; M is about 5.5e110
-        assert rel_err(m_bound(0.9, alpha), m_bound_mpmath(0.9, alpha)) < 1e-12
+        # at alpha = 400, (1 - r)^(-alpha) alone overflows; M is about 5.5e110.
+        # Here and in the sweep below, B(s, 1/2) as a sum of lgamma values
+        # put 6 points beyond 1e-13 (1.9e-13 worst)
+        assert rel_err(m_bound(0.9, alpha), m_bound_mpmath(0.9, alpha)) < 1e-13
 
     @pytest.mark.parametrize("alpha", [1.0001, 1.5, 3.0, 4.9, 23.0, 41.0, 150.5, 341.5, 600.0])
     def test_sweep_against_mpmath(self, alpha):
         # both sides of x = 4r^2/(1+r^2)^2 = 1/2 (r = sqrt(2) - 1), and odd
         # alpha, where the hypergeometric factor is an alternating polynomial
         for r in (0.01, 0.1, 0.3, 0.41, 0.42, 0.5, 0.7, 0.9, 0.99, 0.999, 0.9999):
-            assert rel_err(m_bound(r, alpha), m_bound_mpmath(r, alpha)) < 1e-12
+            assert rel_err(m_bound(r, alpha), m_bound_mpmath(r, alpha)) < 1e-13
 
     def test_evaluate_bound_outside_float_range_raises(self):
         for bound_id in ("M", "M1", "M2", "LC_SP", "SP_LIMIT"):
@@ -141,6 +143,30 @@ class TestMLargeAlpha:
         # that check keeps the bounds' keyword arguments
         assert m1_bound(r=0.5, alpha=2.0, c=0.5) == m1_bound(0.5, 2.0, 0.5)
         assert m_bound(alpha=2.0, r=0.5) == m_bound(0.5, 2.0)
+
+
+class TestGammaRatiosToAlpha1000:
+    """Past alpha = 168, where B(alpha/2 + 1, alpha/2 + 1) and M's B(s, 1/2)
+    leave math.gamma's range: from ln B = lgamma(x) + lgamma(y) - lgamma(x + y)
+    c_alpha and SP_LIMIT missed 1e-13 in 218 of these 300 values (1.4e-12
+    worst), and M in 120 of its 300 (7.9e-13 worst)."""
+
+    def test_c_alpha_and_sp_limit_against_mpmath(self):
+        rng = np.random.default_rng(167)
+        with mp.workdps(40):
+            for alpha, r in zip(rng.uniform(168.0, 1000.0, 150).tolist(),
+                                rng.uniform(0.0, 0.999, 150).tolist()):
+                a = mp.mpf(alpha)
+                c = mp.gamma(a / 2 + 1) ** 2 / mp.gamma(a + 1)
+                assert rel_err(c_alpha(alpha), float(c)) < 1e-13, alpha
+                want = 2 * (1 + a) / c / ((1 - mp.mpf(r)) * (1 + mp.mpf(r)))
+                assert rel_err(schwarz_pick_limit_bound(r, alpha), float(want)) < 1e-13, alpha
+
+    def test_m_against_mpmath(self):
+        rng = np.random.default_rng(173)
+        for alpha, r in zip(rng.uniform(168.0, 1000.0, 300).tolist(),
+                            rng.uniform(0.45, 0.999, 300).tolist()):
+            assert rel_err(m_bound(r, alpha), float(m_bound_mpmath(r, alpha))) < 1e-13, (r, alpha)
 
 
 class TestSmallRadius:

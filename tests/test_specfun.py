@@ -105,9 +105,40 @@ class TestGammaBeta:
             y = float(10.0 ** rng.uniform(-3.0, math.log10(170.0 - x)))
             assert rel_err(beta(x, y), mp.beta(x, y)) < 4e-15, (x, y)
 
+    @pytest.mark.parametrize("family", ["small", "half", "equal"])
+    def test_beta_past_170_matches_mpmath(self, family):
+        # past x + y = 170: one argument at most 3, y = 1/2 (M's B(s, 1/2))
+        # and x == y (c_alpha's); as lgamma(x) + lgamma(y) - lgamma(x + y)
+        # they missed 1e-13 in 305, 301 and 290 of these 400 draws (1.7e-12
+        # worst)
+        rng = np.random.default_rng(29)
+        with mp.workdps(40):
+            for _ in range(400):
+                if family == "small":
+                    x = float(rng.uniform(1e-3, 3.0))
+                    y = float(rng.uniform(170.0 - x, 1000.0))
+                elif family == "half":
+                    x, y = float(rng.uniform(169.5, 1000.0)), 0.5
+                else:
+                    x = y = float(rng.uniform(85.0, 510.0))
+                assert rel_err(beta(x, y), mp.beta(x, y)) < 1e-13, (x, y)
+                assert beta(y, x) == beta(x, y)
+
     def test_beta_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             beta(0.0, 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: beta(1e-310, 1.0), lambda: beta(1e-310, 200.0), lambda: beta(5e-324, 0.5),
+        lambda: beta(1e-308, 1e-308),  # 2e308 as a product of finite floats
+        lambda: beta(600.0, 600.0),  # below the least normal float
+        lambda: c_alpha(1100.0),  # was 0.0
+    ])
+    def test_beyond_float_range_raises(self, call):
+        # these raised a raw OverflowError or returned inf, 0.0 or a
+        # subnormal whose last digits are gone
+        with pytest.raises(ConvergenceError, match="leaves the float range"):
+            call()
 
 
 class TestParams:
@@ -609,6 +640,17 @@ class TestLogConnection:
                 zm, em = mp.mpf(z), mp.mpf(e)
                 want = (mp.log(abs(mp.gamma(zm + em))) - mp.log(abs(mp.gamma(zm)))) / em
                 assert abs(_lgamma_slope(z, e) - want) <= 1e-14 * max(abs(want), 1.0), z
+
+    def test_lgamma_slope_beta_range_against_mpmath(self):
+        # `beta` past x + y = 170 takes D(hi, lo), hi >= 85 and lo up to hi
+        rng = np.random.default_rng(151)
+        with mp.workdps(40):
+            for _ in range(400):
+                z = float(10.0 ** rng.uniform(math.log10(85.0), 3.0))
+                e = float(z * 10.0 ** rng.uniform(-12.0, 0.0))
+                zm, em = mp.mpf(z), mp.mpf(e)
+                want = (mp.loggamma(zm + em) - mp.loggamma(zm)) / em
+                assert abs(_lgamma_slope(z, e) - want) <= 1e-15 * max(abs(want), 1.0), (z, e)
 
 
 def _quadratic_sweep_alphas(rng):

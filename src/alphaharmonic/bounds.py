@@ -5,7 +5,9 @@ alpha.  All values are reported per unit boundary sup-norm; callers
 multiply by their own norm.  The bounds M, M2 and M_PRIME additionally
 assume the solution maps the disk into itself (boundary sup-norm <= 1),
 which the report ``note`` field records.  A value beyond the float range
-(alpha of about a thousand or more) raises ConvergenceError.
+(alpha of about a thousand or more) raises ConvergenceError, led by the
+bound's call.  `evaluate_bound` checks bound_id, alpha and M1's c once,
+and each wrapped bound r and alpha in one test.
 
 SCHWARZ_2F1 is F(-alpha/2, -alpha/2; 1; r^2), SP_2F1 is a lead factor
 over 1 - r^2 times it, and L1_MEAN equals it; all three take F from
@@ -55,12 +57,7 @@ _NOTE_LINEAR = "scales linearly with the boundary sup-norm"
 
 _LAST_F = LastCall()
 _R_ALPHA_BITS = struct.Struct("2d").pack
-
-_NOTES = {
-    "M": _NOTE_UNIT_DISK,
-    "M2": _NOTE_UNIT_DISK,
-    "M_PRIME": _NOTE_UNIT_DISK,
-}
+_INF = math.inf
 
 
 class _BoundFields(NamedTuple):
@@ -93,9 +90,10 @@ _NO_C = object()  # c left out: every bound but M1
 
 
 def _in_float_range(bound):
-    """`bound` at r validated (`_validate_r`) and then alpha as a float
-    (`alpha_value`), raising ConvergenceError where a power overflows or
-    the value is otherwise not finite; c_alpha raises its own.
+    """`bound` at r and alpha validated in one test (messages as
+    `_validate_r`, then `alpha_value`), raising ConvergenceError where a
+    power overflows or the value is otherwise not finite; one from the body
+    (c_alpha's, a series') is raised again led by the bound's call.
 
     Every public bound returns through it, but for COLONNA, below 6e15 on
     [0, 1), and L1_MEAN, which returns SCHWARZ_2F1's value.
@@ -104,16 +102,25 @@ def _in_float_range(bound):
     """
     @functools.wraps(bound)
     def checked(r, alpha, c=_NO_C):
-        rv, a = _validate_r(r), alpha_value(alpha)
+        if type(r) is float and type(alpha) is float and 0.0 <= r < 1.0 and -1.0 < alpha < _INF:
+            rv, a = r, alpha
+        else:
+            rv, a = _validate_r(r), alpha_value(alpha)
         try:
             value = bound(rv, a) if c is _NO_C else bound(rv, a, c)
         except OverflowError:
             value = math.inf
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{_call_text(bound, r, alpha, c)}: {exc}", exc.partial,
+                                   exc.error_estimate, exc.iterations) from exc
         if not math.isfinite(value):
-            args = (r, alpha) if c is _NO_C else (r, alpha, c)
-            raise ConvergenceError(f"{bound.__name__}{args!r} leaves the float range")
+            raise ConvergenceError(f"{_call_text(bound, r, alpha, c)} leaves the float range")
         return value
     return checked
+
+
+def _call_text(bound, r, alpha, c) -> str:
+    return f"{bound.__name__}{(r, alpha) if c is _NO_C else (r, alpha, c)!r}"
 
 
 def _validate_r(r: float) -> float:
@@ -248,38 +255,41 @@ def l1_mean_kernel(alpha, r: float) -> float:
     return schwarz_bound(r, alpha)
 
 
-# Bound id -> evaluator of (r, alpha, c).  The lambdas look each bound up
-# at call time, so a rebound module attribute is the one called
+# Bound id -> (evaluator of (r, alpha, c), report note).  The lambdas look
+# each bound up at call time, so a rebound module attribute is the one called
 # (perfbench/tracer.py times each bound that way).
-_EVALUATORS = {
-    "M1": lambda r, a, c: m1_bound(r, a, c),
-    "M2": lambda r, a, c: m2_bound(r, a),
-    "COLONNA": lambda r, a, c: colonna_bound(r),
-    "LC_SP": lambda r, a, c: lc_schwarz_pick_bound(r, a),
-    "M": lambda r, a, c: m_bound(r, a),
-    "M_PRIME": lambda r, a, c: m_prime_bound(r, a),
-    "SCHWARZ_2F1": lambda r, a, c: schwarz_bound(r, a),
-    "SP_2F1": lambda r, a, c: schwarz_pick_bound(r, a),
-    "SP_LIMIT": lambda r, a, c: schwarz_pick_limit_bound(r, a),
-    "L1_MEAN": lambda r, a, c: l1_mean_kernel(a, r),
+_BOUNDS = {
+    "M1": (lambda r, a, c: m1_bound(r, a, c), _NOTE_LINEAR),
+    "M2": (lambda r, a, c: m2_bound(r, a), _NOTE_UNIT_DISK),
+    "COLONNA": (lambda r, a, c: colonna_bound(r), _NOTE_LINEAR),
+    "LC_SP": (lambda r, a, c: lc_schwarz_pick_bound(r, a), _NOTE_LINEAR),
+    "M": (lambda r, a, c: m_bound(r, a), _NOTE_UNIT_DISK),
+    "M_PRIME": (lambda r, a, c: m_prime_bound(r, a), _NOTE_UNIT_DISK),
+    "SCHWARZ_2F1": (lambda r, a, c: schwarz_bound(r, a), _NOTE_LINEAR),
+    "SP_2F1": (lambda r, a, c: schwarz_pick_bound(r, a), _NOTE_LINEAR),
+    "SP_LIMIT": (lambda r, a, c: schwarz_pick_limit_bound(r, a), _NOTE_LINEAR),
+    "L1_MEAN": (lambda r, a, c: l1_mean_kernel(a, r), _NOTE_LINEAR),
 }
-BOUND_IDS = tuple(_EVALUATORS)
+BOUND_IDS = tuple(_BOUNDS)
 
 
 def evaluate_bound(bound_id: str, r: float, alpha, c: float | None = None) -> BoundReport:
     """Evaluate one named bound into a BoundReport; all are closed forms.
 
     A value beyond the float range (alpha of about a thousand or more)
-    raises ConvergenceError.
+    raises ConvergenceError.  bound_id, alpha and M1's c are checked here,
+    r by the bound, and the report is built as one tuple.
     """
     if not isinstance(bound_id, str):  # a list is not even hashable
         raise DomainError(f"bound_id must be a string, got {bound_id!r}")
-    a = alpha_value(alpha)
+    a = alpha if type(alpha) is float and -1.0 < alpha < _INF else alpha_value(alpha)
     if bound_id == "M1" and c is None:
         raise DomainError("M1 requires the auxiliary parameter c")
-    evaluator = _EVALUATORS.get(bound_id)
-    if evaluator is None:
+    entry = _BOUNDS.get(bound_id)
+    if entry is None:
         raise DomainError(f"unknown bound id {bound_id!r}")
-    value = evaluator(r, a, c)  # validates r, and c for M1, before float() reads them
-    return BoundReport(bound_id, float(r), a, float(c) if bound_id == "M1" else None,
-                       value, _NOTES.get(bound_id, _NOTE_LINEAR))
+    value = entry[0](r, a, c)  # validates r, and c for M1, before float() reads them
+    if not value >= 0.0:
+        raise DomainError(f"bound value must be non-negative, got {value!r}")
+    aux = float(c) if bound_id == "M1" else None
+    return tuple.__new__(BoundReport, (bound_id, float(r), a, aux, value, entry[1]))

@@ -7,11 +7,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from alphaharmonic import (BoundReport, ConvergenceError, DomainError, c_alpha, colonna_bound,
-                           evaluate_bound, integrate_periodic, l1_mean_kernel,
+from alphaharmonic import (BOUND_IDS, BoundReport, ConvergenceError, DomainError, c_alpha,
+                           colonna_bound, evaluate_bound, integrate_periodic, l1_mean_kernel,
                            lc_schwarz_pick_bound, m1_bound, m2_bound, m_bound,
                            m_prime_bound, schwarz_bound, schwarz_pick_bound,
                            schwarz_pick_limit_bound)
+from alphaharmonic import bounds as bounds_module
 from alphaharmonic import specfun
 
 
@@ -129,17 +130,24 @@ class TestMLargeAlpha:
             assert rel_err(m_bound(r, alpha), m_bound_mpmath(r, alpha)) < 1e-13
 
     def test_evaluate_bound_outside_float_range_raises(self):
-        for bound_id in ("M", "M1", "M2", "LC_SP", "SP_LIMIT"):
-            with pytest.raises(ConvergenceError, match="float range"):
+        for bound_id, name in (("M", "m_bound"), ("M1", "m1_bound"), ("M2", "m2_bound"),
+                               ("LC_SP", "lc_schwarz_pick_bound"),
+                               ("SP_LIMIT", "schwarz_pick_limit_bound")):
+            with pytest.raises(ConvergenceError, match="float range") as info:
                 evaluate_bound(bound_id, 0.9, 2000.0, c=0.5 if bound_id == "M1" else None)
+            assert str(info.value).startswith(f"{name}(0.9, 2000.0")
         # the public bounds themselves, which raised a raw OverflowError or
         # (SP_LIMIT, where c_alpha underflows) ZeroDivisionError
-        for call in (lambda: m_bound(0.5, 2000.0), lambda: m1_bound(0.5, 1500.0, 0.5),
-                     lambda: m2_bound(0.5, 1500.0), lambda: m_prime_bound(0.5, 1500.0),
-                     lambda: lc_schwarz_pick_bound(0.5, 1500.0),
-                     lambda: schwarz_pick_limit_bound(0.5, 1500.0)):
-            with pytest.raises(ConvergenceError, match="float range"):
+        for call, name in ((lambda: m_bound(0.5, 2000.0), "m_bound"),
+                           (lambda: m1_bound(0.5, 1500.0, 0.5), "m1_bound"),
+                           (lambda: m2_bound(0.5, 1500.0), "m2_bound"),
+                           (lambda: m_prime_bound(0.5, 1500.0), "m_prime_bound"),
+                           (lambda: lc_schwarz_pick_bound(0.5, 1500.0), "lc_schwarz_pick_bound"),
+                           (lambda: schwarz_pick_limit_bound(0.5, 1500.0),
+                            "schwarz_pick_limit_bound")):
+            with pytest.raises(ConvergenceError, match="float range") as info:
                 call()
+            assert str(info.value).startswith(f"{name}(0.5, ")
         # that check keeps the bounds' keyword arguments
         assert m1_bound(r=0.5, alpha=2.0, c=0.5) == m1_bound(0.5, 2.0, 0.5)
         assert m_bound(alpha=2.0, r=0.5) == m_bound(0.5, 2.0)
@@ -320,6 +328,24 @@ class TestSchwarzBound:
             schwarz_bound(0.5, 2000.0)
         assert info.value.iterations <= 5000
 
+    @pytest.mark.parametrize("call,text", [
+        (lambda: schwarz_bound(0.9, 2000.0), "schwarz_bound(0.9, 2000.0): hypergeometric series"),
+        (lambda: schwarz_pick_limit_bound(0.999, 1100.0),
+         "schwarz_pick_limit_bound(0.999, 1100.0): beta(551.0, 551.0)"),
+        (lambda: l1_mean_kernel(2000.0, 0.9), "schwarz_bound(0.9, 2000.0): hypergeometric"),
+    ], ids=["schwarz_bound", "schwarz_pick_limit_bound", "l1_mean_kernel"])
+    def test_error_from_the_body_names_the_bound(self, call, text):
+        # a series' or beta's ConvergenceError, raised again with the call
+        # before its own text and its diagnostics kept
+        with pytest.raises(ConvergenceError, match="float range") as info:
+            call()
+        inner = info.value.__cause__
+        assert isinstance(inner, ConvergenceError)
+        assert str(info.value) == f"{text.split(':')[0]}: {inner}"
+        assert str(info.value).startswith(text)
+        assert ((info.value.partial, info.value.error_estimate, info.value.iterations)
+                == (inner.partial, inner.error_estimate, inner.iterations))
+
 
 class TestSchwarzPickBounds:
     def test_center_values(self):
@@ -411,3 +437,95 @@ class TestBoundReport:
     def test_note_distinguishes_scaling(self):
         assert "sup-norm <= 1" in evaluate_bound("M", 0.5, 1.0).note
         assert "linearly" in evaluate_bound("SP_2F1", 0.5, 1.0).note
+
+
+# bound id -> the public function evaluate_bound calls, and its arguments
+# at (r, alpha, c)
+PUBLIC_CALLS = {
+    "M1": ("m1_bound", lambda r, a, c: (r, a, c)),
+    "M2": ("m2_bound", lambda r, a, c: (r, a)),
+    "COLONNA": ("colonna_bound", lambda r, a, c: (r,)),
+    "LC_SP": ("lc_schwarz_pick_bound", lambda r, a, c: (r, a)),
+    "M": ("m_bound", lambda r, a, c: (r, a)),
+    "M_PRIME": ("m_prime_bound", lambda r, a, c: (r, a)),
+    "SCHWARZ_2F1": ("schwarz_bound", lambda r, a, c: (r, a)),
+    "SP_2F1": ("schwarz_pick_bound", lambda r, a, c: (r, a)),
+    "SP_LIMIT": ("schwarz_pick_limit_bound", lambda r, a, c: (r, a)),
+    "L1_MEAN": ("l1_mean_kernel", lambda r, a, c: (a, r)),
+}
+
+
+# calls with several invalid arguments, and the one each names
+FIRST_INVALID = [
+    (lambda: evaluate_bound("nope", 0.5, "x"), "alpha must be a real number, got 'x'"),
+    (lambda: evaluate_bound("M", "abc", "x"), "alpha must be a real number, got 'x'"),
+    (lambda: evaluate_bound(["M"], 2.0, "x"), "bound_id must be a string, got ['M']"),
+    (lambda: evaluate_bound("M1", 2.0, -3.0), "alpha must be finite and > -1, got -3.0"),
+    (lambda: evaluate_bound("M1", 2.0, 1.0), "M1 requires the auxiliary parameter c"),
+    (lambda: evaluate_bound("nope", 2.0, 1.0), "unknown bound id 'nope'"),
+    (lambda: evaluate_bound("M1", 2.0, 1.0, c=5.0), "r must lie in [0, 1), got 2.0"),
+    (lambda: evaluate_bound("M1", 0.5, 1.0, c="q"), "c must be a real number, got 'q'"),
+    (lambda: evaluate_bound("M2", 0.5, math.nan), "alpha must be finite and > -1, got nan"),
+    (lambda: evaluate_bound("M2", 2, math.inf), "alpha must be finite and > -1, got inf"),
+    (lambda: evaluate_bound("M_PRIME", 1.5, -0.5), "r must lie in [0, 1), got 1.5"),
+    (lambda: evaluate_bound("L1_MEAN", -0.1, 1.0), "r must lie in [0, 1), got -0.1"),
+    (lambda: m2_bound("abc", "x"), "r must be a real number, got 'abc'"),
+    (lambda: m2_bound(2, "x"), "r must lie in [0, 1), got 2.0"),
+    (lambda: m1_bound(0.5, -2.0, "q"), "alpha must be finite and > -1, got -2.0"),
+]
+
+
+class TestEvaluateBound:
+    def test_every_id_has_its_public_function(self):
+        assert set(PUBLIC_CALLS) == set(BOUND_IDS)
+
+    @pytest.mark.parametrize("bound_id", sorted(PUBLIC_CALLS))
+    def test_dispatch_calls_the_module_attribute(self, monkeypatch, bound_id):
+        name, args = PUBLIC_CALLS[bound_id]
+        seen = []
+
+        def planted(*call):
+            seen.append(call)
+            return 0.375
+
+        monkeypatch.setattr(bounds_module, name, planted)
+        c = 0.25 if bound_id == "M1" else None
+        report = evaluate_bound(bound_id, 0.5, 1.5, c)
+        assert seen == [args(0.5, 1.5, c)]
+        assert report == (bound_id, 0.5, 1.5, c, 0.375, report.note)
+        assert type(report) is BoundReport
+
+    @pytest.mark.parametrize("planted", [-0.5, math.nan])
+    @pytest.mark.parametrize("bound_id", sorted(PUBLIC_CALLS))
+    def test_value_check_is_made(self, monkeypatch, bound_id, planted):
+        monkeypatch.setattr(bounds_module, PUBLIC_CALLS[bound_id][0], lambda *call: planted)
+        with pytest.raises(DomainError, match="non-negative"):
+            evaluate_bound(bound_id, 0.5, 1.5, 0.25 if bound_id == "M1" else None)
+
+    @pytest.mark.parametrize("call,message", FIRST_INVALID, ids=[m for _, m in FIRST_INVALID])
+    def test_first_invalid_argument_is_named(self, call, message):
+        # checked in the order bound_id, alpha, M1's c present, the id, then
+        # by the bound r, alpha and c's value
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_seeded_sweep_equals_the_public_call(self):
+        rng = np.random.default_rng(35)
+        n = 400
+        alphas = -1.0 + 10.0 ** rng.uniform(-5.0, math.log10(1001.0), n)
+        radii = 1.0 - 10.0 ** rng.uniform(-12.0, 0.0, n)
+        cs = rng.uniform(0.05, 1.0, n)
+
+        def outcome(call):  # the value's bits, or the error
+            try:
+                return call().hex()
+            except (ConvergenceError, DomainError) as exc:
+                return type(exc), str(exc)
+
+        for a, r, c in zip(alphas.tolist(), radii.tolist(), cs.tolist()):
+            for bound_id, (name, args) in PUBLIC_CALLS.items():
+                aux = c if bound_id == "M1" else None
+                direct = outcome(lambda: getattr(bounds_module, name)(*args(r, a, aux)))
+                got = outcome(lambda: evaluate_bound(bound_id, r, a, aux).value)
+                assert got == direct, (bound_id, r, a, aux)

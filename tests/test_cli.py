@@ -273,6 +273,11 @@ class TestBounds:
                                       "--alpha", "1100", "--c", "0.5"])
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "float range" in err
+        # the failing bound is named, also where beta or a series raised
+        # (`all` stops at M1, the first id)
+        name = {"all": "m1_bound", "M": "m_bound", "SP_LIMIT": "schwarz_pick_limit_bound",
+                "SCHWARZ_2F1": "schwarz_bound"}[bound_id]
+        assert f" {name}(0.999, 1100.0" in err
 
     def test_quad_n_max_is_not_a_bounds_option(self, capsys):
         # every bound is a closed form: no quadrature to escalate
